@@ -16,7 +16,7 @@
 // multiplexed streams) against the gob/FIFO baseline; benchdiff -throughput
 // gates the recorded rates. -stream-throughput measures the resident
 // imagepipe streaming service end to end — windowed ingest, peer-to-peer
-// stage hops, ledger drain — and records a stream-throughput cell next to
+// stage hops, pushed completions — and records a stream-throughput cell next to
 // the transport ones.
 //
 // The defaults are the paper's parameters: maximum prime 10,000,000, 50

@@ -10,10 +10,12 @@ package imagepipe
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"aspectpar/internal/aspect"
 	"aspectpar/internal/exec"
 	"aspectpar/internal/par"
+	"aspectpar/internal/rmi"
 )
 
 // Frame is one grayscale scanline-major image, flattened.
@@ -24,7 +26,7 @@ type Frame []float64
 // service the stage also carries a small idempotence layer: a bounded cache
 // of recently filtered frame ids (so a redelivered hop re-forwards the
 // cached output instead of duplicating work) and — on the terminal stage —
-// an exactly-once delivery ledger the service drains with TakeDone.
+// an exactly-once completion ledger the service reads with AwaitDone.
 type Stage struct {
 	kind string
 	last bool // terminal stage of a streaming chain: records completions
@@ -33,11 +35,20 @@ type Stage struct {
 	out []Frame
 	ops int64
 
-	seen       map[int64]Frame // id → cached output (bounded by streamSeen)
-	order      []int64         // seen insertion order, for eviction
-	recorded   map[int64]bool  // terminal only: ids ever enqueued for delivery
-	doneIDs    []int64         // terminal only: completions awaiting TakeDone
+	seen  map[int64]Frame // id → cached output (bounded by streamSeen)
+	order []int64         // seen insertion order, for eviction
+
+	// Terminal stage only. The ledger is an append-only sequence: entry k
+	// (counting from 1) is doneIDs[k-1-base]. A reader acknowledges a prefix
+	// by passing its cursor back, and only acknowledged entries are dropped,
+	// so a read whose reply was lost is simply repeated.
+	recorded   idSet   // ids ever appended to the ledger
+	inc        int64   // this ledger's incarnation stamp, never 0
+	base       int64   // entries dropped from the front so far
+	doneIDs    []int64 // unacknowledged completions, oldest first
 	doneFrames []Frame
+	appended   chan struct{}   // closed and replaced on every append
+	stop       <-chan struct{} // the hosting node is shutting down (ParkUntil)
 }
 
 // streamSeen bounds each stage's idempotence cache. Old entries evict in
@@ -45,6 +56,36 @@ type Stage struct {
 // falls out (the filters are deterministic, so a recomputed frame is
 // byte-identical to the evicted one).
 const streamSeen = 4096
+
+// idSet records int64 ids, each at most once, in memory bounded by how far
+// out of order they arrive: every id below low is a member, and only the
+// members at or above it are stored. A stream's ids are dense and increasing,
+// so the stored part stays about one in-flight window wide.
+type idSet struct {
+	low   int64
+	above map[int64]struct{}
+}
+
+// add inserts id and reports whether it was absent.
+func (s *idSet) add(id int64) bool {
+	if id < s.low {
+		return false
+	}
+	if _, ok := s.above[id]; ok {
+		return false
+	}
+	if s.above == nil {
+		s.above = make(map[int64]struct{})
+	}
+	s.above[id] = struct{}{}
+	for {
+		if _, ok := s.above[s.low]; !ok {
+			return true
+		}
+		delete(s.above, s.low)
+		s.low++
+	}
+}
 
 // NewStage builds a filter stage of the given kind: "blur", "sharpen" or
 // "threshold".
@@ -55,6 +96,14 @@ func NewStage(kind string) (*Stage, error) {
 	default:
 		return nil, fmt.Errorf("imagepipe: unknown stage kind %q", kind)
 	}
+}
+
+// markTerminal makes s the last stage of a streaming chain: it opens the
+// completion ledger under a fresh incarnation stamp.
+func (s *Stage) markTerminal() {
+	s.last = true
+	s.inc = rmi.MixIdentity(time.Now().UnixNano())
+	s.appended = make(chan struct{})
 }
 
 // filter runs the stage's kernel on one frame. Callers hold s.mu.
@@ -131,28 +180,66 @@ func (s *Stage) Ingest(id int64, f Frame) (int64, Frame) {
 		delete(s.seen, s.order[0])
 		s.order = s.order[1:]
 	}
-	if s.last {
-		if s.recorded == nil {
-			s.recorded = make(map[int64]bool)
-		}
-		if !s.recorded[id] {
-			s.recorded[id] = true
-			s.doneIDs = append(s.doneIDs, id)
-			s.doneFrames = append(s.doneFrames, out)
-		}
+	if s.last && s.recorded.add(id) {
+		s.doneIDs = append(s.doneIDs, id)
+		s.doneFrames = append(s.doneFrames, out)
+		close(s.appended)
+		s.appended = make(chan struct{})
 	}
 	return id, out
 }
 
-// TakeDone drains the terminal stage's completion ledger: every (id, frame)
-// pair that finished the full chain since the last drain, each id exactly
-// once over the stage's lifetime.
-func (s *Stage) TakeDone() ([]int64, []Frame) {
+// ParkUntil implements rmi.Parker: a parked AwaitDone returns once stop is
+// closed, so the hosting node's shutdown does not wait the park out.
+func (s *Stage) ParkUntil(stop <-chan struct{}) {
 	s.mu.Lock()
+	s.stop = stop
+	s.mu.Unlock()
+}
+
+// AwaitDone reads the terminal stage's completion ledger. The caller passes
+// the incarnation stamp and cursor of its previous read (zeros before the
+// first); entries up to that cursor are acknowledged and dropped, and the
+// reply is the ledger's stamp, the new cursor — the count of entries
+// appended so far — and every unacknowledged (id, frame) pair. While there
+// is none the call parks for up to wait, returning early on the next append
+// or when the hosting node shuts down.
+//
+// The read is idempotent by construction: the same (inc, cursor) returns the
+// same entries again, so a lost reply loses nothing, and each id is appended
+// at most once over the stage's lifetime. A stamp that is not this ledger's
+// — the caller last read an earlier incarnation of the stage, whose ledger
+// died with it — acknowledges nothing; the caller sees the new stamp in the
+// reply and restarts its cursor.
+func (s *Stage) AwaitDone(inc, cursor int64, wait time.Duration) (int64, int64, []int64, []Frame) {
+	s.mu.Lock()
+	if n := cursor - s.base; inc == s.inc && n > 0 {
+		n = min(n, int64(len(s.doneIDs)))
+		s.doneIDs, s.doneFrames = s.doneIDs[n:], s.doneFrames[n:]
+		s.base += n
+	}
+	if len(s.doneIDs) == 0 && wait > 0 {
+		appended, stop := s.appended, s.stop
+		s.mu.Unlock()
+		t := time.NewTimer(wait)
+		select {
+		case <-appended:
+		case <-stop:
+		case <-t.C:
+		}
+		t.Stop()
+		s.mu.Lock()
+	}
 	defer s.mu.Unlock()
-	ids, frames := s.doneIDs, s.doneFrames
-	s.doneIDs, s.doneFrames = nil, nil
-	return ids, frames
+	// Appends never write below len, and dropping only moves the start, so
+	// the capped slices stay valid after the lock is released.
+	n := len(s.doneIDs)
+	return s.inc, s.base + int64(n), s.doneIDs[:n:n], s.doneFrames[:n:n]
+}
+
+// TakeDone is AwaitDone without the park: the polled form of the same read.
+func (s *Stage) TakeDone(inc, cursor int64) (int64, int64, []int64, []Frame) {
+	return s.AwaitDone(inc, cursor, 0)
 }
 
 // Results returns the frames this stage produced, in processing order.
@@ -202,8 +289,8 @@ func DefineClass(dom *par.Domain) *par.Class {
 			if err != nil {
 				return nil, err
 			}
-			if len(args) > 1 {
-				s.last = args[1].(bool)
+			if len(args) > 1 && args[1].(bool) {
+				s.markTerminal()
 			}
 			return s, nil
 		},
@@ -215,9 +302,14 @@ func DefineClass(dom *par.Domain) *par.Class {
 				id, out := target.(*Stage).Ingest(args[0].(int64), args[1].(Frame))
 				return []any{id, out}, nil
 			},
+			"AwaitDone": func(target any, args []any) ([]any, error) {
+				inc, cursor, ids, frames := target.(*Stage).AwaitDone(
+					args[0].(int64), args[1].(int64), time.Duration(args[2].(int64)))
+				return []any{inc, cursor, ids, frames}, nil
+			},
 			"TakeDone": func(target any, args []any) ([]any, error) {
-				ids, frames := target.(*Stage).TakeDone()
-				return []any{ids, frames}, nil
+				inc, cursor, ids, frames := target.(*Stage).TakeDone(args[0].(int64), args[1].(int64))
+				return []any{inc, cursor, ids, frames}, nil
 			},
 			"Results": func(target any, args []any) ([]any, error) {
 				return []any{target.(*Stage).Results()}, nil

@@ -126,3 +126,78 @@ func TestBlurConstantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTerminalLedgerIsBoundedAndExactlyOnce streams 200,000 ids through a
+// terminal stage, mostly in order, with some arriving late and some retried
+// long after they were recorded. The ledger must hand each id out exactly
+// once, and its record of what it has handed out must stay about a window
+// wide instead of growing with the stream.
+func TestTerminalLedgerIsBoundedAndExactlyOnce(t *testing.T) {
+	s, _ := NewStage("threshold")
+	s.markTerminal()
+	const total = 200_000
+	f := Frame{0.7}
+	delivered := make([]bool, total)
+	var inc, cursor int64
+	read := func() {
+		var ids []int64
+		inc, cursor, ids, _ = s.TakeDone(inc, cursor)
+		for _, id := range ids {
+			if delivered[id] {
+				t.Fatalf("id %d delivered twice", id)
+			}
+			delivered[id] = true
+		}
+	}
+	var late []int64
+	for id := int64(0); id < total; id++ {
+		switch {
+		case id%1000 == 7: // held back, arrives 500 ids late
+			late = append(late, id)
+		default:
+			s.Ingest(id, f)
+		}
+		if len(late) > 0 && id == late[0]+500 {
+			s.Ingest(late[0], f)
+			late = late[1:]
+		}
+		if id%5000 == 4999 {
+			s.Ingest(id-4500, f) // a retry of a frame recorded long ago
+			s.Ingest(id, f)      // and of the one just recorded
+		}
+		if id%64 == 63 {
+			read()
+		}
+		if n := len(s.recorded.above); n > streamSeen {
+			t.Fatalf("after id %d the ledger remembers %d ids individually, want at most %d", id, n, streamSeen)
+		}
+	}
+	for _, id := range late {
+		s.Ingest(id, f)
+	}
+	read()
+	read() // acknowledges the last batch
+	for id, ok := range delivered {
+		if !ok {
+			t.Fatalf("id %d never delivered", id)
+		}
+	}
+	if s.recorded.low != total || len(s.recorded.above) != 0 || len(s.doneIDs) != 0 {
+		t.Errorf("settled ledger: low %d, %d above, %d unacknowledged", s.recorded.low, len(s.recorded.above), len(s.doneIDs))
+	}
+	// A repeated read — the reply to the previous one was lost — returns the
+	// same entries; only a later cursor drops them.
+	s.Ingest(total, f)
+	_, end1, ids1, _ := s.TakeDone(inc, cursor)
+	_, end2, ids2, _ := s.TakeDone(inc, cursor)
+	if end1 != end2 || len(ids1) != 1 || len(ids2) != 1 || ids1[0] != ids2[0] {
+		t.Errorf("repeated read: (%d, %v) then (%d, %v)", end1, ids1, end2, ids2)
+	}
+	// A reader that last saw another incarnation acknowledges nothing.
+	if _, _, ids, _ := s.TakeDone(inc+1, end1); len(ids) != 1 {
+		t.Errorf("foreign stamp acknowledged %d entries", 1-len(ids))
+	}
+	if _, _, ids, _ := s.TakeDone(inc, end1); len(ids) != 0 {
+		t.Errorf("acknowledged entry returned again: %v", ids)
+	}
+}

@@ -18,19 +18,28 @@ import (
 // topology installed, and clients feed it an open-ended stream of frames.
 // Each Submit is a windowed one-way ingest into stage 0; the hops between
 // stages run peer-to-peer on the nodes (par.Topology), and the driver's
-// only steady-state traffic is the ingest feed plus a completion poll of
-// the terminal stage's ledger.
+// only steady-state traffic is the ingest feed plus one parked read of the
+// terminal stage's completion ledger (Stage.AwaitDone), which returns the
+// moment a frame finishes the chain. Submit and Flush sleep until that reply
+// wakes them; nothing polls while completions flow.
+//
+// A waiter that hears nothing for heartbeat runs the pump instead: heal and
+// redeliver through the topology control plane (par.NetRMI.PumpTopology),
+// read the ledger without parking (Stage.TakeDone), re-ingest what is past
+// its retry deadline, and start the parked read again if it ended. Fault
+// detection and recovery live there, at the cadence the service always had.
 //
 // Delivery is exactly-once end to end, by layered idempotence rather than
 // distributed transactions: every frame carries a stream id, every stage
 // dedupes ids against a bounded cache (a redelivered hop re-forwards the
-// cached output), the terminal stage's ledger records each id at most once,
-// and the service re-ingests from the head any id that misses its retry
-// deadline. A mid-stream stage crash therefore loses nothing: unacked hops
-// strand at the upstream node and are redelivered after the topology heals
-// (par.NetRMI.PumpTopology), anything lost inside the dead process is
-// re-driven from the head, and the dedupe layers absorb every duplicate the
-// recovery creates.
+// cached output), the terminal stage's ledger records each id at most once
+// and is read by cursor — entries leave it only once a later read has
+// acknowledged them, so a lost reply is repeated, not lost — and the service
+// re-ingests from the head any id that misses its retry deadline. A
+// mid-stream stage crash therefore loses nothing: unacked hops strand at the
+// upstream node and are redelivered after the topology heals, anything lost
+// inside the dead process is re-driven from the head, and the dedupe layers
+// absorb every duplicate the recovery creates.
 type Service struct {
 	cfg   ServiceConfig
 	clk   clock.Clock
@@ -53,6 +62,17 @@ type Service struct {
 	errs     []error
 	draining bool
 	closed   bool
+
+	// The driver's place in the terminal ledger: the incarnation stamp and
+	// cursor of the last reply absorbed. Every read sends them back as its
+	// acknowledgement (see Stage.AwaitDone).
+	inc, cursor int64
+	fresh       int64         // first id submitted after the last cursor restart
+	wake        chan struct{} // closed and replaced whenever completions land
+	watching    bool          // the parked read's goroutine is running
+	watchers    sync.WaitGroup
+	pumps       int64 // heartbeat pumps run (tests)
+	resets      int64 // cursor restarts after the terminal stage reincarnated (tests)
 }
 
 type pendingFrame struct {
@@ -84,9 +104,9 @@ type ServiceConfig struct {
 	// Net appends extra middleware options (codec, stream width, ...).
 	Net []par.NetOption
 
-	// Window bounds the in-flight stream: Submit blocks (pumping
-	// completions) while more than Window frames are submitted but not yet
-	// delivered. Zero means unbounded.
+	// Window bounds the in-flight stream: Submit blocks while more than
+	// Window frames are submitted but not yet delivered. Zero means
+	// unbounded.
 	Window int
 
 	// RetryAfter is the end-to-end retry deadline: a frame not delivered
@@ -94,12 +114,9 @@ type ServiceConfig struct {
 	// dedupe makes the retry idempotent.
 	RetryAfter time.Duration
 
-	// Poll is the pump cadence while waiting in Flush or a full window
-	// (default 2ms).
-	Poll time.Duration
-
-	// Clock overrides the service's time source (retry deadlines, poll
-	// pacing, middleware timers). Nil keeps the wall clock.
+	// Clock overrides the service's time source (retry deadlines, the
+	// heartbeat and stall timers, middleware timers). Nil keeps the wall
+	// clock.
 	Clock clock.Clock
 }
 
@@ -108,13 +125,22 @@ type ServiceStats struct {
 	Submitted  int64 // frames accepted by Submit
 	Completed  int64 // frames delivered from the terminal ledger
 	Retried    int64 // end-to-end re-ingests after a missed deadline
-	Duplicates int64 // ledger deliveries for ids already delivered (must stay 0)
+	Duplicates int64 // ids one ledger incarnation delivered twice (must stay 0)
 	Topo       par.TopologyStats
 }
 
-// flushStallLimit bounds Flush: this many consecutive pump rounds without a
-// single completion is reported as a stall instead of spinning forever.
-const flushStallLimit = 5000
+const (
+	// heartbeat is how long a waiter in Submit or Flush hears nothing from
+	// the parked read before it runs the pump itself.
+	heartbeat = 2 * time.Millisecond
+	// maxPark bounds one parked read at the terminal stage; the read is
+	// re-issued when it ends, so this only sets how often an idle service
+	// touches the wire and how long a read outlives a stage that moved away.
+	maxPark = 250 * time.Millisecond
+	// stallAfter bounds Flush: this long without a single completion is
+	// reported as a stall instead of waiting forever.
+	stallAfter = 10 * time.Second
+)
 
 // StartService deploys the filter chain and returns the resident service.
 // The pipeline's stage topology is installed on the nodes at deploy time,
@@ -126,12 +152,10 @@ func StartService(cfg ServiceConfig) (*Service, error) {
 		ctx:     exec.Real(),
 		pending: make(map[int64]*pendingFrame),
 		ready:   make(map[int64]Frame),
+		wake:    make(chan struct{}),
 	}
 	if s.cfg.RetryAfter <= 0 {
 		s.cfg.RetryAfter = 250 * time.Millisecond
-	}
-	if s.cfg.Poll <= 0 {
-		s.cfg.Poll = 2 * time.Millisecond
 	}
 	if err := s.dial(); err != nil {
 		s.Close()
@@ -141,6 +165,7 @@ func StartService(cfg ServiceConfig) (*Service, error) {
 		s.Close()
 		return nil, err
 	}
+	s.watch()
 	return s, nil
 }
 
@@ -256,9 +281,9 @@ func (s *Service) deploy() error {
 
 // Submit feeds frames into the stream and returns their assigned ids.
 // Results arrive asynchronously: Take drains them, Flush waits for them.
-// With a Window configured, Submit blocks pumping completions until the
-// stream has room — the client-side half of the backpressure chain whose
-// node-side half is the ack-clocked hop windows.
+// With a Window configured, Submit blocks until the stream has room — the
+// client-side half of the backpressure chain whose node-side half is the
+// ack-clocked hop windows.
 func (s *Service) Submit(frames []Frame) ([]int64, error) {
 	if len(frames) == 0 {
 		return nil, nil
@@ -273,14 +298,14 @@ func (s *Service) Submit(frames []Frame) ([]int64, error) {
 		for {
 			s.mu.Lock()
 			room := len(s.pending)+len(frames) <= s.cfg.Window
+			wake := s.wake
 			s.mu.Unlock()
 			if room {
 				break
 			}
-			if err := s.pump(); err != nil {
+			if err := s.await(wake); err != nil {
 				return nil, err
 			}
-			s.clk.Sleep(s.cfg.Poll)
 		}
 	}
 	s.mu.Lock()
@@ -313,18 +338,142 @@ func (s *Service) ingest(ids []int64, frames []Frame) error {
 	return nil
 }
 
-// pump runs one service cycle: heal and redeliver through the topology
-// control plane, drain the terminal ledger, and re-ingest anything past its
-// retry deadline.
-func (s *Service) pump() error {
+// watch keeps one AwaitDone parked at the terminal stage for as long as the
+// reads succeed, absorbing each reply. It rides the middleware's park lane,
+// outside the fault journal: on any error the goroutine simply ends, and the
+// next heartbeat pump — whose polled read keeps the stream live meanwhile —
+// starts it again.
+func (s *Service) watch() {
+	s.mu.Lock()
+	if s.watching || s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.watching = true
+	s.watchers.Add(1)
+	s.mu.Unlock()
+	go func() {
+		defer s.watchers.Done()
+		for {
+			s.mu.Lock()
+			inc, cursor := s.inc, s.cursor
+			s.mu.Unlock()
+			res, err := s.mw.InvokeParked(s.terminal, "AwaitDone", inc, cursor, int64(maxPark))
+			if err == nil {
+				err = s.absorb(inc, res)
+			}
+			if err != nil {
+				s.mu.Lock()
+				s.watching = false
+				s.mu.Unlock()
+				return
+			}
+		}
+	}()
+}
+
+// absorb takes one ledger reply — from the parked read or the pump's polled
+// one, which may overlap — into the stream. sent is the incarnation stamp
+// the read was issued with. Entries are placed by their position in the
+// ledger, so one that an overlapping read already delivered is skipped by
+// arithmetic, not looked up; Duplicates counts only what a ledger must never
+// produce, an id it recorded twice.
+func (s *Service) absorb(sent int64, res []any) error {
+	if len(res) != 4 {
+		return fmt.Errorf("imagepipe: ledger read returned %d values, want 4", len(res))
+	}
+	inc, ok1 := res[0].(int64)
+	end, ok2 := res[1].(int64)
+	ids, ok3 := res[2].([]int64)
+	frames, ok4 := res[3].([]Frame)
+	if !ok1 || !ok2 || !ok3 || !ok4 || len(ids) != len(frames) {
+		return fmt.Errorf("imagepipe: malformed ledger read (%T, %T, %T, %T)", res[0], res[1], res[2], res[3])
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if inc != s.inc {
+		if sent != s.inc {
+			// The reply of a read still parked at an incarnation the stream
+			// has since moved on from: its entries were delivered, or are
+			// pending and will be re-ingested past their deadline.
+			return nil
+		}
+		// The terminal stage was rebuilt and its ledger restarted empty:
+		// count from its beginning. The new ledger may record again a frame
+		// its predecessor already delivered — one whose hop acknowledgement
+		// died with the old node, so the hop was redelivered — which the
+		// pending map absorbs; only ids submitted from here on can be told
+		// apart as the ledger's own duplicates.
+		if s.inc != 0 {
+			s.resets++
+			s.fresh = s.nextID
+		}
+		s.inc, s.cursor = inc, 0
+	}
+	first := end - int64(len(ids)) + 1 // ledger position of ids[0]
+	landed := false
+	for i := max(0, s.cursor+1-first); i < int64(len(ids)); i++ {
+		id := ids[i]
+		if _, ok := s.pending[id]; ok {
+			delete(s.pending, id)
+			s.ready[id] = frames[i]
+			s.stats.Completed++
+			landed = true
+		} else if id >= s.fresh {
+			s.stats.Duplicates++
+		}
+	}
+	s.cursor = max(s.cursor, end)
+	if landed {
+		close(s.wake)
+		s.wake = make(chan struct{})
+	}
+	return nil
+}
+
+// await blocks until completions land (wake, read under s.mu together with
+// the condition being waited on, is closed) or, after heartbeat of silence,
+// runs one pump.
+func (s *Service) await(wake <-chan struct{}) error {
+	t := s.clk.NewTimer(heartbeat)
+	select {
+	case <-wake:
+		t.Stop()
+		return nil
+	case <-t.C():
+		return s.pump()
+	}
+}
+
+// heal runs one pass of the topology control plane: re-push the plan after a
+// placement change, collect the nodes' hop counters, redeliver strands.
+// Under a fault policy its errors are recorded rather than returned.
+func (s *Service) heal() error {
 	if _, err := s.mw.PumpTopology(); err != nil {
 		if !s.cfg.Faults.Enabled {
 			return err
 		}
 		s.record(err)
 	}
+	return nil
+}
+
+// pump is the heartbeat: heal and redeliver through the topology control
+// plane, read the terminal ledger without parking, re-ingest anything past
+// its retry deadline, and restart the parked read if it ended.
+func (s *Service) pump() error {
+	s.mu.Lock()
+	s.pumps++
+	inc, cursor := s.inc, s.cursor
+	s.mu.Unlock()
+	if err := s.heal(); err != nil {
+		return err
+	}
 	marks := map[string]any{par.MarkInternal: true, par.MarkNoAsync: true}
-	res, err := s.class.CallMarked(s.ctx, marks, s.terminal, "TakeDone")
+	res, err := s.class.CallMarked(s.ctx, marks, s.terminal, "TakeDone", inc, cursor)
+	if err == nil {
+		err = s.absorb(inc, res)
+	}
 	if err != nil {
 		if !s.cfg.Faults.Enabled {
 			return fmt.Errorf("imagepipe: polling completions: %w", err)
@@ -332,20 +481,10 @@ func (s *Service) pump() error {
 		s.record(err)
 		return nil
 	}
-	ids := res[0].([]int64)
-	frames := res[1].([]Frame)
+	s.watch()
 	var retryIDs []int64
 	var retryFrames []Frame
 	s.mu.Lock()
-	for i, id := range ids {
-		if _, ok := s.pending[id]; ok {
-			delete(s.pending, id)
-			s.ready[id] = frames[i]
-			s.stats.Completed++
-		} else {
-			s.stats.Duplicates++
-		}
-	}
 	now := s.clk.Now()
 	for id, p := range s.pending {
 		if now.Sub(p.since) >= s.cfg.RetryAfter {
@@ -362,35 +501,33 @@ func (s *Service) pump() error {
 	return nil
 }
 
-// Flush pumps until every submitted frame has been delivered — the
+// Flush waits until every submitted frame has been delivered — the
 // graceful-drain barrier. It returns a stall error if the stream stops
 // making progress entirely (recorded transport errors attached).
 func (s *Service) Flush() error {
-	stall := 0
+	var seen int64 = -1
+	var since time.Time
 	for {
 		s.mu.Lock()
 		outstanding := len(s.pending)
-		before := s.stats.Completed
+		completed := s.stats.Completed
+		wake := s.wake
 		s.mu.Unlock()
 		if outstanding == 0 {
 			return nil
 		}
-		if err := s.pump(); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		progressed := s.stats.Completed > before
-		s.mu.Unlock()
-		if progressed {
-			stall = 0
-		} else if stall++; stall > flushStallLimit {
+		if completed != seen {
+			seen, since = completed, s.clk.Now()
+		} else if s.clk.Since(since) > stallAfter {
 			s.mu.Lock()
 			errs := append([]error(nil), s.errs...)
 			s.mu.Unlock()
 			return fmt.Errorf("imagepipe: stream stalled with %d frames outstanding: %w",
 				outstanding, errors.Join(errs...))
 		}
-		s.clk.Sleep(s.cfg.Poll)
+		if err := s.await(wake); err != nil {
+			return err
+		}
 	}
 }
 
@@ -411,12 +548,21 @@ func (s *Service) Drain() (map[int64]Frame, error) {
 	s.draining = true
 	s.mu.Unlock()
 	err := s.Flush()
+	if err == nil {
+		err = s.heal() // so the drained stream's hop counters are final
+	}
 	return s.Take(), err
 }
 
 // Stats snapshots the stream counters, including the topology control
-// plane's (installs, peer-forwarded hops, strands, redeliveries).
+// plane's (installs, peer-forwarded hops, strands, redeliveries). The nodes'
+// hop counters reach the driver only through a topology pump, and pumps are
+// rare while completions flow, so Stats runs one pass first: the snapshot is
+// current as of the call. An error from that pass is recorded (see Err).
 func (s *Service) Stats() ServiceStats {
+	if _, err := s.mw.PumpTopology(); err != nil && !errors.Is(err, rmi.ErrClosed) {
+		s.record(err)
+	}
 	s.mu.Lock()
 	st := s.stats
 	s.mu.Unlock()
@@ -461,4 +607,5 @@ func (s *Service) Close() {
 	for _, n := range s.nodes {
 		n.Close()
 	}
+	s.watchers.Wait() // the parked read ended with its connection
 }

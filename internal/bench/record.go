@@ -33,10 +33,10 @@ type Entry struct {
 	Packs     int   `json:"packs"`
 	VirtualNs int64 `json:"virtual_ns"`
 
-	// Wall-clock transport cells (experiment "net-throughput") leave
-	// VirtualNs zero and carry measured rates instead: higher is better, so
-	// ThroughputCompare gates them, not Compare. Codec and Streams pin the
-	// transport configuration into the key.
+	// Wall-clock cells (experiments "net-throughput" and "stream-throughput")
+	// leave VirtualNs zero and carry measured rates instead: higher is
+	// better, so ThroughputCompare gates them, not Compare. Codec and Streams
+	// pin the transport configuration into the key.
 	Codec       string  `json:"codec,omitempty"`
 	Streams     int     `json:"streams,omitempty"`
 	CallsPerSec float64 `json:"calls_per_sec,omitempty"`
@@ -263,11 +263,12 @@ func (c *ThroughputComparison) OK(minSpeedup float64) bool {
 	return len(c.Regressions) == 0 && len(c.Missing) == 0 && c.Speedup >= minSpeedup
 }
 
-// ThroughputCompare gates current net-throughput cells against a checked-in
-// wall-clock baseline (recorded conservatively — CI machines vary; the
+// ThroughputCompare gates current wall-clock cells — the net-throughput
+// transport cells and the stream-throughput service cell — against a
+// checked-in baseline (recorded conservatively — CI machines vary; the
 // threshold absorbs that, the baseline absorbs the rest) and computes the
-// current record's own fast-over-base speedup, the machine-independent half
-// of the gate.
+// current record's own fast-over-base transport speedup, the
+// machine-independent half of the gate.
 func ThroughputCompare(baseline, current *Record, threshold float64, fastSeries, baseSeries string) *ThroughputComparison {
 	cur := make(map[string]Entry, len(current.Entries))
 	for _, e := range current.Entries {
@@ -277,7 +278,7 @@ func ThroughputCompare(baseline, current *Record, threshold float64, fastSeries,
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-72s %14s %14s %8s\n", "throughput cell (calls/sec)", "baseline", "current", "delta")
 	for _, base := range baseline.Entries {
-		if base.Experiment != "net-throughput" {
+		if base.Experiment != "net-throughput" && base.Experiment != "stream-throughput" {
 			continue
 		}
 		key := base.Key()

@@ -12,7 +12,7 @@ import (
 // loopback nodes, with the stage topology installed so every inner hop runs
 // peer-to-peer. Where the net-throughput sweep prices one round-trip call,
 // this cell prices the full streaming path: windowed one-way ingest, two
-// node-side hops, ledger drain.
+// node-side hops, pushed completions.
 type StreamPoint struct {
 	Frames       int
 	FrameLen     int // float64 samples per frame

@@ -343,4 +343,10 @@
 // with per-stream sequence spaces intact, and a failed-over object keeps
 // its stream on the new peer. The zero value (streams < 2) keeps the
 // single pipelined lane, bit-identical to the pre-stream wire protocol.
+//
+// One more stream is reserved whatever the width: [NetRMI.InvokeParked]
+// issues a call that may park at its object — a long-poll read, such as the
+// streaming service's wait on its completion ledger — on a lane nothing else
+// uses, so the wait holds up no other dispatch. It resolves the object's
+// placement per call and stays outside the fault journal.
 package par

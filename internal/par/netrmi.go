@@ -535,6 +535,34 @@ func (m *NetRMI) InvokeAsync(ctx exec.Context, obj any, method string, args []an
 	}, args...)
 }
 
+// parkStream is the dispatch stream InvokeParked rides on every peer
+// connection. Object streams are assigned from 1 upwards, so nothing else is
+// ever queued on this lane.
+const parkStream = ^uint32(0)
+
+// InvokeParked performs one synchronous call of a method that may park at the
+// object — block there until an event arrives, like a long-poll read — and so
+// must not share a dispatch lane with ordinary traffic: the node would run
+// the object's other calls (or, on stream 0, every request of the connection)
+// only after the wait ended. The call rides the reserved parkStream of the
+// connection to obj's current placement, resolved afresh on each call, so it
+// follows the object through reincarnation, failover and drain.
+//
+// It is never journaled or replayed, whatever the fault policy: a transport
+// failure — including the fault layer reconnecting underneath it — simply
+// returns the error. The method must therefore be safe to repeat.
+func (m *NetRMI) InvokeParked(obj any, method string, args ...any) ([]any, error) {
+	stub, err := m.stubOf(method, obj)
+	if err != nil {
+		return nil, err
+	}
+	res, err := stub.OnStream(parkStream).Invoke(method, args...)
+	if err == nil {
+		m.stats.count(2, int64(m.sizer.Size(args)+approxReplySize(res)))
+	}
+	return res, err
+}
+
 // stampCompletion builds a windowed completion carrying real-transport
 // tuning signals. The sim middlewares stamp issue/arrival/service instants
 // from the virtual clock; here only differences are measurable, so the

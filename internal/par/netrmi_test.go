@@ -233,3 +233,42 @@ func TestNetRMIWindowedCompletionsDeliverResults(t *testing.T) {
 		t.Errorf("got %d distinct results, want %d", len(seen), calls)
 	}
 }
+
+// TestNetRMIInvokeParkedLeavesTheObjectLaneFree parks a call at an object
+// and checks that the object's ordinary calls — on the default single lane,
+// which the node dispatches inline — still go through, and that the parked
+// call returns its result once the object lets it.
+func TestNetRMIInvokeParkedLeavesTheObjectLaneFree(t *testing.T) {
+	g := startGate(t)
+	obj := g.export(t, "PS1")
+	type out struct {
+		res []any
+		err error
+	}
+	parked := make(chan out, 1)
+	go func() {
+		res, err := g.mw.InvokeParked(obj, "Block")
+		parked <- out{res, err}
+	}()
+	<-g.started // the call is parked inside the servant
+	echoed := make(chan error, 1)
+	go func() {
+		_, err := g.mw.Invoke(g.ctx, obj, "Echo", []any{[]int32{1}}, false)
+		echoed <- err
+	}()
+	select {
+	case err := <-echoed:
+		if err != nil {
+			t.Fatalf("Echo beside a parked call: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an ordinary call is stuck behind the parked one")
+	}
+	close(g.release)
+	if o := <-parked; o.err != nil || o.res[0] != "unblocked" {
+		t.Errorf("parked call = %v, %v", o.res, o.err)
+	}
+	if _, err := g.mw.InvokeParked(&NetRef{Name: "nobody"}, "Block"); err == nil {
+		t.Error("InvokeParked on an unexported reference should fail")
+	}
+}

@@ -62,6 +62,15 @@ type Servant interface {
 	WireTypes() []any
 }
 
+// Parker is an optional capability of a hosted object whose methods may park:
+// block at the node waiting for an event at the object (a long-poll read).
+// The node hands such an object its server's Done channel right after
+// construction; a parked method must return once it is closed, so Close and
+// Abort are not held up by the wait.
+type Parker interface {
+	ParkUntil(done <-chan struct{})
+}
+
 // Node is a worker daemon of the real middleware: an RMI server hosting
 // class servers and the creation protocol.
 type Node struct {
@@ -280,6 +289,9 @@ func (n *Node) exportNew(class, name string, ctorArgs []any) error {
 		delete(n.objects, name)
 		n.mu.Unlock()
 		return err
+	}
+	if p, ok := obj.(Parker); ok {
+		p.ParkUntil(n.srv.Done())
 	}
 	// Bind only if the reservation survived: a reset that ran during the
 	// construction has already disowned this name, and binding anyway would

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"aspectpar/internal/exec"
 )
@@ -155,5 +156,94 @@ func TestNodeReset(t *testing.T) {
 	// The name is free again.
 	if _, err := ctl.Invoke(CtlExportNew, "Adder", "PS1"); err != nil {
 		t.Errorf("re-export after reset: %v", err)
+	}
+}
+
+// gateServant hosts objects whose Wait method parks until the node shuts
+// down; entered reports each park as it begins.
+type gateServant struct{ entered chan struct{} }
+
+type gate struct {
+	entered chan struct{}
+	done    <-chan struct{}
+}
+
+func (g *gate) ParkUntil(done <-chan struct{}) { g.done = done }
+
+func (s gateServant) New(ctx exec.Context, args []any) (any, error) {
+	return &gate{entered: s.entered}, nil
+}
+
+func (gateServant) Invoke(ctx exec.Context, obj any, method string, args []any) ([]any, error) {
+	g := obj.(*gate)
+	switch method {
+	case "Wait":
+		g.entered <- struct{}{}
+		<-g.done
+		return []any{int64(1)}, nil
+	case "Ping":
+		return []any{int64(2)}, nil
+	default:
+		return nil, errors.New("no method " + method)
+	}
+}
+
+func (gateServant) WireTypes() []any { return nil }
+
+// TestParkedCallHoldsNeitherStreamZeroNorClose parks a servant call on a
+// stream of its own and checks the two things a parked call must not do:
+// delay stream 0's inline dispatch on the same connection, and make the
+// node's graceful Close wait out closeDrainGrace (30 s).
+func TestParkedCallHoldsNeitherStreamZeroNorClose(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	n := NewNode(exec.Real())
+	n.Host("Gate", gateServant{entered})
+	addr, err := n.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback TCP unavailable: %v", err)
+	}
+	defer n.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctl, err := c.Lookup(ControlName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.Invoke(CtlExportNew, "Gate", "G1"); err != nil {
+		t.Fatal(err)
+	}
+	stub, err := c.Lookup("G1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := stub.OnStream(7).InvokeAsync("Wait")
+	<-entered
+
+	// Stream 0 answers while the call is parked.
+	pinged := make(chan error, 1)
+	go func() {
+		_, err := stub.Invoke("Ping")
+		pinged <- err
+	}()
+	select {
+	case err := <-pinged:
+		if err != nil {
+			t.Fatalf("Ping on stream 0: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream 0 is stuck behind the parked call")
+	}
+
+	start := time.Now()
+	n.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Close with a parked call took %v", took)
+	}
+	// The graceful drain let the released call answer normally.
+	if res, err := parked.Get(); err != nil || res[0].(int64) != 1 {
+		t.Errorf("parked call after Close: %v, %v", res, err)
 	}
 }

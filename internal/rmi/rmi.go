@@ -137,6 +137,7 @@ type Server struct {
 	objects  map[string]DispatchFunc
 	conns    map[net.Conn]struct{}
 	closed   bool
+	done     chan struct{} // closed when shutdown begins (see Done)
 	wg       sync.WaitGroup
 	epoch    atomic.Int64
 	requests atomic.Int64
@@ -175,6 +176,7 @@ func NewServer(opts ...Option) *Server {
 		objects:  make(map[string]DispatchFunc),
 		conns:    make(map[net.Conn]struct{}),
 		sessions: make(map[sessionKey]*clientSession),
+		done:     make(chan struct{}),
 		clk:      clock.Or(o.clk),
 		codecs:   make(map[string]Codec),
 		hb:       heartbeatConfig{registry: o.registry, interval: o.heartbeat, advertise: o.advertise},
@@ -505,6 +507,14 @@ func (s *Server) handle(req *request) *response {
 	return resp
 }
 
+// Done returns a channel closed when the server begins shutting down (Close
+// or Abort). A servant method that parks — blocks waiting for an event at its
+// object, like a long-poll read — selects on it, so the shutdown drain is not
+// held up by a wait that nothing will end. Such a call belongs on a stream of
+// its own (Stub.OnStream): stream 0 dispatches inline in the connection's read
+// loop, where a parked call would stall every request behind it.
+func (s *Server) Done() <-chan struct{} { return s.done }
+
 // safeDispatch runs the servant method, converting a panic into an error so
 // one faulty servant call cannot crash the serving goroutine (and with it the
 // whole connection, taking every pipelined in-flight call down).
@@ -569,6 +579,10 @@ func (s *Server) shutdown(abort bool) {
 		return
 	}
 	s.closed = true
+	// Release parked servant calls first: the drain below waits for every
+	// dispatch in progress, and a call parked on an event that may never come
+	// would otherwise hold it until closeDrainGrace.
+	close(s.done)
 	ln := s.ln
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
