@@ -77,14 +77,17 @@ func NetThroughput(cfg ThroughputConfig, calls, payloadInts, window, runs int) (
 		return pt, fmt.Errorf("bench: loopback node: %w", err)
 	}
 
-	var opts []par.NetOption
-	if cfg.Codec != "" {
-		codec, err := rmi.CodecByName(cfg.Codec)
-		if err != nil {
-			return pt, err
-		}
-		opts = append(opts, par.WithCodec(codec))
+	// "" keeps gob, pinned: left to rmi.Dial's default the cell would
+	// negotiate binary and stop measuring the transport it is named after.
+	codecName := cfg.Codec
+	if codecName == "" {
+		codecName = "gob"
 	}
+	codec, err := rmi.CodecByName(codecName)
+	if err != nil {
+		return pt, err
+	}
+	opts := []par.NetOption{par.WithCodec(codec)}
 	if cfg.Streams > 1 {
 		opts = append(opts, par.WithStreams(cfg.Streams))
 	}

@@ -148,8 +148,12 @@ func (c *Class) Name() string { return c.name }
 // constructor and methods carry inside argument and result lists — the
 // class's wire-type metadata. Transports that marshal interface payloads
 // (the real-TCP middleware) register these with their codec on both ends of
-// the connection, so a class defined identically in two processes agrees on
-// its encoding. Wire returns the class for chaining after Define.
+// the connection (rmi.RegisterType), so a class defined identically in two
+// processes agrees on its encoding. A declared slice type over int32, int64,
+// float64 or byte elements (type Frame []float64), or a slice of such slices
+// ([]Frame), crosses the binary codec under its name with the fast array
+// encoding and arrives as the same type; structs and maps take the codec's
+// gob fallback. Wire returns the class for chaining after Define.
 func (c *Class) Wire(samples ...any) *Class {
 	c.wireMu.Lock()
 	c.wireSamples = append(c.wireSamples, samples...)

@@ -311,20 +311,26 @@
 // # Wire format & streams
 //
 // Package rmi frames every request and response through a negotiated
-// [rmi.Codec]. The client offers its preference list in the Hello
-// handshake (binary first, then gob); the server answers with the first
-// offer it accepts, and both ends switch encodings after the hello
+// [rmi.Codec]. Every connection opens in gob; rmi.Dial offers the binary
+// codec in the Hello handshake unless told otherwise, the server confirms
+// an offer it accepts, and both ends switch encodings after the hello
 // exchange — per connection, so a mixed cluster of new and old nodes works
 // without configuration: connections to a gob-only node silently run gob
-// while the rest of the farm runs binary. [WithCodec] (par) and
-// rmi.WithCodec pin the client offer; rmi.WithCodecs restricts what a node
-// accepts.
+// while the rest of the farm runs binary. That covers every connection of
+// the stack — [DialNet] peers, [DialPool]'s registry client, the daemons'
+// heartbeats and the node-to-node forward lane of a [Topology] — with no
+// option set. [WithCodec] (par) and rmi.WithCodec change the client offer
+// (rmi.GobCodec() pins gob); rmi.WithCodecs restricts what a node accepts.
 //
 // The compact binary codec frames a uvarint body length, a frame kind and
 // flag byte, then fixed-width little-endian fields — no per-frame type
 // dictionary, so an []int32 pack costs 4 bytes per element on the wire
-// where gob re-transmits varint-encoded values. Values outside the
-// fast-path kinds carry a tagged gob payload, keeping the codecs
+// where gob re-transmits varint-encoded values, and on a little-endian
+// host the pack is copied as one block in each direction. A slice type a
+// class declares through [Class.Wire] (type Frame []float64, []Frame)
+// travels as its registered name in front of the same array encoding and
+// arrives as the same concrete type. Values outside the fast-path kinds —
+// structs, maps — carry a tagged gob payload, keeping the codecs
 // value-equivalent (pinned by round-trip fuzz tests and a mixed-codec
 // conformance cell). Writes coalesce: the client's send path batches the
 // frames queued behind one flush into a single buffered write, so a

@@ -39,9 +39,10 @@ func WithFaultPolicy(p FaultPolicy) NetOption {
 	return func(o *netOptions) { o.faults = &p }
 }
 
-// WithCodec selects the frame codec offered to every node at handshake
-// (rmi.BinaryCodec() for the compact binary format). Nodes that do not
-// accept it fall back to gob per connection, so mixed clusters work.
+// WithCodec selects the frame codec offered to every node at handshake.
+// Without it every connection offers the compact binary format (rmi.Dial's
+// default); rmi.GobCodec() pins the middleware to gob. Nodes that do not
+// accept the offer fall back to gob per connection, so mixed clusters work.
 func WithCodec(c rmi.Codec) NetOption {
 	return func(o *netOptions) { o.codec = c }
 }

@@ -66,7 +66,7 @@ type NetRMI struct {
 	clk clock.Clock
 
 	// codec is the frame codec offered to every node at handshake (nil
-	// keeps gob); streams is the per-peer multiplexing width (≤1 keeps the
+	// keeps rmi.Dial's default, binary); streams is the per-peer multiplexing width (≤1 keeps the
 	// single FIFO lane). Both are fixed at DialNet, before any connection.
 	codec   rmi.Codec
 	streams int
@@ -314,8 +314,10 @@ func (m *NetRMI) peer(node exec.NodeID) (*netPeer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("par: netrmi node %d: %w", node, err)
 	}
-	if fa != nil {
+	if fa != nil && client.Epoch() == 0 {
 		// The epoch handshake pins this session to the node incarnation.
+		// Dial's codec negotiation is that same Hello and has recorded the
+		// epoch already; only a client pinned to gob arrives here without one.
 		if _, err := client.Handshake(); err != nil {
 			client.Close()
 			return nil, fmt.Errorf("par: netrmi node %d handshake: %w", node, err)

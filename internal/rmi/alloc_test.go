@@ -1,6 +1,8 @@
 package rmi
 
 import (
+	"bufio"
+	"bytes"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,12 +38,13 @@ func startEchoServer(t *testing.T, opts ...Option) (*Client, *Stub) {
 // (testing.AllocsPerRun reads total mallocs), so it includes the server-side
 // decode and dispatch of each call; the bound is generous against gob's
 // internal churn but fails if per-call frames, pending entries or buffers
-// start being reallocated again.
+// start being reallocated again. Pinned to gob: a default Dial negotiates
+// binary, which has its own, tighter budget below.
 func TestSendAllocsPerWindowedCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	client, stub := startEchoServer(t)
+	client, stub := startEchoServer(t, WithCodec(GobCodec()))
 	client.SetSendWindow(1 << 20) // measure sends, not window stalls
 	payload := make([]int32, 512)
 	if err := stub.Send("M", payload); err != nil { // warm the path
@@ -65,7 +68,7 @@ func TestSendAllocsPerWindowedCall(t *testing.T) {
 }
 
 // TestBinarySendAllocsPerWindowedCall pins the same one-way hot path on the
-// negotiated binary codec. The encoder assembles each frame in a pooled
+// binary codec a default Dial negotiates. The encoder assembles each frame in a pooled
 // scratch buffer and the value encoding is reflection-free, so the client
 // side settles at zero steady-state allocations; the budget below is global
 // (it includes the server's decode — the []int32 payload copy and the args
@@ -74,7 +77,7 @@ func TestBinarySendAllocsPerWindowedCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	client, stub := startEchoServer(t, WithCodec(BinaryCodec()), WithSendWindow(1<<20))
+	client, stub := startEchoServer(t, WithSendWindow(1<<20))
 	payload := make([]int32, 512)
 	if err := stub.Send("M", payload); err != nil { // warm the path
 		t.Fatal(err)
@@ -100,12 +103,12 @@ func TestBinarySendAllocsPerWindowedCall(t *testing.T) {
 
 // TestInvokeCBAllocsPerCall pins the allocation budget of one non-void
 // windowed call through the callback delivery path (request, response,
-// delivery — no future, no per-call goroutine).
+// delivery — no future, no per-call goroutine), on gob: the budget is gob's.
 func TestInvokeCBAllocsPerCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	_, stub := startEchoServer(t)
+	_, stub := startEchoServer(t, WithCodec(GobCodec()))
 	payload := make([]int32, 512)
 	ready := make(chan struct{}, 1)
 	call := func() {
@@ -158,5 +161,92 @@ func TestInvokeCBDeliversExactlyOnce(t *testing.T) {
 	}
 	if d, c := deliveries.Load(), calls.Load(); d != c {
 		t.Errorf("%d deliveries for %d calls (want exactly one each)", d, c)
+	}
+}
+
+// codecLoop pushes one request through the binary frame encoder and decoder,
+// both reused across calls the way a connection reuses them.
+type codecLoop struct {
+	buf bytes.Buffer
+	bw  *bufio.Writer
+	enc frameEncoder
+	dec frameDecoder
+}
+
+func newCodecLoop() *codecLoop {
+	l := &codecLoop{}
+	l.bw = bufio.NewWriter(&l.buf)
+	l.enc = BinaryCodec().newEncoder(l.bw)
+	l.dec = BinaryCodec().newDecoder(bufio.NewReader(&l.buf))
+	return l
+}
+
+func (l *codecLoop) roundTrip(tb testing.TB, req *request) []any {
+	if err := l.enc.EncodeRequest(req); err != nil {
+		tb.Fatal(err)
+	}
+	if err := l.bw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	var out request
+	if err := l.dec.DecodeRequest(&out); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Args
+}
+
+// TestNamedSliceAllocsPerDecode pins the cost of the vNamed path against the
+// plain array it wraps: a registered []float64 type may allocate what a
+// []float64 does (the args list, the samples, the interface box) plus a small
+// constant for the name and the conversion — not gob's dozens per value.
+func TestNamedSliceAllocsPerDecode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	registerWireTestTypes()
+	samples := ramp[float64](256)
+	measure := func(arg any) float64 {
+		l := newCodecLoop()
+		req := &request{Object: "stage", Method: "Ingest", Args: []any{arg}}
+		l.roundTrip(t, req) // grow the buffers
+		return testing.AllocsPerRun(200, func() { l.roundTrip(t, req) })
+	}
+	plain, named := measure(samples), measure(wFrame(samples))
+	const extra = 2 // measured 1: the name string
+	if named > plain+extra {
+		t.Errorf("a registered []float64 type costs %.1f allocations per encode+decode, the plain slice %.1f: budget is plain + %d", named, plain, extra)
+	}
+	if _, ok := newCodecLoop().roundTrip(t, &request{Args: []any{wFrame(samples)}})[0].(wFrame); !ok {
+		t.Error("the frame did not come back as its registered type")
+	}
+}
+
+var sinkArgs []any
+
+// BenchmarkBinaryCodecBulk measures encode+decode through the frame encoder
+// and decoder for the two payloads the wall-clock benchmark moves: a 65,536 ×
+// int32 pack (call-bulk, a block copy each way) and a 256-sample registered
+// []float64 type (stream-frames, the vNamed path).
+func BenchmarkBinaryCodecBulk(b *testing.B) {
+	registerWireTestTypes()
+	for _, c := range []struct {
+		name  string
+		arg   any
+		bytes int64
+	}{
+		{"int32x65536", ramp[int32](65_536), 4 * 65_536},
+		{"frame256", wFrame(ramp[float64](256)), 8 * 256},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			l := newCodecLoop()
+			req := &request{Object: "o", Method: "m", Args: []any{c.arg}}
+			l.roundTrip(b, req)
+			b.SetBytes(c.bytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkArgs = l.roundTrip(b, req)
+			}
+		})
 	}
 }

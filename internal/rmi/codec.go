@@ -10,9 +10,11 @@ import (
 // become bytes is a pluggable choice, negotiated per connection in the Hello
 // handshake (see handshake notes in session.go and the negotiation path in
 // rmi.go). Every connection starts in gob — the universally understood
-// fallback — and may switch to a faster codec once both ends agree, so mixed
-// clusters (an old gob-only node behind a binary-preferring client)
-// interoperate without configuration.
+// fallback — and switches to the codec the client offers once the server
+// agrees. Dial offers the binary codec by default, so every connection of the
+// stack (drivers, pools, heartbeats, the nodes' own forward lanes) ends up on
+// it without the application asking, while mixed clusters (an old gob-only
+// node behind a binary-preferring client) interoperate without configuration.
 //
 // Both ends frame through a shared *bufio.Reader/*bufio.Writer rather than
 // the raw connection. That is load-bearing for the mid-stream switch: a
@@ -55,15 +57,16 @@ const (
 
 // GobCodec returns the encoding/gob frame codec: self-describing, handles
 // any registered type, and is what every peer speaks before (and without)
-// negotiation.
+// negotiation. Passing it to WithCodec pins a client to gob.
 func GobCodec() Codec { return gobCodec{} }
 
 // BinaryCodec returns the compact binary frame codec: length-prefixed
 // frames, varint-packed fields and type-tagged values with fast paths for
-// the Class.Wire payload types ([]int32, []int64, []float64, []byte),
-// falling back to an embedded gob blob for exotic registered types. It
-// avoids gob's per-connection type re-negotiation and per-message reflection
-// on the hot path.
+// the Class.Wire payload types ([]int32, []int64, []float64, []byte) and for
+// registered slice types built on them (see RegisterType), falling back to an
+// embedded gob blob for other registered types. It avoids gob's
+// per-connection type re-negotiation and per-message reflection on the hot
+// path, and is what Dial offers by default.
 func BinaryCodec() Codec { return binCodec{} }
 
 // Codecs lists the built-in codecs, preference-ordered for negotiation.

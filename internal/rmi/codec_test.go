@@ -148,6 +148,18 @@ func TestBinaryDecoderRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
+// liveCodec names the codec a client's connection currently encodes in.
+func liveCodec(c *Client) string {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	if _, ok := c.enc.(*binEncoder); ok {
+		return binaryName
+	}
+	return gobName
+}
+
+// TestCodecNegotiation: a Dial with no codec option offers binary and comes
+// back switched; only WithCodec(GobCodec()) keeps a connection on gob.
 func TestCodecNegotiation(t *testing.T) {
 	srv := NewServer()
 	srv.Export("echo", func(method string, args []any) ([]any, error) { return args, nil })
@@ -157,11 +169,32 @@ func TestCodecNegotiation(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := Dial(addr, WithCodec(BinaryCodec()))
+	for _, tc := range []struct {
+		opts []Option
+		want string
+	}{
+		{[]Option{WithCodec(GobCodec())}, gobName},
+		{[]Option{WithCodec(BinaryCodec())}, binaryName},
+		{[]Option{WithCodec(nil)}, binaryName},
+	} {
+		pinned, err := Dial(addr, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := liveCodec(pinned); got != tc.want {
+			t.Errorf("a client dialled with an explicit codec speaks %s, want %s", got, tc.want)
+		}
+		pinned.Close()
+	}
+
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if got := liveCodec(c); got != binaryName {
+		t.Errorf("a default Dial speaks %s, want %s", got, binaryName)
+	}
 	if c.Epoch() == 0 {
 		t.Error("negotiation handshake did not record the server epoch")
 	}
@@ -190,13 +223,16 @@ func TestCodecNegotiationFallsBackOnGobOnlyServer(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// The client prefers binary; the gob-only server declines; traffic must
-	// flow anyway — on gob.
-	c, err := Dial(addr, WithCodec(BinaryCodec()))
+	// The client offers binary, as every Dial does; the gob-only server
+	// declines; traffic must flow anyway — on gob.
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if got := liveCodec(c); got != gobName {
+		t.Errorf("against a gob-only server the client speaks %s", got)
+	}
 	stub, err := c.Lookup("echo")
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +255,7 @@ func TestCodecNegotiationSurvivesReconnect(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := Dial(addr, WithCodec(BinaryCodec()), WithSession("sess-1"))
+	c, err := Dial(addr, WithSession("sess-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +265,9 @@ func TestCodecNegotiationSurvivesReconnect(t *testing.T) {
 	same, err := c.Reconnect()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := liveCodec(c); got != binaryName {
+		t.Errorf("after Reconnect the client speaks %s: the offer was not renewed", got)
 	}
 	if !same {
 		t.Errorf("reconnect into the same incarnation reported a new epoch (before %d, after %d)", before, c.Epoch())
@@ -264,7 +303,7 @@ func TestStreamsAvoidHeadOfLineBlocking(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 
-	c, err := Dial(addr, WithCodec(BinaryCodec()))
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +348,7 @@ func TestStreamsPreserveFIFOWithinStream(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := Dial(addr, WithCodec(BinaryCodec()))
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +403,7 @@ func TestStreamDedupeIsPerStream(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := Dial(addr, WithCodec(BinaryCodec()), WithSession("dedupe-test"))
+	c, err := Dial(addr, WithSession("dedupe-test"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +488,7 @@ func ExampleDial() {
 		return
 	}
 	defer srv.Close()
-	c, err := Dial(addr, WithCodec(BinaryCodec()), WithSendWindow(64))
+	c, err := Dial(addr, WithSendWindow(64))
 	if err != nil {
 		fmt.Println("ok")
 		return

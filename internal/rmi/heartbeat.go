@@ -27,8 +27,20 @@ type heartbeatConfig struct {
 	advertise string        // announced address; "" announces the bound one
 }
 
+// registryGrace bounds, on the wall clock, what Listen and Close wait for the
+// loop: a registry that accepts the connection and never answers holds a beat
+// for as long as it likes, and must hold neither of them (the loop goes on
+// without them and ends with its connection). A registry that answers at all
+// answers in a fraction of it. A variable so tests can shorten it.
+var registryGrace = time.Second
+
 // startHeartbeat launches the registration/heartbeat loop once the server
-// knows its bound address. No-op without a registry configured.
+// knows its bound address, and returns when the loop's first beat — the
+// registration — has been answered or has failed (registry trouble is
+// absorbed, as on every later beat): a caller that Listens and then asks the
+// registry who is there finds this node. A registry that does not answer
+// within registryGrace is trouble like any other. No-op without a registry
+// configured.
 func (s *Server) startHeartbeat(bound string) {
 	if s.hb.registry == "" {
 		return
@@ -50,13 +62,22 @@ func (s *Server) startHeartbeat(bound string) {
 	s.hbDone = make(chan struct{})
 	stop, done := s.hbStop, s.hbDone
 	s.mu.Unlock()
-	go s.heartbeatLoop(addr, interval, stop, done)
+	registered := make(chan struct{})
+	go s.heartbeatLoop(addr, interval, registered, stop, done)
+	grace := time.NewTimer(registryGrace)
+	defer grace.Stop()
+	select {
+	case <-registered:
+	case <-stop:
+	case <-grace.C:
+	}
 }
 
 // stopHeartbeat ends the loop; graceful shutdowns deregister first. It
 // waits for the loop to exit, so Close returning means the registry side
 // was told (or could not be reached — best effort, never a hang: the loop's
-// stop wake-up does not depend on the clock).
+// stop wake-up does not depend on the clock, and a beat stuck on a mute
+// registry is waited for registryGrace at most).
 func (s *Server) stopHeartbeat(graceful bool) {
 	s.mu.Lock()
 	stop, done := s.hbStop, s.hbDone
@@ -69,14 +90,19 @@ func (s *Server) stopHeartbeat(graceful bool) {
 		s.hbDeregister.Store(true)
 	}
 	close(stop)
-	<-done
+	grace := time.NewTimer(registryGrace)
+	defer grace.Stop()
+	select {
+	case <-done:
+	case <-grace.C:
+	}
 }
 
 // heartbeatLoop registers, beats every interval, and deregisters on a
 // graceful stop. Registry trouble is absorbed: the connection is re-dialled
 // on the next beat, and RegHeartbeat upserts, so a restarted registry
 // relearns the membership from the surviving nodes' beats.
-func (s *Server) heartbeatLoop(addr string, interval time.Duration, stop <-chan struct{}, done chan<- struct{}) {
+func (s *Server) heartbeatLoop(addr string, interval time.Duration, registered chan<- struct{}, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	var cli *Client
 	var reg *Stub
@@ -117,6 +143,7 @@ func (s *Server) heartbeatLoop(addr string, interval time.Duration, stop <-chan 
 		}
 	}
 	beat(RegRegister)
+	close(registered)
 	for {
 		select {
 		case <-stop:

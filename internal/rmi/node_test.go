@@ -247,3 +247,51 @@ func TestParkedCallHoldsNeitherStreamZeroNorClose(t *testing.T) {
 		t.Errorf("parked call after Close: %v, %v", res, err)
 	}
 }
+
+// TestTopologyVersionsFollowTheHops pins what a topology version is scoped
+// to: the stages it was installed for. Drivers number their installs from 1,
+// so a version that outlived its hops would make every later driver's first
+// install look stale (a second run on the same daemons forwarded nothing),
+// and a node-wide version would let one tenant's count shadow another's.
+func TestTopologyVersionsFollowTheHops(t *testing.T) {
+	addr, n := startNode(t)
+	for _, name := range []string{"a/s0", "a/s1", "b/s0", "b/s1"} {
+		if err := n.exportNew("Adder", name, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	install := func(version int64, prefix string) int64 {
+		t.Helper()
+		names := []string{prefix + "s0", prefix + "s1"}
+		got, err := n.pipes.install(version, "Add", "next", names, []string{addr, addr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := install(5, "a/"); got != 5 {
+		t.Fatalf("tenant a's install at v5 reports v%d", got)
+	}
+	if got := install(4, "a/"); got != 5 {
+		t.Errorf("a stale re-push (v4 after v5) reports v%d, want it ignored at v5", got)
+	}
+	if got := install(1, "b/"); got != 1 {
+		t.Errorf("tenant b's first install reports v%d: tenant a's version shadowed it", got)
+	}
+	if a, b := n.pipes.poll("a/", false).Version, n.pipes.poll("b/", false).Version; a != 5 || b != 1 {
+		t.Errorf("polled versions a=%d b=%d, want 5 and 1", a, b)
+	}
+	n.resetPrefix("a/")
+	if got := n.pipes.poll("b/", false).Version; got != 1 {
+		t.Errorf("resetting tenant a moved tenant b's version to %d", got)
+	}
+	n.reset()
+	for _, name := range []string{"a/s0", "a/s1"} {
+		if err := n.exportNew("Adder", name, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := install(1, "a/"); got != 1 {
+		t.Errorf("after a whole-node reset a first install reports v%d: the old version survived", got)
+	}
+}

@@ -62,10 +62,12 @@ func WithSession(id string) Option {
 	return func(o *options) { o.session = id }
 }
 
-// WithCodec sets the frame codec a client offers in its handshake. Dial
-// negotiates it synchronously: if the server does not speak it, the
-// connection simply stays on gob — mixed clusters interoperate. A nil codec
-// (or GobCodec) skips negotiation.
+// WithCodec sets the frame codec a client offers in its handshake; without it
+// (or with nil) Dial offers BinaryCodec. Dial negotiates synchronously: if the
+// server does not speak the offer, the connection simply stays on gob — mixed
+// clusters interoperate. WithCodec(GobCodec()) pins the client to gob and
+// skips the negotiation round trip: what a gob measurement, or a peer that
+// cannot answer a Hello, asks for.
 func WithCodec(c Codec) Option {
 	return func(o *options) { o.codec = c }
 }

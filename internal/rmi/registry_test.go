@@ -1,6 +1,8 @@
 package rmi
 
 import (
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -191,5 +193,51 @@ func TestRegistryServantSemantics(t *testing.T) {
 
 	if a, b := reg.Namespace(), reg.Namespace(); a == b || a == "" {
 		t.Fatalf("namespaces must be unique and non-empty: %q, %q", a, b)
+	}
+}
+
+// TestMuteRegistryHoldsNeitherListenNorClose: a registry address that accepts
+// the connection and never answers (the first beat blocks in its Hello for as
+// long as the peer likes) costs Listen and Close registryGrace each, not for
+// ever, and the node serves in between.
+func TestMuteRegistryHoldsNeitherListenNorClose(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback TCP unavailable: %v", err)
+	}
+	defer ln.Close() // ends the swallowed connection's loop with it
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			go io.Copy(io.Discard, conn) // swallow beats, never reply
+		}
+	}()
+	defer func(d time.Duration) { registryGrace = d }(registryGrace)
+	registryGrace = 50 * time.Millisecond
+
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		node := NewServer(WithRegistry(ln.Addr().String()))
+		addr, err := node.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if c, err := Dial(addr); err != nil {
+			t.Errorf("the node does not serve while its registry is mute: %v", err)
+		} else {
+			c.Close()
+		}
+		node.Close()
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Listen or Close is still waiting for a registry that never answers")
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -66,9 +67,19 @@ func init() {
 	gob.Register([]byte(nil))
 }
 
-// RegisterType makes a concrete argument/result type encodable across RMI
-// (gob requires concrete types carried in interfaces to be registered).
-func RegisterType(v any) { gob.Register(v) }
+// RegisterType makes a concrete argument/result type encodable across RMI, on
+// both codecs: gob requires concrete types carried in interfaces to be
+// registered, and the binary codec sends a registered slice type whose
+// elements are int32, int64, float64 or byte (type Frame []float64), or a
+// slice of such slices ([]Frame), under its name with the fast-path array
+// encoding — it arrives as the same concrete type, without a gob stream per
+// value. Structs, maps and everything else registered here cross the binary
+// codec inside a gob blob. Both ends must register the same types; a name the
+// receiver does not know is a decode error.
+func RegisterType(v any) {
+	gob.Register(v)
+	registerNamed(reflect.TypeOf(v))
+}
 
 // request/response are the wire protocol. Every request — including one-way
 // sends — is answered by exactly one response on the same connection, in
@@ -674,9 +685,10 @@ type Client struct {
 	bw          *bufio.Writer
 	enc         frameEncoder
 
-	// codec is the frame codec this client offers at handshake (nil or gob:
-	// no negotiation). The live encoder/decoder switch once per connection
-	// generation when the server confirms.
+	// codec is the frame codec this client offers at handshake — BinaryCodec
+	// unless WithCodec said otherwise; nil means the client was pinned to gob
+	// and does not negotiate. The live encoder/decoder switch once per
+	// connection generation when the server confirms.
 	codec Codec
 
 	mu            sync.Mutex
@@ -700,9 +712,14 @@ type Client struct {
 }
 
 // Dial connects to an RMI server, configured by opts (clock, send window,
-// reconnect policy, session identity, codec). With WithCodec, Dial
-// negotiates the codec synchronously before returning — the Client handed
-// back is fully switched or fell back to gob; either way it works.
+// reconnect policy, session identity, codec). Every connection opens in gob
+// and Dial offers BinaryCodec in one synchronous Hello round trip before it
+// returns, so the Client handed back is fully switched — or, against a server
+// that does not accept the offer (WithCodecs(GobCodec()), an old node), still
+// on gob; either way it works, and nothing the caller does differs. Only
+// WithCodec(GobCodec()) skips the round trip and stays on gob. A server that
+// accepts the connection but never answers the Hello makes Dial fail when the
+// connection closes, not return a client that cannot call.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	var o options
 	o.apply(opts)
@@ -730,8 +747,11 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	if o.policy != nil {
 		c.policy = *o.policy
 	}
-	if o.codec != nil && o.codec.Name() != gobName {
-		c.codec = o.codec
+	if c.codec = o.codec; c.codec == nil {
+		c.codec = BinaryCodec()
+	}
+	if c.codec.Name() == gobName {
+		c.codec = nil // pinned to gob: nothing to negotiate
 	}
 	c.cond = sync.NewCond(&c.mu)
 	// One shared read buffer: the gob decoder consumes exactly message

@@ -235,8 +235,9 @@ func (c *Client) SetReconnectPolicy(p ReconnectPolicy) {
 // Deprecated: pass WithSession to Dial instead.
 func (c *Client) SetSession(id string) { c.session = id }
 
-// Epoch returns the server session epoch of the last Handshake (zero before
-// the first).
+// Epoch returns the server session epoch of the last handshake — Dial's and
+// Reconnect's codec negotiation is one, Handshake another — and zero before
+// the first (a client pinned to gob that has not called Handshake).
 func (c *Client) Epoch() int64 { return c.epoch.Load() }
 
 // Handshake performs the session-epoch exchange and records the server's

@@ -75,7 +75,8 @@ type Stranded struct {
 // namespace prefix: cumulative counters plus (when drained) the stranded
 // forwards and forward errors accumulated since the last drain.
 type PipeStatus struct {
-	// Version is the highest topology version installed at this node.
+	// Version is the highest topology version installed at this node for
+	// the polled namespace.
 	Version int64
 	// Initiated counts forwards this node derived (cumulative).
 	Initiated int64
@@ -106,6 +107,7 @@ func init() {
 
 // pipeHop is one locally hosted stage's routing entry.
 type pipeHop struct {
+	version  int64  // the install that wrote this entry
 	stage    int    // this stage's index
 	method   string // the processing method whose completions forward
 	rule     string // the class's named forward rule
@@ -136,7 +138,6 @@ type pipeRouter struct {
 	n *Node
 
 	mu       sync.Mutex
-	version  int64
 	hops     map[string]*pipeHop      // by local stage name
 	counters map[string]*pipeCounters // by local stage name, survives re-installs
 	peers    map[string]*pipePeer     // by successor address
@@ -155,20 +156,26 @@ func newPipeRouter(n *Node) *pipeRouter {
 }
 
 // install applies one CtlTopology verb. Installs are idempotent and
-// version-ordered: a stale version (a re-push racing a newer install) is
-// ignored; a newer one replaces the hop table and clears every broken mark —
-// the driver re-pushes after re-homing a stage, so the successor addresses
-// are current again. Counters persist across installs.
+// version-ordered per pipeline: a stale version (a re-push racing a newer
+// install of the same stages) is ignored; a newer one replaces the pipeline's
+// hops and clears every broken mark — the driver re-pushes after re-homing a
+// stage, so the successor addresses are current again. The version lives in
+// the hops it wrote, not in the node: a driver's numbering restarts at 1, so
+// once a reset has dropped the hops of a finished run (or of one tenant's
+// namespace) the next driver's first install is new again, and one tenant's
+// high version never makes another's look stale. Counters persist across
+// installs. It returns the version now in force for these stages.
 func (r *pipeRouter) install(version int64, method, rule string, names, addrs []string) (int64, error) {
 	if len(names) != len(addrs) {
 		return 0, fmt.Errorf("rmi: topology with %d names but %d addrs", len(names), len(addrs))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if version <= r.version {
-		return r.version, nil
+	for _, name := range names {
+		if hop := r.hops[name]; hop != nil && version <= hop.version {
+			return hop.version, nil
+		}
 	}
-	r.version = version
 	// Drop this pipeline's previous hops (identified by membership in the
 	// new stage list OR a previous install), keep other pipelines' hops.
 	for _, name := range names {
@@ -179,7 +186,7 @@ func (r *pipeRouter) install(version int64, method, rule string, names, addrs []
 		if _, local := r.n.objects[name]; !local {
 			continue
 		}
-		hop := &pipeHop{stage: i, method: method, rule: rule}
+		hop := &pipeHop{version: version, stage: i, method: method, rule: rule}
 		if i+1 < len(names) {
 			hop.next, hop.nextAddr = names[i+1], addrs[i+1]
 		}
@@ -190,7 +197,7 @@ func (r *pipeRouter) install(version int64, method, rule string, names, addrs []
 	}
 	r.n.mu.Unlock()
 	r.n.pipeActive.Store(len(r.hops) > 0)
-	return r.version, nil
+	return version, nil
 }
 
 // poll reports (and with drain set, hands over) the forward-lane accounting
@@ -198,7 +205,12 @@ func (r *pipeRouter) install(version int64, method, rule string, names, addrs []
 func (r *pipeRouter) poll(prefix string, drain bool) PipeStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := PipeStatus{Version: r.version}
+	var st PipeStatus
+	for name, hop := range r.hops {
+		if strings.HasPrefix(name, prefix) && hop.version > st.Version {
+			st.Version = hop.version
+		}
+	}
 	for name, c := range r.counters {
 		if !strings.HasPrefix(name, prefix) {
 			continue
@@ -227,8 +239,9 @@ func (r *pipeRouter) poll(prefix string, drain bool) PipeStatus {
 }
 
 // reset drops the hops (and counters) of one namespace prefix — "" clears
-// the whole lane, the full-node reset. Peer connections are kept: addresses
-// outlive tenants.
+// the whole lane, the full-node reset — and with them the versions they were
+// installed under, so the next driver's first install is not stale. Peer
+// connections are kept: addresses outlive tenants.
 func (r *pipeRouter) reset(prefix string) {
 	r.mu.Lock()
 	if prefix == "" {

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"sync"
 )
 
 // The binary wire format. Each frame is
@@ -20,13 +22,25 @@ import (
 // bytes, so the windowed one-way hot path (object, method, one []int32 pack)
 // is a few dozen bytes where gob spends hundreds and re-describes types per
 // connection. Values are type-tagged: the Class.Wire payload types get
-// dedicated tags with fixed-width little-endian element encoding, everything
-// else rides an embedded gob blob (vGob), so any type RegisterType can make
-// gob-encodable still crosses the binary codec.
+// dedicated tags with fixed-width little-endian element encoding, a slice
+// type registered through RegisterType (a named []float64 like
+// imagepipe.Frame, or a slice of such slices) travels as its registered name
+// in front of that same encoding (vNamed) and comes back as the same concrete
+// type, and everything else — structs, maps — rides an embedded gob blob
+// (vGob), so any type RegisterType can make gob-encodable still crosses the
+// binary codec.
+//
+// The fixed-width arrays are the host's own memory layout on a little-endian
+// machine, so there they are copied as one block in each direction; a
+// big-endian host (hostLittleEndian, a constant) takes the element-by-element
+// loop that produces the same bytes.
 //
 // The format is self-describing at the value level but NOT versioned beyond
-// the codec name: changing any tag or layout means introducing a new codec
-// name, negotiated in the handshake like any other.
+// the codec name. Value tags are append-only: a new tag may be added under
+// the same name, because a decoder that does not know it rejects the frame
+// with an error instead of misreading it; changing the layout behind a tag,
+// or reusing one, means introducing a new codec name, negotiated in the
+// handshake like any other.
 
 const (
 	bkRequest  = 0x01
@@ -72,7 +86,12 @@ const (
 	vFloat64s = 0x0b // uvarint count + 8-byte LE each
 	vAnys     = 0x0c // uvarint count + nested values
 	vGob      = 0x0d // uvarint len + standalone gob stream of gobValue
+	vNamed    = 0x0e // registered type name (string) + the value's plain form
 )
+
+// frameHeadroom is the room kept at the front of the encoder's scratch buffer
+// for the length prefix, so prefix and body leave in one Write.
+const frameHeadroom = binary.MaxVarintLen64
 
 // maxFrame bounds a frame a decoder will buffer: a corrupt or hostile length
 // prefix must not translate into an arbitrary allocation.
@@ -103,26 +122,38 @@ func (binCodec) newEncoder(bw *bufio.Writer) frameEncoder { return &binEncoder{b
 
 func (binCodec) newDecoder(br *bufio.Reader) frameDecoder { return &binDecoder{br: br} }
 
-// binEncoder assembles each frame in a reused scratch buffer and writes it
-// with its length prefix in one go; steady state allocates nothing.
+// binEncoder assembles each frame in a reused scratch buffer — frameHeadroom
+// bytes of room, then the body — and writes it with its length prefix in one
+// Write: a frame larger than the bufio buffer goes to the connection in one
+// piece instead of a buffer-sized fragment and the rest. Steady state
+// allocates nothing.
 type binEncoder struct {
 	bw   *bufio.Writer
 	buf  []byte
-	hdr  [binary.MaxVarintLen64]byte
 	gobs bytes.Buffer // scratch for vGob fallback values
 }
 
-func (e *binEncoder) flushFrame() error {
-	n := binary.PutUvarint(e.hdr[:], uint64(len(e.buf)))
-	if _, err := e.bw.Write(e.hdr[:n]); err != nil {
-		return err
-	}
-	_, err := e.bw.Write(e.buf)
+// start returns the scratch buffer, emptied, with the headroom in place and
+// the frame kind appended.
+func (e *binEncoder) start(kind byte) []byte {
+	var room [frameHeadroom]byte
+	return append(append(e.buf[:0], room[:]...), kind)
+}
+
+// flushFrame writes the frame assembled in b (headroom included): the length
+// prefix goes right-aligned into the headroom, in front of the body.
+func (e *binEncoder) flushFrame(b []byte) error {
+	e.buf = b
+	var hdr [frameHeadroom]byte
+	n := binary.PutUvarint(hdr[:], uint64(len(b)-frameHeadroom))
+	from := frameHeadroom - n
+	copy(b[from:], hdr[:n])
+	_, err := e.bw.Write(b[from:])
 	return err
 }
 
 func (e *binEncoder) EncodeRequest(req *request) error {
-	b := append(e.buf[:0], bkRequest)
+	b := e.start(bkRequest)
 	var flags uint64
 	if req.OneWay {
 		flags |= frOneWay
@@ -166,12 +197,11 @@ func (e *binEncoder) EncodeRequest(req *request) error {
 			}
 		}
 	}
-	e.buf = b
-	return e.flushFrame()
+	return e.flushFrame(b)
 }
 
 func (e *binEncoder) EncodeResponse(resp *response) error {
-	b := append(e.buf[:0], bkResponse)
+	b := e.start(bkResponse)
 	var flags uint64
 	if resp.Bound {
 		flags |= rfBound
@@ -226,8 +256,7 @@ func (e *binEncoder) EncodeResponse(resp *response) error {
 			}
 		}
 	}
-	e.buf = b
-	return e.flushFrame()
+	return e.flushFrame(b)
 }
 
 func (e *binEncoder) appendValue(b []byte, v any) ([]byte, error) {
@@ -253,23 +282,11 @@ func (e *binEncoder) appendValue(b []byte, v any) ([]byte, error) {
 		b = binary.AppendUvarint(append(b, vBytes), uint64(len(x)))
 		return append(b, x...), nil
 	case []int32:
-		b = binary.AppendUvarint(append(b, vInt32s), uint64(len(x)))
-		for _, e := range x {
-			b = binary.LittleEndian.AppendUint32(b, uint32(e))
-		}
-		return b, nil
+		return appendFixed(b, vInt32s, x), nil
 	case []int64:
-		b = binary.AppendUvarint(append(b, vInt64s), uint64(len(x)))
-		for _, e := range x {
-			b = binary.LittleEndian.AppendUint64(b, uint64(e))
-		}
-		return b, nil
+		return appendFixed(b, vInt64s, x), nil
 	case []float64:
-		b = binary.AppendUvarint(append(b, vFloat64s), uint64(len(x)))
-		for _, e := range x {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e))
-		}
-		return b, nil
+		return appendFixed(b, vFloat64s, x), nil
 	case []any:
 		b = binary.AppendUvarint(append(b, vAnys), uint64(len(x)))
 		var err error
@@ -280,8 +297,13 @@ func (e *binEncoder) appendValue(b []byte, v any) ([]byte, error) {
 		}
 		return b, nil
 	default:
-		// Exotic registered type: a standalone gob stream per value. Cold
-		// path by design — the Class.Wire types above cover the hot traffic.
+		if nt := namedTypeOf(reflect.TypeOf(v)); nt != nil {
+			b = appendWireString(append(b, vNamed), nt.name)
+			return e.appendValue(b, nt.plainValue(reflect.ValueOf(v)))
+		}
+		// Exotic registered type (a struct, a map): a standalone gob stream
+		// per value. Cold path by design — the Class.Wire slice types above
+		// cover the hot traffic.
 		e.gobs.Reset()
 		if err := gob.NewEncoder(&e.gobs).Encode(&gobValue{V: v}); err != nil {
 			return b, fmt.Errorf("rmi: binary codec gob fallback for %T: %w", v, err)
@@ -550,56 +572,11 @@ func (c *wireCursor) value() (any, error) {
 		}
 		return append([]byte(nil), b...), nil
 	case vInt32s:
-		n, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(c.remaining())/4 {
-			return nil, errFrameTruncated
-		}
-		b, err := c.take(n * 4)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-		}
-		return out, nil
+		return readFixed[int32](c, 4)
 	case vInt64s:
-		n, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(c.remaining())/8 {
-			return nil, errFrameTruncated
-		}
-		b, err := c.take(n * 8)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int64, n)
-		for i := range out {
-			out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-		return out, nil
+		return readFixed[int64](c, 8)
 	case vFloat64s:
-		n, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(c.remaining())/8 {
-			return nil, errFrameTruncated
-		}
-		b, err := c.take(n * 8)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-		return out, nil
+		return readFixed[float64](c, 8)
 	case vAnys:
 		v, err := c.values()
 		if err != nil {
@@ -623,7 +600,233 @@ func (c *wireCursor) value() (any, error) {
 			return nil, fmt.Errorf("rmi: binary codec gob fallback: %w", err)
 		}
 		return gv.V, nil
+	case vNamed:
+		name, err := c.str()
+		if err != nil {
+			return nil, err
+		}
+		nt := namedTypeByName(name)
+		if nt == nil {
+			return nil, fmt.Errorf("rmi: binary codec: type %q is not registered (RegisterType)", name)
+		}
+		plain, err := c.value()
+		if err != nil {
+			return nil, err
+		}
+		return nt.fromPlain(plain)
 	default:
 		return nil, fmt.Errorf("rmi: unknown value tag 0x%02x", tag)
 	}
+}
+
+// fixedWidth is the element types of the block-copied array tags.
+type fixedWidth interface{ int32 | int64 | float64 }
+
+// appendFixed appends an array value — tag, count, then x's elements in
+// fixed-width little-endian form: the slice's own memory on a little-endian
+// host, the portable loop elsewhere.
+func appendFixed[T fixedWidth](b []byte, tag byte, x []T) []byte {
+	b = binary.AppendUvarint(append(b, tag), uint64(len(x)))
+	if hostLittleEndian {
+		return append(b, rawBytes(x)...)
+	}
+	return appendFixedPortable(b, x)
+}
+
+func appendFixedPortable[T fixedWidth](b []byte, x []T) []byte {
+	switch x := any(x).(type) {
+	case []int32:
+		for _, e := range x {
+			b = binary.LittleEndian.AppendUint32(b, uint32(e))
+		}
+	case []int64:
+		for _, e := range x {
+			b = binary.LittleEndian.AppendUint64(b, uint64(e))
+		}
+	case []float64:
+		for _, e := range x {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e))
+		}
+	}
+	return b
+}
+
+// readFixed parses a counted array of width-byte elements into a fresh slice
+// (never an alias of the frame buffer, which the decoder reuses).
+func readFixed[T fixedWidth](c *wireCursor, width uint64) ([]T, error) {
+	n, err := c.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(c.remaining())/width {
+		return nil, errFrameTruncated
+	}
+	raw, err := c.take(n * width)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, n)
+	if hostLittleEndian {
+		copy(rawBytes(out), raw)
+	} else {
+		fillFixedPortable(out, raw)
+	}
+	return out, nil
+}
+
+func fillFixedPortable[T fixedWidth](out []T, raw []byte) {
+	switch out := any(out).(type) {
+	case []int32:
+		for i := range out {
+			out[i] = int32(binary.LittleEndian.Uint32(raw[i*4:]))
+		}
+	case []int64:
+		for i := range out {
+			out[i] = int64(binary.LittleEndian.Uint64(raw[i*8:]))
+		}
+	case []float64:
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+		}
+	}
+}
+
+// namedType is one slice type registered for the vNamed tag. Either the type
+// itself converts to a fast-path slice (flat: imagepipe.Frame is a []float64)
+// or each of its elements does (a slice of slices: []imagepipe.Frame).
+type namedType struct {
+	name string
+	typ  reflect.Type
+	// plain is the unnamed fast-path type ([]int32, []int64, []float64,
+	// []byte) a flat value — or, with nested set, each element — converts to
+	// for the wire and back from.
+	plain  reflect.Type
+	nested bool
+}
+
+// namedTypes is the registration table, filled by RegisterType at start-up
+// and read per value: reflect.Type → *namedType and name → *namedType.
+var namedTypes, namedTypesByName sync.Map
+
+func namedTypeOf(t reflect.Type) *namedType {
+	if nt, ok := namedTypes.Load(t); ok {
+		return nt.(*namedType)
+	}
+	return nil
+}
+
+func namedTypeByName(name string) *namedType {
+	if nt, ok := namedTypesByName.Load(name); ok {
+		return nt.(*namedType)
+	}
+	return nil
+}
+
+// fastSlices are the unnamed slice types with a tag of their own.
+var fastSlices = []reflect.Type{
+	reflect.TypeOf([]int32(nil)), reflect.TypeOf([]int64(nil)),
+	reflect.TypeOf([]float64(nil)), reflect.TypeOf([]byte(nil)),
+}
+
+// fastSliceOf returns the fast-path slice type t converts to, or nil: t must
+// be a slice of exactly int32, int64, float64 or byte.
+func fastSliceOf(t reflect.Type) reflect.Type {
+	if t.Kind() != reflect.Slice {
+		return nil
+	}
+	for _, fast := range fastSlices {
+		if t.Elem() == fast.Elem() {
+			return fast
+		}
+	}
+	return nil
+}
+
+// gobTypeName is the name gob.Register files t under: the full import path and
+// name for a defined type (two packages called imagepipe may each have a
+// Frame), the type's spelling for an unnamed one ([]imagepipe.Frame).
+func gobTypeName(t reflect.Type) string {
+	if t.Name() == "" || t.PkgPath() == "" {
+		return t.String()
+	}
+	return t.PkgPath() + "." + t.Name()
+}
+
+// registerNamed enters t in the vNamed table if it has one of the two
+// registered-slice shapes; any other type keeps the vGob path. The name is
+// the one gob registers the type under (gobTypeName), so a clash has already
+// panicked in gob.Register.
+func registerNamed(t reflect.Type) {
+	if t == nil || t.Kind() != reflect.Slice || namedTypeOf(t) != nil {
+		return // not a candidate, or entered already (every ExportNew re-registers)
+	}
+	plain, nested := fastSliceOf(t), false
+	if plain == t {
+		return // has a tag of its own
+	}
+	if plain == nil {
+		if plain = fastSliceOf(t.Elem()); plain == nil {
+			return
+		}
+		nested = true
+	}
+	// By name first: once an encoder can find the type, every decoder of this
+	// process can already resolve the name it will write.
+	name := gobTypeName(t)
+	nt, _ := namedTypesByName.LoadOrStore(name, &namedType{name: name, typ: t, plain: plain, nested: nested})
+	namedTypes.LoadOrStore(t, nt)
+}
+
+// plainValue converts a value of the registered type to what the fast-path
+// tags encode: the unnamed slice, or a list of them.
+func (nt *namedType) plainValue(v reflect.Value) any {
+	if !nt.nested {
+		return v.Convert(nt.plain).Interface()
+	}
+	list := make([]any, v.Len())
+	for i := range list {
+		list[i] = v.Index(i).Convert(nt.plain).Interface()
+	}
+	return list
+}
+
+// fromPlain converts a decoded plain form back to the registered type. A
+// zero-length value (or element) comes back nil, as it does through gob —
+// the two codecs stay value-equivalent. plain is freshly decoded, so the
+// result shares nothing with the frame buffer.
+func (nt *namedType) fromPlain(plain any) (any, error) {
+	if !nt.nested {
+		v, err := nt.convert(plain, nt.typ)
+		if err != nil {
+			return nil, err
+		}
+		return v.Interface(), nil
+	}
+	list, ok := plain.([]any)
+	if !ok {
+		return nil, fmt.Errorf("rmi: binary codec: %s carries a %T, want a list", nt.name, plain)
+	}
+	if len(list) == 0 {
+		return reflect.Zero(nt.typ).Interface(), nil
+	}
+	out := reflect.MakeSlice(nt.typ, len(list), len(list))
+	for i, item := range list {
+		v, err := nt.convert(item, nt.typ.Elem())
+		if err != nil {
+			return nil, err
+		}
+		out.Index(i).Set(v)
+	}
+	return out.Interface(), nil
+}
+
+func (nt *namedType) convert(plain any, to reflect.Type) (reflect.Value, error) {
+	v := reflect.ValueOf(plain)
+	if !v.IsValid() || v.Type() != nt.plain {
+		return reflect.Value{}, fmt.Errorf("rmi: binary codec: %s carries a %T, want %s", nt.name, plain, nt.plain)
+	}
+	if v.Len() == 0 {
+		return reflect.Zero(to), nil
+	}
+	return v.Convert(to), nil
 }

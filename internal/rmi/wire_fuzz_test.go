@@ -45,7 +45,7 @@ func (g *fuzzGen) str(max int) string {
 }
 
 func (g *fuzzGen) value(depth int) any {
-	kind := g.byte() % 11
+	kind := g.byte() % 13
 	if depth > 0 && kind == 10 {
 		kind = g.byte() % 10 // nested lists only one level deep
 	}
@@ -88,24 +88,37 @@ func (g *fuzzGen) value(depth int) any {
 		}
 		return v
 	case 9:
-		n := 1 + int(g.byte())%8
-		v := make([]float64, n)
-		for i := range v {
-			f := math.Float64frombits(g.u64())
-			if math.IsNaN(f) {
-				f = float64(i)
-			}
-			v[i] = f
-		}
-		return v
-	default:
+		return g.floats(1 + int(g.byte())%8)
+	case 10:
 		n := 1 + int(g.byte())%3
 		v := make([]any, n)
 		for i := range v {
 			v[i] = g.value(depth + 1)
 		}
 		return v
+	case 11: // a registered slice type: rides vNamed
+		return wFrame(g.floats(1 + int(g.byte())%8))
+	default: // a registered slice of slices; a nil element is one gob keeps
+		v := make([]wFrame, 1+int(g.byte())%3)
+		for i := range v {
+			if n := int(g.byte()) % 5; n > 0 {
+				v[i] = wFrame(g.floats(n))
+			}
+		}
+		return v
 	}
+}
+
+func (g *fuzzGen) floats(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		f := math.Float64frombits(g.u64())
+		if math.IsNaN(f) {
+			f = float64(i)
+		}
+		v[i] = f
+	}
+	return v
 }
 
 func (g *fuzzGen) request() *request {
@@ -162,12 +175,16 @@ func (g *fuzzGen) response() *response {
 }
 
 // FuzzBinaryGobEquivalence drives both codecs over generated frame shapes
-// covering every Class.Wire payload type and asserts three properties: the
+// covering every Class.Wire payload type — the registered slice types
+// included — and asserts three properties: the
 // binary codec round-trips losslessly, gob round-trips losslessly, and both
 // decode to identical Go values — the invariant that lets a mixed cluster
 // fall back between codecs without changing observable behaviour.
 func FuzzBinaryGobEquivalence(f *testing.F) {
+	registerWireTestTypes()
 	f.Add([]byte{})
+	// One argument each of kind 11 (wFrame) and 12 ([]wFrame, nil element).
+	f.Add([]byte{0, 0, 0, 2, 11, 1, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, 1, 2, 3, 4, 5, 6, 7, 0x40, 12, 1, 0, 2, 9, 8, 7, 6, 5, 4, 3, 0xc0})
 	f.Add([]byte{0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog 0123456789"))
 	f.Add(bytes.Repeat([]byte{7, 0, 255, 128, 64, 33}, 16))
@@ -231,6 +248,10 @@ func FuzzBinaryGobEquivalence(f *testing.F) {
 // input must produce a value or an error, never a panic or a runaway
 // allocation (the frame cap and per-value bounds checks).
 func FuzzBinaryDecodeRobustness(f *testing.F) {
+	registerWireTestTypes()
+	f.Add(requestFrame(named(wFrameName, vFloat64s, 1, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f)...))
+	f.Add(requestFrame(named("[]rmi.wFrame", vAnys, 2, vFloat64s, 0, vFloat64s, 1, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f)...))
+	f.Add(requestFrame(named(wFrameName, vInt32s, 1, 1, 0, 0, 0)...))
 	// Seed with a valid frame so mutations explore near-valid space.
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)

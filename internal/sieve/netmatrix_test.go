@@ -4,8 +4,6 @@ import (
 	"net"
 	"testing"
 
-	"aspectpar/internal/exec"
-	"aspectpar/internal/par"
 	"aspectpar/internal/rmi"
 )
 
@@ -126,8 +124,8 @@ func TestNetAutotuned(t *testing.T) {
 
 // TestNetBinaryStreamsConformance runs the self-scheduling farms over the
 // wire-speed configuration — binary codec, three dispatch streams per peer —
-// and checks the primes against the oracle and against the default gob/FIFO
-// run: the transport upgrade must be observationally invisible.
+// and checks the primes against the oracle and against a run pinned to
+// gob/FIFO: the transport upgrade must be observationally invisible.
 func TestNetBinaryStreamsConformance(t *testing.T) {
 	requireLoopback(t)
 	want, err := HandSequential(netParams().Max)
@@ -142,6 +140,7 @@ func TestNetBinaryStreamsConformance(t *testing.T) {
 		t.Run(c.String(), func(t *testing.T) {
 			base := netParams()
 			base.Window = 2
+			base.NetCodec = "gob" // pinned: the default would negotiate binary
 			gobRes, err := RunCombo(c, base)
 			if err != nil {
 				t.Fatal(err)
@@ -165,19 +164,8 @@ func TestNetBinaryStreamsConformance(t *testing.T) {
 // and stay oracle-equal, which is what lets a cluster upgrade node by node.
 func TestNetMixedCodecCluster(t *testing.T) {
 	requireLoopback(t)
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		node := rmi.NewNode(exec.Real(), rmi.WithCodecs(rmi.GobCodec()))
-		par.HostClass(node, DefineClass(par.NewDomain()))
-		addr, err := node.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(node.Close)
-		addrs = append(addrs, addr)
-	}
 	p := netParams()
-	p.NetAddrs = addrs
+	p.NetAddrs = startSieveNodes(t, 2, rmi.WithCodecs(rmi.GobCodec()))
 	p.NetCodec = "binary"
 	p.NetStreams = 2
 	want, err := HandSequential(p.Max)

@@ -2,6 +2,10 @@ package sieve
 
 import (
 	"testing"
+
+	"aspectpar/internal/exec"
+	"aspectpar/internal/par"
+	"aspectpar/internal/rmi"
 )
 
 // These tests are the conformance harness of peer-to-peer pipeline
@@ -90,5 +94,70 @@ func TestPipelineTopologyNoPerHopDoubling(t *testing.T) {
 	// topology mode: one forward per non-empty pack per stage boundary.
 	if got, min := topoRes.Topo.PeerForwards, int64(p.Packs); got < min {
 		t.Errorf("PeerForwards = %d, want at least one per pack (%d)", got, min)
+	}
+}
+
+// startSieveNodes launches n loopback daemons hosting PrimeFilter, configured
+// by opts, for the tests that run several drivers against the same nodes.
+func startSieveNodes(t *testing.T, n int, opts ...rmi.Option) []string {
+	t.Helper()
+	requireLoopback(t)
+	addrs := make([]string, n)
+	for i := range addrs {
+		node := rmi.NewNode(exec.Real(), opts...)
+		par.HostClass(node, DefineClass(par.NewDomain()))
+		addr, err := node.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(node.Close)
+		addrs[i] = addr
+	}
+	return addrs
+}
+
+// TestPipelineRunsTwiceOnTheSameNodes: a second driver against daemons that
+// already served a pipeline starts its topology versions at 1 again. The
+// nodes used to keep the first driver's version across the reset, ignore the
+// new install as stale and forward nothing — the run "succeeded" with the
+// seed primes only. Both runs must be oracle-equal and forward node-side.
+func TestPipelineRunsTwiceOnTheSameNodes(t *testing.T) {
+	p := netParams()
+	p.NetAddrs = startSieveNodes(t, 2)
+	want, err := HandSequential(p.Max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Combo{Partition: PartPipeline, Concurrency: ConcAsync, Distribution: DistNet}
+	for run := 1; run <= 2; run++ {
+		res, err := RunCombo(c, p)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		assertPrimesEqual(t, res.Primes, want)
+		if res.Topo.PeerForwards == 0 {
+			t.Errorf("run %d forwarded no hops node-side (stats %+v)", run, res.Topo)
+		}
+	}
+}
+
+// TestPipelineOverGobOnlyNodes: Dial offers the binary codec by default, on
+// the driver's connections and on the nodes' own forward-lane connections
+// alike; nodes that accept only gob — an older build — answer in gob, and a
+// three-stage peer-to-peer pipeline completes on them all the same.
+func TestPipelineOverGobOnlyNodes(t *testing.T) {
+	p := netParams()
+	p.NetAddrs = startSieveNodes(t, 2, rmi.WithCodecs(rmi.GobCodec()))
+	want, err := HandSequential(p.Max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunCombo(Combo{Partition: PartPipeline, Concurrency: ConcAsync, Distribution: DistNet}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPrimesEqual(t, res.Primes, want)
+	if res.Topo.PeerForwards == 0 || res.Topo.Stranded != 0 {
+		t.Errorf("gob-only nodes: hops did not run node-to-node: %+v", res.Topo)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"reflect"
 	"time"
 )
 
@@ -116,9 +117,11 @@ type Sizer interface {
 	Size(args []any) int
 }
 
-// GobSizer measures payloads by gob-encoding them, the closest stdlib
-// analogue of Java object serialisation. Unencodable values fall back to a
-// fixed estimate per argument.
+// GobSizer measures payloads the way Java object serialisation would lay
+// them out: arrays of fixed-width elements — of any named type — count
+// len × element width, scalars and strings their own size, and only what is
+// left (structs, maps, slices of slices) is gob-encoded to be measured.
+// Unencodable values fall back to a fixed estimate per argument.
 type GobSizer struct{}
 
 // Size implements Sizer.
@@ -148,6 +151,16 @@ func gobSize(v any) int {
 		return 8
 	case string:
 		return len(x)
+	}
+	// A named array type (type Frame []float64) is as wide as its unnamed
+	// twin above; encoding it just to count it would cost more than sending it.
+	if rv := reflect.ValueOf(v); rv.Kind() == reflect.Slice {
+		switch elem := rv.Type().Elem(); elem.Kind() {
+		case reflect.Bool, reflect.Int8, reflect.Uint8, reflect.Int16, reflect.Uint16,
+			reflect.Int32, reflect.Uint32, reflect.Float32,
+			reflect.Int64, reflect.Uint64, reflect.Float64:
+			return rv.Len() * int(elem.Size())
+		}
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {

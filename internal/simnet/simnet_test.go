@@ -106,6 +106,34 @@ func TestGobSizerFastPaths(t *testing.T) {
 	}
 }
 
+// TestGobSizerNamedArrays: a named array type is sized like its unnamed twin,
+// by length × element width, never by encoding it.
+func TestGobSizerNamedArrays(t *testing.T) {
+	type frame []float64
+	type pack []int32
+	type blob []byte
+	s := GobSizer{}
+	for _, c := range []struct {
+		v    any
+		want int
+	}{
+		{frame(make([]float64, 256)), 2048},
+		{frame(nil), 0},
+		{pack{1, 2, 3}, 12},
+		{blob("abcd"), 4},
+		{[]uint16{1, 2, 3}, 6},
+		{[]float32{1}, 4},
+	} {
+		if got := s.Size([]any{c.v}); got != c.want {
+			t.Errorf("%T size = %d, want %d", c.v, got, c.want)
+		}
+	}
+	args := []any{frame{1, 2, 3}}
+	if avg := testing.AllocsPerRun(100, func() { s.Size(args) }); avg != 0 {
+		t.Errorf("sizing a named array allocates %.1f objects: it is being encoded", avg)
+	}
+}
+
 func TestGobSizerStructs(t *testing.T) {
 	type payload struct{ A, B int64 }
 	s := GobSizer{}
