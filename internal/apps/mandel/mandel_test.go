@@ -1,11 +1,15 @@
 package mandel
 
 import (
+	"errors"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"aspectpar/internal/aspect"
 	"aspectpar/internal/cluster"
 	"aspectpar/internal/exec"
 	"aspectpar/internal/par"
@@ -236,7 +240,10 @@ func TestNetMatchesSequential(t *testing.T) {
 				defer node.Close()
 				addrs = append(addrs, addr)
 			}
-			mw := par.NewNetRMI(par.NetAddressTable(addrs...))
+			mw, err := par.DialNet(par.NetAddressTable(addrs...))
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer mw.Close()
 			w := Build(spec, 3, Config{
 				Schedule:   sched,
@@ -263,8 +270,8 @@ func TestNetMatchesSequential(t *testing.T) {
 }
 
 // TestChaosNetMandel is the mandel half of the chaos matrix: the stealing
-// row farm runs over a fault-enabled NetRMI while a watcher crash-restarts
-// one node daemon mid-render. Rows carry real state (the rendered pixels
+// row farm runs over a fault-enabled NetRMI while one node daemon crashes
+// and restarts mid-render. Rows carry real state (the rendered pixels
 // accumulate in each worker), so the pixel-exact comparison against the
 // sequential oracle proves the crash neither lost nor double-rendered a row
 // — reconnect, state reconstruction and replay all had to work.
@@ -280,9 +287,59 @@ func TestChaosNetMandel(t *testing.T) {
 	var mu sync.Mutex
 	nodes := make([]*rmi.Node, 2)
 	addrs := make([]string, 2)
-	for i := range nodes {
+	// The kill is an event at its kill point, not a watcher's afterthought:
+	// node 1 crashes inside the dispatch of the first worker call it runs at
+	// or past its sixth request, before that call's reply is written — so a
+	// kill that fired is a kill the driver had to recover from — and a fresh
+	// incarnation (new epoch, empty domain) takes over its address.
+	var killed atomic.Bool
+	restarted := make(chan struct{})
+	var host func(i int) *rmi.Node
+	host = func(i int) *rmi.Node {
 		node := rmi.NewNode(exec.Real())
-		par.HostClass(node, DefineClass(par.NewDomain()))
+		dom := par.NewDomain()
+		dom.Weaver().Plug(aspect.NewAspect("chaos-kill", 100).Around(
+			aspect.Or(aspect.New("MandelWorker"), aspect.Call("MandelWorker", "*")),
+			func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
+				if i == 1 && node.Requests() >= 6 && killed.CompareAndSwap(false, true) {
+					go func() { // Abort waits for dispatches to end: not from inside one
+						defer close(restarted)
+						node.Abort()
+						fresh := host(1)
+						for attempt := 0; attempt < 50; attempt++ {
+							if _, err := fresh.Listen(addrs[1]); err == nil {
+								break
+							}
+							time.Sleep(5 * time.Millisecond)
+						}
+						mu.Lock()
+						nodes[1] = fresh
+						mu.Unlock()
+					}()
+					// Return only once the address refuses (so the driver cannot
+					// reconnect into the dying incarnation) and the connections
+					// are severed (so this call's reply cannot be written).
+					for {
+						probe, err := net.DialTimeout("tcp", addrs[1], 2*time.Millisecond)
+						if err == nil {
+							probe.Close()
+							runtime.Gosched()
+							continue
+						}
+						var timeout interface{ Timeout() bool }
+						if !errors.As(err, &timeout) || !timeout.Timeout() {
+							break // refused, not a SYN lost to the closing listener
+						}
+					}
+					node.DropConns()
+				}
+				return proceed(jp.Args)
+			}))
+		par.HostClass(node, DefineClass(dom))
+		return node
+	}
+	for i := range nodes {
+		node := host(i)
 		addr, err := node.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -290,6 +347,9 @@ func TestChaosNetMandel(t *testing.T) {
 		nodes[i], addrs[i] = node, addr
 	}
 	defer func() {
+		if killed.Load() {
+			<-restarted
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		for _, n := range nodes {
@@ -297,46 +357,13 @@ func TestChaosNetMandel(t *testing.T) {
 		}
 	}()
 
-	// The watcher: crash node 1 after it served a handful of requests and
-	// restart a fresh incarnation (new epoch, empty domain) on its address.
-	stop := make(chan struct{})
-	defer close(stop)
-	killed := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(200 * time.Microsecond):
-			}
-			mu.Lock()
-			victim := nodes[1]
-			mu.Unlock()
-			if victim.Requests() < 6 {
-				continue
-			}
-			victim.Abort()
-			fresh := rmi.NewNode(exec.Real())
-			par.HostClass(fresh, DefineClass(par.NewDomain()))
-			for attempt := 0; attempt < 50; attempt++ {
-				if _, err := fresh.Listen(addrs[1]); err == nil {
-					break
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			mu.Lock()
-			nodes[1] = fresh
-			mu.Unlock()
-			close(killed)
-			return
-		}
-	}()
-
-	mw := par.NewNetRMI(par.NetAddressTable(addrs...))
-	mw.SetFaultPolicy(par.FaultPolicy{
+	mw, err := par.DialNet(par.NetAddressTable(addrs...), par.WithFaultPolicy(par.FaultPolicy{
 		Enabled:   true,
 		Reconnect: rmi.ReconnectPolicy{MaxAttempts: 20, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
-	})
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer mw.Close()
 	w := Build(spec, 3, Config{
 		Schedule:   Stealing,
@@ -355,12 +382,10 @@ func TestChaosNetMandel(t *testing.T) {
 			}
 		}
 	}
-	select {
-	case <-killed:
-		if st := mw.FaultStats(); st.Reconnects == 0 && st.DroppedPeers == 0 {
-			t.Errorf("node was killed mid-render but FaultStats is empty: %+v", st)
-		}
-	default:
-		t.Log("kill fired after the render finished; fault path not exercised this run")
+	if !killed.Load() {
+		// The stealing schedule may hand node 1's worker too few rows.
+		t.Log("node 1 dispatched nothing at or past its kill point; fault path not exercised this run")
+	} else if st := mw.FaultStats(); st.Reconnects == 0 && st.DroppedPeers == 0 {
+		t.Errorf("node was killed mid-render but FaultStats is empty: %+v", st)
 	}
 }

@@ -5,8 +5,8 @@
 // (barrier, broadcast, reduce, gather) are built on them, MPI-style.
 //
 // The simulated experiments use the cost-model twin in package par; this
-// package exists so MPP-style programs also run for real (the heartbeat
-// example uses it).
+// package exists so MPP-style programs also run for real. Nothing else in the
+// module imports it yet.
 package mpp
 
 import (

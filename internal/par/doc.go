@@ -161,7 +161,7 @@
 // in tests — hosting its own woven domain. [HostClass] adapts a woven
 // [Class] to the node's servant interface: construction runs the node
 // domain's woven construction site and dispatch re-enters its weaver with
-// MarkRemote, exactly like the simulated server side. [NewNetRMI] takes the
+// MarkRemote, exactly like the simulated server side. [DialNet] takes the
 // exec.NodeID → TCP address table ([NetAddressTable] builds one from an
 // ordered list), so Placement policies select among real machines the same
 // way they select simulated nodes.
@@ -178,10 +178,11 @@
 // forwarding moves to the caller (PipelineConfig.ClientForward).
 //
 // Failure semantics follow the transport: a peer crash resolves in-flight
-// completions with transport errors, client Close resolves them with
-// rmi.ErrClosed (propagated through [Completion.Reclaim]), and one-way void
-// traffic — shipped through the ack-clocked send window — surfaces its
-// remote failures in the middleware's Join, which Stack.Join drains.
+// completions with errors, client Close resolves them with rmi.ErrClosed
+// (propagated through [Completion.Reclaim]), and one-way void traffic —
+// shipped through the ack-clocked send window — surfaces its failures,
+// remote and transport alike, in the middleware's Join, which Stack.Join
+// drains.
 // NetRMI performs real blocking I/O and therefore runs only under the real
 // exec backend, with wall-clock elapsed times; the simulated cells remain
 // the deterministic cost model. Real-transport completions carry the same
@@ -189,22 +190,28 @@
 // into each response, client-side RTT measured at the stub — so the
 // adaptive controllers above engage over TCP too.
 //
-// # Failure handling (fault-tolerant NetRMI)
+// # Failure handling (one call path, a policy on top)
 //
-// The behaviour above is fail-fast: one lost connection poisons its peer's
-// window permanently. [FaultPolicy] ([WithFaultPolicy] at [DialNet],
-// netfault.go) turns on the resilience layer for long-lived deployments;
-// the zero value
-// keeps every dispatch path bit-identical to fail-fast. Three mechanisms
-// compose, each building on the session layer package rmi provides (epoch
-// handshakes, session-tracked requests, server-side at-most-once dedupe):
+// Every NetRMI call — windowed pack, synchronous gather, one-way void send,
+// the creation protocol's control call — takes one path, through the call
+// journal (netfault.go): it is journaled per peer and stream under a
+// sequence number until its outcome is final. What that path does when the
+// transport fails underneath it is a [FaultPolicy] ([WithFaultPolicy] at
+// [DialNet]), not a second implementation. Fail-fast, the behaviour
+// described above, is the zero policy: no recovery rounds, no failover, one
+// creation attempt — the first transport error on a peer fails the calls
+// journaled on it and every later call to its objects. Such a middleware
+// sends no session tag, so the nodes do no dedupe work for it, and it keeps
+// nothing once a call has settled: no history, no checkpoint. An enabled
+// policy is for long-lived deployments. Three mechanisms compose under it
+// (netrecover.go), each building on the session layer package rmi provides
+// (epoch handshakes, session-tracked requests, server-side at-most-once
+// dedupe):
 //
-//   - Reconnect + replay. Every call — windowed pack, synchronous gather,
-//     one-way void send — is journaled per peer, keyed by a session
-//     sequence number, until its acknowledgement. On a transport failure a
-//     recovery goroutine re-dials under the bounded-backoff
-//     rmi.ReconnectPolicy; a matching session epoch means the node (and
-//     its objects) survived a transport blip, so the unacknowledged
+//   - Reconnect + replay. On a transport failure a recovery goroutine
+//     re-dials under the bounded-backoff rmi.ReconnectPolicy; a matching
+//     session epoch means the node (and its objects) survived a
+//     transport blip, so the unacknowledged
 //     journal replays with its original sequence numbers and the node's
 //     dedupe absorbs whatever was applied before the connection died —
 //     including a call still mid-dispatch, which the replay waits for
@@ -249,7 +256,7 @@
 // experiment-shaped runs; checkpointing the history is the noted cost of
 // truly unbounded ones.
 //
-// Every timed decision the fault layer makes — the reconnect backoff
+// Every timed decision the journal makes — the reconnect backoff
 // schedule, the export-retry pacing, a server's close-drain grace, the RTT
 // stamped into completions — rides a [clock.Clock] seam rather than the
 // package time globals. [WithNetClock] threads one clock through the
@@ -261,12 +268,10 @@
 // request-count watermarks (rmi.Server.WatchRequests) and paced by the
 // virtual clock's auto-advance pump instead of wall-clock sleeps.
 //
-// [DialNet] is the configuration seam for all of the above: it fixes the
-// clock, fault policy, codec preference and stream count as functional
-// options before dialing any node, removing the call-order invariant the
-// deprecated setters (NetRMI.SetClock before NetRMI.SetFaultPolicy before
-// the first dial) used to impose. The setters remain as shims for existing
-// callers; new code passes options.
+// [DialNet] is the configuration seam for all of the above, and NetRMI's
+// only constructor: it fixes the clock, fault policy, codec preference and
+// stream count as functional options before dialing any node, so no call
+// can observe a half-configured middleware.
 //
 // # Membership & health (elastic pool)
 //

@@ -15,7 +15,7 @@ import (
 // (or a hybrid) is a one-line change in the distribution aspect; this
 // interface is that seam. Implementations come in two families: the
 // simulated twins (NewSimRMI, NewSimMPP), which model cost on the virtual
-// cluster, and the real backend (NewNetRMI), which ships calls over TCP to
+// cluster, and the real backend (DialNet), which ships calls over TCP to
 // rmi.Node worker processes.
 type Middleware interface {
 	// MiddlewareName identifies the implementation ("rmi", "mpp", "netrmi").

@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,19 +13,21 @@ import (
 	"aspectpar/internal/rmi"
 )
 
-// This file is NetRMI's fault-tolerance subsystem: an optional layer (see
-// FaultPolicy; the zero value keeps the fail-fast behaviour bit-identical)
-// that turns a transport failure from a run-killing poison into something the
-// middleware recovers from. Three mechanisms compose:
+// This file is NetRMI's call journal: the one path every call takes — sync,
+// windowed, void, and the creation protocol's control calls alike. A call is
+// journaled per (peer, stream) under a sequence number from submission until
+// its outcome is final (submit → transmit → onOutcome → settle); what happens
+// when the transport fails underneath it is not a second implementation but a
+// policy of this one (FaultPolicy), carried out by the recovery half in
+// netrecover.go. Three mechanisms compose there:
 //
-//   - Reconnect + replay (same incarnation): every call is journaled per
-//     peer, keyed by a session sequence number, until its acknowledgement
-//     arrives. When the connection dies, a recovery goroutine re-dials under
-//     the bounded-backoff rmi.ReconnectPolicy; if the session-epoch handshake
-//     shows the same server incarnation (a transport blip — the node and its
-//     objects survived), the unacknowledged journal is replayed with its
-//     original sequence numbers and the server's at-most-once dedupe absorbs
-//     the calls that were applied before the connection died.
+//   - Reconnect + replay (same incarnation): when the connection dies, a
+//     recovery goroutine re-dials under the bounded-backoff
+//     rmi.ReconnectPolicy; if the session-epoch handshake shows the same
+//     server incarnation (a transport blip — the node and its objects
+//     survived), the unacknowledged journal is replayed with its original
+//     sequence numbers and the server's at-most-once dedupe absorbs the calls
+//     that were applied before the connection died.
 //
 //   - Reincarnation (same node, new epoch): a changed epoch means the node
 //     restarted and every placed object — with all its accumulated state —
@@ -44,17 +47,23 @@ import (
 //     surviving node hosts the class, the journal is failed with a typed
 //     NoFailoverError that Join surfaces: fail fast, not silent loss.
 //
+// Fail-fast is the degenerate policy of the same path (FaultPolicy's zero
+// value): no recovery rounds and no failover, so the first transport error
+// drops the peer, fails the calls journaled on it and marks its objects dead.
+// Such a middleware sends no session tag — the nodes do no dedupe work for it
+// — and keeps nothing once a call has settled: no history, no checkpoint.
+//
 // Everything is guarded by a generation counter: NetRMI.Reset (a driver
 // starting a fresh run) and Close bump it, and a recovery observing a stale
 // generation abandons instead of resurrecting pre-reset exports. The node
 // guards the same race from its side by rotating its session epoch on reset,
 // so a replay that slips past the client-side check is rejected as stale.
 
-// FaultPolicy configures NetRMI's fault tolerance. The zero value disables
-// it: transport failures poison the peer's window permanently and fail fast,
-// exactly the pre-fault behaviour.
+// FaultPolicy decides what NetRMI's call journal does when the transport
+// fails under it. The zero value is fail-fast: the first transport error on a
+// peer fails the calls in flight on it and every later call to its objects.
 type FaultPolicy struct {
-	// Enabled turns the journal, reconnect/replay and failover machinery on.
+	// Enabled turns reconnect/replay, state reconstruction and failover on.
 	Enabled bool
 	// Reconnect bounds each recovery round's re-dial schedule; the zero
 	// value selects rmi.ReconnectPolicy's defaults (5 attempts, 5ms..250ms
@@ -75,7 +84,7 @@ type FaultPolicy struct {
 	// reconstructed by history replay; only the in-flight packs change hands.
 	RequeueOrphans bool
 	// CheckpointEvery bounds the replay journal: once an export's
-	// applied-call history reaches this length, the fault layer asks the
+	// applied-call history reaches this length, the journal asks the
 	// object to Snapshot itself and truncates the history behind the
 	// checkpoint, so reincarnation replays a checkpoint Restore plus a
 	// short tail instead of the full history. Classes opt in by defining
@@ -85,15 +94,22 @@ type FaultPolicy struct {
 	CheckpointEvery int
 }
 
+// withDefaults resolves the policy the journal actually runs. A policy that
+// is not Enabled is spelled out as data rather than tested for on the paths:
+// zero recovery rounds, no failover, one creation attempt, nothing requeued,
+// nothing checkpointed — whatever its other fields say.
 func (p FaultPolicy) withDefaults() FaultPolicy {
+	if !p.Enabled {
+		return FaultPolicy{NoFailover: true, Reconnect: rmi.ReconnectPolicy{MaxAttempts: 1}}
+	}
 	if p.MaxRecoveryRounds <= 0 {
 		p.MaxRecoveryRounds = 2
 	}
 	return p
 }
 
-// FaultStats counts what the fault layer did — the observability a
-// resilience mechanism needs to be trusted. Snapshot via NetRMI.FaultStats.
+// FaultStats counts what recovery did — the observability a resilience
+// mechanism needs to be trusted. Snapshot via NetRMI.FaultStats.
 type FaultStats struct {
 	// Reconnects counts successful re-dials (same or new incarnation).
 	Reconnects int64
@@ -121,7 +137,7 @@ type FaultStats struct {
 	Checkpoints int64
 }
 
-// FaultError wraps a call the fault layer could not transparently recover.
+// FaultError wraps a call the journal could not transparently recover.
 // Retryable reports that the call never executed anywhere — its state effect
 // is not lost, just unplaced — so the caller may re-dispatch it elsewhere;
 // the stealing farm's windowed loop does exactly that with the original
@@ -168,11 +184,16 @@ func (e *NoFailoverError) Error() string {
 // Unwrap implements errors.Is/As chaining.
 func (e *NoFailoverError) Unwrap() error { return e.Err }
 
-// errPeerLost is the base cause of calls dropped with an unreachable peer.
-var errPeerLost = errors.New("peer unreachable after reconnect budget")
+// errPeerLost is the base cause of calls dropped with an unreachable peer
+// (the fail-fast policy's budget is spent before it starts).
+var errPeerLost = errors.New("peer unreachable: recovery budget spent")
 
 // errMWReset marks calls invalidated by a middleware Reset racing recovery.
 var errMWReset = errors.New("netrmi reset")
+
+func errUnexported(method string) error {
+	return fmt.Errorf("par: netrmi invoke on unexported object (%s)", method)
+}
 
 // peer fault states.
 const (
@@ -182,8 +203,8 @@ const (
 )
 
 // netCall is one journaled invocation: it stays in its peer's in-flight
-// journal from submission until the server's acknowledgement, which is what
-// makes replay after a connection loss possible at all.
+// journal from submission until its outcome is final, which is what makes
+// replay after a connection loss possible at all.
 type netCall struct {
 	seq      uint64
 	stream   uint32 // dispatch stream the call rides: its seq space and dedupe key
@@ -192,7 +213,7 @@ type netCall struct {
 	args     []any
 	void     bool
 	windowed bool
-	// ckpt marks the fault layer's own Snapshot probes: they must not be
+	// ckpt marks the journal's own Snapshot probes: they must not be
 	// recorded in the history they exist to truncate.
 	ckpt bool
 	// deliver hands the outcome to the caller exactly once; nil for
@@ -223,8 +244,7 @@ type peerFault struct {
 }
 
 // streamJournal is one stream's half of the session contract with the node:
-// its sequence counter, the unacknowledged calls, and their submission
-// order (= replay order).
+// its sequence counter and the unsettled calls.
 type streamJournal struct {
 	// sendMu serialises this stream's tagged posts, so the stream's wire
 	// order always equals its sequence order — the invariant the server's
@@ -234,20 +254,20 @@ type streamJournal struct {
 	// always acquired before fa.mu, never while holding it.
 	sendMu sync.Mutex
 
-	nextSeq  uint64
-	inflight map[uint64]*netCall
-	order    []uint64 // seqs in submission order (replay order)
+	nextSeq uint64
+	calls   []*netCall // unsettled, in submission order (= replay order)
 }
 
-// netExport is the fault layer's record of one placed object: everything
-// needed to re-create it — constructor arguments and the history of applied
-// calls — plus its current placement.
+// netExport is the journal's record of one placed object: where it lives
+// and how to reach it, plus — under a policy that can rebuild it — everything
+// needed to re-create it: constructor arguments and the history of applied
+// calls.
 type netExport struct {
 	ref      *NetRef
-	name     string
 	class    *Class
 	node     exec.NodeID
-	stream   uint32 // dispatch stream the object's calls ride; kept across failover
+	stub     *rmi.Stub // bound to stream; replaced when the object is re-homed
+	stream   uint32    // dispatch stream the object's calls ride; kept across failover
 	ctorArgs []any
 	history  []histEntry
 	dead     bool
@@ -271,7 +291,7 @@ type histEntry struct {
 	args   []any
 }
 
-// netFaults is the per-middleware fault state: policy, journals, export
+// netFaults is the per-middleware journal state: policy, journals, export
 // records, the generation guard and the stats.
 type netFaults struct {
 	m      *NetRMI
@@ -321,7 +341,13 @@ func (fa *netFaults) sessionID(node exec.NodeID) string {
 	return fmt.Sprintf("netrmi-%d/n%d", fa.nonce, node)
 }
 
+// stats snapshots the recovery counters. Fail-fast recovers nothing, so it
+// reports nothing: giving a peer up on the first error is its normal
+// behaviour, not a recovery event worth a counter.
 func (fa *netFaults) stats() FaultStats {
+	if !fa.policy.Enabled {
+		return FaultStats{}
+	}
 	return FaultStats{
 		Reconnects:   fa.reconnects.Load(),
 		Replays:      fa.replays.Load(),
@@ -349,7 +375,7 @@ func (fa *netFaults) peerLocked(node exec.NodeID) *peerFault {
 func (fa *netFaults) journalLocked(pf *peerFault, stream uint32) *streamJournal {
 	sj := pf.journals[stream]
 	if sj == nil {
-		sj = &streamJournal{inflight: make(map[uint64]*netCall)}
+		sj = &streamJournal{}
 		pf.journals[stream] = sj
 	}
 	return sj
@@ -369,16 +395,28 @@ func (fa *netFaults) stale(gen int64) bool {
 	return gen != fa.gen || fa.closed
 }
 
-// trackExport records a fresh export's re-creation recipe, including the
-// dispatch stream its calls ride (preserved across reincarnation/failover,
-// so a replayed call carries the same (stream, seq) dedupe key shape).
-func (fa *netFaults) trackExport(ref *NetRef, class *Class, ctorArgs []any, stream uint32) {
+// trackExport records a fresh export: its stub (already bound to the
+// dispatch stream its calls ride — preserved across reincarnation/failover,
+// so a replayed call carries the same (stream, seq) dedupe key shape) and
+// its re-creation recipe.
+func (fa *netFaults) trackExport(ref *NetRef, class *Class, ctorArgs []any, stub *rmi.Stub, stream uint32) {
 	fa.mu.Lock()
 	fa.exports[ref] = &netExport{
-		ref: ref, name: ref.Name, class: class, node: ref.Node, stream: stream,
+		ref: ref, class: class, node: ref.Node, stub: stub, stream: stream,
 		ctorArgs: append([]any(nil), ctorArgs...),
 	}
 	fa.mu.Unlock()
+}
+
+// stubOf resolves the remote stub currently behind an exported reference.
+func (fa *netFaults) stubOf(method string, obj any) (*rmi.Stub, error) {
+	ref, _ := obj.(*NetRef)
+	fa.mu.Lock()
+	defer fa.mu.Unlock()
+	if exp := fa.exports[ref]; exp != nil {
+		return exp.stub, nil
+	}
+	return nil, errUnexported(method)
 }
 
 // exportsOn snapshots the live exports currently placed on node, in a
@@ -392,76 +430,22 @@ func (fa *netFaults) exportsOn(node exec.NodeID) []*netExport {
 			out = append(out, exp)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	sort.Slice(out, func(i, j int) bool { return out[i].ref.Name < out[j].ref.Name })
 	return out
 }
 
 // --- Submission --------------------------------------------------------------
 
-// invokeAsync is the fault-mode windowed dispatch path: the call is
-// journaled and its completion — stamped with the RTT/service tuning
-// signals like the fail-fast path — arrives on done when it finally
-// executed, possibly after a replay on another incarnation. Void calls keep
-// their complete-at-send semantics: the completion is delivered immediately
-// and the journal holds the call until the acknowledgement.
-func (fa *netFaults) invokeAsync(ctx exec.Context, obj any, method string, args []any, void bool, done exec.Chan) {
-	ref, ok := obj.(*NetRef)
-	if !ok {
-		done.Send(ctx, &Completion{Err: fmt.Errorf("par: netrmi invoke on unexported object (%s)", method)})
-		return
-	}
-	if void {
-		fa.submit(&netCall{ref: ref, method: method, args: args, void: true, windowed: true})
-		done.Send(ctx, &Completion{})
-		return
-	}
-	elems := payloadElems(args)
-	issued := fa.m.clk.Now()
-	fa.submit(&netCall{
-		ref: ref, method: method, args: args, windowed: true,
-		deliver: func(res []any, service time.Duration, err error) {
-			done.Send(ctx, stampCompletion(fa.m.clk, res, err, issued, service, elems))
-		},
-	})
-}
-
-// invokeSync is the fault-mode synchronous dispatch path: the caller blocks
-// on the journaled call's final outcome — through recovery, if the
-// transport fails under it. Void calls stay fire-and-forget; their terminal
-// failures surface in Join.
-func (fa *netFaults) invokeSync(obj any, method string, args []any, void bool) ([]any, error) {
-	ref, ok := obj.(*NetRef)
-	if !ok {
-		return nil, fmt.Errorf("par: netrmi invoke on unexported object (%s)", method)
-	}
-	if void {
-		fa.submit(&netCall{ref: ref, method: method, args: args, void: true})
-		return nil, nil
-	}
-	type out struct {
-		res []any
-		err error
-	}
-	ch := make(chan out, 1)
-	fa.submit(&netCall{
-		ref: ref, method: method, args: args,
-		deliver: func(res []any, _ time.Duration, err error) { ch <- out{res, err} },
-	})
-	o := <-ch
-	return o.res, o.err
-}
-
 // submit journals one call and transmits it, unless its peer is recovering
 // (the recovery loop transmits queued entries in order) or lost (the call is
-// delivered failed immediately). ref resolution failed upstream when exp is
-// absent.
+// delivered failed immediately).
 func (fa *netFaults) submit(call *netCall) {
 	for {
 		fa.mu.Lock()
 		exp := fa.exports[call.ref]
 		if exp == nil {
 			fa.mu.Unlock()
-			fa.finish(call, nil, 0, fmt.Errorf("par: netrmi invoke on unexported object (%s)", call.method))
+			fa.finish(call, nil, 0, errUnexported(call.method))
 			return
 		}
 		for exp.moving && !fa.closed {
@@ -504,15 +488,23 @@ func (fa *netFaults) submit(call *netCall) {
 		sj.nextSeq++
 		call.seq = sj.nextSeq
 		call.stream = stream
-		sj.inflight[call.seq] = call
-		sj.order = append(sj.order, call.seq)
-		recovering := pf.state == pfRecovering
-		gen := fa.gen
+		sj.calls = append(sj.calls, call)
+		send := pf.state == pfHealthy
+		if send {
+			pf.wired++ // on the wire from here: onOutcome unwires exactly once per transmit
+		}
+		gen, stub := fa.gen, exp.stub
 		fa.mu.Unlock()
-		if !recovering {
+		if send {
 			// Transmit inside the stream's send section: the stream's wire
 			// order == its seq order.
-			fa.transmit(pf, call, gen)
+			fa.transmit(pf, call, gen, stub)
+			if !fa.policy.Enabled {
+				// Nothing will ever replay or requeue it, so the journal entry
+				// need not pin the payload (a 400 KB pack, times the send
+				// window) until the acknowledgement.
+				call.args = nil
+			}
 		} // else: the recovery loop drains the journals, this entry included
 		sj.sendMu.Unlock()
 		return
@@ -520,28 +512,25 @@ func (fa *netFaults) submit(call *netCall) {
 }
 
 // transmit puts one journaled call on the wire. Outcomes — including the
-// transport failures that start recovery — flow through onOutcome.
-func (fa *netFaults) transmit(pf *peerFault, call *netCall, gen int64) {
-	stub, err := fa.m.stubOf(call.method, call.ref)
-	if err != nil {
-		fa.settle(pf, call, nil, 0, err)
-		return
-	}
-	// On the wire from here: onOutcome unwires exactly once per transmit.
-	fa.mu.Lock()
-	pf.wired++
-	fa.mu.Unlock()
+// transport failures that start recovery — flow through onOutcome. Void
+// calls take the one-way windowed lane (bounded by the client's ack-clocked
+// flow-control window) with a per-call acknowledgement; the reply bytes of a
+// value-returning call are approximated, because its callback runs on the
+// connection's single reader goroutine — every later pending response waits
+// behind it — where gob re-encoding the results just for the traffic counter
+// is too expensive.
+func (fa *netFaults) transmit(pf *peerFault, call *netCall, gen int64, stub *rmi.Stub) {
+	reqSize := int64(fa.m.sizer.Size(call.args))
 	if call.void {
-		reqSize := fa.m.sizer.Size(call.args)
 		stub.SendSeq(call.method, call.seq, func(ackErr error) {
 			if ackErr == nil {
-				fa.m.stats.count(2, int64(reqSize+replyFloor))
+				fa.m.stats.count(2, reqSize+replyFloor)
 			}
 			fa.onOutcome(pf, call, gen, nil, 0, ackErr)
 		}, call.args...)
 		return
 	}
-	fa.m.stats.count(1, int64(fa.m.sizer.Size(call.args)))
+	fa.m.stats.count(1, reqSize)
 	stub.InvokeSeq(call.method, call.seq, func(res []any, svc time.Duration, err error) {
 		fa.m.stats.count(1, int64(approxReplySize(res)))
 		fa.onOutcome(pf, call, gen, res, svc, err)
@@ -549,38 +538,23 @@ func (fa *netFaults) transmit(pf *peerFault, call *netCall, gen int64) {
 }
 
 // onOutcome classifies one wire outcome: executed calls settle, transport
-// failures leave the entry journaled and start the peer's recovery.
+// failures leave the entry journaled and start the peer's recovery — whose
+// budget, under the fail-fast policy, is already spent.
 func (fa *netFaults) onOutcome(pf *peerFault, call *netCall, gen int64, res []any, svc time.Duration, err error) {
+	err = staleAsFault(call, pf.node, err)
 	fa.mu.Lock()
 	pf.wired--
-	fa.cond.Broadcast() // a drain may be quiescing on wired == 0
-	fa.mu.Unlock()
-	if err == nil || isExecuted(err) {
-		fa.settle(pf, call, res, svc, err)
-		return
-	}
-	if errors.Is(err, rmi.ErrStaleSession) {
-		// The node's session epoch rotated under us (a reset raced this
-		// call): the journal is for a session that no longer exists. Never
-		// replay into the fresh one.
-		fa.settle(pf, call, nil, 0, &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: err})
+	fa.cond.Broadcast() // a drain may be quiescing on wired == 0, a Join on the journal
+	if err == nil || isFinal(err) || gen != fa.gen || fa.closed {
+		live := fa.settleLocked(pf, call, err)
+		fa.mu.Unlock()
+		if live {
+			fa.finish(call, res, svc, err)
+		}
 		return
 	}
 	// Transport failure: the call may or may not have been applied — exactly
 	// what the journal + server-side dedupe exist to disambiguate.
-	fa.mu.Lock()
-	if gen != fa.gen || fa.closed {
-		sj := pf.journals[call.stream]
-		live := sj != nil && sj.inflight[call.seq] == call
-		if live {
-			dropLocked(sj, call.seq)
-		}
-		fa.mu.Unlock()
-		if live {
-			fa.finish(call, nil, 0, err)
-		}
-		return
-	}
 	start := pf.state == pfHealthy
 	if start {
 		pf.state = pfRecovering
@@ -598,18 +572,47 @@ func isExecuted(err error) bool {
 	return errors.As(err, &re)
 }
 
+// isFinal reports whether err settles a call for good rather than sending it
+// through recovery: the server executed it, or refused it as a stale-session
+// replay.
+func isFinal(err error) bool {
+	return isExecuted(err) || errors.Is(err, rmi.ErrStaleSession)
+}
+
+// staleAsFault turns a stale-session rejection into the terminal FaultError
+// its caller sees: the node's session epoch rotated under the call (a reset
+// raced it), so the journal entry is for a session that no longer exists and
+// must never be replayed into the fresh one. Other errors pass through.
+func staleAsFault(call *netCall, node exec.NodeID, err error) error {
+	if errors.Is(err, rmi.ErrStaleSession) {
+		return &FaultError{Object: call.ref.Name, Method: call.method, Node: node, Err: err}
+	}
+	return err
+}
+
 // settle removes a journal entry — the call's outcome is final — records the
 // applied-call history used for state reconstruction, and delivers. A call
 // already settled elsewhere (reset drain, close) is left alone.
 func (fa *netFaults) settle(pf *peerFault, call *netCall, res []any, svc time.Duration, err error) {
 	fa.mu.Lock()
-	sj := pf.journals[call.stream]
-	if sj == nil || sj.inflight[call.seq] != call {
-		fa.mu.Unlock()
-		return
+	live := fa.settleLocked(pf, call, err)
+	fa.cond.Broadcast()
+	fa.mu.Unlock()
+	if live {
+		fa.finish(call, res, svc, err)
 	}
-	dropLocked(sj, call.seq)
-	if err == nil && !call.ckpt {
+}
+
+// settleLocked is settle's bookkeeping half; it reports whether the entry was
+// still journaled (the caller then broadcasts, and delivers outside the lock).
+// The history is kept only under a policy that could ever replay it. fa.mu
+// held.
+func (fa *netFaults) settleLocked(pf *peerFault, call *netCall, err error) bool {
+	sj := pf.journals[call.stream]
+	if sj == nil || !dropLocked(sj, call) {
+		return false
+	}
+	if err == nil && !call.ckpt && fa.policy.Enabled {
 		if exp := fa.exports[call.ref]; exp != nil && !exp.dead {
 			exp.history = append(exp.history, histEntry{method: call.method, args: call.args})
 			if fa.policy.CheckpointEvery > 0 && !exp.ckptOff && !exp.ckptPending &&
@@ -619,9 +622,7 @@ func (fa *netFaults) settle(pf *peerFault, call *netCall, res []any, svc time.Du
 			}
 		}
 	}
-	fa.cond.Broadcast()
-	fa.mu.Unlock()
-	fa.finish(call, res, svc, err)
+	return true
 }
 
 // checkpoint bounds one export's replay journal: a Snapshot probe rides the
@@ -661,15 +662,16 @@ func (fa *netFaults) checkpoint(exp *netExport) {
 	})
 }
 
-// dropLocked removes seq from one stream's journal. fa.mu held.
-func dropLocked(sj *streamJournal, seq uint64) {
-	delete(sj.inflight, seq)
-	for i, s := range sj.order {
-		if s == seq {
-			sj.order = append(sj.order[:i], sj.order[i+1:]...)
-			break
-		}
+// dropLocked removes call from its stream's journal and reports whether it
+// was still there. Acknowledgements arrive in submission order, so the scan
+// ends at the first entry. fa.mu held.
+func dropLocked(sj *streamJournal, call *netCall) bool {
+	i := slices.Index(sj.calls, call)
+	if i < 0 {
+		return false
 	}
+	sj.calls = slices.Delete(sj.calls, i, i+1) // zeroes the vacated slot: the arguments are not retained
+	return true
 }
 
 // finish hands a call's final outcome to its caller; fire-and-forget void
@@ -704,705 +706,44 @@ func (fa *netFaults) deliverOrphan(call *netCall, node exec.NodeID, cause error)
 	fa.finish(call, nil, 0, fe)
 }
 
-// --- Recovery ----------------------------------------------------------------
-
-// recover is the per-peer recovery loop: reconnect, then replay (same
-// epoch), reincarnate + replay (new epoch), or fail the peer over when the
-// budget is spent. Exactly one recovery goroutine runs per peer at a time
-// (guarded by the pfRecovering state).
-func (fa *netFaults) recover(pf *peerFault, gen int64) {
-	client := fa.m.clientOf(pf.node)
-	if client == nil {
-		fa.failPeer(pf, gen)
-		return
-	}
-	for round := 0; round < fa.policy.MaxRecoveryRounds; round++ {
-		if fa.stale(gen) {
-			fa.abandon(pf)
-			return
-		}
-		sameEpoch, err := client.Reconnect()
-		if err != nil {
-			break // unreachable within the dial budget
-		}
-		fa.reconnects.Add(1)
-		ok := sameEpoch || fa.reincarnate(pf, gen, pf.node)
-		if ok && fa.replayJournal(pf, gen, sameEpoch) {
-			return // replayJournal healed the peer under the lock
-		}
-		if fa.stale(gen) {
-			fa.abandon(pf)
-			return
-		}
-	}
-	fa.failPeer(pf, gen)
+// outcome is one call's final result as a value: what a synchronous caller
+// waits for on the channel sink hands out.
+type outcome struct {
+	res []any
+	svc time.Duration
+	err error
 }
 
-// replayJournal drains the peer's stream journals — streams in ascending id,
-// each stream's entries in submission order — replaying each entry
-// synchronously: with its original (stream, seq) after a same-epoch
-// reconnect, so the server's per-stream dedupe absorbs already-applied
-// calls; with fresh sequence numbers against a new incarnation, whose
-// sessions started empty. Under RequeueOrphans, a new incarnation's
-// windowed entries are handed back to the scheduler instead of replayed.
-// Entries submitted while recovery runs are part of the same drain. When
-// every journal is empty the peer is healed atomically; a transport failure
-// mid-replay returns false and the caller starts another round.
-func (fa *netFaults) replayJournal(pf *peerFault, gen int64, sameEpoch bool) bool {
-	requeue := !sameEpoch && fa.policy.RequeueOrphans
-	for {
-		fa.mu.Lock()
-		if gen != fa.gen || fa.closed {
-			fa.mu.Unlock()
-			return false
-		}
-		// Lowest non-empty stream first: a deterministic drain order, with the
-		// control lane (stream 0) replayed ahead of object traffic.
-		var sj *streamJournal
-		found := false
-		var stream uint32
-		for id, j := range pf.journals {
-			if len(j.order) > 0 && (!found || id < stream) {
-				sj, stream, found = j, id, true
-			}
-		}
-		if !found {
-			pf.state = pfHealthy
-			fa.cond.Broadcast()
-			fa.mu.Unlock()
-			return true
-		}
-		seq := sj.order[0]
-		call := sj.inflight[seq]
-		fa.mu.Unlock()
-		if requeue && call.windowed && call.deliver != nil {
-			fa.mu.Lock()
-			live := sj.inflight[seq] == call
-			if live {
-				dropLocked(sj, seq)
-			}
-			fa.cond.Broadcast()
-			fa.mu.Unlock()
-			if live {
-				fa.deliverOrphan(call, pf.node, errors.New("session lost before acknowledgement"))
-			}
-			continue
-		}
-		// A same-epoch replay reuses the original sequence number so the
-		// server's dedupe absorbs already-applied calls; a new incarnation's
-		// sessions started empty, so replays take fresh numbers there.
-		fixed := uint64(0)
-		if sameEpoch {
-			fixed = seq
-		}
-		res, svc, err := fa.replayOnce(call, fixed, sj)
-		if err != nil && !isExecuted(err) && !errors.Is(err, rmi.ErrStaleSession) {
-			return false // transport failure: next round reconnects again
-		}
-		if errors.Is(err, rmi.ErrStaleSession) {
-			err = &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: err}
-		}
-		fa.replays.Add(1)
-		fa.settle(pf, call, res, svc, err)
-	}
+// sink returns a delivery callback and the channel its single outcome lands
+// on — the synchronous face of the callback transport.
+func sink() (func([]any, time.Duration, error), <-chan outcome) {
+	ch := make(chan outcome, 1)
+	return func(res []any, svc time.Duration, err error) { ch <- outcome{res, svc, err} }, ch
 }
 
-// replayOnce re-executes one journaled call synchronously over the (just
-// reconnected) transport. Either the original sequence number is reused
-// (fixed, same-epoch replay) or a fresh one is drawn from wire's counter;
-// in both cases allocation and post share the stream journal's send section
-// — the stream's wire order equals its sequence order even when healthy
-// submissions to the same stream (a failover target carrying live traffic)
-// interleave — while the response wait happens outside it.
-func (fa *netFaults) replayOnce(call *netCall, fixed uint64, wire *streamJournal) ([]any, time.Duration, error) {
-	stub, err := fa.m.stubOf(call.method, call.ref)
-	if err != nil {
-		return nil, 0, err
-	}
-	type out struct {
-		res []any
-		svc time.Duration
-		err error
-	}
-	ch := make(chan out, 1)
+// callSync performs one session-tracked call synchronously on wire's stream,
+// outside the journal: control calls, journal replays and history replays
+// all go through here. Sequence assignment and post share the stream's send
+// section — the stream's wire order equals its sequence order even when
+// healthy submissions to the same stream (a failover target carrying live
+// traffic) interleave — while the response wait happens outside it. A
+// non-zero seq is reused verbatim: a same-epoch replay must carry the
+// sequence number of the original, so a first attempt that was applied
+// before its acknowledgement was lost dedupes instead of executing twice
+// (or, for an export, failing with a duplicate binding); zero draws a fresh
+// number from wire's counter. The seq used is returned.
+func (fa *netFaults) callSync(stub *rmi.Stub, wire *streamJournal, seq uint64, method string, args []any) (uint64, outcome) {
+	deliver, ch := sink()
 	wire.sendMu.Lock()
-	seq := fixed
 	if seq == 0 {
 		fa.mu.Lock()
 		wire.nextSeq++
 		seq = wire.nextSeq
 		fa.mu.Unlock()
 	}
-	stub.InvokeSeq(call.method, seq, func(res []any, svc time.Duration, err error) {
-		ch <- out{res, svc, err}
-	}, call.args...)
+	stub.InvokeSeq(method, seq, deliver, args...)
 	wire.sendMu.Unlock()
-	o := <-ch
-	if o.err == nil {
-		fa.m.stats.count(2, int64(fa.m.sizer.Size(call.args)+approxReplySize(o.res)))
-	}
-	return o.res, o.svc, o.err
-}
-
-// reincarnate re-creates every object placed on pf.node at target (the same
-// node after a restart, a surviving node during failover) and replays each
-// object's applied-call history in order, reconstructing the state the lost
-// incarnation took with it. Re-execution is correct exactly because the
-// previous incarnation's effects are gone.
-func (fa *netFaults) reincarnate(pf *peerFault, gen int64, target exec.NodeID) bool {
-	tp, err := fa.m.peer(target)
-	if err != nil {
-		return false
-	}
-	for _, exp := range fa.exportsOn(pf.node) {
-		if fa.stale(gen) {
-			return false
-		}
-		if !fa.reexport(exp, tp, target, gen) {
-			return false
-		}
-	}
-	return true
-}
-
-// reexport runs one object's creation protocol at target and replays its
-// history there; on success the object's placement (registry, stubs, the
-// export record) is remapped.
-func (fa *netFaults) reexport(exp *netExport, tp *netPeer, target exec.NodeID, gen int64) bool {
-	// Claim the export's re-homing gate: from the remap below until the last
-	// history entry lands, the target hosts a HALF-REBUILT object, and a live
-	// submission slipping in between replay entries would read or mutate
-	// partial state. submit waits the gate out (holding no stream send slot,
-	// so the replay it is waiting on cannot deadlock against it).
-	fa.mu.Lock()
-	for exp.moving && !fa.closed {
-		fa.cond.Wait()
-	}
-	if fa.closed {
-		fa.mu.Unlock()
-		return false
-	}
-	exp.moving = true
-	fa.mu.Unlock()
-	defer func() {
-		fa.mu.Lock()
-		exp.moving = false
-		fa.cond.Broadcast()
-		fa.mu.Unlock()
-	}()
-	ctl := fa.journalOf(target, 0) // creation rides the control lane
-	ctlArgs := append([]any{exp.class.Name(), exp.name}, exp.ctorArgs...)
-	if _, _, err := fa.ctlCall(tp, ctl, 0, rmi.CtlExportNew, ctlArgs); err != nil {
-		if isExecuted(err) {
-			// The node answered but refused — it does not host the class, or
-			// the name is taken: nowhere to rebuild this object.
-			fa.recordErr(&NoFailoverError{Object: exp.name, Class: exp.class.Name(), Node: exp.node, Err: err})
-			fa.markDead(exp)
-			return true // other exports may still recover
-		}
-		return false
-	}
-	stub, err := tp.client.Lookup(exp.name)
-	if err != nil {
-		return false
-	}
-	if exp.stream != 0 {
-		// The object keeps its dispatch stream across incarnations, so every
-		// replayed and future call carries the same (stream, seq) key shape.
-		stub = stub.OnStream(exp.stream)
-	}
-	fa.m.remap(exp.ref, stub, target)
-	fa.mu.Lock()
-	exp.node = target
-	history := append([]histEntry(nil), exp.history...)
-	if exp.checkpoint != nil {
-		// The journal was truncated behind a Snapshot: reconstruct from the
-		// checkpoint first, then the short post-checkpoint tail.
-		history = append([]histEntry{{method: "Restore", args: exp.checkpoint}}, history...)
-	}
-	fa.mu.Unlock()
-	fa.failovers.Add(1)
-	tsj := fa.journalOf(target, exp.stream)
-	for _, h := range history {
-		if fa.stale(gen) {
-			return false
-		}
-		type out struct{ err error }
-		ch := make(chan out, 1)
-		tsj.sendMu.Lock()
-		fa.mu.Lock()
-		tsj.nextSeq++
-		seq := tsj.nextSeq
-		fa.mu.Unlock()
-		stub.InvokeSeq(h.method, seq, func(_ []any, _ time.Duration, err error) { ch <- out{err} }, h.args...)
-		tsj.sendMu.Unlock()
-		if o := <-ch; o.err != nil {
-			if isExecuted(o.err) {
-				// The original application succeeded, the reconstruction did
-				// not: the rebuilt state is incomplete — surface it.
-				fa.recordErr(fmt.Errorf("par: netrmi history replay of %s.%s at node %d: %w", exp.name, h.method, target, o.err))
-				continue
-			}
-			return false
-		}
-		fa.replays.Add(1)
-	}
-	return true
-}
-
-// ctlCall runs one session-tracked control call synchronously on the
-// control lane (stream 0); seq assignment and post share one sendMu
-// section, keeping wire order equal to sequence order. A non-zero seq is
-// reused verbatim — an export retried across a recovery must replay the
-// SAME sequence number, so a first attempt that was applied before its
-// acknowledgement was lost dedupes instead of failing with a duplicate
-// binding. The seq used is returned.
-func (fa *netFaults) ctlCall(p *netPeer, sj *streamJournal, seq uint64, verb string, args []any) (uint64, []any, error) {
-	type out struct {
-		res []any
-		err error
-	}
-	ch := make(chan out, 1)
-	sj.sendMu.Lock()
-	if seq == 0 {
-		fa.mu.Lock()
-		sj.nextSeq++
-		seq = sj.nextSeq
-		fa.mu.Unlock()
-	}
-	p.ctl.InvokeSeq(verb, seq, func(res []any, _ time.Duration, err error) {
-		ch <- out{res, err}
-	}, args...)
-	sj.sendMu.Unlock()
-	o := <-ch
-	return seq, o.res, o.err
-}
-
-// exportNew is the fault-mode creation protocol: the control call is
-// session-tracked and retried through recovery, so a node crash mid-export
-// — the driver placing objects while the chaos harness kills the node — is
-// survived like any other failure. The retry reuses its sequence number:
-// an export applied just before the connection died dedupes on replay.
-//
-// The no-connection retry loop runs on the policy's ReconnectPolicy budget
-// (attempts and exponential backoff, waited out on the middleware's clock),
-// not a schedule of its own: the operator who bounded how hard recovery
-// re-dials a dead peer has bounded how hard placement does, too.
-func (fa *netFaults) exportNew(node exec.NodeID, name string, ctlArgs []any) (*rmi.Stub, exec.NodeID, error) {
-	pol := fa.policy.Reconnect.WithDefaults()
-	backoff := pol.BaseBackoff
-	var seq uint64
-	var seqEpoch int64
-	var lastErr error
-	dialFails := 0
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		p, err := fa.m.peer(node)
-		if err != nil {
-			// No established connection to recover: the node may be mid
-			// restart — back off on the policy's schedule, then retry the dial.
-			lastErr = err
-			if dialFails++; dialFails >= 3 && !fa.policy.NoFailover {
-				// The node has refused a session since before this object
-				// existed (dead at startup, or partitioned before we ever
-				// reached it) — there is no journal to recover, so retarget
-				// the creation to a member that does answer. A transiently
-				// rebinding node loses nothing: the object runs on the
-				// survivor either way.
-				if target, found := fa.pickTargetFor(node, nil); found {
-					fa.failovers.Add(1)
-					node = target
-					seq, seqEpoch = 0, 0
-					dialFails = 0
-					backoff = pol.BaseBackoff
-					continue
-				}
-			}
-			fa.m.clk.Sleep(backoff)
-			backoff *= 2
-			if backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
-			continue
-		}
-		dialFails = 0
-		ctl := fa.journalOf(node, 0)
-		// Seq reuse is a same-incarnation contract: against a fresh epoch
-		// there is nothing to dedupe (the first attempt's application died
-		// with the node), and the recovery's own reincarnation calls have
-		// already advanced the new session past our number — reusing it
-		// would dedupe into a no-op and leave the name unbound.
-		if ep := p.client.Epoch(); ep != seqEpoch {
-			seq, seqEpoch = 0, ep
-		}
-		seq, _, err = fa.ctlCall(p, ctl, seq, rmi.CtlExportNew, ctlArgs)
-		if err == nil {
-			stub, lerr := p.client.Lookup(name)
-			if lerr == nil {
-				return stub, node, nil
-			}
-			err = lerr
-		}
-		if isExecuted(err) || errors.Is(err, rmi.ErrStaleSession) {
-			return nil, node, err // the node answered and refused: not a transport fault
-		}
-		lastErr = err
-		if !fa.awaitRecovery(node) {
-			// The peer is gone for good. Creation-time placement failover:
-			// the object has not been built anywhere yet, so retarget the
-			// creation to a surviving node — the same move redirectJournal
-			// makes for established exports — unless the policy pins
-			// placement.
-			if fa.policy.NoFailover {
-				return nil, node, err
-			}
-			target, ok := fa.pickTargetNode(node)
-			if !ok {
-				return nil, node, err
-			}
-			fa.failovers.Add(1)
-			node = target
-			seq, seqEpoch = 0, 0 // fresh session on the target: nothing to dedupe
-		}
-	}
-	return nil, node, lastErr
-}
-
-// awaitRecovery kicks off (if needed) and waits out node's recovery,
-// reporting whether the peer came back healthy.
-func (fa *netFaults) awaitRecovery(node exec.NodeID) bool {
-	fa.mu.Lock()
-	pf := fa.peerLocked(node)
-	if pf.state == pfHealthy {
-		pf.state = pfRecovering
-		go fa.recover(pf, fa.gen)
-	}
-	for pf.state == pfRecovering {
-		fa.cond.Wait()
-	}
-	healthy := pf.state == pfHealthy
-	fa.mu.Unlock()
-	return healthy
-}
-
-// markDead flags one export as unrecoverable: submissions against it fail
-// immediately.
-func (fa *netFaults) markDead(exp *netExport) {
-	fa.mu.Lock()
-	exp.dead = true
-	fa.cond.Broadcast()
-	fa.mu.Unlock()
-}
-
-// failPeer is the end of the reconnect budget: fail the journal over to a
-// surviving node, or — NoFailover, or no survivor — drop the peer.
-func (fa *netFaults) failPeer(pf *peerFault, gen int64) {
-	if fa.stale(gen) {
-		fa.abandon(pf)
-		return
-	}
-	if !fa.policy.NoFailover {
-		// One failed candidate must not doom the journal while another
-		// survivor exists: a target can itself be dying — a partitioned node
-		// still accepts dials, so the reachability probe passes and only the
-		// reincarnation's session traffic exposes it — so walk the candidates
-		// until one takes the objects or none are left.
-		tried := make(map[exec.NodeID]bool)
-		for {
-			target, ok := fa.pickTargetFor(pf.node, tried)
-			if !ok {
-				break
-			}
-			if fa.reincarnate(pf, gen, target) && fa.redirectJournal(pf, gen, target) {
-				fa.droppedPeers.Add(1) // the peer itself stays lost
-				return
-			}
-			if fa.stale(gen) {
-				fa.abandon(pf)
-				return
-			}
-			tried[target] = true
-		}
-		// No survivor could take the lost objects: typed, Join-visible.
-		var terminal error
-		if exps := fa.exportsOn(pf.node); len(exps) > 0 {
-			terminal = &NoFailoverError{
-				Object: exps[0].name, Class: exps[0].class.Name(), Node: pf.node,
-				Err: errPeerLost,
-			}
-		}
-		fa.dropPeer(pf, gen, terminal)
-		return
-	}
-	fa.dropPeer(pf, gen, nil)
-}
-
-// drainNode proactively migrates a LIVE node's exports to a survivor — the
-// cordon→drain step of the elastic pool, reusing the crash machinery
-// (reincarnate + redirectJournal) without waiting for the node to die. The
-// ordering hazard a live drain adds over a crash is calls already on the
-// wire: their effects would land on the source after the history snapshot
-// and be lost on the target. So the drain first takes the peer's recovering
-// state (submissions keep journaling but stop transmitting), then quiesces —
-// waits for every wired call's outcome, which either settles into the
-// history or leaves its entry journaled for the redirect — and only then
-// copies state over. Failure reverts to the ordinary recovery loop so the
-// queued entries still drain.
-func (fa *netFaults) drainNode(node exec.NodeID) error {
-	fa.mu.Lock()
-	gen := fa.gen
-	pf := fa.peerLocked(node)
-	// A crash recovery may already own the peer; wait it out rather than
-	// racing it for the recovering state.
-	for pf.state == pfRecovering && gen == fa.gen && !fa.closed {
-		fa.cond.Wait()
-	}
-	if gen != fa.gen || fa.closed {
-		fa.mu.Unlock()
-		return errMWReset
-	}
-	if pf.state == pfDead {
-		fa.mu.Unlock()
-		return nil // already failed over or dropped: nothing left to move
-	}
-	pf.state = pfRecovering
-	for pf.wired > 0 && gen == fa.gen && !fa.closed {
-		fa.cond.Wait()
-	}
-	if gen != fa.gen || fa.closed {
-		fa.mu.Unlock()
-		fa.abandon(pf)
-		return errMWReset
-	}
-	fa.mu.Unlock()
-	target, ok := fa.pickTargetNode(node)
-	if !ok {
-		// Nowhere to move the exports: hand the peer back healthy via the
-		// recovery loop, which drains the entries queued while we held the
-		// recovering state.
-		go fa.recover(pf, gen)
-		return fmt.Errorf("par: netrmi drain of node %d: no eligible target", node)
-	}
-	if fa.reincarnate(pf, gen, target) && fa.redirectJournal(pf, gen, target) {
-		fa.drains.Add(1)
-		return nil
-	}
-	if fa.stale(gen) {
-		fa.abandon(pf)
-		return errMWReset
-	}
-	go fa.recover(pf, gen)
-	return fmt.Errorf("par: netrmi drain of node %d to node %d failed", node, target)
-}
-
-// lateFailover re-homes one live export stranded on a dead peer. The strand
-// is a creation/death race: the object's placement succeeded, but its export
-// record went live only after the peer's failover (or drain) sweep had
-// snapshotted exportsOn — so the sweep moved everything it could see, marked
-// the peer dead, and left this object behind. Submissions detect the strand
-// (live export, dead peer) and finish the move here: re-create on a survivor,
-// replay history, remap — exactly reexport. Returns true when the export has
-// a new home (submit re-resolves and transmits there); false means the call
-// must be orphaned.
-func (fa *netFaults) lateFailover(exp *netExport, node exec.NodeID) bool {
-	if fa.policy.NoFailover {
-		return false
-	}
-	fa.mu.Lock()
-	for exp.moving && !fa.closed {
-		fa.cond.Wait() // another mover is re-homing it: ride its result
-	}
-	gen := fa.gen
-	if fa.closed || exp.dead {
-		fa.mu.Unlock()
-		return false
-	}
-	if exp.node != node {
-		fa.mu.Unlock()
-		return true // already re-homed (by the waited-out mover, or a sweep)
-	}
-	fa.mu.Unlock()
-	ok := false
-	tried := make(map[exec.NodeID]bool)
-	for !ok {
-		target, found := fa.pickTargetFor(node, tried)
-		if !found {
-			break
-		}
-		if tp, err := fa.m.peer(target); err == nil {
-			// reexport true covers the refusal path too (export marked dead):
-			// the submit loop re-resolves and orphans against exp.dead.
-			ok = fa.reexport(exp, tp, target, gen)
-		}
-		tried[target] = true
-	}
-	return ok
-}
-
-// pickTargetFor picks a failover target other than node, skipping candidates
-// in tried (nil: none). Uncordoned nodes are preferred, but when every
-// survivor is cordoned a live cordoned node is accepted as a last resort: a
-// cordon may be a health flap the pool lifts moments later, and moving the
-// objects twice (the cordoned target's own drain re-migrates them) is
-// strictly better than dropping them.
-func (fa *netFaults) pickTargetFor(node exec.NodeID, tried map[exec.NodeID]bool) (exec.NodeID, bool) {
-	if n, ok := fa.pickNode(node, false, tried); ok {
-		return n, true
-	}
-	return fa.pickNode(node, true, tried)
-}
-
-// pickTargetNode selects the lowest live, reachable, uncordoned node other
-// than dead — a cordoned node is being drained or evicted, so failing over
-// onto it would just move the objects twice. The drain path uses exactly
-// this (a drain with no clean target aborts harmlessly and retries later);
-// the crash path falls back through pickTargetFor with cordoned nodes
-// allowed.
-func (fa *netFaults) pickTargetNode(dead exec.NodeID) (exec.NodeID, bool) {
-	return fa.pickNode(dead, false, nil)
-}
-
-func (fa *netFaults) pickNode(dead exec.NodeID, allowCordoned bool, tried map[exec.NodeID]bool) (exec.NodeID, bool) {
-	ids := fa.m.nodeIDs()
-	for _, n := range ids {
-		if n == dead || tried[n] || (!allowCordoned && fa.m.Cordoned(n)) {
-			continue
-		}
-		fa.mu.Lock()
-		dead := fa.peerLocked(n).state == pfDead
-		fa.mu.Unlock()
-		if dead {
-			continue
-		}
-		if _, err := fa.m.peer(n); err != nil {
-			continue
-		}
-		return n, true
-	}
-	return 0, false
-}
-
-// redirectJournal replays the lost peer's journals against the failover
-// target (the objects were just rebuilt there) — streams ascending, each in
-// submission order, every call keeping its stream on the target; windowed
-// entries requeue instead when the policy says so. On success the peer is
-// left dead with empty journals — no survivor work remains.
-func (fa *netFaults) redirectJournal(pf *peerFault, gen int64, target exec.NodeID) bool {
-	for {
-		fa.mu.Lock()
-		if gen != fa.gen || fa.closed {
-			fa.mu.Unlock()
-			return false
-		}
-		var sj *streamJournal
-		found := false
-		var stream uint32
-		for id, j := range pf.journals {
-			if len(j.order) > 0 && (!found || id < stream) {
-				sj, stream, found = j, id, true
-			}
-		}
-		if !found {
-			pf.state = pfDead
-			fa.cond.Broadcast()
-			fa.mu.Unlock()
-			return true
-		}
-		seq := sj.order[0]
-		call := sj.inflight[seq]
-		fa.mu.Unlock()
-		if fa.policy.RequeueOrphans && call.windowed && call.deliver != nil {
-			fa.mu.Lock()
-			live := sj.inflight[seq] == call
-			if live {
-				dropLocked(sj, seq)
-			}
-			fa.cond.Broadcast()
-			fa.mu.Unlock()
-			if live {
-				fa.deliverOrphan(call, pf.node, errPeerLost)
-			}
-			continue
-		}
-		res, svc, err := fa.replayOnce(call, 0, fa.journalOf(target, call.stream))
-		if err != nil && !isExecuted(err) && !errors.Is(err, rmi.ErrStaleSession) {
-			return false // the target is dying too; give up on this path
-		}
-		fa.replays.Add(1)
-		fa.settle(pf, call, res, svc, err)
-	}
-}
-
-// dropPeer gives up on a peer: its journal is failed (retryable for
-// windowed packs under RequeueOrphans — the scheduler re-absorbs them), its
-// exports are dead, and the terminal error, if any, waits for Join.
-func (fa *netFaults) dropPeer(pf *peerFault, gen int64, terminal error) {
-	fa.mu.Lock()
-	if gen != fa.gen || fa.closed {
-		fa.mu.Unlock()
-		fa.abandon(pf)
-		return
-	}
-	pf.state = pfDead
-	calls := fa.drainLocked(pf)
-	for _, exp := range fa.exports {
-		if exp.node == pf.node {
-			exp.dead = true
-		}
-	}
-	if terminal != nil {
-		fa.errs = append(fa.errs, terminal)
-	}
-	fa.droppedPeers.Add(1)
-	fa.cond.Broadcast()
-	fa.mu.Unlock()
-	cause := terminal
-	if cause == nil {
-		cause = errPeerLost
-	}
-	for _, call := range calls {
-		fa.deliverOrphan(call, pf.node, cause)
-	}
-}
-
-// drainLocked empties every stream journal on pf, returning the calls —
-// streams ascending, submission order within each — so failure delivery is
-// deterministic. fa.mu held.
-func (fa *netFaults) drainLocked(pf *peerFault) []*netCall {
-	streams := make([]uint32, 0, len(pf.journals))
-	for id := range pf.journals {
-		streams = append(streams, id)
-	}
-	sort.Slice(streams, func(i, j int) bool { return streams[i] < streams[j] })
-	var calls []*netCall
-	for _, id := range streams {
-		sj := pf.journals[id]
-		for _, seq := range sj.order {
-			if c := sj.inflight[seq]; c != nil {
-				calls = append(calls, c)
-			}
-		}
-		sj.inflight = make(map[uint64]*netCall)
-		sj.order = nil
-	}
-	return calls
-}
-
-// abandon drains a peer whose generation ended (Reset/Close raced the
-// recovery): entries are failed with the reset marker and nothing is
-// replayed — resurrecting pre-reset exports is exactly the bug the guard
-// exists for.
-func (fa *netFaults) abandon(pf *peerFault) {
-	fa.abandoned.Add(1)
-	fa.mu.Lock()
-	pf.state = pfDead
-	calls := fa.drainLocked(pf)
-	fa.cond.Broadcast()
-	fa.mu.Unlock()
-	for _, call := range calls {
-		if call.deliver != nil {
-			call.deliver(nil, 0, &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: errMWReset})
-		}
-	}
+	return seq, <-ch
 }
 
 // --- Lifecycle ---------------------------------------------------------------
@@ -1452,7 +793,7 @@ func (fa *netFaults) busyLocked() bool {
 			return true
 		}
 		for _, sj := range pf.journals {
-			if len(sj.inflight) > 0 {
+			if len(sj.calls) > 0 {
 				return true
 			}
 		}

@@ -98,15 +98,15 @@ func startFaultRigClock(t *testing.T, count int, policy FaultPolicy, clk clock.C
 		r.nodes = append(r.nodes, node)
 		r.addrs = append(r.addrs, addr)
 	}
-	r.mw = NewNetRMI(NetAddressTable(r.addrs...))
-	if clk != nil {
-		r.mw.SetClock(clk) // before SetFaultPolicy: the nonce mints on this clock
-	}
 	policy.Enabled = true
 	if policy.Reconnect.MaxAttempts == 0 {
 		policy.Reconnect = rmi.ReconnectPolicy{MaxAttempts: 10, BaseBackoff: 2 * time.Millisecond}
 	}
-	r.mw.SetFaultPolicy(policy)
+	mw, err := DialNet(NetAddressTable(r.addrs...), WithNetClock(clk), WithFaultPolicy(policy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.mw = mw
 	r.class = defineAcc(NewDomain(), nil, nil)
 	t.Cleanup(func() {
 		r.mw.Close()

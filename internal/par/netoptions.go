@@ -8,19 +8,16 @@ import (
 	"aspectpar/internal/rmi"
 )
 
-// Functional construction options for the real-TCP middleware. DialNet
-// replaces the order-sensitive setter dance (NewNetRMI, then SetClock before
-// SetFaultPolicy before the first dial) with a single constructor: every
-// knob is fixed before any connection exists, so the ordering invariant the
-// setters documented simply cannot be violated. The setters survive as
-// deprecated shims for existing callers.
+// Functional construction options for the real-TCP middleware. DialNet is
+// its one constructor: every knob is fixed before any connection exists, so
+// no call can observe a half-configured middleware.
 
 // NetOption configures a NetRMI at DialNet.
 type NetOption func(*netOptions)
 
 type netOptions struct {
 	clk     clock.Clock
-	faults  *FaultPolicy
+	faults  FaultPolicy
 	codec   rmi.Codec
 	streams int
 }
@@ -32,11 +29,12 @@ func WithNetClock(clk clock.Clock) NetOption {
 	return func(o *netOptions) { o.clk = clk }
 }
 
-// WithFaultPolicy switches on the fault-tolerance subsystem: journaled
-// calls, reconnect/replay with session-epoch handshakes, placement failover
-// (see FaultPolicy). A policy with Enabled == false is a no-op.
+// WithFaultPolicy sets what the call journal does when the transport fails:
+// reconnect/replay with session-epoch handshakes, state reconstruction,
+// placement failover (see FaultPolicy). Without it — or with a policy whose
+// Enabled is false — the middleware fails fast.
 func WithFaultPolicy(p FaultPolicy) NetOption {
-	return func(o *netOptions) { o.faults = &p }
+	return func(o *netOptions) { o.faults = p }
 }
 
 // WithCodec selects the frame codec offered to every node at handshake.
@@ -58,9 +56,10 @@ func WithStreams(n int) NetOption {
 }
 
 // DialNet builds the real-TCP middleware over a node address table
-// (addrs[n] is the rmi.Node daemon playing cluster node n) and eagerly
-// dials every configured node, so a bad address or unreachable daemon
-// surfaces here rather than at the first placement.
+// (addrs[n] is the rmi.Node daemon playing cluster node n; placement
+// policies select among exactly these node IDs) and eagerly dials every
+// configured node, so a bad address or unreachable daemon surfaces here
+// rather than at the first placement.
 //
 // With a fault policy enabled, individual dial failures are NOT errors: a
 // node that is down at construction is exactly what the recovery machinery
@@ -73,24 +72,23 @@ func DialNet(addrs map[exec.NodeID]string, opts ...NetOption) (*NetRMI, error) {
 			opt(&o)
 		}
 	}
-	m := NewNetRMI(addrs)
-	m.clk = clock.Or(o.clk)
-	if o.codec != nil {
-		m.codec = o.codec
+	m := &NetRMI{
+		mwCore:   newMWCore(),
+		addrs:    make(map[exec.NodeID]string, len(addrs)),
+		peers:    make(map[exec.NodeID]*netPeer),
+		cordoned: make(map[exec.NodeID]bool),
+		clk:      clock.Or(o.clk),
+		codec:    o.codec,
+		streams:  o.streams,
 	}
-	if o.streams > 1 {
-		m.streams = o.streams
+	for n, a := range addrs {
+		m.addrs[n] = a
 	}
-	if o.faults != nil && o.faults.Enabled {
-		m.faults = newNetFaults(m, *o.faults)
-	}
+	m.faults = newNetFaults(m, o.faults)
 	var errs []error
 	for _, node := range m.nodeIDs() {
-		if _, err := m.peer(node); err != nil {
-			if m.faults != nil {
-				continue // recovery's problem: it re-dials on first use
-			}
-			errs = append(errs, err)
+		if _, err := m.peer(node); err != nil && !o.faults.Enabled {
+			errs = append(errs, err) // otherwise recovery's problem: it re-dials on first use
 		}
 	}
 	if len(errs) > 0 {

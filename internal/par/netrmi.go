@@ -17,7 +17,7 @@ import (
 // remote call's cost, NetRMI performs it — each placement node is an
 // rmi.Node worker daemon (its own process, or an in-process loopback
 // listener in tests) hosting its own woven domain, and calls cross the wire
-// gob-encoded.
+// in the codec negotiated with it.
 //
 // The seam is symmetric with the simulated middlewares: the Distribution
 // module, the Placement policies and the windowed farm dispatchers run
@@ -32,9 +32,14 @@ import (
 //   - Completions carry no reply-tail cost model (the wire time is real), so
 //     Completion.Reclaim is free.
 //
-// Void invocations use the one-way windowed path (rmi.Stub.Send under the
-// client's ack-clocked flow-control window); their remote failures are
-// gathered by Join, which the Distribution module exposes to Stack.Join.
+// Void invocations use the one-way windowed path (rmi.Stub.SendSeq under
+// the client's ack-clocked flow-control window); their failures are gathered
+// by Join, which the Distribution module exposes to Stack.Join.
+//
+// Every call — sync, windowed, void, export — takes one path, through the
+// call journal (netfault.go); the FaultPolicy given at DialNet only decides
+// what that path does when the transport fails: nothing (the zero policy:
+// fail fast), or reconnect, replay and fail over.
 //
 // NetRMI drives real network I/O and blocks host goroutines, so it must run
 // under the real exec backend (exec.Real) — never inside the virtual-time
@@ -45,7 +50,6 @@ type NetRMI struct {
 	mu       sync.Mutex
 	addrs    map[exec.NodeID]string
 	peers    map[exec.NodeID]*netPeer
-	stubs    map[any]*rmi.Stub
 	cordoned map[exec.NodeID]bool
 	closed   bool
 
@@ -54,20 +58,21 @@ type NetRMI struct {
 	// names bit-identical to pre-pool behaviour.
 	prefix string
 
-	// faults is the optional fault-tolerance subsystem (netfault.go): nil —
-	// the zero FaultPolicy — keeps every dispatch path bit-identical to the
-	// fail-fast behaviour.
+	// faults is the call journal every call goes through (netfault.go): it
+	// knows where each exported object lives and which calls are unsettled,
+	// and its FaultPolicy decides what a transport failure does to them —
+	// fail them fast (the zero policy) or recover.
 	faults *netFaults
 
 	// clk is the middleware's time source: RTT stamps, reconnect backoffs
-	// and export-retry graces ride it. clock.Real() by default (see
-	// SetClock); fixed before the first dial, so dispatch paths read it
-	// without locking.
+	// and export-retry graces ride it. clock.Real() unless WithNetClock says
+	// otherwise; fixed at DialNet, so dispatch paths read it without locking.
 	clk clock.Clock
 
 	// codec is the frame codec offered to every node at handshake (nil
-	// keeps rmi.Dial's default, binary); streams is the per-peer multiplexing width (≤1 keeps the
-	// single FIFO lane). Both are fixed at DialNet, before any connection.
+	// keeps rmi.Dial's default, binary); streams is the per-peer
+	// multiplexing width (≤1 keeps the single FIFO lane). Both are fixed at
+	// DialNet, before any connection.
 	codec   rmi.Codec
 	streams int
 
@@ -98,43 +103,6 @@ type NetRef struct {
 // String renders the reference for diagnostics.
 func (r *NetRef) String() string { return fmt.Sprintf("netref(%s@node%d)", r.Name, r.Node) }
 
-// NewNetRMI returns a middleware over the given node address table:
-// addrs[n] is the TCP address of the rmi.Node daemon playing cluster node n.
-// Placement policies select among exactly these node IDs. Connections are
-// dialled lazily, on first placement or call per node.
-func NewNetRMI(addrs map[exec.NodeID]string) *NetRMI {
-	table := make(map[exec.NodeID]string, len(addrs))
-	for n, a := range addrs {
-		table[n] = a
-	}
-	return &NetRMI{
-		mwCore:   newMWCore(),
-		addrs:    table,
-		peers:    make(map[exec.NodeID]*netPeer),
-		stubs:    make(map[any]*rmi.Stub),
-		cordoned: make(map[exec.NodeID]bool),
-		clk:      clock.Real(),
-	}
-}
-
-// SetClock installs the middleware's time source (nil selects the wall
-// clock): every reconnect backoff, export-retry grace and RTT stamp flows
-// through it, which is what lets the chaos harness run failure schedules on
-// virtual time. Like SetFaultPolicy, it must be called before the first
-// placement or call; installing a clock under sessions established on
-// another one panics.
-//
-// Deprecated: pass WithNetClock to DialNet instead — the constructor fixes
-// every knob before the first dial, so the ordering rule disappears.
-func (m *NetRMI) SetClock(clk clock.Clock) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.peers) > 0 {
-		panic("par: SetClock after peers were dialled")
-	}
-	m.clk = clock.Or(clk)
-}
-
 // NetAddressTable builds a node address table from an ordered address list:
 // entry i serves exec.NodeID(i).
 func NetAddressTable(addrs ...string) map[exec.NodeID]string {
@@ -156,7 +124,7 @@ func (m *NetRMI) Nodes() int {
 
 // AddNode extends the address table with a freshly joined daemon and
 // returns its node ID (the lowest unused one). The connection is dialled
-// lazily, like every configured node's. Adding an address that is already
+// lazily, on the first placement or call. Adding an address that is already
 // in the table returns its existing ID.
 func (m *NetRMI) AddNode(addr string) exec.NodeID {
 	m.mu.Lock()
@@ -223,14 +191,9 @@ func (m *NetRMI) SetNamespace(prefix string) {
 // Drain proactively migrates node's exports and queued calls onto a
 // surviving, non-cordoned node using the reincarnation/failover machinery,
 // while the source node is still alive — the second half of cordon →
-// drain → evict. It requires a fault policy (the machinery it reuses).
-func (m *NetRMI) Drain(node exec.NodeID) error {
-	fa := m.faults
-	if fa == nil {
-		return fmt.Errorf("par: netrmi drain of node %d needs a fault policy", node)
-	}
-	return fa.drainNode(node)
-}
+// drain → evict. It requires an enabled fault policy: the objects are rebuilt
+// from the history only such a policy keeps.
+func (m *NetRMI) Drain(node exec.NodeID) error { return m.faults.drainNode(node) }
 
 // nodeIDs returns the configured node IDs in ascending order — the failover
 // target scan order.
@@ -245,33 +208,9 @@ func (m *NetRMI) nodeIDs() []exec.NodeID {
 	return ids
 }
 
-// SetFaultPolicy switches on the fault-tolerance subsystem (see FaultPolicy
-// and netfault.go): journaled calls, reconnect/replay with session-epoch
-// handshakes, and placement failover. It must be called before the first
-// placement or call; enabling it on a middleware that has already dialled
-// peers panics, because those sessions were established untracked.
-//
-// Deprecated: pass WithFaultPolicy to DialNet instead.
-func (m *NetRMI) SetFaultPolicy(p FaultPolicy) {
-	if !p.Enabled {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.peers) > 0 {
-		panic("par: SetFaultPolicy after peers were dialled")
-	}
-	m.faults = newNetFaults(m, p)
-}
-
-// FaultStats reports what the fault-tolerance subsystem did (zero unless a
-// FaultPolicy was enabled).
-func (m *NetRMI) FaultStats() FaultStats {
-	if m.faults == nil {
-		return FaultStats{}
-	}
-	return m.faults.stats()
-}
+// FaultStats reports what recovery did (all zero under the fail-fast policy,
+// which recovers nothing).
+func (m *NetRMI) FaultStats() FaultStats { return m.faults.stats() }
 
 // MiddlewareName implements Middleware.
 func (m *NetRMI) MiddlewareName() string { return "netrmi" }
@@ -297,24 +236,25 @@ func (m *NetRMI) peer(node exec.NodeID) (*netPeer, error) {
 	}
 	// Every dial knob is carried in options, so the connection is fully
 	// configured before its first frame: the middleware clock (reconnect
-	// backoffs ride it), the negotiated codec, and in fault mode the
-	// session identity (the server's dedupe key, surviving reconnects)
-	// plus the policy's reconnect schedule.
+	// backoffs ride it), the negotiated codec, and under a policy that
+	// replays the session identity (the server's dedupe key, surviving
+	// reconnects) plus the policy's reconnect schedule. Fail-fast never
+	// replays, so it sends no tag and the node tracks nothing for it.
 	dialOpts := []rmi.Option{rmi.WithClock(m.clk)}
 	if m.codec != nil {
 		dialOpts = append(dialOpts, rmi.WithCodec(m.codec))
 	}
-	fa := m.faults
-	if fa != nil {
+	tracked := m.faults.policy.Enabled
+	if tracked {
 		dialOpts = append(dialOpts,
-			rmi.WithSession(fa.sessionID(node)),
-			rmi.WithReconnect(fa.policy.Reconnect))
+			rmi.WithSession(m.faults.sessionID(node)),
+			rmi.WithReconnect(m.faults.policy.Reconnect))
 	}
 	client, err := rmi.Dial(addr, dialOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("par: netrmi node %d: %w", node, err)
 	}
-	if fa != nil && client.Epoch() == 0 {
+	if tracked && client.Epoch() == 0 {
 		// The epoch handshake pins this session to the node incarnation.
 		// Dial's codec negotiation is that same Hello and has recorded the
 		// epoch already; only a client pinned to gob arrives here without one.
@@ -365,17 +305,6 @@ func (m *NetRMI) assignStream(node exec.NodeID) uint32 {
 	return (p.nextStream-1)%uint32(m.streams) + 1
 }
 
-// stubOf resolves the remote stub behind an exported reference.
-func (m *NetRMI) stubOf(method string, obj any) (*rmi.Stub, error) {
-	m.mu.Lock()
-	stub, ok := m.stubs[obj]
-	m.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("par: netrmi invoke on unexported object (%s)", method)
-	}
-	return stub, nil
-}
-
 // clientOf returns node's established client, or nil — the recovery loop's
 // reconnect handle.
 func (m *NetRMI) clientOf(node exec.NodeID) *rmi.Client {
@@ -387,26 +316,15 @@ func (m *NetRMI) clientOf(node exec.NodeID) *rmi.Client {
 	return nil
 }
 
-// remap points an exported reference at a fresh incarnation: the stub (a
-// new node, or the same node re-looked-up) and the registry placement, so
-// Distribution.NodeOf — and the scheduler's placement-aware stealing it
-// feeds — tracks the failover.
-func (m *NetRMI) remap(ref *NetRef, stub *rmi.Stub, node exec.NodeID) {
-	m.mu.Lock()
-	m.stubs[ref] = stub
-	m.mu.Unlock()
-	m.reg.setNode(ref, node)
-	// A re-homed reference may be a pipeline stage: the installed topology
-	// now points a predecessor at a stale placement, so schedule a re-push.
-	m.topoMarkDirty()
-}
-
 // ExportNew implements Middleware: it runs the creation protocol against the
 // node's daemon — ship class name, object name and constructor arguments;
 // the node's own domain executes the woven constructor — and returns a
 // *NetRef remote reference. The build closure is not used: the constructor
 // body must run in the remote process, which is exactly what separates this
-// backend from the in-process twins.
+// backend from the in-process twins. Under an enabled fault policy the
+// protocol is retried through recovery — surviving a node crash
+// mid-placement — and may land on a failover node when the requested one is
+// gone for good.
 func (m *NetRMI) ExportNew(ctx exec.Context, name string, node exec.NodeID, class *Class,
 	args []any, build func(rctx exec.Context) (any, error)) (any, error) {
 	for _, sample := range class.WireSamples() {
@@ -416,125 +334,84 @@ func (m *NetRMI) ExportNew(ctx exec.Context, name string, node exec.NodeID, clas
 	name = m.prefix + name
 	m.mu.Unlock()
 	ctlArgs := append([]any{class.Name(), name}, args...)
-	var stub *rmi.Stub
-	if fa := m.faults; fa != nil {
-		// Fault mode: the creation protocol is session-tracked and retried
-		// through recovery — surviving a node crash mid-placement — and may
-		// land on a failover node when the requested one is gone for good.
-		var err error
-		stub, node, err = fa.exportNew(node, name, ctlArgs)
-		if err != nil {
-			return nil, fmt.Errorf("par: netrmi export %s at node %d: %w", name, node, err)
-		}
-	} else {
-		p, err := m.peer(node)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.ctl.Invoke(rmi.CtlExportNew, ctlArgs...); err != nil {
-			return nil, fmt.Errorf("par: netrmi export %s at node %d: %w", name, node, err)
-		}
-		stub, err = p.client.Lookup(name)
-		if err != nil {
-			return nil, fmt.Errorf("par: netrmi export %s at node %d: %w", name, node, err)
-		}
-	}
-	// Bind the object to its dispatch stream: with multiplexing on, objects
-	// placed at the same node spread round-robin over streams 1..n, so a slow
-	// call on one no longer head-of-line-blocks the others, while each
-	// object's own calls keep their FIFO order on its stream.
-	stream := m.assignStream(node)
-	if stream != 0 {
-		stub = stub.OnStream(stream)
+	stub, node, err := m.faults.exportNew(node, name, ctlArgs)
+	if err != nil {
+		return nil, fmt.Errorf("par: netrmi export %s at node %d: %w", name, node, err)
 	}
 	m.stats.count(2, int64(m.sizer.Size(ctlArgs)+replyFloor))
 	ref := &NetRef{Name: name, Node: node}
 	if err := m.reg.add(ref, &exportEntry{name: name, node: node, class: class}); err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	m.stubs[ref] = stub
-	m.mu.Unlock()
-	if fa := m.faults; fa != nil {
-		// Record the re-creation recipe: constructor arguments now, applied
-		// calls as they settle — what reincarnation and failover replay.
-		fa.trackExport(ref, class, args, stream)
-	}
+	// Bind the object to its dispatch stream: with multiplexing on, objects
+	// placed at the same node spread round-robin over streams 1..n, so a slow
+	// call on one no longer head-of-line-blocks the others, while each
+	// object's own calls keep their FIFO order on its stream. The journal
+	// records the stub with the re-creation recipe: constructor arguments
+	// now, applied calls as they settle — what reincarnation and failover
+	// replay.
+	stream := m.assignStream(node)
+	m.faults.trackExport(ref, class, args, stub.OnStream(stream), stream)
 	return ref, nil
 }
 
-// Invoke implements Middleware. Void calls take the one-way windowed path:
-// Send returns once the request is written (bounded by the client's
-// flow-control window) and remote failures surface collectively in Join —
-// the semantics the MPP twin gives its one-way methods. Value-returning
-// calls are synchronous round trips. With a fault policy enabled, every
-// call is journaled and a transport failure blocks the synchronous caller
-// through recovery instead of failing it.
+// Invoke implements Middleware. The call is journaled; a value-returning
+// call blocks on its final outcome — through recovery, if the policy has any
+// and the transport fails under it. Void calls take the one-way windowed
+// path: Invoke returns once the request is written (bounded by the client's
+// flow-control window) and their failures, remote and transport alike,
+// surface collectively in Join — the semantics the MPP twin gives its one-way
+// methods.
 func (m *NetRMI) Invoke(ctx exec.Context, obj any, method string, args []any, void bool) ([]any, error) {
-	if fa := m.faults; fa != nil {
-		return fa.invokeSync(obj, method, args, void)
+	ref, ok := obj.(*NetRef)
+	if !ok {
+		return nil, errUnexported(method)
 	}
-	stub, err := m.stubOf(method, obj)
-	if err != nil {
-		return nil, err
-	}
-	reqSize := m.sizer.Size(args)
+	call := &netCall{ref: ref, method: method, args: args, void: void}
 	if void {
-		if err := stub.Send(method, args...); err != nil {
-			return nil, err // nothing crossed the wire: no traffic to count
-		}
-		m.stats.count(2, int64(reqSize+replyFloor))
+		m.faults.submit(call)
 		return nil, nil
 	}
-	res, err := stub.Invoke(method, args...)
-	m.stats.count(2, int64(reqSize+m.replySize(false, res)))
-	return res, err
+	deliver, ch := sink()
+	call.deliver = deliver
+	m.faults.submit(call)
+	o := <-ch
+	return o.res, o.err
 }
 
-// InvokeAsync implements AsyncInvoker: the call is pipelined onto the node's
-// connection and the completion is delivered when the in-order response
-// arrives. Void calls use the one-way path and complete at send, exactly
-// like the MPP twin's one-way methods (the ack-clocked send window is the
-// throttle; failures surface in Join). Non-void calls deliver through the
-// transport's callback path (rmi.Stub.InvokeCB): the completion is built on
-// the connection's reader goroutine and handed to the worker's buffered
-// done channel — no future and no per-call goroutine, which used to
-// dominate the windowed hot path's allocations.
+// InvokeAsync implements AsyncInvoker: the call is journaled and pipelined
+// onto the node's connection, and the completion is delivered when it finally
+// executed — when the in-order response arrives or, under a recovering
+// policy, possibly after a replay on another incarnation. Void calls use the
+// one-way path and complete at send, exactly like the MPP twin's one-way
+// methods (the ack-clocked send window is the throttle; failures surface in
+// Join). Non-void calls deliver through the transport's callback path: the
+// completion is built on the connection's reader goroutine and handed to the
+// worker's buffered done channel — no future and no per-call goroutine, which
+// used to dominate the windowed hot path's allocations.
 //
 // Completions are stamped with the tuning signals the PR-4 controllers
 // consume: the node-side service time travels back in the response, and the
 // client-side round trip is measured here — so window-depth and pack-size
 // autotuning engage over real TCP instead of holding their fixed knobs.
 func (m *NetRMI) InvokeAsync(ctx exec.Context, obj any, method string, args []any, void bool, done exec.Chan) {
-	if fa := m.faults; fa != nil {
-		fa.invokeAsync(ctx, obj, method, args, void, done)
+	ref, ok := obj.(*NetRef)
+	if !ok {
+		done.Send(ctx, &Completion{Err: errUnexported(method)})
 		return
 	}
-	stub, err := m.stubOf(method, obj)
-	if err != nil {
-		done.Send(ctx, &Completion{Err: err})
-		return
-	}
-	reqSize := m.sizer.Size(args)
+	call := &netCall{ref: ref, method: method, args: args, void: void, windowed: true}
 	if void {
-		err := stub.Send(method, args...)
-		if err == nil {
-			m.stats.count(2, int64(reqSize+replyFloor))
-		}
-		done.Send(ctx, &Completion{Err: err})
+		m.faults.submit(call)
+		done.Send(ctx, &Completion{})
 		return
 	}
-	m.stats.count(1, int64(reqSize))
 	elems := payloadElems(args)
 	issued := m.clk.Now()
-	stub.InvokeCB(method, func(res []any, service time.Duration, err error) {
-		// This callback runs on the connection's single reader goroutine —
-		// every later pending response waits behind it — so the reply bytes
-		// are approximated (payload elements × width + floor) instead of
-		// gob re-encoding the results just for the traffic counter.
-		m.stats.count(1, int64(approxReplySize(res)))
+	call.deliver = func(res []any, service time.Duration, err error) {
 		done.Send(ctx, stampCompletion(m.clk, res, err, issued, service, elems))
-	}, args...)
+	}
+	m.faults.submit(call)
 }
 
 // parkStream is the dispatch stream InvokeParked rides on every peer
@@ -551,10 +428,10 @@ const parkStream = ^uint32(0)
 // follows the object through reincarnation, failover and drain.
 //
 // It is never journaled or replayed, whatever the fault policy: a transport
-// failure — including the fault layer reconnecting underneath it — simply
-// returns the error. The method must therefore be safe to repeat.
+// failure — including a recovery reconnecting underneath it — simply returns
+// the error. The method must therefore be safe to repeat.
 func (m *NetRMI) InvokeParked(obj any, method string, args ...any) ([]any, error) {
-	stub, err := m.stubOf(method, obj)
+	stub, err := m.faults.stubOf(method, obj)
 	if err != nil {
 		return nil, err
 	}
@@ -603,15 +480,14 @@ func (m *NetRMI) LocalityCosted() bool { return true }
 // Reset asks every configured node to unbind its placed objects (connecting
 // as needed), so a long-running daemon can serve successive runs with fresh
 // "PS<n>" names. Drivers targeting shared daemons call it before placing.
-// With a fault policy enabled, Reset first invalidates the journal
-// generation — an in-flight recovery abandons instead of resurrecting
-// pre-reset exports — and afterwards re-handshakes each session, since the
-// node's reset rotates its epoch (the server-side half of the same guard).
+// Reset first invalidates the journal generation — the export records are
+// forgotten, and an in-flight recovery abandons instead of resurrecting
+// pre-reset exports — and afterwards a session-tracking policy re-handshakes
+// each session, since the node's reset rotates its epoch (the server-side
+// half of the same guard).
 func (m *NetRMI) Reset() error {
-	fa := m.faults
-	if fa != nil {
-		fa.invalidate(&FaultError{Err: errMWReset})
-	}
+	pol := m.faults.policy
+	m.faults.invalidate(&FaultError{Err: errMWReset})
 	m.mu.Lock()
 	prefix := m.prefix
 	// The nodes drop this namespace's hop tables with its bindings, so the
@@ -629,23 +505,19 @@ func (m *NetRMI) Reset() error {
 	ok := 0
 	for _, node := range m.nodeIDs() {
 		p, err := m.peer(node)
+		if err == nil {
+			_, err = p.ctl.Invoke(rmi.CtlReset, resetArgs...)
+		}
+		if err == nil && pol.Enabled {
+			_, err = p.client.Handshake()
+		}
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		if _, err := p.ctl.Invoke(rmi.CtlReset, resetArgs...); err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		if fa != nil {
-			if _, err := p.client.Handshake(); err != nil {
-				errs = append(errs, err)
-				continue
-			}
-		}
 		ok++
 	}
-	if fa != nil && !fa.policy.NoFailover && ok > 0 {
+	if !pol.NoFailover && ok > 0 {
 		// Degraded start: a member that is dead or partitioned before the
 		// first request must not abort the run when the policy allows
 		// failover — placements that would have landed on it move to a
@@ -657,54 +529,22 @@ func (m *NetRMI) Reset() error {
 	return errors.Join(errs...)
 }
 
-// Join implements Joiner: it drains every connection's one-way window and
-// returns the gathered remote failures, so Stack.Join observes the void
-// traffic this middleware still has in flight. With a fault policy enabled
-// it instead waits for the journal to settle — every tracked call
-// acknowledged, replayed, failed over or requeued; recoveries finished —
-// and returns the terminal fault errors (a NoFailoverError when an object
-// could not be re-homed anywhere).
+// Join implements Joiner: it waits for the journal to settle — every call
+// acknowledged, replayed, failed over, requeued or failed; recoveries
+// finished — which drains every connection's one-way window, and returns the
+// gathered failures of the void traffic: remote errors, the calls lost with a
+// dropped peer, a NoFailoverError when an object could not be re-homed
+// anywhere. Stack.Join thereby observes the void traffic this middleware
+// still has in flight.
 func (m *NetRMI) Join(ctx exec.Context) error {
-	var errs []error
-	if fa := m.faults; fa != nil {
-		errs = append(errs, fa.join())
-	} else {
-		m.mu.Lock()
-		peers := make([]*netPeer, 0, len(m.peers))
-		for _, p := range m.peers {
-			peers = append(peers, p)
-		}
-		m.mu.Unlock()
-		for _, p := range peers {
-			if err := p.client.Flush(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
 	// With a pipeline topology installed the driver's drained windows are
 	// only the first hop: run the distributed quiescence protocol over the
 	// node-side forward lanes (see topology.go).
-	errs = append(errs, m.topoJoin(ctx))
-	return errors.Join(errs...)
+	return errors.Join(m.faults.join(), m.topoJoin(ctx))
 }
 
 // Quiet implements Joiner.
-func (m *NetRMI) Quiet() bool {
-	if !m.topoQuiet() {
-		return false
-	}
-	if fa := m.faults; fa != nil {
-		return fa.quiet()
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, p := range m.peers {
-		if p.client.InFlightSends() > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (m *NetRMI) Quiet() bool { return m.topoQuiet() && m.faults.quiet() }
 
 // Close closes every node connection. Calls in flight resolve with
 // rmi.ErrClosed.
@@ -720,9 +560,7 @@ func (m *NetRMI) Close() error {
 		peers = append(peers, p)
 	}
 	m.mu.Unlock()
-	if fa := m.faults; fa != nil {
-		fa.invalidate(rmi.ErrClosed)
-	}
+	m.faults.invalidate(rmi.ErrClosed)
 	var errs []error
 	for _, p := range peers {
 		if err := p.client.Close(); err != nil {

@@ -133,8 +133,8 @@ func (m *NetRMI) InstallPipeline(class *Class, method, rule string, stages []any
 	if err != nil {
 		// With a fault policy the push is retried by the quiescence pump
 		// once recovery re-homes the unreachable node's stages; without one
-		// a dead node is fatal, as everywhere else on the fail-fast path.
-		if m.faults == nil {
+		// a dead node is fatal, as everywhere else under fail-fast.
+		if !m.faults.policy.Enabled {
 			m.topo = nil
 			m.mu.Unlock()
 			return nil, err
@@ -359,7 +359,7 @@ func (m *NetRMI) PumpTopology() (quiet bool, err error) {
 // consecutive passes observe a fully settled forward lane. Transient errors
 // (a node mid-recovery, a hop mid-heal) are retried as long as passes make
 // progress; an error that repeats over many stalled passes is surfaced —
-// a permanently unreachable node on the fail-fast path must not spin.
+// a permanently unreachable node under fail-fast must not spin.
 func (m *NetRMI) topoJoin(ctx exec.Context) error {
 	m.mu.Lock()
 	active := m.topo != nil
@@ -371,7 +371,7 @@ func (m *NetRMI) topoJoin(ctx exec.Context) error {
 	stalled := 0
 	for {
 		quiet, err := m.PumpTopology()
-		if err != nil && m.faults == nil {
+		if err != nil && !m.faults.policy.Enabled {
 			return err
 		}
 		if quiet {

@@ -16,11 +16,10 @@ import (
 // Reconnect can only return because Close unparked it.
 func TestReconnectBackoffCancelledByClose(t *testing.T) {
 	srv, addr, _ := startCounter(t)
-	c := dialSession(t, addr, "cli-cancel")
 	v := clock.NewVirtual(time.Unix(0, 0))
 	defer v.Close()
-	c.SetClock(v)
-	c.SetReconnectPolicy(ReconnectPolicy{MaxAttempts: 5, BaseBackoff: time.Hour, MaxBackoff: time.Hour})
+	c := dialSession(t, addr, "cli-cancel", WithClock(v),
+		WithReconnect(ReconnectPolicy{MaxAttempts: 5, BaseBackoff: time.Hour, MaxBackoff: time.Hour}))
 	srv.Abort() // every re-dial is refused: Reconnect enters its backoff
 
 	done := make(chan error, 1)
@@ -145,11 +144,10 @@ func TestPartitionedServer(t *testing.T) {
 // huge virtual delay costs only the pump's settle in wall time, and the
 // service stamp reflects virtual time, not wall time.
 func TestDispatchDelayVirtual(t *testing.T) {
-	s := NewServer()
 	v := clock.NewVirtual(time.Unix(0, 0))
 	defer v.Close()
 	v.AutoAdvance(100 * time.Microsecond)
-	s.SetClock(v)
+	s := NewServer(WithClock(v))
 	s.Export("echo", func(method string, args []any) ([]any, error) { return args, nil })
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {

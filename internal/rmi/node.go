@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aspectpar/internal/clock"
 	"aspectpar/internal/exec"
 )
 
@@ -170,13 +169,6 @@ func (n *Node) Requests() int64 { return n.srv.Requests() }
 // req requests — the event-driven form of the kill trigger (see
 // Server.WatchRequests).
 func (n *Node) WatchRequests(req int64) <-chan struct{} { return n.srv.WatchRequests(req) }
-
-// SetClock installs the node's time source; call before Listen (see
-// Server.SetClock).
-//
-// Deprecated: pass WithClock to NewNode instead, which fixes the clock
-// before any listener can observe it.
-func (n *Node) SetClock(clk clock.Clock) { n.srv.SetClock(clk) }
 
 // SetPartitioned severs or heals the node's network (see
 // Server.SetPartitioned).

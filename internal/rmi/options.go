@@ -7,12 +7,12 @@ import (
 	"aspectpar/internal/clock"
 )
 
-// Functional construction options for clients and servers. They replace the
-// order-sensitive setter chains ("SetClock before Listen", "SetSession
-// before the first tracked request", "SetSendWindow after Dial"): every knob
-// is fixed at construction, so there is no window in which a half-configured
-// client or server is observable. The old setters remain as deprecated
-// shims.
+// Functional construction options for clients and servers: every knob (the
+// clock before Listen, the session tag before the first tracked request, the
+// send window) is fixed at construction, so there is no window in which a
+// half-configured client or server is observable. Only the send window can
+// also be changed afterwards (Client.SetSendWindow — the autotuner resizes
+// live windows).
 
 // Option configures a Client (at Dial) or a Server (at NewServer/Serve).
 // Options that only make sense on one side are ignored by the other.
@@ -56,8 +56,10 @@ func WithReconnect(p ReconnectPolicy) Option {
 	return func(o *options) { o.policy = &p }
 }
 
-// WithSession tags a client's tracked requests with a stable identity (see
-// SetSession).
+// WithSession tags a client's tracked requests (InvokeSeq, SendSeq) with a
+// stable identity, arming the server's dedupe and stale-replay guards. The
+// identity survives Reconnect, which is the point; without one a sequence
+// number is not sent and the server tracks nothing for the request.
 func WithSession(id string) Option {
 	return func(o *options) { o.session = id }
 }

@@ -156,7 +156,7 @@ type Server struct {
 
 	// clk is the server's time source: service-time stamps, the drain grace
 	// and injected dispatch delays all flow through it. Fixed before Listen
-	// (see SetClock), so the serving goroutines read it without locking.
+	// (WithClock), so the serving goroutines read it without locking.
 	clk clock.Clock
 
 	// codecs is the set of frame codecs this server accepts in handshake
@@ -203,18 +203,6 @@ func NewServer(opts ...Option) *Server {
 	}
 	s.epoch.Store(newEpoch(s.clk))
 	return s
-}
-
-// SetClock installs the server's time source; nil selects the wall clock.
-// Must be called before Listen — the serving goroutines capture it without
-// locking. The session epoch is re-minted on the new clock (no client can
-// have handshaken the old one yet).
-//
-// Deprecated: pass WithClock to NewServer (or Serve) instead; the setter
-// survives only so pre-options callers keep compiling.
-func (s *Server) SetClock(clk clock.Clock) {
-	s.clk = clock.Or(clk)
-	s.epoch.Store(newEpoch(s.clk))
 }
 
 // Export binds an object under a name (the registry's bind operation).
@@ -791,22 +779,12 @@ func (c *Client) negotiate() error {
 	return nil
 }
 
-// SetClock installs the time source Reconnect's backoff waits on; nil selects
-// the wall clock.
-//
-// Deprecated: pass WithClock to Dial instead.
-func (c *Client) SetClock(clk clock.Clock) {
-	c.mu.Lock()
-	c.clk = clock.Or(clk)
-	c.mu.Unlock()
-}
-
 // SetSendWindow sets the flow-control window: the maximum number of one-way
 // sends that may be in flight (sent but unacknowledged) before Send blocks.
 // Values below 1 are clamped to 1 (fully synchronous ack-by-ack flow).
 // Unlike the construction options this one is still useful at runtime — the
-// autotuner resizes live windows through it — so it is not deprecated;
-// WithSendWindow covers the construction-time case.
+// autotuner resizes live windows through it; WithSendWindow covers the
+// construction-time case.
 func (c *Client) SetSendWindow(n int) {
 	if n < 1 {
 		n = 1
@@ -1016,14 +994,6 @@ func (c *Client) acquireSendCredit() error {
 	}
 	c.inFlightSends++
 	return nil
-}
-
-// InFlightSends reports the number of one-way sends currently unacknowledged
-// (middleware quiescence checks use it).
-func (c *Client) InFlightSends() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inFlightSends
 }
 
 // Flush blocks until every outstanding one-way send has been acknowledged

@@ -218,23 +218,6 @@ func (p ReconnectPolicy) WithDefaults() ReconnectPolicy {
 	return p
 }
 
-// SetReconnectPolicy installs the client's Reconnect schedule.
-//
-// Deprecated: pass WithReconnect to Dial instead.
-func (c *Client) SetReconnectPolicy(p ReconnectPolicy) {
-	c.mu.Lock()
-	c.policy = p
-	c.mu.Unlock()
-}
-
-// SetSession tags this client's tracked requests (InvokeSeq, SendSeq) with a
-// stable identity, arming the server's dedupe and stale-replay guards. Call
-// it once, before the first tracked request; the identity survives
-// Reconnect, which is the point.
-//
-// Deprecated: pass WithSession to Dial instead.
-func (c *Client) SetSession(id string) { c.session = id }
-
 // Epoch returns the server session epoch of the last handshake — Dial's and
 // Reconnect's codec negotiation is one, Handshake another — and zero before
 // the first (a client pinned to gob that has not called Handshake).
@@ -367,7 +350,7 @@ func (c *Client) Reconnect() (sameEpoch bool, err error) {
 // request carries the caller-assigned sequence number (plus the client's
 // session tag and epoch stamp), so a replay of the same seq after a
 // reconnect is applied at most once by the server. seq must be positive and
-// monotone per client session; SetSession must have been called.
+// monotone per client session; the client must have been dialled WithSession.
 func (s *Stub) InvokeSeq(method string, seq uint64, deliver func([]any, time.Duration, error), args ...any) {
 	s.invokeCB(method, seq, deliver, args)
 }

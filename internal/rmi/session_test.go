@@ -34,15 +34,15 @@ func startCounter(t *testing.T) (*Server, string, *atomic.Int64) {
 	return s, addr, &total
 }
 
-func dialSession(t *testing.T, addr, id string) *Client {
+func dialSession(t *testing.T, addr, id string, opts ...Option) *Client {
 	t.Helper()
-	c, err := Dial(addr)
+	opts = append([]Option{WithSession(id),
+		WithReconnect(ReconnectPolicy{MaxAttempts: 10, BaseBackoff: 2 * time.Millisecond})}, opts...)
+	c, err := Dial(addr, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	c.SetSession(id)
-	c.SetReconnectPolicy(ReconnectPolicy{MaxAttempts: 10, BaseBackoff: 2 * time.Millisecond})
 	if _, err := c.Handshake(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,19 @@
 package sieve
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"aspectpar/internal/aspect"
 	"aspectpar/internal/clock"
 	"aspectpar/internal/exec"
 	"aspectpar/internal/par"
@@ -17,10 +21,11 @@ import (
 )
 
 // This file is the chaos half of the net conformance harness: the same
-// module-matrix cells, re-run with seeded fault injection. A watcher kills a
-// node daemon after a randomized-but-seeded number of served requests — mid
-// window, mid export, mid gather, wherever the seed lands — and restarts a
-// fresh incarnation on the same address. The run must still match the
+// module-matrix cells, re-run with seeded fault injection. A node daemon dies
+// after a randomized-but-seeded number of served requests — mid window, mid
+// export, mid gather, wherever the seed lands, with the call it was
+// dispatching unanswered — and a fresh incarnation restarts on the same
+// address. The run must still match the
 // hand-coded oracle exactly (exactly-once completion: no pack lost, none
 // filtered twice) and the scheduler's work-conservation invariant
 // Executed == Seeded + Splits must hold through the crash.
@@ -48,9 +53,37 @@ type chaosNodes struct {
 	t     *testing.T
 	clk   clock.Clock // nil keeps the wall clock
 	addrs []string
+	kills []atomic.Pointer[killPlan] // per node slot; nil while unarmed
 
 	mu    sync.Mutex
 	nodes []*rmi.Node
+}
+
+// killPlan is one armed node kill. The kill is an event at its kill point,
+// not something a watcher does afterwards: the victim severs its connections
+// inside the dispatch of the first servant call (or construction) it runs at
+// or past its at-th request, before that call's reply is written. So "fired"
+// implies the driver lost a call it was waiting on and had to recover — a kill
+// can no longer land behind the victim's last call and leave no trace.
+type killPlan struct {
+	at        int64
+	fired     atomic.Bool
+	restarted chan struct{} // closed once the fresh incarnation is up (or failed to come up)
+	err       error         // the restart's error; read after restarted
+}
+
+// wait blocks until a fired kill's restart has finished, and reports whether
+// the kill fired at all. Call it after the run: nothing dispatches any more,
+// so an unfired plan stays unfired.
+func (k *killPlan) wait(t *testing.T, tag string) bool {
+	if !k.fired.Load() {
+		return false
+	}
+	<-k.restarted
+	if k.err != nil {
+		t.Errorf("%s: %v", tag, k.err)
+	}
+	return true
 }
 
 func startChaosNodes(t *testing.T, count int) *chaosNodes {
@@ -63,13 +96,9 @@ func startChaosNodes(t *testing.T, count int) *chaosNodes {
 // windows run in virtual time.
 func startChaosNodesClock(t *testing.T, count int, clk clock.Clock) *chaosNodes {
 	t.Helper()
-	c := &chaosNodes{t: t, clk: clk}
+	c := &chaosNodes{t: t, clk: clk, kills: make([]atomic.Pointer[killPlan], count)}
 	for i := 0; i < count; i++ {
-		node := rmi.NewNode(exec.Real())
-		if clk != nil {
-			node.SetClock(clk)
-		}
-		par.HostClass(node, DefineClass(par.NewDomain()))
+		node := c.newNode(i)
 		addr, err := node.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Skipf("loopback TCP unavailable: %v", err)
@@ -88,6 +117,57 @@ func startChaosNodesClock(t *testing.T, count int, clk clock.Clock) *chaosNodes 
 	return c
 }
 
+// newNode builds one incarnation for slot i: a daemon hosting PrimeFilter on
+// a fresh domain, with the slot's kill point woven around every servant
+// dispatch — node-side advice, the only place from which a kill can land
+// between a call's dispatch and its reply.
+func (c *chaosNodes) newNode(i int) *rmi.Node {
+	node := rmi.NewNode(exec.Real(), rmi.WithClock(c.clk))
+	dom := par.NewDomain()
+	dom.Weaver().Plug(aspect.NewAspect("chaos-kill", 100).Around(
+		aspect.Or(aspect.New("PrimeFilter"), aspect.Call("PrimeFilter", "*")),
+		func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
+			if k := c.kills[i].Load(); k != nil && node.Requests() >= k.at && k.fired.CompareAndSwap(false, true) {
+				crashFromDispatch(node, c.addrs[i], func() {
+					k.err = c.crashRestart(i)
+					close(k.restarted)
+				})
+			}
+			return proceed(jp.Args)
+		}))
+	par.HostClass(node, DefineClass(dom))
+	return node
+}
+
+// crashFromDispatch is a process crash as seen from outside, staged from
+// inside one of the node's own dispatches: when it returns, the node's
+// address refuses connections and every connection it had is severed — so
+// the reply of the call being dispatched can never be written — exactly the
+// order a dying process produces. restart must Abort the node (and may bring
+// up a successor); it runs on its own goroutine because Abort waits for the
+// dispatches in progress, this one included, and therefore cannot be waited
+// for here. What can be waited for is its first effect, the listener closing:
+// no client may find the dying incarnation still accepting, reconnect into
+// it, and be cut off a second time mid-handshake.
+func crashFromDispatch(node *rmi.Node, addr string, restart func()) {
+	go restart()
+	for {
+		// A SYN that meets the listener mid-close can be dropped rather than
+		// refused, and its retransmission is a second away: never wait for one.
+		probe, err := net.DialTimeout("tcp", addr, 2*time.Millisecond)
+		if err == nil {
+			probe.Close()
+			runtime.Gosched()
+			continue
+		}
+		var timeout interface{ Timeout() bool }
+		if !errors.As(err, &timeout) || !timeout.Timeout() {
+			break // refused: the successor cannot be listening yet, Abort still waits for us
+		}
+	}
+	node.DropConns() // Abort is doing the same; make sure it is done before the reply is attempted
+}
+
 func (c *chaosNodes) node(i int) *rmi.Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -101,11 +181,7 @@ func (c *chaosNodes) crashRestart(i int) error {
 	old := c.nodes[i]
 	c.mu.Unlock()
 	old.Abort()
-	node := rmi.NewNode(exec.Real())
-	if c.clk != nil {
-		node.SetClock(c.clk)
-	}
-	par.HostClass(node, DefineClass(par.NewDomain()))
+	node := c.newNode(i)
 	var err error
 	for attempt := 0; attempt < 50; attempt++ {
 		if _, err = node.Listen(c.addrs[i]); err == nil {
@@ -122,19 +198,13 @@ func (c *chaosNodes) crashRestart(i int) error {
 	return nil
 }
 
-// watchAndKill crash-restarts the victim the moment it has served killAt
-// requests — an event fired by the server's own dispatch loop, not a polled
-// counter, so the kill lands at the same request boundary on every run. It
-// reports through killed whether the kill fired before stop closed.
-func (c *chaosNodes) watchAndKill(victim int, killAt int64, stop <-chan struct{}, killed *atomic.Bool) {
-	select {
-	case <-stop:
-		return
-	case <-c.node(victim).WatchRequests(killAt):
-	}
-	if err := c.crashRestart(victim); err == nil {
-		killed.Store(true)
-	}
+// armKill scripts the crash-restart of victim at its killAt-th served
+// request — a count kept by the server's own dispatch loop, so the kill lands
+// at the same request boundary on every run (see killPlan).
+func (c *chaosNodes) armKill(victim int, killAt int64) *killPlan {
+	k := &killPlan{at: killAt, restarted: make(chan struct{})}
+	c.kills[victim].Store(k)
+	return k
 }
 
 // chaosCell is one fault-injected conformance cell: a matrix combo plus the
@@ -191,15 +261,13 @@ func TestChaosMatrix(t *testing.T) {
 				victim := rng.Intn(2)
 				killAt := int64(4 + rng.Intn(10))
 				tag := fmt.Sprintf("seed=%d cell=%s kill=%d victim=%d killAt=%d", seed, cell.name, k, victim, killAt)
-				stop := make(chan struct{})
-				var killed atomic.Bool
-				go nodes.watchAndKill(victim, killAt, stop, &killed)
+				kill := nodes.armKill(victim, killAt)
 
 				pc := p
 				pc.NetAddrs = nodes.addrs
 				pc.Faults = cell.policy
 				res, err := RunCombo(cell.combo, pc)
-				close(stop)
+				killed := kill.wait(t, tag)
 				if err != nil {
 					t.Fatalf("%s: run failed: %v", tag, err)
 				}
@@ -208,7 +276,7 @@ func TestChaosMatrix(t *testing.T) {
 					t.Errorf("%s: work conservation broken: Executed %d != Seeded %d + Splits %d",
 						tag, st.Executed, st.Seeded, st.Splits)
 				}
-				if killed.Load() {
+				if killed {
 					f := res.Faults
 					if f.Reconnects+f.Failovers+f.DroppedPeers+f.Requeues == 0 {
 						t.Errorf("%s: node was killed mid-run but FaultStats is empty: %+v", tag, f)
@@ -218,7 +286,7 @@ func TestChaosMatrix(t *testing.T) {
 					}
 					t.Logf("%s: recovered (stats %+v)", tag, f)
 				} else {
-					t.Logf("%s: kill fired after the run finished (faster run than kill point)", tag)
+					t.Logf("%s: the victim dispatched nothing at or past its kill point (shorter run than kill point)", tag)
 				}
 			}
 		})

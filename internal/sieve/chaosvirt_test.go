@@ -185,10 +185,11 @@ func runVirtCell(t *testing.T, cell chaosCell, sc virtScenario, p Params, want [
 	defer halt()
 
 	var fired atomic.Bool // first scripted event landed before the run ended
+	var kills []*killPlan
 	survivor := 1 - sc.Victim
 	switch sc.Kind {
 	case "kill":
-		go nodes.watchAndKill(sc.Victim, sc.At, stop, &fired)
+		kills = append(kills, nodes.armKill(sc.Victim, sc.At))
 	case "partition":
 		go func() {
 			select {
@@ -220,9 +221,7 @@ func runVirtCell(t *testing.T, cell chaosCell, sc virtScenario, p Params, want [
 			nodes.node(sc.Victim).SetDispatchDelay(0)
 		}()
 	case "multikill":
-		var second atomic.Bool
-		go nodes.watchAndKill(sc.Victim, sc.At, stop, &fired)
-		go nodes.watchAndKill(survivor, sc.At2, stop, &second)
+		kills = append(kills, nodes.armKill(sc.Victim, sc.At), nodes.armKill(survivor, sc.At2))
 	case "driver-restart":
 		go func() {
 			// Pin the victim's current incarnation: under a starved scheduler
@@ -244,6 +243,11 @@ func runVirtCell(t *testing.T, cell chaosCell, sc virtScenario, p Params, want [
 
 	res, err := RunCombo(cell.combo, p)
 	halt()
+	for i, k := range kills {
+		if k.wait(t, tag) && i == 0 {
+			fired.Store(true)
+		}
+	}
 	if err != nil {
 		t.Fatalf("%s: run failed: %v", tag, err)
 	}
