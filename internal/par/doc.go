@@ -337,10 +337,23 @@
 // arrives as the same concrete type. Values outside the fast-path kinds —
 // structs, maps — carry a tagged gob payload, keeping the codecs
 // value-equivalent (pinned by round-trip fuzz tests and a mixed-codec
-// conformance cell). Writes coalesce: the client's send path batches the
-// frames queued behind one flush into a single buffered write, so a
-// windowed dispatcher's burst of packs pays one syscall, not Window of
-// them.
+// conformance cell).
+//
+// Frames are batched into writes by the traffic, in both directions of every
+// connection (driver to node, the replies, the nodes' forward lanes): a
+// frame written on an otherwise idle connection — no reply pending on the
+// client side; nothing decoded-but-unanswered and nothing left in the read
+// buffer on the node side — is flushed by its writer, so a lone synchronous
+// call costs exactly one write each way and waits for nobody. Any other
+// frame stays in the connection's buffer and wakes the connection's flusher
+// goroutine, which writes out whatever has accumulated by the time it is
+// scheduled: a single dispatcher goroutine keeping a 64-deep window of small
+// calls in flight pays 3–6 writes per 64 calls each way, not 64. There is no
+// timer and nothing to tune — a timer would put its period on every lone
+// call's latency, and the batch the scheduler produces reinforces itself (k
+// replies in one segment complete k calls, whose k follow-ups leave
+// together). Frames are batched, never merged: the bytes and the message
+// counts are what they were.
 //
 // One TCP connection multiplexes N request streams ([WithStreams],
 // rmi.Stub.OnStream). Streams are FIFO lanes: the server dispatches each

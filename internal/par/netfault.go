@@ -548,8 +548,8 @@ func (fa *netFaults) onOutcome(pf *peerFault, call *netCall, gen int64, res []an
 	if err == nil || isFinal(err) || gen != fa.gen || fa.closed {
 		live := fa.settleLocked(pf, call, err)
 		fa.mu.Unlock()
-		if live {
-			fa.finish(call, res, svc, err)
+		if live && call.deliver != nil {
+			call.deliver(res, svc, err)
 		}
 		return
 	}
@@ -598,19 +598,26 @@ func (fa *netFaults) settle(pf *peerFault, call *netCall, res []any, svc time.Du
 	live := fa.settleLocked(pf, call, err)
 	fa.cond.Broadcast()
 	fa.mu.Unlock()
-	if live {
-		fa.finish(call, res, svc, err)
+	if live && call.deliver != nil {
+		call.deliver(res, svc, err)
 	}
 }
 
 // settleLocked is settle's bookkeeping half; it reports whether the entry was
-// still journaled (the caller then broadcasts, and delivers outside the lock).
+// still journaled (the caller then broadcasts, and delivers to a waiting
+// caller outside the lock).
 // The history is kept only under a policy that could ever replay it. fa.mu
 // held.
 func (fa *netFaults) settleLocked(pf *peerFault, call *netCall, err error) bool {
 	sj := pf.journals[call.stream]
 	if sj == nil || !dropLocked(sj, call) {
 		return false
+	}
+	if err != nil && call.deliver == nil {
+		// A void call's terminal failure goes on the Join list in the same
+		// critical section that takes it off the journal: a Join the emptied
+		// journal wakes must already find it there.
+		fa.errs = append(fa.errs, err)
 	}
 	if err == nil && !call.ckpt && fa.policy.Enabled {
 		if exp := fa.exports[call.ref]; exp != nil && !exp.dead {

@@ -521,14 +521,24 @@ func (fa *netFaults) dropPeer(pf *peerFault, gen int64, terminal error) {
 	if terminal != nil {
 		fa.errs = append(fa.errs, terminal)
 	}
-	fa.droppedPeers.Add(1)
-	fa.cond.Broadcast()
-	fa.mu.Unlock()
 	cause := terminal
 	if cause == nil {
 		cause = errPeerLost
 	}
+	// A lost void call goes on the Join list with the drain, under the one
+	// lock: a Join the emptied journal wakes must already find it there.
+	waited := calls[:0]
 	for _, call := range calls {
+		if call.deliver != nil {
+			waited = append(waited, call)
+			continue
+		}
+		fa.errs = append(fa.errs, &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: cause})
+	}
+	fa.droppedPeers.Add(1)
+	fa.cond.Broadcast()
+	fa.mu.Unlock()
+	for _, call := range waited {
 		fa.deliverOrphan(call, pf.node, cause)
 	}
 }

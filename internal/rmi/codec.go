@@ -35,8 +35,8 @@ type Codec interface {
 }
 
 // frameEncoder writes frames to one side of a connection. Implementations
-// are not safe for concurrent use; callers serialise through sendMu (client)
-// or the connection writer's mutex (server).
+// are not safe for concurrent use; both ends serialise through their
+// connection's frameWriter.
 type frameEncoder interface {
 	EncodeRequest(*request) error
 	EncodeResponse(*response) error

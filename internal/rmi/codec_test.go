@@ -150,9 +150,10 @@ func TestBinaryDecoderRejectsCorruptFrames(t *testing.T) {
 
 // liveCodec names the codec a client's connection currently encodes in.
 func liveCodec(c *Client) string {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if _, ok := c.enc.(*binEncoder); ok {
+	w := c.w.Load()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if _, ok := w.enc.(*binEncoder); ok {
 		return binaryName
 	}
 	return gobName

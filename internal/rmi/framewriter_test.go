@@ -1,0 +1,564 @@
+package rmi
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"aspectpar/internal/clock"
+)
+
+// The tests below reach the transport through its two unexported seams —
+// Server.serve takes the listener, newClient takes the connection — so a test
+// can count, fail or drop what crosses the socket without an exported hook.
+
+var errWriteFailed = errors.New("test: write failed")
+
+// tapConn counts its Write calls — one per write(2) the frame writer issues —
+// and fails them once armed.
+type tapConn struct {
+	net.Conn
+	writes *atomic.Int64
+	fail   *atomic.Bool // nil: never fails
+}
+
+func (c tapConn) Write(p []byte) (int, error) {
+	if c.fail != nil && c.fail.Load() {
+		return 0, errWriteFailed
+	}
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// tapListener hands out connections that count into writes, after closing
+// the first `drop` of them unserved (a listener on its way down).
+type tapListener struct {
+	net.Listener
+	writes *atomic.Int64
+	drop   *atomic.Int32
+}
+
+func (l tapListener) Accept() (net.Conn, error) {
+	for {
+		conn, err := l.Listener.Accept()
+		if err != nil {
+			return nil, err
+		}
+		if l.drop.Add(-1) >= 0 {
+			conn.Close()
+			continue
+		}
+		return tapConn{Conn: conn, writes: l.writes}, nil
+	}
+}
+
+// tapped is one server behind a tapListener and one client over a tapConn.
+type tapped struct {
+	srv          *Server
+	client       *Client
+	raw          net.Conn // the client's socket, under its tap
+	stub         *Stub
+	clientWrites atomic.Int64
+	serverWrites atomic.Int64
+	failWrites   atomic.Bool  // arms the client connection's write failure
+	dropAccepts  atomic.Int32 // connections the listener closes unserved
+}
+
+func startTapped(t *testing.T, dispatch DispatchFunc, opts ...Option) *tapped {
+	t.Helper()
+	tp := &tapped{srv: NewServer()}
+	tp.srv.Export("obj", dispatch)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback TCP unavailable: %v", err)
+	}
+	addr := tp.srv.serve(tapListener{Listener: ln, writes: &tp.serverWrites, drop: &tp.dropAccepts})
+	t.Cleanup(tp.srv.Close)
+	tp.raw, err = net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var o options
+	o.apply(opts)
+	tp.client, err = newClient(addr, tapConn{Conn: tp.raw, writes: &tp.clientWrites, fail: &tp.failWrites}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tp.client.Close() })
+	tp.stub = &Stub{client: tp.client, name: "obj"}
+	return tp
+}
+
+func echo(method string, args []any) ([]any, error) { return args, nil }
+
+// await fails the test if ch does not deliver within a generous bound: a
+// missed flush shows up as a hang, and the bound turns it into a failure.
+func await[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+		panic("unreachable")
+	}
+}
+
+// TestWritesPerLoneInvoke pins the idle rule: a synchronous call on an
+// otherwise idle connection is flushed by its own writer on each side — one
+// write for the request, one for the reply, no hand-off to the flusher.
+func TestWritesPerLoneInvoke(t *testing.T) {
+	tp := startTapped(t, echo)
+	payload := make([]byte, 64)
+	if _, err := tp.stub.Invoke("M", payload); err != nil { // past the handshake
+		t.Fatal(err)
+	}
+	const calls = 100
+	cw, sw := tp.clientWrites.Load(), tp.serverWrites.Load()
+	for i := 0; i < calls; i++ {
+		if _, err := tp.stub.Invoke("M", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cw, sw = tp.clientWrites.Load()-cw, tp.serverWrites.Load()-sw; cw != calls || sw != calls {
+		t.Errorf("%d lone calls cost %d client writes and %d server writes, want exactly %d + %d", calls, cw, sw, calls, calls)
+	}
+}
+
+// TestWritesPerWindowedCall pins what the frame writer is for: one goroutine
+// keeping a 64-deep window of 64-byte calls in flight over 3 streams — the
+// shape of a windowed dispatcher, which never contends with itself for the
+// write lock — shares its writes. Before the writer followed the traffic,
+// this cost 64 writes per 64 calls on each side.
+func TestWritesPerWindowedCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("batch sizes follow the scheduler; the race detector reshapes it")
+	}
+	tp := startTapped(t, echo)
+	const window = 64
+	payload := make([]byte, 64)
+	done := make(chan error, window)
+	deliver := func(_ []any, _ time.Duration, err error) { done <- err }
+	stubs := [3]*Stub{tp.stub.OnStream(1), tp.stub.OnStream(2), tp.stub.OnStream(3)}
+	post := func(i int) { stubs[i%len(stubs)].InvokeCB("M", deliver, payload) }
+	for i := 0; i < window; i++ {
+		post(i)
+	}
+	run := func(calls int) { // the closed loop: one completion in, one call out
+		for i := 0; i < calls; i++ {
+			if err := await(t, done, "a windowed completion"); err != nil {
+				t.Fatal(err)
+			}
+			post(i)
+		}
+	}
+	run(20 * window) // reach steady state
+	const calls = 500 * window
+	cw, sw := tp.clientWrites.Load(), tp.serverWrites.Load()
+	run(calls)
+	cw, sw = tp.clientWrites.Load()-cw, tp.serverWrites.Load()-sw
+	for i := 0; i < window; i++ {
+		if err := await(t, done, "the last window"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	per64 := func(writes int64) float64 { return float64(writes) * window / calls }
+	t.Logf("per %d calls: %.2f client writes, %.2f server writes", window, per64(cw), per64(sw))
+	const budget = 8
+	if per64(cw) > budget || per64(sw) > budget {
+		t.Errorf("a %d-deep window costs %.2f client and %.2f server writes per %d calls, budget %d each",
+			window, per64(cw), per64(sw), window, budget)
+	}
+}
+
+// parkingServant blocks "Park" until released and echoes everything else.
+func parkingServant() (dispatch DispatchFunc, parked <-chan struct{}, release func()) {
+	in, gate := make(chan struct{}, 16), make(chan struct{}) // 16: more than any test parks at once
+	return func(method string, args []any) ([]any, error) {
+		if method == "Park" {
+			in <- struct{}{}
+			<-gate
+		}
+		return args, nil
+	}, in, sync.OnceFunc(func() { close(gate) })
+}
+
+// TestFrameWriterParkedCallHoldsNobody is the liveness half of the writer's
+// invariant. With a call parked on stream 1 the connection is never idle, so
+// every later frame — request and reply — is left to a flusher: an
+// InvokeAsync whose caller does nothing but wait must still be answered, and
+// the servant blocked on stream 1 must not hold stream 2's or 3's reply.
+func TestFrameWriterParkedCallHoldsNobody(t *testing.T) {
+	dispatch, parked, release := parkingServant()
+	tp := startTapped(t, dispatch)
+	defer release()
+	parkedCall := tp.stub.OnStream(1).InvokeAsync("Park")
+	await(t, parked, "the parked call to reach its servant")
+
+	answered := make(chan error, 1)
+	f := tp.stub.OnStream(2).InvokeAsync("M", int64(7))
+	go func() { _, err := f.Get(); answered <- err }()
+	if err := await(t, answered, "an InvokeAsync nobody follows up on"); err != nil {
+		t.Fatal(err)
+	}
+	go func() { _, err := tp.stub.OnStream(3).Invoke("M", int64(8)); answered <- err }()
+	if err := await(t, answered, "a synchronous call beside the parked one"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := parkedCall.TryGet(); ok {
+		t.Fatal("the parked call resolved before its servant was released")
+	}
+	release()
+	go func() { _, err := parkedCall.Get(); answered <- err }()
+	if err := await(t, answered, "the released parked call"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFrameWriterSendLoopCompletes: a lone goroutine that fills the send
+// window parks on it with its own frames possibly still buffered; only the
+// flusher can move them. On one P that is also the only moment the flusher
+// gets to run — where a missed flush hangs rather than slows down.
+func TestFrameWriterSendLoopCompletes(t *testing.T) {
+	loop := func(t *testing.T) {
+		var applied atomic.Int64
+		tp := startTapped(t, func(string, []any) ([]any, error) { applied.Add(1); return nil, nil }, WithSendWindow(4))
+		const sends = 2000
+		finished := make(chan error, 1)
+		go func() {
+			for i := 0; i < sends; i++ {
+				if err := tp.stub.Send("M", int64(i)); err != nil {
+					finished <- err
+					return
+				}
+			}
+			finished <- tp.client.Flush()
+		}()
+		if err := await(t, finished, "the send loop"); err != nil {
+			t.Fatal(err)
+		}
+		if got := applied.Load(); got != sends {
+			t.Errorf("servant applied %d of %d sends", got, sends)
+		}
+	}
+	t.Run("procs=default", loop)
+	t.Run("procs=1", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		loop(t)
+	})
+}
+
+// TestFrameWriterCloseDeliversBufferedSends: Send returns once the request is
+// in the writer's buffer, not on the wire; a Close right behind a burst must
+// still put every one of them on the socket, intact and in order, before it
+// drops. The peer here reads and never answers: with acknowledgements unread
+// at the client, closing the socket resets the connection and TCP itself
+// discards what the server had not read yet — on any transport, batching or
+// not — so what the servant sees is not the writer's to promise.
+func TestFrameWriterCloseDeliversBufferedSends(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback TCP unavailable: %v", err)
+	}
+	defer ln.Close()
+	received := make(chan []int64, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		dec := GobCodec().newDecoder(bufio.NewReader(conn))
+		var got []int64
+		for {
+			var req request
+			if dec.DecodeRequest(&req) != nil { // the client's FIN, after the last frame
+				received <- got
+				return
+			}
+			got = append(got, req.Args[0].(int64))
+		}
+	}()
+	const sends = 500
+	// Pinned to gob: nobody answers a Hello here.
+	c, err := Dial(ln.Addr().String(), WithCodec(GobCodec()), WithSendWindow(sends))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub := &Stub{client: c, name: "obj"}
+	for i := 0; i < sends; i++ {
+		if err := stub.Send("M", int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	got := await(t, received, "the peer to read up to the client's close")
+	if len(got) != sends {
+		t.Fatalf("%d of %d sends posted before Close reached the socket", len(got), sends)
+	}
+	for i, v := range got {
+		if v != int64(i) {
+			t.Fatalf("frame %d carries %d: out of order", i, v)
+		}
+	}
+}
+
+// TestFrameWriterServerCloseDeliversBufferedReplies: replies written while
+// the connection expects more traffic sit in the writer's buffer until the
+// flusher runs; a graceful Server.Close must write them out before the socket
+// drops, so every call dispatched before Close completes with its real result.
+// The script makes the replies outstanding at Close buffered ones: the read
+// loop is held inside a stream-0 servant while the whole burst — and then the
+// first bytes of a frame that never completes — pile up in the socket, so the
+// loop decodes the burst in one read with unread bytes always behind it and no
+// reply finds the connection idle. Each lane's last call holds until Close is
+// under way.
+func TestFrameWriterServerCloseDeliversBufferedReplies(t *testing.T) {
+	parked, held := make(chan struct{}, 1), make(chan struct{}, 3)
+	park, hold := make(chan struct{}), make(chan struct{})
+	tp := startTapped(t, func(method string, args []any) ([]any, error) {
+		switch method {
+		case "Park":
+			parked <- struct{}{}
+			<-park
+		case "Hold":
+			held <- struct{}{}
+			<-hold
+		}
+		return args, nil
+	})
+	unpark := sync.OnceFunc(func() { close(park) })
+	defer unpark() // on every path: a servant left blocked would pin the server's shutdown
+	defer close(hold)
+	const calls = 90
+	results := make(chan error, calls+1)
+	deliver := func(_ []any, _ time.Duration, err error) { results <- err }
+	tp.stub.InvokeCB("Park", deliver) // stream 0: dispatched by the read loop itself
+	await(t, parked, "the read loop to park in its servant")
+	for i := 0; i < calls; i++ {
+		method := "M"
+		if i >= calls-3 {
+			method = "Hold" // the last frame of each lane
+		}
+		tp.stub.OnStream(uint32(1+i%3)).InvokeCB(method, deliver, int64(i))
+	}
+	if err := tp.client.w.Load().drain(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tp.raw.Write([]byte{100, bkRequest, 0}); err != nil { // a 100-byte frame, 2 bytes of it
+		t.Fatal(err)
+	}
+	unpark()
+	for i := 0; i < 3; i++ {
+		await(t, held, "each lane to reach its last call") // so every frame has been decoded
+	}
+	closed := make(chan struct{})
+	go func() { tp.srv.Close(); close(closed) }()
+	hold <- struct{}{}
+	hold <- struct{}{}
+	hold <- struct{}{}
+	for i := 0; i <= calls; i++ {
+		if err := await(t, results, "a reply across Server.Close"); err != nil {
+			t.Fatalf("reply %d of %d across a graceful Close failed: %v", i, calls+1, err)
+		}
+	}
+	await(t, closed, "Server.Close")
+}
+
+// TestFrameWriterAbortDoesNotDrain: Abort is a crash — it returns without
+// waiting for the parked servant's reply to exist, let alone be written, and
+// the caller sees a transport error.
+func TestFrameWriterAbortDoesNotDrain(t *testing.T) {
+	dispatch, parked, release := parkingServant()
+	tp := startTapped(t, dispatch)
+	defer release()
+	f := tp.stub.OnStream(1).InvokeAsync("Park")
+	await(t, parked, "the call to park")
+	failed := make(chan error, 1)
+	go func() { _, err := f.Get(); failed <- err }()
+	go tp.srv.Abort() // returns once the servant is released, below
+	if err := await(t, failed, "the aborted call to fail"); err == nil {
+		t.Fatal("a call across Abort completed")
+	}
+}
+
+// TestFrameWriterFlusherFailurePoisons: a write that fails on the flusher
+// goroutine — nobody's post is there to return the error to — must poison the
+// connection exactly as a failed inline flush does: every pending callback
+// fires once with the transport error, post refuses from then on, and a
+// Reconnect starts a clean generation the dead one's flusher cannot touch.
+func TestFrameWriterFlusherFailurePoisons(t *testing.T) {
+	dispatch, parked, release := parkingServant()
+	tp := startTapped(t, dispatch, WithReconnect(ReconnectPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}))
+	defer release()
+	const calls = 40
+	var fired [calls + 1]atomic.Int32
+	errs := make(chan error, calls+1)
+	deliver := func(i int) func([]any, time.Duration, error) {
+		return func(_ []any, _ time.Duration, err error) {
+			fired[i].Add(1)
+			errs <- err
+		}
+	}
+	// A parked call keeps the connection busy: every post below is left to
+	// the flusher, whose write then fails.
+	tp.stub.OnStream(1).InvokeCB("Park", deliver(calls))
+	await(t, parked, "the call to park")
+	tp.failWrites.Store(true)
+	for i := 0; i < calls; i++ {
+		tp.stub.OnStream(2).InvokeCB("M", deliver(i), int64(i))
+	}
+	for i := 0; i <= calls; i++ {
+		if err := await(t, errs, "every pending callback to fire"); !errors.Is(err, errWriteFailed) {
+			t.Fatalf("callback %d resolved with %v, want the transport's write error", i, err)
+		}
+	}
+	if err := tp.client.post("obj", "M", nil, false, false, 0, 2, "", &pendingReply{}); !errors.Is(err, errWriteFailed) {
+		t.Errorf("post on the poisoned connection returned %v, want the write error", err)
+	}
+	dead := tp.client.w.Load()
+	release() // the parked servant's reply goes to a connection nobody reads any more
+
+	if _, err := tp.client.Reconnect(); err != nil {
+		t.Fatalf("Reconnect: %v", err)
+	}
+	if live := tp.client.w.Load(); live == dead {
+		t.Fatal("Reconnect kept the failed generation's writer")
+	}
+	select {
+	case <-dead.quit:
+	default:
+		t.Error("the failed generation's flusher was not stopped")
+	}
+	before := tp.clientWrites.Load()
+	for i := 0; i < 20; i++ {
+		if res, err := tp.stub.OnStream(2).Invoke("M", int64(i)); err != nil || res[0] != int64(i) {
+			t.Fatalf("call %d on the reconnected generation = %v, %v", i, res, err)
+		}
+	}
+	if after := tp.clientWrites.Load(); after != before {
+		t.Errorf("the dead connection saw %d writes after Reconnect", after-before)
+	}
+	for i := range fired {
+		if n := fired[i].Load(); n != 1 {
+			t.Errorf("callback %d fired %d times, want exactly once", i, n)
+		}
+	}
+}
+
+// TestFrameWriterCodecSwapStraddlesNoFrame: frames buffered before setCodec
+// leave in the old codec in a write of their own, frames after it in the new
+// one — the flush-then-swap rule, with the flusher in play.
+func TestFrameWriterCodecSwapStraddlesNoFrame(t *testing.T) {
+	var sink chunkSink
+	w := newFrameWriter(&sink, nil)
+	defer w.stop()
+	w.expecting.Store(10) // busy throughout: every frame is buffered and the flusher kicked
+	write := func(r *response) {
+		t.Helper()
+		if err := w.writeResponse(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(&response{Results: []any{int64(1)}, Bound: true})
+	write(&response{Results: []any{int64(2)}, Bound: true})
+	w.setCodec(BinaryCodec())
+	write(&response{Results: []any{int64(3)}, Bound: true})
+	if err := w.drain(); err != nil {
+		t.Fatal(err)
+	}
+	chunks := sink.take()
+	if len(chunks) < 2 {
+		t.Fatalf("%d writes for frames on both sides of a codec swap, want the swap to split them", len(chunks))
+	}
+	// Everything up to the swap decodes as gob with nothing left over; the
+	// rest is one binary frame.
+	last := len(chunks) - 1
+	br := bufio.NewReader(bytes.NewReader(bytes.Join(chunks[:last], nil)))
+	dec := GobCodec().newDecoder(br)
+	for want := int64(1); want <= 2; want++ {
+		var r response
+		if err := dec.DecodeResponse(&r); err != nil || r.Results[0] != want {
+			t.Fatalf("gob frame %d = %+v, %v", want, r, err)
+		}
+	}
+	if _, err := br.ReadByte(); err == nil {
+		t.Error("bytes of a post-swap frame left with the gob frames")
+	}
+	var r response
+	if err := BinaryCodec().newDecoder(bufio.NewReader(bytes.NewReader(chunks[last]))).DecodeResponse(&r); err != nil || r.Results[0] != int64(3) {
+		t.Fatalf("binary frame = %+v, %v", r, err)
+	}
+}
+
+// chunkSink records each Write as its own chunk.
+type chunkSink struct {
+	mu     sync.Mutex
+	chunks [][]byte
+}
+
+func (s *chunkSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.chunks = append(s.chunks, bytes.Clone(p))
+	return len(p), nil
+}
+
+func (s *chunkSink) take() [][]byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.chunks
+}
+
+// TestReconnectRetriesFailedHandshake is the regression test for Reconnect
+// spending one dial and giving up: a listener on its way down (or back up)
+// accepts and closes, so the dial succeeds and the handshake fails. That is
+// one failed attempt, not an exhausted budget — the third attempt, two
+// backoffs later on the client's clock, finds the server serving again.
+func TestReconnectRetriesFailedHandshake(t *testing.T) {
+	v := clock.NewVirtual(time.Unix(0, 0))
+	defer v.Close()
+	tp := startTapped(t, echo, WithClock(v),
+		WithReconnect(ReconnectPolicy{MaxAttempts: 3, BaseBackoff: time.Hour, MaxBackoff: time.Hour}))
+	epoch := tp.client.Epoch()
+	tp.dropAccepts.Store(2)
+	tp.srv.DropConns()
+
+	type outcome struct {
+		same bool
+		err  error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		same, err := tp.client.Reconnect()
+		done <- outcome{same, err}
+	}()
+	for attempt := uint64(1); attempt <= 2; attempt++ {
+		v.AwaitWaits(attempt) // the failed handshake sent Reconnect into its backoff
+		select {
+		case o := <-done:
+			t.Fatalf("Reconnect returned (%v, %v) after %d attempts with budget left", o.same, o.err, attempt)
+		default:
+		}
+		v.Advance(time.Hour)
+	}
+	o := await(t, done, "Reconnect's third attempt")
+	if o.err != nil || !o.same {
+		t.Fatalf("Reconnect = (%v, %v), want the same epoch on the third attempt", o.same, o.err)
+	}
+	if got := tp.client.Epoch(); got != epoch {
+		t.Errorf("epoch %d after Reconnect, want %d", got, epoch)
+	}
+	if res, err := tp.stub.Invoke("M", int64(5)); err != nil || res[0] != int64(5) {
+		t.Fatalf("call after Reconnect = %v, %v", res, err)
+	}
+	if v.TotalWaits() != 2 {
+		t.Errorf("%d backoff waits, want 2 (one between each pair of attempts)", v.TotalWaits())
+	}
+}

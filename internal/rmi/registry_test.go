@@ -141,7 +141,7 @@ func TestRegistryAbortLeavesTombstone(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("crashed node never read unhealthy")
 		}
-		// The dead node parks no clock waiters, so the auto-advance pump has
+		// The dead node parks nothing on the clock, so the auto-advance pump has
 		// nothing to run ahead of — push virtual time past the miss window
 		// by hand.
 		v.Advance(beat)

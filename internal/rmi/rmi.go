@@ -143,7 +143,10 @@ type response struct {
 
 // Server hosts exported objects and the name server.
 type Server struct {
-	mu       sync.Mutex
+	// mu guards everything below without its own synchronisation. handle
+	// takes it shared, for the one map read every request of every lane
+	// makes; all other users take it exclusively.
+	mu       sync.RWMutex
 	ln       net.Listener
 	objects  map[string]DispatchFunc
 	conns    map[net.Conn]struct{}
@@ -240,13 +243,19 @@ func (s *Server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("rmi: listen: %w", err)
 	}
+	return s.serve(ln), nil
+}
+
+// serve starts serving on a listener the caller made (Listen's; a test's,
+// whose connections count their writes) and returns its address.
+func (s *Server) serve(ln net.Listener) string {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
 	s.startHeartbeat(ln.Addr().String())
-	return ln.Addr().String(), nil
+	return ln.Addr().String()
 }
 
 func (s *Server) acceptLoop(ln net.Listener) {
@@ -274,55 +283,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
-}
-
-// connWriter serialises every response write of one connection — the inline
-// stream-0 lane and all multiplexed stream lanes share it — and coalesces
-// flushes: a writer that can see another writer already waiting for the
-// mutex leaves its bytes in the buffer for that successor to flush, so a
-// burst of responses (a whole windowed pack's acknowledgements, or several
-// lanes answering at once) leaves in one syscall instead of one per frame.
-// The last writer of a burst always observes zero waiters and flushes.
-type connWriter struct {
-	mu      sync.Mutex
-	bw      *bufio.Writer
-	enc     frameEncoder
-	waiters atomic.Int32
-	err     error // sticky: a failed connection never accepts more writes
-}
-
-func newConnWriter(conn net.Conn) *connWriter {
-	bw := bufio.NewWriter(conn)
-	return &connWriter{bw: bw, enc: GobCodec().newEncoder(bw)}
-}
-
-func (w *connWriter) write(resp *response) error {
-	w.waiters.Add(1)
-	w.mu.Lock()
-	w.waiters.Add(-1)
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	err := w.enc.EncodeResponse(resp)
-	if err == nil && w.waiters.Load() == 0 {
-		err = w.bw.Flush()
-	}
-	if err != nil {
-		w.err = err
-	}
-	return err
-}
-
-// setCodec swaps the connection's response codec; the caller must have
-// flushed the handshake reply (write does, when it is the last writer) and
-// guaranteed no concurrent traffic — negotiation is the first exchange on a
-// fresh connection.
-func (w *connWriter) setCodec(c Codec) {
-	w.mu.Lock()
-	w.bw.Flush() // any coalesced pre-swap frames must leave in the old codec
-	w.enc = c.newEncoder(w.bw)
-	w.mu.Unlock()
 }
 
 // streamLane is one multiplexed dispatch lane of a connection: an unbounded
@@ -356,7 +316,7 @@ func (l *streamLane) close() {
 	l.mu.Unlock()
 }
 
-func (l *streamLane) run(s *Server, w *connWriter, stream uint32) {
+func (l *streamLane) run(s *Server, w *frameWriter, stream uint32) {
 	for {
 		l.mu.Lock()
 		for len(l.queue) == 0 && !l.closed {
@@ -371,10 +331,10 @@ func (l *streamLane) run(s *Server, w *connWriter, stream uint32) {
 		l.mu.Unlock()
 		resp := s.handle(req)
 		resp.Stream = stream
-		// A write failure is terminal for the connection (connWriter is
-		// sticky); keep draining so queued requests still execute — their
+		// A write failure is terminal for the connection (the writer's error
+		// is sticky); keep draining so queued requests still execute — their
 		// effects are journaled server-side and the client replays/dedupes.
-		w.write(resp)
+		w.writeResponse(resp)
 	}
 }
 
@@ -383,8 +343,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	// The reader is shared between codecs: gob consumes exactly message
 	// bytes from a ByteReader, so after a handshake codec switch the next
 	// frame is intact in this buffer for the new decoder.
-	br := bufio.NewReader(conn)
-	w := newConnWriter(conn)
+	br := bufio.NewReaderSize(conn, connBufSize)
+	w := newFrameWriter(conn, nil)
 	var dec frameDecoder = GobCodec().newDecoder(br)
 	lanes := make(map[uint32]*streamLane)
 	var laneWG sync.WaitGroup
@@ -392,16 +352,31 @@ func (s *Server) serveConn(conn net.Conn) {
 		for _, l := range lanes {
 			l.close()
 		}
-		laneWG.Wait() // lanes drain their queues before the socket drops
+		laneWG.Wait() // lanes drain their queues before the socket drops,
+		w.drain()     // and so do the replies still in the buffer (an aborted socket fails this at once)
+		w.stop()
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	// ahead is this loop's own unit in w.expecting: held while the read
+	// buffer has bytes behind the request just decoded, because their
+	// replies are about to follow this one's.
+	ahead := false
 	for {
 		var req request
 		if err := dec.DecodeRequest(&req); err != nil {
 			return // EOF or broken connection
+		}
+		w.expecting.Add(1)
+		if more := br.Buffered() > 0; more != ahead {
+			ahead = more
+			if more {
+				w.expecting.Add(1)
+			} else {
+				w.expecting.Add(-1)
+			}
 		}
 		if d := s.dispatchDelay.Load(); d > 0 {
 			s.clk.Sleep(time.Duration(d)) // injected slow link (see inject.go)
@@ -423,14 +398,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		resp := s.handle(&req)
-		if err := w.write(resp); err != nil {
+		if err := w.writeResponse(resp); err != nil {
 			return
 		}
 		if resp.Codec != "" {
-			// Handshake accepted a codec switch: the reply above left in
-			// gob; everything after speaks the negotiated codec. Negotiation
-			// is the first exchange on a fresh connection, so no other
-			// frame can straddle the swap.
+			// Handshake accepted a codec switch: the reply above leaves in
+			// gob (setCodec flushes before it swaps); everything after speaks
+			// the negotiated codec.
 			if c := s.codecs[resp.Codec]; c != nil {
 				w.setCodec(c)
 				dec = c.newDecoder(br)
@@ -456,9 +430,9 @@ func (s *Server) handle(req *request) *response {
 		}
 		return resp
 	}
-	s.mu.Lock()
+	s.mu.RLock()
 	dispatch, ok := s.objects[req.Object]
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	if req.Method == "" { // lookup probe
 		return &response{Bound: ok}
 	}
@@ -656,6 +630,11 @@ var oneWayAck = &pendingReply{oneWay: true}
 // fully serialised when Encode returns, so post can release it immediately.
 var requestPool = sync.Pool{New: func() any { return new(request) }}
 
+func releaseRequest(req *request) {
+	*req = request{}
+	requestPool.Put(req)
+}
+
 // Client is a pipelined connection to an RMI server: requests are written in
 // call order and a background reader matches the in-order responses back to
 // callers, so many invocations can overlap on one TCP connection (like a
@@ -663,15 +642,11 @@ var requestPool = sync.Pool{New: func() any { return new(request) }}
 type Client struct {
 	addr string
 
-	// sendMu serialises encoder writes; the pending append happens under it
-	// too, so queue order always equals wire order. sendWaiters counts
-	// senders queued on it: a sender that can see a successor skips its
-	// flush (write coalescing — a windowed pack of posts leaves the buffer
-	// as one frame batch, in one syscall, flushed by the burst's last post).
-	sendMu      sync.Mutex
-	sendWaiters atomic.Int32
-	bw          *bufio.Writer
-	enc         frameEncoder
+	// w is the live generation's frame writer. Its mutex serialises encoder
+	// writes, and post appends the pending entry under it too, so queue order
+	// always equals wire order. install swaps in a fresh writer per
+	// connection generation.
+	w atomic.Pointer[frameWriter]
 
 	// codec is the frame codec this client offers at handshake — BinaryCodec
 	// unless WithCodec said otherwise; nil means the client was pinned to gob
@@ -685,8 +660,7 @@ type Client struct {
 	gen           int64 // connection generation, bumped by Reconnect
 	pending       map[uint32][]*pendingReply
 	transport     error // sticky first transport failure (per generation)
-	closed        bool
-	userClosed    bool // Close was called: Reconnect must refuse
+	userClosed    bool  // Close was called: Reconnect must refuse
 	windowSize    int
 	inFlightSends int     // unacknowledged one-way sends
 	sendErrs      []error // remote failures of one-way sends, drained by Flush
@@ -715,13 +689,14 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rmi: dial %s: %w", addr, err)
 	}
-	bw := bufio.NewWriter(conn)
+	return newClient(addr, conn, o)
+}
+
+// newClient is Dial over a connection the caller made (Dial's own; a test's,
+// which counts or fails its writes).
+func newClient(addr string, conn net.Conn, o options) (*Client, error) {
 	c := &Client{
 		addr:       addr,
-		conn:       conn,
-		bw:         bw,
-		enc:        GobCodec().newEncoder(bw),
-		pending:    make(map[uint32][]*pendingReply),
 		windowSize: DefaultSendWindow,
 		clk:        clock.Or(o.clk),
 		closeCh:    make(chan struct{}),
@@ -742,13 +717,9 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		c.codec = nil // pinned to gob: nothing to negotiate
 	}
 	c.cond = sync.NewCond(&c.mu)
-	// One shared read buffer: the gob decoder consumes exactly message
-	// bytes from it, so a negotiated codec's decoder can take over
-	// mid-stream (see codec.go).
-	br := bufio.NewReader(conn)
-	go c.readLoop(br, GobCodec().newDecoder(br), 0)
+	c.install(conn) // refuses only a Closed client, which a new one is not
 	if c.codec != nil {
-		if err := c.negotiate(); err != nil {
+		if _, err := c.hello(c.codec); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("rmi: dial %s: negotiate codec: %w", addr, err)
 		}
@@ -756,27 +727,65 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// negotiate offers the client's preferred codec in a Hello exchange. The
-// reader swaps encoder and decoder before delivering the confirming reply,
-// so every frame after it — in both directions — speaks the new codec. A
-// server that does not accept leaves the connection on gob (no error: that
-// is the mixed-cluster fallback). Callers guarantee nothing else is in
-// flight (Dial and Reconnect run it before handing the connection out).
-func (c *Client) negotiate() error {
-	f, resolve := future.New[*response]()
-	p := &pendingReply{
-		swap:    c.codec,
-		deliver: func(r *response, err error) { resolve(r, err) },
+// install makes conn the client's next connection generation: a fresh frame
+// writer (with its own flusher) and reader, clean transport state, the
+// previous generation's writer stopped and its socket closed. Every
+// connection starts in gob; the caller negotiates from there. It refuses on a
+// client that was explicitly Closed.
+func (c *Client) install(conn net.Conn) error {
+	c.mu.Lock()
+	if c.userClosed {
+		c.mu.Unlock()
+		conn.Close()
+		return ErrClosed
 	}
-	if err := c.post("", "", nil, false, true, 0, 0, c.codec.Name(), p); err != nil {
-		return err
+	old, oldW := c.conn, c.w.Load()
+	c.gen++
+	gen := c.gen
+	w := newFrameWriter(conn, func(err error) { c.fail(gen, fmt.Errorf("rmi: send: %w", err)) })
+	c.conn = conn
+	c.w.Store(w)
+	c.transport = nil
+	c.pending = make(map[uint32][]*pendingReply)
+	c.inFlightSends = 0
+	c.sendErrs = nil
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	if old != nil {
+		oldW.stop()
+		old.Close()
+	}
+	// One shared read buffer: the gob decoder consumes exactly message
+	// bytes from it, so a negotiated codec's decoder can take over
+	// mid-stream (see codec.go).
+	br := bufio.NewReaderSize(conn, connBufSize)
+	go c.readLoop(br, GobCodec().newDecoder(br), w, gen)
+	return nil
+}
+
+// hello performs the session handshake, offering codec offer (nil: none) in
+// it, and records the server's epoch. The reader swaps encoder and decoder
+// before delivering a confirming reply, so every frame after it — in both
+// directions — speaks the new codec. A server that does not accept leaves the
+// connection on gob (no error: that is the mixed-cluster fallback). With an
+// offer, callers guarantee nothing else is in flight (Dial and Reconnect run
+// it before handing the connection out).
+func (c *Client) hello(offer Codec) (int64, error) {
+	f, resolve := future.New[*response]()
+	p := &pendingReply{swap: offer, deliver: func(r *response, err error) { resolve(r, err) }}
+	name := ""
+	if offer != nil {
+		name = offer.Name()
+	}
+	if err := c.post("", "", nil, false, true, 0, 0, name, p); err != nil {
+		return 0, err
 	}
 	resp, err := f.Get()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	c.epoch.Store(resp.Epoch)
-	return nil
+	return resp.Epoch, nil
 }
 
 // SetSendWindow sets the flow-control window: the maximum number of one-way
@@ -795,9 +804,11 @@ func (c *Client) SetSendWindow(n int) {
 	c.mu.Unlock()
 }
 
-// Close closes the connection. Calls still in flight — including a window of
-// unacknowledged sends — resolve with ErrClosed rather than blocking forever.
-// A closed client stays closed: Reconnect refuses to revive it.
+// Close closes the connection. Requests already posted reach the server
+// first: whatever the frame writer still buffers is written out before the
+// socket drops. Calls still in flight — including a window of unacknowledged
+// sends — resolve with ErrClosed rather than blocking forever. A closed
+// client stays closed: Reconnect refuses to revive it.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	first := !c.userClosed
@@ -807,7 +818,15 @@ func (c *Client) Close() error {
 	}
 	gen := c.gen
 	conn := c.conn
+	healthy := c.transport == nil
 	c.mu.Unlock()
+	if healthy {
+		// A peer that stopped reading must not pin Close on a full socket:
+		// the drain (and any write it queues behind) is cut off like the
+		// server's own shutdown drain.
+		conn.SetWriteDeadline(time.Now().Add(closeDrainGrace))
+		c.w.Load().drain()
+	}
 	c.fail(gen, ErrClosed)
 	return conn.Close()
 }
@@ -824,7 +843,7 @@ func (c *Client) fail(gen int64, err error) {
 		return
 	}
 	c.transport = err
-	c.closed = true
+	c.w.Load().stop() // a dead generation needs no flusher
 	failed := c.pending
 	c.pending = make(map[uint32][]*pendingReply)
 	// Nothing is in flight on a dead connection: the loss itself is reported
@@ -855,7 +874,7 @@ func (c *Client) fail(gen int64, err error) {
 // to its connection generation: after a Reconnect swapped the transport, a
 // lingering old reader must neither consume the new generation's pending
 // entries nor fail the fresh connection.
-func (c *Client) readLoop(br *bufio.Reader, dec frameDecoder, gen int64) {
+func (c *Client) readLoop(br *bufio.Reader, dec frameDecoder, w *frameWriter, gen int64) {
 	for {
 		var resp response
 		if err := dec.DecodeResponse(&resp); err != nil {
@@ -867,6 +886,7 @@ func (c *Client) readLoop(br *bufio.Reader, dec frameDecoder, gen int64) {
 			c.fail(gen, err)
 			return
 		}
+		w.expecting.Add(-1)
 		c.mu.Lock()
 		if gen != c.gen {
 			c.mu.Unlock()
@@ -883,19 +903,12 @@ func (c *Client) readLoop(br *bufio.Reader, dec frameDecoder, gen int64) {
 		if p.swap != nil {
 			// Codec negotiation reply: switch both directions BEFORE
 			// delivering, so any frame a delivery triggers already speaks
-			// the new codec. Lock order matches post (sendMu then mu); the
-			// gen re-check keeps a stale reader from clobbering a fresh
-			// connection's encoder.
+			// the new codec. w is this generation's own writer, so a stale
+			// reader cannot touch a fresh connection's encoder.
 			c.mu.Unlock()
 			if resp.Codec == p.swap.Name() {
-				c.sendMu.Lock()
-				c.mu.Lock()
-				if gen == c.gen {
-					c.enc = p.swap.newEncoder(c.bw)
-					dec = p.swap.newDecoder(br)
-				}
-				c.mu.Unlock()
-				c.sendMu.Unlock()
+				w.setCodec(p.swap)
+				dec = p.swap.newDecoder(br)
 			}
 			p.deliver(&resp, nil)
 			continue
@@ -928,12 +941,12 @@ func (c *Client) readLoop(br *bufio.Reader, dec frameDecoder, gen int64) {
 // ships the client's session tag and epoch stamp alongside, arming the
 // server's dedupe and stale-replay guards (scoped per stream).
 //
-// Flushes coalesce: a post that can see another post already waiting for
-// sendMu leaves its frame buffered — the successor (ultimately the burst's
-// last post, which sees no waiter) flushes the whole batch in one write.
-// If that successor instead fails at the transport, the connection is
-// poisoned and every buffered frame's pending entry resolves through fail,
-// so no frame is silently stranded.
+// How the frame leaves the buffer is the frame writer's rule (see
+// frameWriter.leave): flushed here when no reply is pending — a lone call —
+// and left to the connection's flusher otherwise. If that flush fails, the
+// flusher poisons the connection through fail exactly as a failed flush here
+// does, so every buffered frame's pending entry resolves and no frame is
+// silently stranded.
 func (c *Client) post(object, method string, args []any, oneWay, hello bool, seq uint64, stream uint32, codec string, p *pendingReply) error {
 	req := requestPool.Get().(*request)
 	req.Object, req.Method, req.Args, req.OneWay, req.Hello = object, method, args, oneWay, hello
@@ -942,26 +955,31 @@ func (c *Client) post(object, method string, args []any, oneWay, hello bool, seq
 	if seq > 0 && c.session != "" {
 		req.Client, req.Seq, req.Epoch = c.session, seq, c.epoch.Load()
 	}
-	c.sendWaiters.Add(1)
-	c.sendMu.Lock()
-	c.sendWaiters.Add(-1)
-	defer c.sendMu.Unlock()
-	c.mu.Lock()
-	if err := c.transport; err != nil {
+	var w *frameWriter
+	for {
+		w = c.w.Load()
+		w.mu.Lock()
+		c.mu.Lock()
+		if err := c.transport; err != nil {
+			c.mu.Unlock()
+			w.mu.Unlock()
+			releaseRequest(req)
+			return err
+		}
+		if c.w.Load() == w {
+			break
+		}
+		// A Reconnect installed the next generation between the load and
+		// the lock: post on that one.
 		c.mu.Unlock()
-		*req = request{}
-		requestPool.Put(req)
-		return err
+		w.mu.Unlock()
 	}
 	gen := c.gen
 	c.pending[stream] = append(c.pending[stream], p)
 	c.mu.Unlock()
-	err := c.enc.EncodeRequest(req)
-	if err == nil && c.sendWaiters.Load() == 0 {
-		err = c.bw.Flush()
-	}
-	*req = request{}
-	requestPool.Put(req)
+	err := w.leave(w.enc.EncodeRequest(req), w.expecting.Add(1) == 1)
+	w.mu.Unlock()
+	releaseRequest(req)
 	if err != nil {
 		c.fail(gen, fmt.Errorf("rmi: send: %w", err))
 		return fmt.Errorf("rmi: send: %w", err)
@@ -1137,8 +1155,10 @@ func (s *Stub) invokeCB(method string, seq uint64, deliver func([]any, time.Dura
 	}
 }
 
-// Send ships a one-way invocation: it returns once the request is written,
-// without waiting for execution, discarding any results. In-flight sends are
+// Send ships a one-way invocation: it returns once the request is encoded
+// into the connection's write buffer (which the frame writer empties without
+// further help from the caller), without waiting for execution, discarding
+// any results. In-flight sends are
 // bounded by the client's flow-control window — Send blocks while a full
 // window of sends is unacknowledged, so a fast producer cannot bury a slow
 // server. Remote failures are reported collectively by Flush.

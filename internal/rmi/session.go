@@ -1,7 +1,6 @@
 package rmi
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"aspectpar/internal/clock"
-	"aspectpar/internal/future"
 )
 
 // This file is the session layer of the fault-tolerant transport: server
@@ -226,19 +224,7 @@ func (c *Client) Epoch() int64 { return c.epoch.Load() }
 // Handshake performs the session-epoch exchange and records the server's
 // epoch as the stamp of subsequent tracked requests. It pipelines like any
 // other call.
-func (c *Client) Handshake() (int64, error) {
-	f, resolve := future.New[*response]()
-	p := &pendingReply{deliver: func(r *response, err error) { resolve(r, err) }}
-	if err := c.post("", "", nil, false, true, 0, 0, "", p); err != nil {
-		return 0, err
-	}
-	resp, err := f.Get()
-	if err != nil {
-		return 0, err
-	}
-	c.epoch.Store(resp.Epoch)
-	return resp.Epoch, nil
-}
+func (c *Client) Handshake() (int64, error) { return c.hello(nil) }
 
 // Reconnect re-establishes a failed connection to the same address under
 // the client's ReconnectPolicy (bounded attempts, exponential backoff) and
@@ -269,7 +255,10 @@ func (c *Client) Reconnect() (sameEpoch bool, err error) {
 	// by the swap.
 	c.fail(gen, errors.New("rmi: reconnecting"))
 
-	var conn net.Conn
+	// One attempt is a dial plus the handshake on it: a dial that succeeds
+	// into a dying listener (accept-and-close, a partition) has not
+	// reconnected anything, so it backs off and tries again like a refused
+	// one, on the same schedule and out of the same budget.
 	backoff := pol.BaseBackoff
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -289,61 +278,28 @@ func (c *Client) Reconnect() (sameEpoch bool, err error) {
 				backoff = pol.MaxBackoff
 			}
 		}
-		conn, err = net.DialTimeout("tcp", c.addr, pol.DialTimeout)
-		if err == nil {
-			break
+		var conn net.Conn
+		if conn, err = net.DialTimeout("tcp", c.addr, pol.DialTimeout); err != nil {
+			err = fmt.Errorf("rmi: reconnect %s: %w", c.addr, err)
+			continue
 		}
-	}
-	if err != nil {
-		return false, fmt.Errorf("rmi: reconnect %s: %w", c.addr, err)
-	}
-
-	c.sendMu.Lock()
-	c.mu.Lock()
-	if c.userClosed {
-		c.mu.Unlock()
-		c.sendMu.Unlock()
+		if err = c.install(conn); err != nil {
+			return false, err
+		}
+		// Re-offer the preferred codec, exactly like Dial's first handshake:
+		// the server of this incarnation may or may not accept (a failover
+		// target could be gob-only) — either way the reply carries its epoch.
+		var epoch int64
+		if epoch, err = c.hello(c.codec); err == nil {
+			return prev != 0 && epoch == prev, nil
+		}
+		// Half-open, and already failed (a handshake errs only through
+		// fail): drop the socket before the next attempt or the caller's
+		// failover, so nothing lingers on a connection that never formed.
+		err = fmt.Errorf("rmi: reconnect handshake: %w", err)
 		conn.Close()
-		return false, ErrClosed
 	}
-	old := c.conn
-	c.gen++
-	newGen := c.gen
-	c.conn = conn
-	c.bw = bufio.NewWriter(conn)
-	// Every fresh connection starts in gob; a preferred codec is
-	// renegotiated below, exactly like Dial's first handshake.
-	c.enc = GobCodec().newEncoder(c.bw)
-	c.transport = nil
-	c.closed = false
-	c.pending = make(map[uint32][]*pendingReply)
-	c.inFlightSends = 0
-	c.sendErrs = nil
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.sendMu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	br := bufio.NewReader(conn)
-	go c.readLoop(br, GobCodec().newDecoder(br), newGen)
-
-	var epoch int64
-	if c.codec != nil {
-		// Re-offer the preferred codec; the server of this incarnation may
-		// or may not accept (a failover target could be gob-only) — either
-		// way the handshake records its epoch.
-		if err := c.negotiate(); err != nil {
-			return false, fmt.Errorf("rmi: reconnect handshake: %w", err)
-		}
-		epoch = c.epoch.Load()
-	} else {
-		epoch, err = c.Handshake()
-		if err != nil {
-			return false, fmt.Errorf("rmi: reconnect handshake: %w", err)
-		}
-	}
-	return prev != 0 && epoch == prev, nil
+	return false, err
 }
 
 // InvokeSeq ships a session-tracked invocation: like InvokeCB, but the
