@@ -386,8 +386,7 @@ func (w *Wiring) Process(ctx exec.Context, frames []Frame) ([]Frame, error) {
 	}
 	stages := w.Pipe.Managed()
 	last := stages[len(stages)-1]
-	marks := map[string]any{par.MarkInternal: true, par.MarkNoAsync: true}
-	res, err := w.Class.CallMarked(ctx, marks, last, "Results")
+	res, err := w.Class.CallWith(ctx, par.Internal|par.NoAsync, last, "Results")
 	if err != nil {
 		return nil, err
 	}

@@ -469,8 +469,7 @@ func (s *Service) pump() error {
 	if err := s.heal(); err != nil {
 		return err
 	}
-	marks := map[string]any{par.MarkInternal: true, par.MarkNoAsync: true}
-	res, err := s.class.CallMarked(s.ctx, marks, s.terminal, "TakeDone", inc, cursor)
+	res, err := s.class.CallWith(s.ctx, par.Internal|par.NoAsync, s.terminal, "TakeDone", inc, cursor)
 	if err == nil {
 		err = s.absorb(inc, res)
 	}

@@ -1,6 +1,11 @@
 package aspect
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // Kind classifies a joinpoint.
 type Kind uint8
@@ -50,10 +55,73 @@ type JoinPoint struct {
 	// treats it as opaque.
 	Ctx any
 
-	// vals carries advice-to-advice context (outer advice can leave
-	// information for inner advice, e.g. "this call is already remote").
-	vals map[string]any
+	// marks and vals carry advice-to-advice context (outer advice, or the
+	// call site, can leave information for inner advice, e.g. "this call is
+	// already remote"): registered boolean keys as bits, every other key in a
+	// short list — a joinpoint carries a handful at most.
+	marks Marks
+	vals  []namedValue
 }
+
+type namedValue struct {
+	key string
+	v   any
+}
+
+// Marks is a set of registered boolean joinpoint keys, one bit each. The keys
+// a call site sets on every call — "generated by aspect code", "server-side
+// re-entry" — are registered once ([RegisterMark]) and then cost a bit
+// operation to set and to test, where a string key costs a list entry.
+type Marks uint32
+
+var (
+	markMu    sync.Mutex
+	markNames atomic.Pointer[[]string] // bit i is (*markNames)[i]
+)
+
+// RegisterMark reserves a bit for the boolean key name and returns it;
+// registering a name again returns the bit it already has. The key keeps
+// working through Set, Value and Bool, which read and write the same bit.
+// Packages register their marks in package-level variable declarations; the
+// set is bounded at 32.
+func RegisterMark(name string) Marks {
+	markMu.Lock()
+	defer markMu.Unlock()
+	if m, ok := markOf(name); ok {
+		return m
+	}
+	var names []string
+	if p := markNames.Load(); p != nil {
+		names = *p
+	}
+	if len(names) == 32 {
+		panic(fmt.Sprintf("aspect: RegisterMark(%q): all 32 mark bits are taken", name))
+	}
+	names = append(slices.Clip(names), name) // readers keep the list they loaded
+	markNames.Store(&names)
+	return 1 << (len(names) - 1)
+}
+
+// markOf returns the bit registered for key, if any.
+func markOf(key string) (Marks, bool) {
+	if p := markNames.Load(); p != nil {
+		for i, name := range *p {
+			if name == key {
+				return 1 << i, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// Mark sets every mark in m on the joinpoint.
+func (jp *JoinPoint) Mark(m Marks) { jp.marks |= m }
+
+// Unmark clears every mark in m.
+func (jp *JoinPoint) Unmark(m Marks) { jp.marks &^= m }
+
+// Marked reports whether any mark in m is set.
+func (jp *JoinPoint) Marked(m Marks) bool { return jp.marks&m != 0 }
 
 // Signature renders the joinpoint as a pointcut-style signature, e.g.
 // "call(PrimeFilter.Filter)" or "new(PrimeFilter)".
@@ -66,26 +134,46 @@ func (jp *JoinPoint) Signature() string {
 
 // Set attaches a named value to the joinpoint, visible to advice that runs
 // after (inner to) the caller in the same chain. It mimics per-joinpoint
-// aspect state (AspectJ idiom: percflow aspect fields).
+// aspect state (AspectJ idiom: percflow aspect fields). A registered mark is
+// boolean: Set(key, true) sets its bit and any other value clears it.
 func (jp *JoinPoint) Set(key string, v any) {
-	if jp.vals == nil {
-		jp.vals = make(map[string]any, 2)
+	if m, ok := markOf(key); ok {
+		if b, _ := v.(bool); b {
+			jp.marks |= m
+		} else {
+			jp.marks &^= m
+		}
+		return
 	}
-	jp.vals[key] = v
+	for i := range jp.vals {
+		if jp.vals[i].key == key {
+			jp.vals[i].v = v
+			return
+		}
+	}
+	jp.vals = append(jp.vals, namedValue{key, v})
 }
 
 // Value reads a named value attached with Set; ok reports whether it exists.
+// A registered mark exists exactly while it is set, and its value is true.
 func (jp *JoinPoint) Value(key string) (v any, ok bool) {
-	v, ok = jp.vals[key]
-	return v, ok
+	if m, isMark := markOf(key); isMark {
+		if jp.marks&m != 0 {
+			return true, true
+		}
+		return nil, false
+	}
+	for i := range jp.vals {
+		if jp.vals[i].key == key {
+			return jp.vals[i].v, true
+		}
+	}
+	return nil, false
 }
 
 // Bool reads a named boolean value attached with Set, defaulting to false.
 func (jp *JoinPoint) Bool(key string) bool {
-	v, ok := jp.vals[key]
-	if !ok {
-		return false
-	}
+	v, _ := jp.Value(key)
 	b, _ := v.(bool)
 	return b
 }

@@ -24,18 +24,63 @@ type Weaver struct {
 	gen     atomic.Uint64
 
 	cacheMu  sync.RWMutex
-	cache    map[Shadow]*chain
+	cache    map[Shadow]*Chain
 	cacheGen uint64
 }
 
-// chain is a compiled advice stack for one shadow.
-type chain struct {
+// Chain is the compiled advice stack of one shadow under one weaver
+// configuration. A woven call site that builds its own joinpoints asks its
+// [Site] for the chain first: when it is empty the site calls its body
+// directly and no joinpoint is ever made.
+type Chain struct {
 	advs []AroundAdvice // outermost first
+}
+
+// Empty reports whether no advice applies, i.e. Run would just call the body.
+func (c *Chain) Empty() bool { return len(c.advs) == 0 }
+
+// Run executes the advice stack around body for the joinpoint, which must have
+// the shadow the chain was compiled for.
+func (c *Chain) Run(jp *JoinPoint, body ProceedFunc) ([]any, error) {
+	return runChain(c.advs, jp, body, nil)
+}
+
+// Site is one woven call site: a fixed shadow under one weaver. It remembers
+// the chain it last compiled with the configuration it was compiled under, so
+// a site that dispatches over and over asks the weaver's cache only after
+// something was plugged, unplugged, enabled or extended — AspectJ weaves a
+// shadow once; a Site re-weaves it once per configuration change.
+type Site struct {
+	w      *Weaver
+	shadow Shadow
+	last   atomic.Pointer[compiled]
+}
+
+type compiled struct {
+	gen   uint64
+	chain *Chain
+}
+
+// Site returns a call site for the shadow.
+func (w *Weaver) Site(s Shadow) *Site { return &Site{w: w, shadow: s} }
+
+// Chain returns the site's advice chain under the weaver's current
+// configuration.
+func (st *Site) Chain() *Chain {
+	gen := st.w.gen.Load()
+	if c := st.last.Load(); c != nil && c.gen == gen {
+		return c.chain
+	}
+	// The chain may already be a later configuration's than gen: then the next
+	// call finds the generation moved on and asks again.
+	chain := st.w.chainFor(st.shadow)
+	st.last.Store(&compiled{gen: gen, chain: chain})
+	return chain
 }
 
 // NewWeaver returns an empty weaver.
 func NewWeaver() *Weaver {
-	return &Weaver{cache: make(map[Shadow]*chain)}
+	return &Weaver{cache: make(map[Shadow]*Chain)}
 }
 
 // Plug adds aspects to the weaver. Plugging the same aspect twice is an
@@ -99,7 +144,7 @@ func (w *Weaver) invalidate() {
 
 // chainFor returns the compiled advice chain for the shadow, building and
 // caching it if needed.
-func (w *Weaver) chainFor(s Shadow) *chain {
+func (w *Weaver) chainFor(s Shadow) *Chain {
 	gen := w.gen.Load()
 	w.cacheMu.RLock()
 	if w.cacheGen == gen {
@@ -117,7 +162,7 @@ func (w *Weaver) chainFor(s Shadow) *chain {
 		// A configuration change raced with the build: reset the cache to
 		// this generation. The freshly built chain may itself be stale, so
 		// only publish it if the generation still matches.
-		w.cache = make(map[Shadow]*chain)
+		w.cache = make(map[Shadow]*Chain)
 		w.cacheGen = gen
 	}
 	if w.gen.Load() == gen {
@@ -135,7 +180,7 @@ func (w *Weaver) chainFor(s Shadow) *chain {
 
 // buildChain collects matching advice ordered by precedence desc, plug order
 // asc, declaration order asc.
-func (w *Weaver) buildChain(s Shadow) *chain {
+func (w *Weaver) buildChain(s Shadow) *Chain {
 	w.mu.RLock()
 	plugged := make([]*Aspect, len(w.aspects))
 	copy(plugged, w.aspects)
@@ -151,7 +196,7 @@ func (w *Weaver) buildChain(s Shadow) *chain {
 	for _, a := range plugged {
 		advs = a.matching(advs, s)
 	}
-	return &chain{advs: advs}
+	return &Chain{advs: advs}
 }
 
 // Call dispatches a method-call joinpoint through the weaver. ctx is the
@@ -159,10 +204,14 @@ func (w *Weaver) buildChain(s Shadow) *chain {
 // receiver, typeName/method the static call-site signature, body the original
 // method body, and args the call arguments.
 //
-// With no matching advice the body runs directly with the given args.
+// With no matching advice the body runs directly with the given args and no
+// joinpoint is built.
 func (w *Weaver) Call(ctx any, target any, typeName, method string, body ProceedFunc, args ...any) ([]any, error) {
-	jp := &JoinPoint{Kind: KindCall, Type: typeName, Method: method, Target: target, Args: args, Ctx: ctx}
-	return w.dispatch(jp, body)
+	c := w.chainFor(Shadow{Kind: KindCall, Type: typeName, Method: method})
+	if c.Empty() {
+		return body(args)
+	}
+	return c.Run(&JoinPoint{Kind: KindCall, Type: typeName, Method: method, Target: target, Args: args, Ctx: ctx}, body)
 }
 
 // New dispatches a construction joinpoint. The body constructs the object
@@ -171,8 +220,7 @@ func (w *Weaver) Call(ctx any, target any, typeName, method string, body Proceed
 // replaced — the paper's object duplication returns the first element of an
 // aspect-managed set.
 func (w *Weaver) New(ctx any, typeName string, body ProceedFunc, args ...any) (any, error) {
-	jp := &JoinPoint{Kind: KindNew, Type: typeName, Method: "new", Args: args, Ctx: ctx}
-	res, err := w.dispatch(jp, body)
+	res, err := w.Dispatch(&JoinPoint{Kind: KindNew, Type: typeName, Method: "new", Args: args, Ctx: ctx}, body)
 	if err != nil {
 		return nil, err
 	}
@@ -187,38 +235,30 @@ func (w *Weaver) New(ctx any, typeName string, body ProceedFunc, args ...any) (a
 // skeleton) that re-enter the weaver with a prepared joinpoint carrying
 // advice-to-advice context.
 func (w *Weaver) Dispatch(jp *JoinPoint, body ProceedFunc) ([]any, error) {
-	return w.dispatch(jp, body)
+	return w.chainFor(jp.shadow()).Run(jp, body)
 }
 
-func (w *Weaver) dispatch(jp *JoinPoint, body ProceedFunc) ([]any, error) {
-	c := w.chainFor(jp.shadow())
-	if len(c.advs) == 0 {
+// runChain executes the advice stack from its outermost remaining advice:
+// each advice's proceed runs the rest of the stack, and the body at the end.
+// proceed(nil) keeps the current arguments; proceed(newArgs) rebinds jp.Args
+// for inner advice and the body, restoring them afterwards so an around advice
+// that proceeds twice with different argument sets (method-call split)
+// observes consistent state. A proceed stays valid after its advice returned
+// (the concurrency module runs the rest of the chain in a new activity), which
+// is why each one remembers its own place in the stack instead of sharing a
+// cursor.
+func runChain(advs []AroundAdvice, jp *JoinPoint, body ProceedFunc, args []any) ([]any, error) {
+	if args != nil {
+		saved := jp.Args
+		jp.Args = args
+		defer func() { jp.Args = saved }()
+	}
+	if len(advs) == 0 {
 		return body(jp.Args)
 	}
-	return runChain(c.advs, jp, body)
-}
-
-// runChain executes the advice stack. proceed at depth i runs advice i+1, or
-// the body at the end. Each proceed(nil) keeps the current arguments;
-// proceed(newArgs) rebinds jp.Args for inner advice and the body, restoring
-// them afterwards so an around advice that proceeds twice with different
-// argument sets (method-call split) observes consistent state.
-func runChain(advs []AroundAdvice, jp *JoinPoint, body ProceedFunc) ([]any, error) {
-	var step func(depth int, args []any) ([]any, error)
-	step = func(depth int, args []any) ([]any, error) {
-		if args != nil {
-			saved := jp.Args
-			jp.Args = args
-			defer func() { jp.Args = saved }()
-		}
-		if depth == len(advs) {
-			return body(jp.Args)
-		}
-		return advs[depth](jp, func(nextArgs []any) ([]any, error) {
-			return step(depth+1, nextArgs)
-		})
-	}
-	return step(0, nil)
+	return advs[0](jp, func(next []any) ([]any, error) {
+		return runChain(advs[1:], jp, body, next)
+	})
 }
 
 // weaverSet tracks the weavers an aspect is plugged into so configuration

@@ -220,6 +220,107 @@ func TestProceedArgumentRebindingIsScoped(t *testing.T) {
 	}
 }
 
+// TestProceedTwiceRestoresArgs: an around advice that proceeds twice with
+// different argument lists (the method-call split) finds the joinpoint's own
+// arguments back after each, and inner advice and the body see each rebinding.
+func TestProceedTwiceRestoresArgs(t *testing.T) {
+	var between, after any
+	split := NewAspect("split", 2).AroundP("call(T.m(..))",
+		func(jp *JoinPoint, proceed ProceedFunc) ([]any, error) {
+			if _, err := proceed([]any{"first"}); err != nil {
+				return nil, err
+			}
+			between = jp.Arg(0)
+			_, err := proceed([]any{"second"})
+			after = jp.Arg(0)
+			return nil, err
+		})
+	var innerSaw, bodySaw []any
+	inner := NewAspect("inner", 1).AroundP("call(T.m(..))",
+		func(jp *JoinPoint, proceed ProceedFunc) ([]any, error) {
+			innerSaw = append(innerSaw, jp.Arg(0))
+			return proceed(nil)
+		})
+	w := NewWeaver().Plug(split, inner)
+	_, _ = w.Call(nil, nil, "T", "m", func(args []any) ([]any, error) {
+		bodySaw = append(bodySaw, args[0])
+		return nil, nil
+	}, "orig")
+	if between != "orig" || after != "orig" {
+		t.Errorf("split advice saw %v between and %v after its proceeds, want orig both times", between, after)
+	}
+	if fmt.Sprint(innerSaw) != "[first second]" || fmt.Sprint(bodySaw) != "[first second]" {
+		t.Errorf("inner advice saw %v, body saw %v, want [first second] each", innerSaw, bodySaw)
+	}
+}
+
+// TestProceedStaysValidAfterAdviceReturns: an advice may hand its proceed to
+// another activity and return (the concurrency module does); run later, it
+// still continues from that advice's place in the chain — inner advice and
+// body once each, outer advice not again.
+func TestProceedStaysValidAfterAdviceReturns(t *testing.T) {
+	var trace []string
+	note := func(name string) AroundAdvice {
+		return func(jp *JoinPoint, proceed ProceedFunc) ([]any, error) {
+			trace = append(trace, name)
+			return proceed(nil)
+		}
+	}
+	var later ProceedFunc
+	detach := func(jp *JoinPoint, proceed ProceedFunc) ([]any, error) {
+		trace = append(trace, "detach")
+		later = proceed
+		return nil, nil
+	}
+	w := NewWeaver().Plug(
+		NewAspect("outer", 3).AroundP("call(T.m(..))", note("outer")),
+		NewAspect("detach", 2).AroundP("call(T.m(..))", detach),
+		NewAspect("inner", 1).AroundP("call(T.m(..))", note("inner")))
+	body := func([]any) ([]any, error) { trace = append(trace, "body"); return nil, nil }
+	if _, err := w.Call(nil, nil, "T", "m", body); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := later(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(trace); got != "[outer detach inner body]" {
+		t.Errorf("trace = %s, want [outer detach inner body]", got)
+	}
+}
+
+// TestSiteFollowsReconfiguration: a call site keeps its compiled chain only
+// while the configuration it was compiled under stands.
+func TestSiteFollowsReconfiguration(t *testing.T) {
+	w := NewWeaver()
+	site := w.Site(Shadow{Kind: KindCall, Type: "T", Method: "m"})
+	if !site.Chain().Empty() {
+		t.Fatal("empty weaver: the site's chain should be empty")
+	}
+	a := NewAspect("a", 0)
+	w.Plug(a)
+	if !site.Chain().Empty() {
+		t.Error("an aspect with no advice should leave the chain empty")
+	}
+	ran := 0
+	a.AroundP("call(T.m(..))", func(jp *JoinPoint, proceed ProceedFunc) ([]any, error) {
+		ran++
+		return proceed(nil)
+	})
+	jp := &JoinPoint{Kind: KindCall, Type: "T", Method: "m"}
+	if _, err := site.Chain().Run(jp, func([]any) ([]any, error) { return nil, nil }); err != nil || ran != 1 {
+		t.Errorf("advice added after the site was first used ran %d times (err %v), want 1", ran, err)
+	}
+	a.SetEnabled(false)
+	if !site.Chain().Empty() {
+		t.Error("a disabled aspect should leave the chain empty")
+	}
+	a.SetEnabled(true)
+	w.Unplug(a)
+	if !site.Chain().Empty() {
+		t.Error("an unplugged aspect should leave the chain empty")
+	}
+}
+
 func TestConstructionAdviceDuplication(t *testing.T) {
 	// The paper's Figure 8 block 1: around(PrimeFilter.new) creating a set
 	// of objects and returning the first.

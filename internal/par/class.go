@@ -39,6 +39,16 @@ const (
 	MarkPlaceAt = "par.placeat"
 )
 
+// The boolean marks as bits. Call sites pass them to CallWith and advice
+// tests them with JoinPoint.Marked — no allocation either way; the names
+// above are how the same bits read through JoinPoint.Set, Value and Bool.
+var (
+	Internal = aspect.RegisterMark(MarkInternal)
+	Remote   = aspect.RegisterMark(MarkRemote)
+	NoAsync  = aspect.RegisterMark(MarkNoAsync)
+	Void     = aspect.RegisterMark(MarkVoid)
+)
+
 // MethodBody is the original, sequential body of a method: plain code with
 // no parallelism concerns.
 type MethodBody func(target any, args []any) ([]any, error)
@@ -73,7 +83,10 @@ func (d *Domain) Define(name string, ctor Constructor, methods map[string]Method
 	if _, dup := d.classes[name]; dup {
 		panic(fmt.Sprintf("par: class %q defined twice", name))
 	}
-	c := &Class{dom: d, name: name, ctor: ctor, methods: methods}
+	c := &Class{dom: d, name: name, ctor: ctor, methods: make(map[string]method, len(methods))}
+	for m, body := range methods {
+		c.methods[m] = method{body: body, site: d.weaver.Site(aspect.Shadow{Kind: aspect.KindCall, Type: name, Method: m})}
+	}
 	d.classes[name] = c
 	return c
 }
@@ -93,11 +106,18 @@ type Class struct {
 	dom     *Domain
 	name    string
 	ctor    Constructor
-	methods map[string]MethodBody
+	methods map[string]method
 
 	wireMu      sync.Mutex
 	wireSamples []any
 	forwards    map[string]ForwardFunc
+}
+
+// method is one woven method: the sequential body and the call site its calls
+// dispatch through.
+type method struct {
+	body MethodBody
+	site *aspect.Site
 }
 
 // ForwardFunc derives the arguments of the next pipeline hop from a completed
@@ -175,37 +195,29 @@ func (c *Class) Domain() *Domain { return c.dom }
 // through the weaver; partition advice may duplicate the object, and
 // distribution advice may place it on a remote node.
 func (c *Class) New(ctx exec.Context, args ...any) (any, error) {
-	if c.ctor == nil {
-		return nil, fmt.Errorf("par: class %s has no constructor", c.name)
-	}
-	return c.dom.weaver.New(ctx, c.name, func(a []any) ([]any, error) {
-		obj, err := c.ctor(a)
-		if err != nil {
-			return nil, err
-		}
-		return []any{obj}, nil
-	}, args...)
+	return c.construct(ctx, args, nil)
 }
 
-// NewMarked is the construction site used by aspect code: a construction
-// joinpoint carrying marks, so a module can create an additional managed
-// object without re-triggering the partition modules' duplication advice
-// (MarkInternal) and can pin its placement (MarkPlaceAt). Distribution
-// advice still runs — a marked construction is how Farm.Grow builds a
+// NewAt is the construction site used by aspect code to add one managed
+// object on a given node: the joinpoint is marked Internal and NoAsync, so the
+// partition modules' duplication advice stands aside, and carries the node
+// under MarkPlaceAt, which overrides the distribution module's placement
+// policy. Distribution advice still runs — this is how Farm.Grow builds a
 // replica on a node that joined mid-run.
-func (c *Class) NewMarked(ctx exec.Context, marks map[string]any, args ...any) (any, error) {
+func (c *Class) NewAt(ctx exec.Context, node exec.NodeID, args ...any) (any, error) {
+	return c.construct(ctx, args, func(jp *aspect.JoinPoint) {
+		jp.Mark(Internal | NoAsync)
+		jp.Set(MarkPlaceAt, node)
+	})
+}
+
+func (c *Class) construct(ctx exec.Context, args []any, mark func(*aspect.JoinPoint)) (any, error) {
 	if c.ctor == nil {
 		return nil, fmt.Errorf("par: class %s has no constructor", c.name)
 	}
-	jp := &aspect.JoinPoint{
-		Kind:   aspect.KindNew,
-		Type:   c.name,
-		Method: "new",
-		Args:   args,
-		Ctx:    ctx,
-	}
-	for k, v := range marks {
-		jp.Set(k, v)
+	jp := &aspect.JoinPoint{Kind: aspect.KindNew, Type: c.name, Method: "new", Args: args, Ctx: ctx}
+	if mark != nil {
+		mark(jp)
 	}
 	res, err := c.dom.weaver.Dispatch(jp, func(a []any) ([]any, error) {
 		obj, err := c.ctor(a)
@@ -225,38 +237,66 @@ func (c *Class) NewMarked(ctx exec.Context, marks map[string]any, args ...any) (
 
 // Call is the woven call site for core-functionality calls.
 func (c *Class) Call(ctx exec.Context, target any, method string, args ...any) ([]any, error) {
-	return c.CallMarked(ctx, nil, target, method, args...)
+	return c.call(ctx, target, method, args, nil)
 }
 
-// CallMarked is the call site used by aspect code: marks distinguish
-// aspect-generated calls (MarkInternal), server-side re-entries (MarkRemote)
-// and inline execution requests (MarkNoAsync).
+// CallWith is the call site used by aspect code: marks distinguish
+// aspect-generated calls (Internal), server-side re-entries (Remote), inline
+// execution requests (NoAsync) and calls whose results nobody reads (Void).
+func (c *Class) CallWith(ctx exec.Context, marks aspect.Marks, target any, method string, args ...any) ([]any, error) {
+	return c.call(ctx, target, method, args, func(jp *aspect.JoinPoint) { jp.Mark(marks) })
+}
+
+// CallMarked is CallWith for context given by name: every entry of marks is
+// attached with JoinPoint.Set, so the Mark* names land on the same bits
+// CallWith sets and any other key travels as a named value.
 func (c *Class) CallMarked(ctx exec.Context, marks map[string]any, target any, method string, args ...any) ([]any, error) {
-	body, ok := c.methods[method]
+	return c.call(ctx, target, method, args, func(jp *aspect.JoinPoint) {
+		for k, v := range marks {
+			jp.Set(k, v)
+		}
+	})
+}
+
+// callWindowed is the call site of the windowed self-scheduling dispatchers:
+// an inline, aspect-generated call carrying the slot its completion may be
+// delivered on (see MarkWindowed).
+func (c *Class) callWindowed(ctx exec.Context, slot *windowSlot, target any, method string, args []any) ([]any, error) {
+	return c.call(ctx, target, method, args, func(jp *aspect.JoinPoint) {
+		jp.Mark(Internal | NoAsync)
+		jp.Set(MarkWindowed, slot)
+	})
+}
+
+// call is the one woven call site behind the forms above. It asks the weaver
+// for the method's advice chain first: with none plugged the sequential body
+// runs directly — no joinpoint, no closure, nothing allocated — which is what
+// weaving costs a call no concern applies to. Otherwise it builds the
+// joinpoint and lets mark (nil: nothing to attach) put the caller's context
+// on it.
+func (c *Class) call(ctx exec.Context, target any, method string, args []any, mark func(*aspect.JoinPoint)) ([]any, error) {
+	m, ok := c.methods[method]
 	if !ok {
 		return nil, fmt.Errorf("par: class %s has no method %s", c.name, method)
 	}
-	jp := &aspect.JoinPoint{
-		Kind:   aspect.KindCall,
-		Type:   c.name,
-		Method: method,
-		Target: target,
-		Args:   args,
-		Ctx:    ctx,
+	body, chain := m.body, m.site.Chain()
+	if chain.Empty() {
+		return body(target, args)
 	}
-	for k, v := range marks {
-		jp.Set(k, v)
+	jp := &aspect.JoinPoint{Kind: aspect.KindCall, Type: c.name, Method: method, Target: target, Args: args, Ctx: ctx}
+	if mark != nil {
+		mark(jp)
 	}
-	return c.dom.weaver.Dispatch(jp, func(a []any) ([]any, error) {
+	return chain.Run(jp, func(a []any) ([]any, error) {
 		return body(target, a)
 	})
 }
 
 // Dispatch is the server-side entry used by middlewares: it re-enters the
-// weaver with MarkRemote set, so distribution advice executes the body
-// locally and async advice does not detach the already-delivered call.
+// weaver marked Remote, so distribution advice executes the body locally and
+// async advice does not detach the already-delivered call.
 func (c *Class) Dispatch(ctx exec.Context, target any, method string, args []any) ([]any, error) {
-	return c.CallMarked(ctx, map[string]any{MarkRemote: true}, target, method, args...)
+	return c.CallWith(ctx, Remote, target, method, args...)
 }
 
 // ctxOf extracts the execution context from a joinpoint; the woven call

@@ -45,7 +45,7 @@ func NewConcurrency(pc aspect.Pointcut) *Concurrency {
 
 	c.async = aspect.NewAspect("concurrency-async", precAsync).
 		Around(pc, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
-			if jp.Bool(MarkRemote) || jp.Bool(MarkNoAsync) {
+			if jp.Marked(Remote | NoAsync) {
 				return proceed(nil)
 			}
 			ctx := ctxOf(jp)
@@ -53,7 +53,7 @@ func NewConcurrency(pc aspect.Pointcut) *Concurrency {
 			// The caller receives nil results immediately, so whatever the
 			// body returns is discarded: downstream middleware may reply
 			// with a bare acknowledgement.
-			jp.Set(MarkVoid, true)
+			jp.Mark(Void)
 			name := c.spawnName(jp.Type, jp.Method)
 			c.executor(ctx, name, func(child exec.Context) {
 				defer c.untrack()

@@ -138,7 +138,7 @@ func NewDistribution(dom *Domain, newPC, callPC aspect.Pointcut, mw Middleware, 
 	// middleware supports it: the advice returns immediately after the send
 	// costs and the completion travels back on the slot's channel.
 	d.asp.Around(callPC, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
-		if jp.Bool(MarkRemote) {
+		if jp.Marked(Remote) {
 			return proceed(nil)
 		}
 		if _, placed := d.mw.NodeOf(jp.Target); !placed {
@@ -149,12 +149,12 @@ func NewDistribution(dom *Domain, newPC, callPC aspect.Pointcut, mw Middleware, 
 			if slot, ok := v.(*windowSlot); ok && slot != nil {
 				if async, ok := d.mw.(AsyncInvoker); ok {
 					slot.issued = true
-					async.InvokeAsync(ctx, jp.Target, jp.Method, jp.Args, jp.Bool(MarkVoid), slot.done)
+					async.InvokeAsync(ctx, jp.Target, jp.Method, jp.Args, jp.Marked(Void), slot.done)
 					return nil, nil
 				}
 			}
 		}
-		return d.mw.Invoke(ctx, jp.Target, jp.Method, jp.Args, jp.Bool(MarkVoid))
+		return d.mw.Invoke(ctx, jp.Target, jp.Method, jp.Args, jp.Marked(Void))
 	})
 	return d
 }

@@ -26,7 +26,11 @@
 // Core classes register with a [Domain] as a [Class]: a constructor, a method
 // table, and woven call sites ([Class.New], [Class.Call]) that route through
 // the domain's weaver. Aspect modules are plugged into a [Stack]; unplugging
-// every module runs the unchanged sequential code.
+// every module runs the unchanged sequential code — a call no advice applies
+// to reaches its body through one map lookup, with no joinpoint built. Calls
+// that aspect code itself generates go through [Class.CallWith], which marks
+// the joinpoint ([Internal], [Remote], [NoAsync], [Void]: bits, also readable
+// under their Mark* names) so the modules can tell them from core calls.
 //
 // Advice ordering (outermost first) is fixed by module precedence:
 //

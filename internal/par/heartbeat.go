@@ -102,7 +102,7 @@ func NewHeartbeat(cfg HeartbeatConfig) *Heartbeat {
 	// to the oblivious core loop only when the whole iteration (including
 	// exchange) finished, preserving the sequential iteration structure.
 	h.asp.Around(stepPC, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
-		if jp.Bool(MarkInternal) || jp.Bool(MarkRemote) {
+		if jp.Marked(Internal | Remote) {
 			return proceed(nil)
 		}
 		ctx := ctxOf(jp)
@@ -111,17 +111,16 @@ func NewHeartbeat(cfg HeartbeatConfig) *Heartbeat {
 			return proceed(nil)
 		}
 		args := jp.Args
-		marks := map[string]any{MarkInternal: true, MarkNoAsync: true}
 
 		var errs []error
 		if cfg.Stealing {
-			errs = h.stepStealing(ctx, workers, args, marks)
+			errs = h.stepStealing(ctx, workers, args)
 		} else {
-			errs = h.stepBroadcast(ctx, workers, args, marks)
+			errs = h.stepBroadcast(ctx, workers, args)
 		}
 		if cfg.Exchange != nil {
 			call := func(cctx exec.Context, worker any, method string, cargs ...any) ([]any, error) {
-				return cfg.Class.CallMarked(cctx, marks, worker, method, cargs...)
+				return cfg.Class.CallWith(cctx, Internal|NoAsync, worker, method, cargs...)
 			}
 			if err := cfg.Exchange(ctx, workers, call); err != nil {
 				errs = append(errs, err)
@@ -158,7 +157,7 @@ func (h *Heartbeat) stepDone(barrier exec.WaitGroup) {
 
 // stepBroadcast is the plain schedule: one activity per partition, all
 // spawned at once, joined at the barrier.
-func (h *Heartbeat) stepBroadcast(ctx exec.Context, workers []any, args []any, marks map[string]any) []error {
+func (h *Heartbeat) stepBroadcast(ctx exec.Context, workers []any, args []any) []error {
 	barrier := h.beginStep(ctx, len(workers))
 	var errMu sync.Mutex
 	var errs []error
@@ -166,7 +165,7 @@ func (h *Heartbeat) stepBroadcast(ctx exec.Context, workers []any, args []any, m
 		w := w
 		ctx.Spawn(fmt.Sprintf("heartbeat-%d", i), func(child exec.Context) {
 			defer h.stepDone(barrier)
-			if _, err := h.cfg.Class.CallMarked(child, marks, w, h.cfg.StepMethod, args...); err != nil {
+			if _, err := h.cfg.Class.CallWith(child, Internal|NoAsync, w, h.cfg.StepMethod, args...); err != nil {
 				errMu.Lock()
 				errs = append(errs, err)
 				errMu.Unlock()
@@ -185,7 +184,7 @@ func (h *Heartbeat) stepBroadcast(ctx exec.Context, workers []any, args []any, m
 // that finishes its cheap partitions steals the pending steps of a loaded
 // one, so heterogeneous step costs stop gating the barrier on the unluckiest
 // pre-assignment — the same cure the stealing farm applies to skewed packs.
-func (h *Heartbeat) stepStealing(ctx exec.Context, workers []any, args []any, marks map[string]any) []error {
+func (h *Heartbeat) stepStealing(ctx exec.Context, workers []any, args []any) []error {
 	runners := h.cfg.Runners
 	if runners <= 0 || runners > len(workers) {
 		runners = len(workers)
@@ -215,7 +214,7 @@ func (h *Heartbeat) stepStealing(ctx exec.Context, workers []any, args []any, ma
 				if !ok {
 					return
 				}
-				if _, err := h.cfg.Class.CallMarked(child, marks, pk.args[0], h.cfg.StepMethod, args...); err != nil {
+				if _, err := h.cfg.Class.CallWith(child, Internal|NoAsync, pk.args[0], h.cfg.StepMethod, args...); err != nil {
 					errMu.Lock()
 					errs = append(errs, err)
 					errMu.Unlock()

@@ -204,8 +204,12 @@ const (
 
 // netCall is one journaled invocation: it stays in its peer's in-flight
 // journal from submission until its outcome is final, which is what makes
-// replay after a connection loss possible at all.
+// replay after a connection loss possible at all. It is also the call's one
+// record on the way: the rmi.Sink its wire outcome comes back to (Deliver)
+// and the place its final outcome leaves from (conclude), so a call costs
+// this allocation and no closure.
 type netCall struct {
+	fa       *netFaults
 	seq      uint64
 	stream   uint32 // dispatch stream the call rides: its seq space and dedupe key
 	ref      *NetRef
@@ -213,13 +217,81 @@ type netCall struct {
 	args     []any
 	void     bool
 	windowed bool
-	// ckpt marks the journal's own Snapshot probes: they must not be
-	// recorded in the history they exist to truncate.
-	ckpt bool
-	// deliver hands the outcome to the caller exactly once; nil for
-	// fire-and-forget void calls, whose terminal failures go to the Join
-	// error list instead.
-	deliver func(res []any, service time.Duration, err error)
+
+	// Who waits for the final outcome — nobody, for a fire-and-forget void
+	// call, whose terminal failure goes to the Join error list instead; else
+	// exactly one of: a windowed caller's completion channel (done, with the
+	// stamps its Completion carries), the export a Snapshot probe of the
+	// journal's own checkpoints (ckpt; never recorded in the history it exists
+	// to truncate), or the goroutine parked in Invoke (reply).
+	done   exec.Chan
+	ctx    exec.Context
+	issued time.Time
+	elems  int
+	ckpt   *netExport
+	reply  parked
+
+	// Set by transmit, read by Deliver: the journal the wire outcome returns
+	// to, and the request's size for the traffic counters.
+	pf      *peerFault
+	gen     int64
+	reqSize int64
+}
+
+// Deliver implements rmi.Sink: the wire outcome of the one transmit, on the
+// connection's reader goroutine. The reply bytes of a value-returning call
+// are approximated — every later pending response waits behind this — where
+// re-encoding the results just for the traffic counter is too expensive.
+func (c *netCall) Deliver(res []any, svc time.Duration, err error) {
+	if !c.void {
+		c.fa.m.stats.count(1, int64(approxReplySize(res)))
+	} else if err == nil {
+		c.fa.m.stats.count(2, c.reqSize+replyFloor)
+	}
+	c.fa.onOutcome(c.pf, c, c.gen, res, svc, err)
+}
+
+// conclude hands the call's final outcome to whoever waits for it — nobody,
+// for a void call. The journal calls it exactly once, after taking the call
+// off its books.
+func (c *netCall) conclude(res []any, svc time.Duration, err error) {
+	switch {
+	case c.void:
+	case c.done != nil:
+		c.done.Send(c.ctx, stampCompletion(c.fa.m.clk, res, err, c.issued, svc, c.elems))
+	case c.ckpt != nil:
+		c.fa.checkpointed(c.ckpt, res, err)
+	default:
+		c.reply.Deliver(res, svc, err)
+	}
+}
+
+// parked is the synchronous face of the callback transport: one outcome and
+// the one goroutine waiting for it. Arm it, hand it out as the rmi.Sink (or
+// let netCall.conclude deliver to it), wait.
+type parked struct {
+	wg sync.WaitGroup
+	o  outcome
+}
+
+// outcome is one call's final result as a value.
+type outcome struct {
+	res []any
+	svc time.Duration
+	err error
+}
+
+func (p *parked) arm() { p.wg.Add(1) }
+
+// Deliver implements rmi.Sink.
+func (p *parked) Deliver(res []any, svc time.Duration, err error) {
+	p.o = outcome{res, svc, err}
+	p.wg.Done()
+}
+
+func (p *parked) wait() outcome {
+	p.wg.Wait()
+	return p.o
 }
 
 // peerFault is one peer's recovery state plus its per-stream journals.
@@ -511,30 +583,20 @@ func (fa *netFaults) submit(call *netCall) {
 	}
 }
 
-// transmit puts one journaled call on the wire. Outcomes — including the
-// transport failures that start recovery — flow through onOutcome. Void
-// calls take the one-way windowed lane (bounded by the client's ack-clocked
-// flow-control window) with a per-call acknowledgement; the reply bytes of a
-// value-returning call are approximated, because its callback runs on the
-// connection's single reader goroutine — every later pending response waits
-// behind it — where gob re-encoding the results just for the traffic counter
-// is too expensive.
+// transmit puts one journaled call on the wire, with the call itself as the
+// sink its outcome — including the transport failures that start recovery —
+// comes back to (netCall.Deliver, then onOutcome). Void calls take the one-way
+// windowed lane (bounded by the client's ack-clocked flow-control window) with
+// a per-call acknowledgement.
 func (fa *netFaults) transmit(pf *peerFault, call *netCall, gen int64, stub *rmi.Stub) {
-	reqSize := int64(fa.m.sizer.Size(call.args))
+	call.pf, call.gen = pf, gen
+	call.reqSize = int64(fa.m.sizer.Size(call.args))
 	if call.void {
-		stub.SendSeq(call.method, call.seq, func(ackErr error) {
-			if ackErr == nil {
-				fa.m.stats.count(2, reqSize+replyFloor)
-			}
-			fa.onOutcome(pf, call, gen, nil, 0, ackErr)
-		}, call.args...)
+		stub.SendSeq(call.method, call.seq, call, call.args...)
 		return
 	}
-	fa.m.stats.count(1, reqSize)
-	stub.InvokeSeq(call.method, call.seq, func(res []any, svc time.Duration, err error) {
-		fa.m.stats.count(1, int64(approxReplySize(res)))
-		fa.onOutcome(pf, call, gen, res, svc, err)
-	}, call.args...)
+	fa.m.stats.count(1, call.reqSize)
+	stub.InvokeSeq(call.method, call.seq, call, call.args...)
 }
 
 // onOutcome classifies one wire outcome: executed calls settle, transport
@@ -548,8 +610,8 @@ func (fa *netFaults) onOutcome(pf *peerFault, call *netCall, gen int64, res []an
 	if err == nil || isFinal(err) || gen != fa.gen || fa.closed {
 		live := fa.settleLocked(pf, call, err)
 		fa.mu.Unlock()
-		if live && call.deliver != nil {
-			call.deliver(res, svc, err)
+		if live {
+			call.conclude(res, svc, err)
 		}
 		return
 	}
@@ -598,8 +660,8 @@ func (fa *netFaults) settle(pf *peerFault, call *netCall, res []any, svc time.Du
 	live := fa.settleLocked(pf, call, err)
 	fa.cond.Broadcast()
 	fa.mu.Unlock()
-	if live && call.deliver != nil {
-		call.deliver(res, svc, err)
+	if live {
+		call.conclude(res, svc, err)
 	}
 }
 
@@ -613,60 +675,55 @@ func (fa *netFaults) settleLocked(pf *peerFault, call *netCall, err error) bool 
 	if sj == nil || !dropLocked(sj, call) {
 		return false
 	}
-	if err != nil && call.deliver == nil {
+	if err != nil && call.void {
 		// A void call's terminal failure goes on the Join list in the same
 		// critical section that takes it off the journal: a Join the emptied
 		// journal wakes must already find it there.
 		fa.errs = append(fa.errs, err)
 	}
-	if err == nil && !call.ckpt && fa.policy.Enabled {
+	if err == nil && call.ckpt == nil && fa.policy.Enabled {
 		if exp := fa.exports[call.ref]; exp != nil && !exp.dead {
 			exp.history = append(exp.history, histEntry{method: call.method, args: call.args})
 			if fa.policy.CheckpointEvery > 0 && !exp.ckptOff && !exp.ckptPending &&
 				len(exp.history) >= fa.policy.CheckpointEvery {
 				exp.ckptPending = true
-				go fa.checkpoint(exp)
+				go fa.submit(&netCall{fa: fa, ref: exp.ref, method: "Snapshot", ckpt: exp})
 			}
 		}
 	}
 	return true
 }
 
-// checkpoint bounds one export's replay journal: a Snapshot probe rides the
-// object's own dispatch stream, so by the time its response callback runs,
-// every call the server applied before the snapshot has settled into the
-// history — per-stream FIFO plus in-order response delivery make "the
-// history at delivery time" exactly the state the snapshot captured, and
-// truncating behind it is safe. A class that does not define Snapshot
-// answers with a RemoteError; the export remembers (ckptOff) and keeps its
-// unbounded history.
-func (fa *netFaults) checkpoint(exp *netExport) {
-	fa.submit(&netCall{
-		ref: exp.ref, method: "Snapshot", ckpt: true,
-		deliver: func(res []any, _ time.Duration, err error) {
-			fa.mu.Lock()
-			exp.ckptPending = false
-			if err != nil {
-				// Only a servant-level refusal disables checkpointing; a
-				// transport-path failure leaves the gate open for a retry
-				// after the next applied call.
-				if isExecuted(err) {
-					exp.ckptOff = true
-				}
-				fa.mu.Unlock()
-				return
-			}
-			if exp.dead {
-				fa.mu.Unlock()
-				return
-			}
-			// Non-nil even for an empty snapshot: nil means "no checkpoint".
-			exp.checkpoint = append(make([]any, 0, len(res)), res...)
-			exp.history = nil
-			fa.mu.Unlock()
-			fa.checkpoints.Add(1)
-		},
-	})
+// checkpointed takes the outcome of a Snapshot probe, which bounds one
+// export's replay journal: the probe rides the object's own dispatch stream,
+// so by the time its outcome is concluded here, every call the server applied
+// before the snapshot has settled into the history — per-stream FIFO plus
+// in-order response delivery make "the history at delivery time" exactly the
+// state the snapshot captured, and truncating behind it is safe. A class that
+// does not define Snapshot answers with a RemoteError; the export remembers
+// (ckptOff) and keeps its unbounded history.
+func (fa *netFaults) checkpointed(exp *netExport, res []any, err error) {
+	fa.mu.Lock()
+	exp.ckptPending = false
+	if err != nil {
+		// Only a servant-level refusal disables checkpointing; a
+		// transport-path failure leaves the gate open for a retry after the
+		// next applied call.
+		if isExecuted(err) {
+			exp.ckptOff = true
+		}
+		fa.mu.Unlock()
+		return
+	}
+	if exp.dead {
+		fa.mu.Unlock()
+		return
+	}
+	// Non-nil even for an empty snapshot: nil means "no checkpoint".
+	exp.checkpoint = append(make([]any, 0, len(res)), res...)
+	exp.history = nil
+	fa.mu.Unlock()
+	fa.checkpoints.Add(1)
 }
 
 // dropLocked removes call from its stream's journal and reports whether it
@@ -684,11 +741,8 @@ func dropLocked(sj *streamJournal, call *netCall) bool {
 // finish hands a call's final outcome to its caller; fire-and-forget void
 // calls report terminal failures through the Join error list instead.
 func (fa *netFaults) finish(call *netCall, res []any, svc time.Duration, err error) {
-	if call.deliver != nil {
-		call.deliver(res, svc, err)
-		return
-	}
-	if err != nil {
+	call.conclude(res, svc, err)
+	if call.void && err != nil {
 		fa.recordErr(err)
 	}
 }
@@ -704,28 +758,13 @@ func (fa *netFaults) recordErr(err error) {
 // stealing scheduler re-absorbs the pack — when the policy requeues orphans
 // and the call is a windowed pack with a caller to hand it back to.
 func (fa *netFaults) deliverOrphan(call *netCall, node exec.NodeID, cause error) {
-	retry := fa.policy.RequeueOrphans && call.windowed && call.deliver != nil
+	retry := fa.policy.RequeueOrphans && call.windowed && !call.void
 	fe := &FaultError{Object: call.ref.Name, Method: call.method, Node: node, Retryable: retry, Err: cause}
 	if retry {
 		fe.Args = call.args
 		fa.requeues.Add(1)
 	}
 	fa.finish(call, nil, 0, fe)
-}
-
-// outcome is one call's final result as a value: what a synchronous caller
-// waits for on the channel sink hands out.
-type outcome struct {
-	res []any
-	svc time.Duration
-	err error
-}
-
-// sink returns a delivery callback and the channel its single outcome lands
-// on — the synchronous face of the callback transport.
-func sink() (func([]any, time.Duration, error), <-chan outcome) {
-	ch := make(chan outcome, 1)
-	return func(res []any, svc time.Duration, err error) { ch <- outcome{res, svc, err} }, ch
 }
 
 // callSync performs one session-tracked call synchronously on wire's stream,
@@ -740,7 +779,8 @@ func sink() (func([]any, time.Duration, error), <-chan outcome) {
 // (or, for an export, failing with a duplicate binding); zero draws a fresh
 // number from wire's counter. The seq used is returned.
 func (fa *netFaults) callSync(stub *rmi.Stub, wire *streamJournal, seq uint64, method string, args []any) (uint64, outcome) {
-	deliver, ch := sink()
+	var reply parked
+	reply.arm()
 	wire.sendMu.Lock()
 	if seq == 0 {
 		fa.mu.Lock()
@@ -748,9 +788,9 @@ func (fa *netFaults) callSync(stub *rmi.Stub, wire *streamJournal, seq uint64, m
 		seq = wire.nextSeq
 		fa.mu.Unlock()
 	}
-	stub.InvokeSeq(method, seq, deliver, args...)
+	stub.InvokeSeq(method, seq, &reply, args...)
 	wire.sendMu.Unlock()
-	return seq, <-ch
+	return seq, reply.wait()
 }
 
 // --- Lifecycle ---------------------------------------------------------------
@@ -775,9 +815,7 @@ func (fa *netFaults) invalidate(cause error) {
 	fa.cond.Broadcast()
 	fa.mu.Unlock()
 	for _, call := range calls {
-		if call.deliver != nil {
-			call.deliver(nil, 0, cause)
-		}
+		call.conclude(nil, 0, cause)
 	}
 }
 

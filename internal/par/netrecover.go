@@ -94,7 +94,7 @@ func (fa *netFaults) drainJournal(pf *peerFault, gen int64, target exec.NodeID, 
 		}
 		call := sj.calls[0]
 		exp := fa.exports[call.ref]
-		if exp.dead || requeue && call.windowed && call.deliver != nil {
+		if exp.dead || requeue && call.windowed && !call.void {
 			// Nothing to replay it on (the object could not be rebuilt), or
 			// the policy hands windowed packs back instead of replaying them.
 			dropLocked(sj, call)
@@ -331,6 +331,10 @@ func (fa *netFaults) awaitRecovery(node exec.NodeID) bool {
 // failPeer is the end of the reconnect budget: fail the journal over to a
 // surviving node, or — NoFailover, or no survivor — drop the peer.
 func (fa *netFaults) failPeer(pf *peerFault, gen int64) {
+	// The peer itself is lost from here, wherever its objects end up. Counted
+	// before the failover's drain can deliver a replayed call's reply: the
+	// caller that reply wakes may read the stats at once.
+	fa.droppedPeers.Add(1)
 	moved := fa.failoverTo(pf.node, func(target exec.NodeID) bool {
 		return fa.stale(gen) || fa.reincarnate(pf, gen, target) && fa.drainJournal(pf, gen, target, false)
 	})
@@ -339,7 +343,6 @@ func (fa *netFaults) failPeer(pf *peerFault, gen int64) {
 		return
 	}
 	if moved {
-		fa.droppedPeers.Add(1) // the peer itself stays lost
 		return
 	}
 	// No survivor could take the lost objects: typed, Join-visible.
@@ -529,13 +532,12 @@ func (fa *netFaults) dropPeer(pf *peerFault, gen int64, terminal error) {
 	// lock: a Join the emptied journal wakes must already find it there.
 	waited := calls[:0]
 	for _, call := range calls {
-		if call.deliver != nil {
+		if !call.void {
 			waited = append(waited, call)
 			continue
 		}
 		fa.errs = append(fa.errs, &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: cause})
 	}
-	fa.droppedPeers.Add(1)
 	fa.cond.Broadcast()
 	fa.mu.Unlock()
 	for _, call := range waited {
@@ -573,8 +575,6 @@ func (fa *netFaults) abandon(pf *peerFault) {
 	fa.cond.Broadcast()
 	fa.mu.Unlock()
 	for _, call := range calls {
-		if call.deliver != nil {
-			call.deliver(nil, 0, &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: errMWReset})
-		}
+		call.conclude(nil, 0, &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: errMWReset})
 	}
 }

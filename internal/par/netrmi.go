@@ -367,15 +367,14 @@ func (m *NetRMI) Invoke(ctx exec.Context, obj any, method string, args []any, vo
 	if !ok {
 		return nil, errUnexported(method)
 	}
-	call := &netCall{ref: ref, method: method, args: args, void: void}
+	call := &netCall{fa: m.faults, ref: ref, method: method, args: args, void: void}
 	if void {
 		m.faults.submit(call)
 		return nil, nil
 	}
-	deliver, ch := sink()
-	call.deliver = deliver
+	call.reply.arm()
 	m.faults.submit(call)
-	o := <-ch
+	o := call.reply.wait()
 	return o.res, o.err
 }
 
@@ -400,17 +399,14 @@ func (m *NetRMI) InvokeAsync(ctx exec.Context, obj any, method string, args []an
 		done.Send(ctx, &Completion{Err: errUnexported(method)})
 		return
 	}
-	call := &netCall{ref: ref, method: method, args: args, void: void, windowed: true}
+	call := &netCall{fa: m.faults, ref: ref, method: method, args: args, void: void, windowed: true}
 	if void {
 		m.faults.submit(call)
 		done.Send(ctx, &Completion{})
 		return
 	}
-	elems := payloadElems(args)
-	issued := m.clk.Now()
-	call.deliver = func(res []any, service time.Duration, err error) {
-		done.Send(ctx, stampCompletion(m.clk, res, err, issued, service, elems))
-	}
+	call.done, call.ctx = done, ctx
+	call.elems, call.issued = payloadElems(args), m.clk.Now()
 	m.faults.submit(call)
 }
 

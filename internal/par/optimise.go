@@ -126,7 +126,7 @@ func NewCaching(pc aspect.Pointcut, key CacheKey) *Caching {
 	}
 	c.asp = aspect.NewAspect("caching", precOptimisation).
 		Around(pc, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
-			if jp.Bool(MarkRemote) {
+			if jp.Marked(Remote) {
 				return proceed(nil)
 			}
 			k, ok := key(jp)
@@ -172,6 +172,8 @@ func (c *Caching) Unplug(w *aspect.Weaver) { w.Unplug(c.asp) }
 // advice does not re-buffer them.
 const markPacked = "par.packed"
 
+var packed = aspect.RegisterMark(markPacked)
+
 // Packing merges consecutive partition-generated calls to the same target
 // into fewer, larger calls (the paper's "communication packing"): with a
 // distribution middleware plugged, k packs travel as one message, trading
@@ -208,7 +210,7 @@ func NewPacking(class *Class, method string, degree int) *Packing {
 	pc := aspect.Call(class.Name(), method)
 	p.asp = aspect.NewAspect("packing", precOptimisation).
 		Around(pc, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
-			if !jp.Bool(MarkInternal) || jp.Bool(MarkRemote) || jp.Bool(markPacked) {
+			if !jp.Marked(Internal) || jp.Marked(Remote|packed) {
 				return proceed(nil)
 			}
 			payload, ok := singleInt32Payload(jp.Args)
@@ -236,7 +238,7 @@ func NewPacking(class *Class, method string, degree int) *Packing {
 			if !ready {
 				return nil, nil // buffered; the call is void/asynchronous
 			}
-			return p.class.CallMarked(ctx, map[string]any{MarkInternal: true, markPacked: true},
+			return p.class.CallWith(ctx, Internal|packed,
 				jp.Target, p.method, full)
 		})
 	return p
@@ -312,9 +314,8 @@ func (p *Packing) Flush(ctx exec.Context) error {
 	p.buf = make(map[any][]int32)
 	p.count = make(map[any]int)
 	p.mu.Unlock()
-	marks := map[string]any{MarkInternal: true, markPacked: true}
 	for _, t := range targets {
-		if _, err := p.class.CallMarked(ctx, marks, t, p.method, pendings[t]); err != nil {
+		if _, err := p.class.CallWith(ctx, Internal|packed, t, p.method, pendings[t]); err != nil {
 			return err
 		}
 	}
@@ -358,7 +359,7 @@ func NewReplication(class *Class, method string, managed func() []any) *Replicat
 	pc := aspect.Call(class.Name(), method)
 	r.asp = aspect.NewAspect("replication", precPartition+1).
 		Around(pc, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
-			if jp.Bool(MarkInternal) || jp.Bool(MarkRemote) {
+			if jp.Marked(Internal | Remote) {
 				return proceed(nil)
 			}
 			objs := r.source()
@@ -366,10 +367,9 @@ func NewReplication(class *Class, method string, managed func() []any) *Replicat
 				return proceed(nil)
 			}
 			ctx := ctxOf(jp)
-			marks := map[string]any{MarkInternal: true, MarkNoAsync: true}
 			var last []any
 			for _, obj := range objs {
-				res, err := r.class.CallMarked(ctx, marks, obj, r.method, jp.Args...)
+				res, err := r.class.CallWith(ctx, Internal|NoAsync, obj, r.method, jp.Args...)
 				if err != nil {
 					return nil, err
 				}

@@ -44,10 +44,9 @@ func (s *managedSet) len() int {
 // woven calls, so with distribution plugged they fetch results over the
 // middleware.
 func collect(ctx exec.Context, class *Class, objs []any, method string) ([]any, error) {
-	marks := map[string]any{MarkInternal: true, MarkNoAsync: true}
 	out := make([]any, 0, len(objs))
 	for _, obj := range objs {
-		res, err := class.CallMarked(ctx, marks, obj, method)
+		res, err := class.CallWith(ctx, Internal|NoAsync, obj, method)
 		if err != nil {
 			return nil, err
 		}
@@ -139,7 +138,7 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	// elements in reverse order, remember the chain in next, hand the first
 	// element back to the oblivious client.
 	p.head.Around(newPC, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
-		if jp.Bool(MarkInternal) {
+		if jp.Marked(Internal) {
 			// A module-generated construction (e.g. an elastic-pool grow)
 			// must not re-trigger duplication.
 			return proceed(nil)
@@ -184,7 +183,7 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	// Method-call split (block 2): a core-functionality call becomes a
 	// series of sub-calls entering the first pipeline element.
 	p.head.Around(callPC, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
-		if jp.Bool(MarkInternal) || jp.Bool(MarkRemote) {
+		if jp.Marked(Internal | Remote) {
 			return proceed(nil)
 		}
 		ctx := ctxOf(jp)
@@ -193,17 +192,17 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 		if cfg.Split != nil {
 			parts = cfg.Split(jp.Args)
 		}
-		marks := map[string]any{MarkInternal: true}
+		marks := Internal
 		if p.installer() != nil {
 			// Peer-to-peer mode: the caller never needs stage 0's results
 			// (hops carry them node-side), so the sub-calls ride the one-way
 			// windowed path — the ack-clocked send window is the pipeline's
 			// ingest backpressure, and the driver's traffic stays one hop.
-			marks[MarkVoid] = true
+			marks |= Void
 		}
 		var errs []error
 		for _, part := range parts {
-			if _, err := cfg.Class.CallMarked(ctx, marks, head, cfg.Method, part...); err != nil {
+			if _, err := cfg.Class.CallWith(ctx, marks, head, cfg.Method, part...); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -227,17 +226,17 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 			// topology, so caller-side forwarding stands aside entirely.
 			return proceed(nil)
 		}
-		if cfg.ClientForward && jp.Bool(MarkRemote) {
+		if cfg.ClientForward && jp.Marked(Remote) {
 			return proceed(nil)
 		}
 		p.mu.Lock()
 		nxt := p.next[jp.Target]
 		stage := p.index[jp.Target]
 		p.mu.Unlock()
-		if cfg.ClientForward && nxt != nil && jp.Bool(MarkVoid) {
+		if cfg.ClientForward && nxt != nil {
 			// The caller must see the results to forward them, so the hop
 			// cannot ship as a bare-acknowledged void call.
-			jp.Set(MarkVoid, false)
+			jp.Unmark(Void)
 		}
 		res, err := proceed(nil)
 		if err != nil {
@@ -253,8 +252,7 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 		if fw == nil {
 			return res, nil
 		}
-		marks := map[string]any{MarkInternal: true}
-		if _, err := cfg.Class.CallMarked(ctxOf(jp), marks, nxt, cfg.Method, fw...); err != nil {
+		if _, err := cfg.Class.CallWith(ctxOf(jp), Internal, nxt, cfg.Method, fw...); err != nil {
 			return res, err
 		}
 		return res, nil
@@ -445,7 +443,7 @@ func NewFarm(cfg FarmConfig) *Farm {
 
 	// Object duplication with broadcast constructor arguments.
 	f.asp.Around(newPC, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
-		if jp.Bool(MarkInternal) {
+		if jp.Marked(Internal) {
 			// A module-generated construction (Farm.Grow building a replica
 			// on a node that joined mid-run) must not re-duplicate.
 			return proceed(nil)
@@ -475,7 +473,7 @@ func NewFarm(cfg FarmConfig) *Farm {
 
 	// Method-call split; each piece goes to one worker.
 	f.asp.Around(callPC, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
-		if jp.Bool(MarkInternal) || jp.Bool(MarkRemote) {
+		if jp.Marked(Internal | Remote) {
 			return proceed(nil)
 		}
 		ctx := ctxOf(jp)
@@ -495,11 +493,10 @@ func NewFarm(cfg FarmConfig) *Farm {
 		if cfg.Stealing {
 			return nil, f.dispatchStealing(ctx, workers, parts)
 		}
-		marks := map[string]any{MarkInternal: true}
 		var errs []error
 		for _, part := range parts {
 			w := workers[f.nextWorker(len(workers))]
-			if _, err := cfg.Class.CallMarked(ctx, marks, w, cfg.Method, part...); err != nil {
+			if _, err := cfg.Class.CallWith(ctx, Internal, w, cfg.Method, part...); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -569,8 +566,7 @@ type windowSlot struct {
 // variable between the two, keeping latency-hiding measurements honest.
 func (f *Farm) issuePack(ctx exec.Context, w any, args []any, done exec.Chan) bool {
 	slot := &windowSlot{done: done}
-	marks := map[string]any{MarkInternal: true, MarkNoAsync: true, MarkWindowed: slot}
-	if _, err := f.cfg.Class.CallMarked(ctx, marks, w, f.cfg.Method, args...); err != nil && !slot.issued {
+	if _, err := f.cfg.Class.callWindowed(ctx, slot, w, f.cfg.Method, args); err != nil && !slot.issued {
 		f.fail(err)
 	}
 	return slot.issued
@@ -632,7 +628,6 @@ func (f *Farm) dispatchDynamic(ctx exec.Context, workers []any, parts [][]any) e
 	}
 	queue.Close()
 	win := f.window()
-	marks := map[string]any{MarkInternal: true, MarkNoAsync: true}
 	f.beginRound(ctx, len(workers))
 	for i, w := range workers {
 		w := w
@@ -646,7 +641,7 @@ func (f *Farm) dispatchDynamic(ctx exec.Context, workers []any, parts [][]any) e
 					if !ok {
 						return
 					}
-					if _, err := f.cfg.Class.CallMarked(child, marks, w, f.cfg.Method, part.([]any)...); err != nil {
+					if _, err := f.cfg.Class.CallWith(child, Internal|NoAsync, w, f.cfg.Method, part.([]any)...); err != nil {
 						f.fail(err)
 					}
 				}
@@ -778,8 +773,7 @@ func (f *Farm) Grow(ctx exec.Context, node exec.NodeID) (any, error) {
 	if f.cfg.WorkerArgs != nil {
 		args = f.cfg.WorkerArgs(orig, idx)
 	}
-	marks := map[string]any{MarkInternal: true, MarkNoAsync: true, MarkPlaceAt: node}
-	obj, err := f.cfg.Class.NewMarked(ctx, marks, args...)
+	obj, err := f.cfg.Class.NewAt(ctx, node, args...)
 	if err != nil {
 		return nil, err
 	}
@@ -809,13 +803,12 @@ func (f *Farm) Grow(ctx exec.Context, node exec.NodeID) (any, error) {
 // stealWorkerSync is the synchronous (window ≤ 1) stealing worker loop: one
 // blocking round trip per pack, byte-identical to the unwindowed protocol.
 func (f *Farm) stealWorkerSync(child exec.Context, sched *stealScheduler, i int, w any) {
-	marks := map[string]any{MarkInternal: true, MarkNoAsync: true}
 	for {
 		pk, ok := sched.next(child, i)
 		if !ok {
 			return
 		}
-		if _, err := f.cfg.Class.CallMarked(child, marks, w, f.cfg.Method, pk.args...); err != nil {
+		if _, err := f.cfg.Class.CallWith(child, Internal|NoAsync, w, f.cfg.Method, pk.args...); err != nil {
 			f.fail(err)
 		}
 		sched.finish()

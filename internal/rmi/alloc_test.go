@@ -12,10 +12,15 @@ import (
 // unchanged, and returns a connected client and stub.
 func startEchoServer(t *testing.T, opts ...Option) (*Client, *Stub) {
 	t.Helper()
+	return startServant(t, echo, opts...)
+}
+
+// startServant hosts dispatch as the object "echo" and returns a connected
+// client and the object's stub.
+func startServant(t *testing.T, dispatch DispatchFunc, opts ...Option) (*Client, *Stub) {
+	t.Helper()
 	srv := NewServer()
-	srv.Export("echo", func(method string, args []any) ([]any, error) {
-		return args, nil
-	})
+	srv.Export("echo", dispatch)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -123,11 +128,68 @@ func TestInvokeCBAllocsPerCall(t *testing.T) {
 	}
 }
 
+// TestBinaryInvokeCBAllocsPerCall pins the same windowed call on the binary
+// codec a default Dial negotiates, whole process: the client's pending entry
+// and request frame, the server's request frame and reply record are all
+// recycled and the header's names interned, so what is left is what the
+// caller and the servant get to keep — the argument list the server decodes
+// (list, pack, its box) and the result list the client decodes (the same
+// three: the servant echoes).
+func TestBinaryInvokeCBAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	_, stub := startEchoServer(t)
+	args := []any{make([]int32, 16)}
+	ready := make(chan struct{}, 1)
+	deliver := func([]any, time.Duration, error) { ready <- struct{}{} }
+	stub = stub.OnStream(1)
+	call := func() {
+		stub.InvokeCB("M", deliver, args...)
+		<-ready
+	}
+	call() // warm the path
+	avg := testing.AllocsPerRun(1000, call)
+	const maxAllocs = 7 // measured 6.00: the two decoded lists above
+	t.Logf("binary windowed call: %.2f allocations", avg)
+	if avg > maxAllocs {
+		t.Errorf("binary windowed call allocates %.1f objects/call, budget %d", avg, maxAllocs)
+	}
+}
+
+// TestBinaryInvokeSeqAllocsPerCall is the session-tracked form the call
+// journal uses: on top of the untracked call, the server's dedupe session
+// keeps the reply (its own record, not the lane's) and an in-progress marker
+// per request.
+func TestBinaryInvokeSeqAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	_, stub := startEchoServer(t, WithSession("alloc-test"))
+	stub = stub.OnStream(1)
+	args := []any{make([]int32, 16)}
+	ready := make(chan struct{}, 1)
+	sink := SinkFunc(func([]any, time.Duration, error) { ready <- struct{}{} })
+	var seq uint64
+	call := func() {
+		seq++
+		stub.InvokeSeq("M", seq, sink, args...)
+		<-ready
+	}
+	call() // warm the path
+	avg := testing.AllocsPerRun(1000, call)
+	const maxAllocs = 9 // measured 8.00: six as above, the kept reply, the marker
+	t.Logf("tracked binary windowed call: %.2f allocations", avg)
+	if avg > maxAllocs {
+		t.Errorf("tracked binary windowed call allocates %.1f objects/call, budget %d", avg, maxAllocs)
+	}
+}
+
 // TestInvokeCBDeliversExactlyOnce pins the callback path's delivery
 // contract across a peer crash: a send failure after the pending entry was
-// enqueued reaches the callback both through Client.fail's drain and
-// through post's error return, and InvokeCB must dedupe — every call
-// delivers exactly one outcome, never zero, never two.
+// enqueued reaches it through Client.fail's drain and also comes back as
+// post's error, and a call posted after the crash never makes the FIFO at
+// all — every call delivers exactly one outcome, never zero, never two.
 func TestInvokeCBDeliversExactlyOnce(t *testing.T) {
 	srv := NewServer()
 	srv.Export("echo", func(method string, args []any) ([]any, error) {

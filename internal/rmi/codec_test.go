@@ -418,14 +418,14 @@ func TestStreamDedupeIsPerStream(t *testing.T) {
 	}
 	invoke := func(stream uint32, seq uint64) int {
 		done := make(chan int, 1)
-		stub.OnStream(stream).InvokeSeq("M", seq, func(res []any, _ time.Duration, err error) {
+		stub.OnStream(stream).InvokeSeq("M", seq, SinkFunc(func(res []any, _ time.Duration, err error) {
 			if err != nil {
 				t.Errorf("stream %d seq %d: %v", stream, seq, err)
 				done <- -1
 				return
 			}
 			done <- res[0].(int)
-		})
+		}))
 		return <-done
 	}
 	first := invoke(1, 1)

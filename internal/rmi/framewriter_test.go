@@ -419,7 +419,7 @@ func TestFrameWriterFlusherFailurePoisons(t *testing.T) {
 			t.Fatalf("callback %d resolved with %v, want the transport's write error", i, err)
 		}
 	}
-	if err := tp.client.post("obj", "M", nil, false, false, 0, 2, "", &pendingReply{}); !errors.Is(err, errWriteFailed) {
+	if posted, err := tp.client.post(tp.stub.OnStream(2).request("M", nil, 0, false), acquirePending()); posted || !errors.Is(err, errWriteFailed) {
 		t.Errorf("post on the poisoned connection returned %v, want the write error", err)
 	}
 	dead := tp.client.w.Load()

@@ -1,10 +1,11 @@
 // Package rmi is a working remote method invocation middleware: the Go
 // analogue of the Java RMI substrate the paper's distribution aspect targets.
-// It provides a name server (registry), exported objects served over TCP
-// with gob encoding, and client stubs that redirect method calls across the
-// network. The simulated experiments use the cost-model twin in package par;
-// this package exists so the distribution concern also runs for real (see
-// examples/distribution and the tests).
+// It provides a name server (registry), exported objects served over TCP —
+// in the compact binary codec every connection negotiates by default, with
+// gob as the fallback both ends always speak — and client stubs that redirect
+// method calls across the network. The simulated experiments use the
+// cost-model twin in package par; this package exists so the distribution
+// concern also runs for real (see examples/distribution and the tests).
 //
 // The transport is pipelined: a client may have many requests on the wire at
 // once over its single TCP connection, and the server answers them in order.
@@ -292,7 +293,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 type streamLane struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []*request
+	queue  fifo[*request]
 	closed bool
 }
 
@@ -304,7 +305,7 @@ func newStreamLane() *streamLane {
 
 func (l *streamLane) enqueue(req *request) {
 	l.mu.Lock()
-	l.queue = append(l.queue, req)
+	l.queue.push(req)
 	l.cond.Signal()
 	l.mu.Unlock()
 }
@@ -316,25 +317,29 @@ func (l *streamLane) close() {
 	l.mu.Unlock()
 }
 
+// run dispatches the lane's requests in order. The lane owns each request
+// from the moment the read loop queued it and releases it once its reply is
+// written; scratch is the one response record it fills for all of them.
 func (l *streamLane) run(s *Server, w *frameWriter, stream uint32) {
+	var scratch response
 	for {
 		l.mu.Lock()
-		for len(l.queue) == 0 && !l.closed {
+		for l.queue.len() == 0 && !l.closed {
 			l.cond.Wait()
 		}
-		if len(l.queue) == 0 {
+		if l.queue.len() == 0 {
 			l.mu.Unlock()
 			return
 		}
-		req := l.queue[0]
-		l.queue = l.queue[1:]
+		req := l.queue.pop()
 		l.mu.Unlock()
-		resp := s.handle(req)
+		resp := s.handle(req, &scratch)
 		resp.Stream = stream
 		// A write failure is terminal for the connection (the writer's error
 		// is sticky); keep draining so queued requests still execute — their
 		// effects are journaled server-side and the client replays/dedupes.
 		w.writeResponse(resp)
+		releaseRequest(req)
 	}
 }
 
@@ -364,9 +369,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	// buffer has bytes behind the request just decoded, because their
 	// replies are about to follow this one's.
 	ahead := false
+	var scratch response // the inline lane's reply record
 	for {
-		var req request
-		if err := dec.DecodeRequest(&req); err != nil {
+		req := requestPool.Get().(*request)
+		if err := dec.DecodeRequest(req); err != nil {
+			releaseRequest(req)
 			return // EOF or broken connection
 		}
 		w.expecting.Add(1)
@@ -393,12 +400,13 @@ func (s *Server) serveConn(conn net.Conn) {
 					lane.run(s, w, stream)
 				}()
 			}
-			r := req
-			lane.enqueue(&r)
+			lane.enqueue(req) // the lane releases it
 			continue
 		}
-		resp := s.handle(&req)
-		if err := w.writeResponse(resp); err != nil {
+		resp := s.handle(req, &scratch)
+		err := w.writeResponse(resp)
+		releaseRequest(req)
+		if err != nil {
 			return
 		}
 		if resp.Codec != "" {
@@ -413,13 +421,19 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-func (s *Server) handle(req *request) *response {
+// handle executes one request and returns its reply: scratch, filled in — the
+// caller's own record, reused for its next request once this reply is written
+// — or, for a session-tracked request, a response of its own, because the
+// dedupe cache keeps it to answer replays.
+func (s *Server) handle(req *request, scratch *response) *response {
+	resp := scratch
+	*resp = response{}
 	total := s.requests.Add(1)
 	if s.hasWatches.Load() {
 		s.notifyRequestWatches(total)
 	}
 	if req.Hello { // session handshake: report the epoch, dispatch nothing
-		resp := &response{Bound: true, Epoch: s.epoch.Load()}
+		resp.Bound, resp.Epoch = true, s.epoch.Load()
 		// Codec negotiation rides the handshake: accept the offer only if
 		// this server speaks it, and only on the inline lane (stream 0) of a
 		// fresh connection — serveConn performs the switch after the reply.
@@ -434,48 +448,46 @@ func (s *Server) handle(req *request) *response {
 	dispatch, ok := s.objects[req.Object]
 	s.mu.RUnlock()
 	if req.Method == "" { // lookup probe
-		return &response{Bound: ok}
+		resp.Bound = ok
+		return resp
 	}
-	var finish func(*response)
+	var tracked trackedCall
 	if req.Client != "" && req.Seq > 0 {
 		// Session guard: a request pinned to another incarnation's epoch is a
 		// stale replay — a restarted node (or a rotated epoch after a reset)
 		// must reject it rather than apply it out of context.
 		if req.Epoch != 0 && req.Epoch != s.epoch.Load() {
-			return &response{Stale: true, Err: staleSessionMsg}
+			resp.Stale, resp.Err = true, staleSessionMsg
+			return resp
 		}
 		// At-most-once dedupe: a replayed request the server already applied
 		// — or is applying right now on another connection — is answered
 		// without executing again (see beginTracked).
 		var applied *response
-		if applied, finish = s.beginTracked(req.Client, req.Stream, req.Seq); applied != nil {
+		if applied, tracked = s.beginTracked(req.Client, req.Stream, req.Seq); applied != nil {
 			return applied
 		}
+		resp = new(response)
 	}
 	if !ok {
-		resp := &response{Err: fmt.Sprintf("object %q not bound", req.Object)}
-		if finish != nil {
-			finish(resp)
+		resp.Err = fmt.Sprintf("object %q not bound", req.Object)
+	} else {
+		var start time.Time
+		if !req.OneWay {
+			start = s.clk.Now()
 		}
-		return resp
+		results, err := safeDispatch(dispatch, req.Method, req.Args)
+		resp.Bound = true
+		if !req.OneWay { // a one-way reply is a bare acknowledgement
+			resp.Results = results
+			resp.ServiceNs = s.clk.Since(start).Nanoseconds()
+		}
+		if err != nil {
+			resp.Err = err.Error()
+		}
 	}
-	var start time.Time
-	if !req.OneWay {
-		start = s.clk.Now()
-	}
-	results, err := safeDispatch(dispatch, req.Method, req.Args)
-	resp := &response{Results: results, Bound: true}
-	if !req.OneWay {
-		resp.ServiceNs = s.clk.Since(start).Nanoseconds()
-	}
-	if req.OneWay {
-		resp.Results = nil // bare acknowledgement
-	}
-	if err != nil {
-		resp.Err = err.Error()
-	}
-	if finish != nil {
-		finish(resp)
+	if tracked.sess != nil {
+		s.endTracked(tracked, resp)
 	}
 	return resp
 }
@@ -610,24 +622,99 @@ func closeRead(conn net.Conn) {
 	conn.SetReadDeadline(time.Now())
 }
 
-// pendingReply is one request on the wire awaiting its response. The server
-// answers each stream in request order, so the client keeps a FIFO of these
-// per stream.
-type pendingReply struct {
-	oneWay  bool
-	deliver func(*response, error) // nil for one-way sends
-	// swap marks a codec-negotiation handshake: when its response confirms
-	// the offered codec, the reader swaps both directions before delivering.
-	swap Codec
+// Sink receives the outcome of one asynchronous call, exactly once: the
+// results, the server-stamped dispatch time (zero when the transport failed
+// before a response) and the error — a RemoteError for a servant failure, the
+// transport error when the connection died or the send itself failed. Deliver
+// runs on the client's reader goroutine (or inline, when the call could not be
+// sent) and must not block; handing off to a buffered channel fits. A caller
+// that keeps a record per call of its own implements Sink on that record and
+// pays no closure per call; SinkFunc adapts a plain function.
+type Sink interface {
+	Deliver(res []any, service time.Duration, err error)
 }
 
-// oneWayAck is the shared pending entry of every one-way send: the reader
-// only inspects its fields, so the windowed hot path enqueues one static
-// record instead of allocating per call.
+// SinkFunc adapts a function to Sink.
+type SinkFunc func(res []any, service time.Duration, err error)
+
+// Deliver implements Sink.
+func (f SinkFunc) Deliver(res []any, service time.Duration, err error) { f(res, service, err) }
+
+// pendingReply is the one record a call has while its request is on the wire.
+// The server answers each stream in request order, so the client keeps a FIFO
+// of these per stream.
+//
+// Ownership: the poster fills a record from the pool and post enqueues it;
+// from then on it belongs to whoever takes it off the FIFO — the reader with
+// the reply, or fail's drain with the connection's error — who completes it,
+// exactly once. A record that never made the FIFO (the connection was already
+// dead) is completed by its poster. Completing releases the record back to
+// the pool, zeroed, after handing the outcome to its sink; the record of a
+// parked call is instead handed back to the goroutine parked on it, which
+// reads the reply and releases it. Nothing a caller or servant sees — argument
+// and result lists, completions — is ever part of a record.
+type pendingReply struct {
+	oneWay bool
+	// swap marks a codec-negotiation handshake: when its response confirms
+	// the offered codec, the reader swaps both directions before completing.
+	swap Codec
+	// sink takes the outcome of an asynchronous call; nil on a parked one.
+	sink Sink
+	// parked marks a synchronous call: its goroutine waits on done, then
+	// finds the reply copied into resp (the reader reuses its own) or the
+	// transport error in err.
+	parked bool
+	done   sync.WaitGroup
+	resp   response
+	err    error
+	// live is set while the record awaits its one completion; completing a
+	// record that is not live — twice, or after its release — is a bug in
+	// the ownership rule above and panics instead of reaching a stranger.
+	live atomic.Bool
+}
+
+// oneWayAck is the shared pending entry of every plain one-way Send: the
+// reader only clocks the window on it and never completes it, so the windowed
+// hot path enqueues one static record.
 var oneWayAck = &pendingReply{oneWay: true}
 
-// requestPool recycles request frames on the send hot path; a request is
-// fully serialised when Encode returns, so post can release it immediately.
+var pendingPool = sync.Pool{New: func() any { return new(pendingReply) }}
+
+func acquirePending() *pendingReply {
+	p := pendingPool.Get().(*pendingReply)
+	p.live.Store(true)
+	return p
+}
+
+func releasePending(p *pendingReply) {
+	*p = pendingReply{}
+	pendingPool.Put(p)
+}
+
+// complete gives the record its outcome: the reply, or the transport error
+// that ended the wait (see the ownership rule on pendingReply).
+func (p *pendingReply) complete(resp *response, err error) {
+	if !p.live.CompareAndSwap(true, false) {
+		panic("rmi: pending reply completed twice or after its release")
+	}
+	if p.parked {
+		if resp != nil {
+			p.resp = *resp
+		}
+		p.err = err
+		p.done.Done() // the parked caller owns the record from here
+		return
+	}
+	sink := p.sink
+	releasePending(p)
+	sink.Deliver(outcome(resp, err)) // a one-way reply is a bare acknowledgement: no results, no service time
+}
+
+// requestPool recycles request frames: on the send path a request is fully
+// serialised when Encode returns, so post releases it at once; on the serving
+// path the read loop decodes into one and the lane that dispatched it releases
+// it after writing the reply. Only the frame is recycled — the argument list
+// it pointed at belongs to the servant.
 var requestPool = sync.Pool{New: func() any { return new(request) }}
 
 func releaseRequest(req *request) {
@@ -658,7 +745,7 @@ type Client struct {
 	cond          *sync.Cond
 	conn          net.Conn
 	gen           int64 // connection generation, bumped by Reconnect
-	pending       map[uint32][]*pendingReply
+	pending       map[uint32]*fifo[*pendingReply]
 	transport     error // sticky first transport failure (per generation)
 	userClosed    bool  // Close was called: Reconnect must refuse
 	windowSize    int
@@ -746,7 +833,7 @@ func (c *Client) install(conn net.Conn) error {
 	c.conn = conn
 	c.w.Store(w)
 	c.transport = nil
-	c.pending = make(map[uint32][]*pendingReply)
+	c.pending = make(map[uint32]*fifo[*pendingReply])
 	c.inFlightSends = 0
 	c.sendErrs = nil
 	c.cond.Broadcast()
@@ -771,16 +858,12 @@ func (c *Client) install(conn net.Conn) error {
 // offer, callers guarantee nothing else is in flight (Dial and Reconnect run
 // it before handing the connection out).
 func (c *Client) hello(offer Codec) (int64, error) {
-	f, resolve := future.New[*response]()
-	p := &pendingReply{swap: offer, deliver: func(r *response, err error) { resolve(r, err) }}
-	name := ""
+	req := requestPool.Get().(*request)
+	req.Hello = true
 	if offer != nil {
-		name = offer.Name()
+		req.Codec = offer.Name()
 	}
-	if err := c.post("", "", nil, false, true, 0, 0, name, p); err != nil {
-		return 0, err
-	}
-	resp, err := f.Get()
+	resp, err := c.roundTrip(req, offer)
 	if err != nil {
 		return 0, err
 	}
@@ -845,7 +928,7 @@ func (c *Client) fail(gen int64, err error) {
 	c.transport = err
 	c.w.Load().stop() // a dead generation needs no flusher
 	failed := c.pending
-	c.pending = make(map[uint32][]*pendingReply)
+	c.pending = make(map[uint32]*fifo[*pendingReply])
 	// Nothing is in flight on a dead connection: the loss itself is reported
 	// by Flush's transport error, so the window must not stay pinned open —
 	// quiescence checks would otherwise never settle.
@@ -860,9 +943,9 @@ func (c *Client) fail(gen int64, err error) {
 	}
 	slices.Sort(streams)
 	for _, s := range streams {
-		for _, p := range failed[s] {
-			if p.deliver != nil {
-				p.deliver(nil, err)
+		for q := failed[s]; q.len() > 0; {
+			if p := q.pop(); p != oneWayAck {
+				p.complete(nil, err)
 			}
 		}
 	}
@@ -870,14 +953,17 @@ func (c *Client) fail(gen int64, err error) {
 
 // readLoop is the client's single response reader: it decodes responses and
 // completes the head of the matching stream's pending FIFO, acknowledging
-// one-way sends and resolving futures for two-way calls. gen pins the loop
-// to its connection generation: after a Reconnect swapped the transport, a
-// lingering old reader must neither consume the new generation's pending
-// entries nor fail the fresh connection.
+// one-way sends, waking parked callers and handing outcomes to sinks. gen pins
+// the loop to its connection generation: after a Reconnect swapped the
+// transport, a lingering old reader must neither consume the new generation's
+// pending entries nor fail the fresh connection. It decodes every response
+// into the one record it owns; completing a call copies out what the call
+// keeps.
 func (c *Client) readLoop(br *bufio.Reader, dec frameDecoder, w *frameWriter, gen int64) {
+	resp := new(response)
 	for {
-		var resp response
-		if err := dec.DecodeResponse(&resp); err != nil {
+		*resp = response{}
+		if err := dec.DecodeResponse(resp); err != nil {
 			if errors.Is(err, io.EOF) {
 				err = fmt.Errorf("rmi: connection closed by server: %w", err)
 			} else {
@@ -893,51 +979,43 @@ func (c *Client) readLoop(br *bufio.Reader, dec frameDecoder, w *frameWriter, ge
 			return // stale reader: a Reconnect replaced this connection
 		}
 		q := c.pending[resp.Stream]
-		if len(q) == 0 {
+		if q == nil || q.len() == 0 {
 			c.mu.Unlock()
 			c.fail(gen, errors.New("rmi: response without matching request"))
 			return
 		}
-		p := q[0]
-		c.pending[resp.Stream] = q[1:]
-		if p.swap != nil {
-			// Codec negotiation reply: switch both directions BEFORE
-			// delivering, so any frame a delivery triggers already speaks
-			// the new codec. w is this generation's own writer, so a stale
-			// reader cannot touch a fresh connection's encoder.
-			c.mu.Unlock()
-			if resp.Codec == p.swap.Name() {
-				w.setCodec(p.swap)
-				dec = p.swap.newDecoder(br)
-			}
-			p.deliver(&resp, nil)
-			continue
-		}
+		p := q.pop()
 		if p.oneWay {
 			c.inFlightSends--
 			c.cond.Broadcast()
-			if p.deliver == nil {
-				if resp.Err != "" {
-					c.sendErrs = append(c.sendErrs, &RemoteError{Msg: resp.Err})
-				}
-				c.mu.Unlock()
-				continue
+			if p == oneWayAck && resp.Err != "" {
+				c.sendErrs = append(c.sendErrs, &RemoteError{Msg: resp.Err})
 			}
-			c.mu.Unlock()
-			p.deliver(&resp, nil) // per-call acknowledgement (SendSeq)
-			continue
 		}
 		c.mu.Unlock()
-		p.deliver(&resp, nil)
+		if p.swap != nil && resp.Codec == p.swap.Name() {
+			// Codec negotiation reply: switch both directions BEFORE
+			// completing, so any frame the woken caller sends already speaks
+			// the new codec. w is this generation's own writer, so a stale
+			// reader cannot touch a fresh connection's encoder.
+			w.setCodec(p.swap)
+			dec = p.swap.newDecoder(br)
+		}
+		if p != oneWayAck {
+			p.complete(resp, nil)
+		}
 	}
 }
 
 // post enqueues the pending entry on its stream's FIFO and writes the
-// request, preserving FIFO order between the two. An encode failure poisons
+// request, preserving FIFO order between the two, and releases the request
+// frame: it is fully on the buffered writer when Encode returns. posted
+// reports whether the entry made the FIFO — from then on whoever takes it off
+// completes it, and err (a failed send) is only news for a caller without an
+// entry of its own; when it did not, the connection was already dead, err
+// says why, and the entry is still the caller's. An encode failure poisons
 // the connection: neither gob nor the binary framing can resynchronise after
-// a partial write. The request frame comes from (and returns to)
-// requestPool: it is fully on the buffered writer when Encode returns, so
-// releasing it here is safe. seq > 0 marks a session-tracked request: it
+// a partial write. A request with a sequence number is session-tracked: it
 // ships the client's session tag and epoch stamp alongside, arming the
 // server's dedupe and stale-replay guards (scoped per stream).
 //
@@ -947,13 +1025,12 @@ func (c *Client) readLoop(br *bufio.Reader, dec frameDecoder, w *frameWriter, ge
 // flusher poisons the connection through fail exactly as a failed flush here
 // does, so every buffered frame's pending entry resolves and no frame is
 // silently stranded.
-func (c *Client) post(object, method string, args []any, oneWay, hello bool, seq uint64, stream uint32, codec string, p *pendingReply) error {
-	req := requestPool.Get().(*request)
-	req.Object, req.Method, req.Args, req.OneWay, req.Hello = object, method, args, oneWay, hello
-	req.Stream = stream
-	req.Codec = codec
-	if seq > 0 && c.session != "" {
-		req.Client, req.Seq, req.Epoch = c.session, seq, c.epoch.Load()
+func (c *Client) post(req *request, p *pendingReply) (posted bool, err error) {
+	defer releaseRequest(req)
+	if req.Seq > 0 && c.session != "" {
+		req.Client, req.Epoch = c.session, c.epoch.Load()
+	} else {
+		req.Seq = 0
 	}
 	var w *frameWriter
 	for {
@@ -963,8 +1040,7 @@ func (c *Client) post(object, method string, args []any, oneWay, hello bool, seq
 		if err := c.transport; err != nil {
 			c.mu.Unlock()
 			w.mu.Unlock()
-			releaseRequest(req)
-			return err
+			return false, err
 		}
 		if c.w.Load() == w {
 			break
@@ -975,28 +1051,43 @@ func (c *Client) post(object, method string, args []any, oneWay, hello bool, seq
 		w.mu.Unlock()
 	}
 	gen := c.gen
-	c.pending[stream] = append(c.pending[stream], p)
-	c.mu.Unlock()
-	err := w.leave(w.enc.EncodeRequest(req), w.expecting.Add(1) == 1)
-	w.mu.Unlock()
-	releaseRequest(req)
-	if err != nil {
-		c.fail(gen, fmt.Errorf("rmi: send: %w", err))
-		return fmt.Errorf("rmi: send: %w", err)
+	q := c.pending[req.Stream]
+	if q == nil {
+		q = new(fifo[*pendingReply])
+		c.pending[req.Stream] = q
 	}
-	return nil
+	q.push(p)
+	c.mu.Unlock()
+	err = w.leave(w.enc.EncodeRequest(req), w.expecting.Add(1) == 1)
+	w.mu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("rmi: send: %w", err)
+		c.fail(gen, err)
+	}
+	return true, err
 }
 
-// call performs one pipelined two-way exchange; the returned future resolves
-// from the reader goroutine when the in-order response arrives (or from the
-// failing path, whichever comes first — resolution is write-once).
-func (c *Client) call(object, method string, args []any, stream uint32) *future.Future[*response] {
-	f, resolve := future.New[*response]()
-	p := &pendingReply{deliver: func(r *response, err error) { resolve(r, err) }}
-	if err := c.post(object, method, args, false, false, 0, stream, "", p); err != nil {
-		resolve(nil, err)
+// submit posts req with p as its pending entry; an entry that never made the
+// FIFO is completed here, with the error that kept it off.
+func (c *Client) submit(req *request, p *pendingReply) {
+	if posted, err := c.post(req, p); !posted {
+		p.complete(nil, err)
 	}
-	return f
+}
+
+// roundTrip performs one synchronous exchange: it posts req and parks the
+// calling goroutine on the pending entry until the reader hands it the reply
+// or the connection fails. swap, non-nil on a handshake, is the codec the
+// reader switches to before waking the caller.
+func (c *Client) roundTrip(req *request, swap Codec) (response, error) {
+	p := acquirePending()
+	p.parked, p.swap = true, swap
+	p.done.Add(1)
+	c.submit(req, p)
+	p.done.Wait()
+	resp, err := p.resp, p.err
+	releasePending(p)
+	return resp, err
 }
 
 // acquireSendCredit blocks until the flow-control window has room, the
@@ -1034,7 +1125,9 @@ func (c *Client) Flush() error {
 // Lookup resolves a name to a stub; it fails with ErrNotBound for unknown
 // names (the client contacting the name server, the paper's modification 3).
 func (c *Client) Lookup(name string) (*Stub, error) {
-	resp, err := c.call(name, "", nil, 0).Get()
+	req := requestPool.Get().(*request)
+	req.Object = name
+	resp, err := c.roundTrip(req, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1073,9 +1166,25 @@ func (s *Stub) OnStream(stream uint32) *Stub {
 	return &Stub{client: s.client, name: s.name, stream: stream}
 }
 
-// Invoke performs the remote method invocation synchronously.
+// request fills a pooled request frame for one invocation on this stub.
+func (s *Stub) request(method string, args []any, seq uint64, oneWay bool) *request {
+	req := requestPool.Get().(*request)
+	req.Object, req.Method, req.Args, req.Stream = s.name, method, args, s.stream
+	req.Seq, req.OneWay = seq, oneWay
+	return req
+}
+
+var errEmptyMethod = errors.New("rmi: empty method name")
+
+// Invoke performs the remote method invocation synchronously: the calling
+// goroutine parks on the call's pending entry until the reply arrives.
 func (s *Stub) Invoke(method string, args ...any) ([]any, error) {
-	return s.InvokeAsync(method, args...).Get()
+	if method == "" {
+		return nil, errEmptyMethod
+	}
+	resp, err := s.client.roundTrip(s.request(method, args, 0, false), nil)
+	res, _, err := outcome(&resp, err)
+	return res, err
 }
 
 // InvokeAsync ships the invocation and returns immediately with a future for
@@ -1085,17 +1194,7 @@ func (s *Stub) Invoke(method string, args ...any) ([]any, error) {
 // chain of synchronous Invokes would pay serially.
 func (s *Stub) InvokeAsync(method string, args ...any) *future.Future[[]any] {
 	f, resolve := future.New[[]any]()
-	if method == "" {
-		resolve(nil, errors.New("rmi: empty method name"))
-		return f
-	}
-	p := &pendingReply{deliver: func(resp *response, err error) {
-		res, _, err := outcome(resp, err)
-		resolve(res, err)
-	}}
-	if err := s.client.post(s.name, method, args, false, false, 0, s.stream, "", p); err != nil {
-		resolve(nil, err)
-	}
+	s.InvokeCB(method, func(res []any, _ time.Duration, err error) { resolve(res, err) }, args...)
 	return f
 }
 
@@ -1118,41 +1217,13 @@ func outcome(resp *response, err error) ([]any, time.Duration, error) {
 }
 
 // InvokeCB ships the invocation like InvokeAsync but delivers the outcome
-// through deliver instead of a future: no future, no per-call goroutine.
-// deliver runs on the client's reader goroutine (or inline, on an immediate
-// send failure) and must not block — windowed middleware completions hand
-// off to a buffered channel, which fits. This is the windowed dispatch hot
-// path's allocation-lean shape; the alloc-regression test pins it. The
-// service argument is the server-stamped dispatch time (zero when the
-// transport failed before a response), the signal the caller's tuning
-// controllers consume.
-//
-// Delivery is exactly-once: a send failure after the pending entry was
-// enqueued reaches deliver through Client.fail's drain AND surfaces as
-// post's error, so without the guard a dead connection would deliver a
-// second (phantom) outcome — the write-once future absorbed that on the
-// InvokeAsync path, the raw callback must dedupe itself.
+// through deliver instead of a future: no future, no per-call goroutine —
+// InvokeSeq without a sequence number, for a caller with a plain function
+// (see Sink for when and where deliver runs). The service argument is the
+// server-stamped dispatch time, the signal the caller's tuning controllers
+// consume.
 func (s *Stub) InvokeCB(method string, deliver func([]any, time.Duration, error), args ...any) {
-	s.invokeCB(method, 0, deliver, args)
-}
-
-func (s *Stub) invokeCB(method string, seq uint64, deliver func([]any, time.Duration, error), args []any) {
-	if method == "" {
-		deliver(nil, 0, errors.New("rmi: empty method name"))
-		return
-	}
-	var delivered atomic.Bool
-	once := func(res []any, service time.Duration, err error) {
-		if delivered.CompareAndSwap(false, true) {
-			deliver(res, service, err)
-		}
-	}
-	p := &pendingReply{deliver: func(resp *response, err error) {
-		once(outcome(resp, err))
-	}}
-	if err := s.client.post(s.name, method, args, false, false, seq, s.stream, "", p); err != nil {
-		once(nil, 0, err)
-	}
+	s.InvokeSeq(method, 0, SinkFunc(deliver), args...)
 }
 
 // Send ships a one-way invocation: it returns once the request is encoded
@@ -1164,12 +1235,13 @@ func (s *Stub) invokeCB(method string, seq uint64, deliver func([]any, time.Dura
 // server. Remote failures are reported collectively by Flush.
 func (s *Stub) Send(method string, args ...any) error {
 	if method == "" {
-		return errors.New("rmi: empty method name")
+		return errEmptyMethod
 	}
 	if err := s.client.acquireSendCredit(); err != nil {
 		return err
 	}
-	return s.client.post(s.name, method, args, true, false, 0, s.stream, "", oneWayAck)
+	_, err := s.client.post(s.request(method, args, 0, true), oneWayAck)
+	return err
 }
 
 // Flush waits for this stub's connection to drain its one-way window; see

@@ -90,14 +90,21 @@ type clientSession struct {
 	inProgress map[uint64]chan struct{}
 }
 
+// trackedCall is one tracked request being dispatched: what endTracked needs
+// to record its application.
+type trackedCall struct {
+	sess *clientSession
+	seq  uint64
+	done chan struct{} // closed when the dispatch finished
+}
+
 // beginTracked is the server side of at-most-once execution for one tracked
 // request. It returns a non-nil response when the request must NOT be
 // dispatched — it was already applied (the cached response, or a bare Dup
 // marker once pruned) — possibly after waiting for an in-progress original
-// to finish. Otherwise it returns a finish func the handler must call with
-// the dispatched response: finish records the application and wakes any
-// replica of the request that arrived while it ran.
-func (s *Server) beginTracked(client string, stream uint32, seq uint64) (*response, func(*response)) {
+// to finish. Otherwise it returns the trackedCall the handler must pass to
+// endTracked with the dispatched response.
+func (s *Server) beginTracked(client string, stream uint32, seq uint64) (*response, trackedCall) {
 	s.mu.Lock()
 	key := sessionKey{client: client, stream: stream}
 	sess := s.sessions[key]
@@ -111,7 +118,7 @@ func (s *Server) beginTracked(client string, stream uint32, seq uint64) (*respon
 		if r == nil {
 			r = &response{Bound: true, Dup: true}
 		}
-		return r, nil
+		return r, trackedCall{}
 	}
 	if ch, busy := sess.inProgress[seq]; busy {
 		s.mu.Unlock()
@@ -122,29 +129,35 @@ func (s *Server) beginTracked(client string, stream uint32, seq uint64) (*respon
 		if r == nil {
 			r = &response{Bound: true, Dup: true}
 		}
-		return r, nil
+		return r, trackedCall{}
 	}
-	ch := make(chan struct{})
-	sess.inProgress[seq] = ch
+	t := trackedCall{sess: sess, seq: seq, done: make(chan struct{})}
+	sess.inProgress[seq] = t.done
 	s.mu.Unlock()
-	return nil, func(resp *response) {
-		s.mu.Lock()
-		if seq > sess.applied {
-			sess.applied = seq
-		}
-		sess.results[seq] = resp
-		delete(sess.results, seq-dedupeKeep)
-		if len(sess.results) > 2*dedupeKeep { // gaps escaped the rolling delete
-			for k := range sess.results {
-				if k+dedupeKeep <= sess.applied {
-					delete(sess.results, k)
-				}
+	return nil, t
+}
+
+// endTracked records the application of a tracked request — resp joins the
+// session's response cache — and wakes any replica of the request that arrived
+// while it ran.
+func (s *Server) endTracked(t trackedCall, resp *response) {
+	sess, seq := t.sess, t.seq
+	s.mu.Lock()
+	if seq > sess.applied {
+		sess.applied = seq
+	}
+	sess.results[seq] = resp
+	delete(sess.results, seq-dedupeKeep)
+	if len(sess.results) > 2*dedupeKeep { // gaps escaped the rolling delete
+		for k := range sess.results {
+			if k+dedupeKeep <= sess.applied {
+				delete(sess.results, k)
 			}
 		}
-		delete(sess.inProgress, seq)
-		close(ch)
-		s.mu.Unlock()
 	}
+	delete(sess.inProgress, seq)
+	close(t.done)
+	s.mu.Unlock()
 }
 
 // Epoch returns the server's session epoch.
@@ -302,47 +315,49 @@ func (c *Client) Reconnect() (sameEpoch bool, err error) {
 	return false, err
 }
 
-// InvokeSeq ships a session-tracked invocation: like InvokeCB, but the
-// request carries the caller-assigned sequence number (plus the client's
-// session tag and epoch stamp), so a replay of the same seq after a
-// reconnect is applied at most once by the server. seq must be positive and
-// monotone per client session; the client must have been dialled WithSession.
-func (s *Stub) InvokeSeq(method string, seq uint64, deliver func([]any, time.Duration, error), args ...any) {
-	s.invokeCB(method, seq, deliver, args)
+// InvokeSeq ships the invocation and hands its outcome to sink — the
+// windowed dispatch path: no future, no per-call goroutine, and one pooled
+// pending entry as the call's whole footprint in this package, which the
+// alloc-regression tests pin. With seq > 0 on a client dialled WithSession
+// the request is session-tracked: it carries the caller-assigned sequence
+// number (plus the client's session tag and epoch stamp), so a replay of the
+// same seq after a reconnect is applied at most once by the server; seq must
+// then be monotone per client session and stream. Zero sends it untracked.
+//
+// Delivery is exactly-once by ownership, not by a guard per call: once the
+// pending entry is on its stream's FIFO, only whoever takes it off — the
+// reader with the reply, or the failing connection's drain — delivers; a call
+// the dead connection never accepted is delivered here, inline.
+func (s *Stub) InvokeSeq(method string, seq uint64, sink Sink, args ...any) {
+	if method == "" {
+		sink.Deliver(nil, 0, errEmptyMethod)
+		return
+	}
+	s.invoke(method, seq, false, sink, args)
 }
 
 // SendSeq ships a session-tracked one-way invocation with a per-call
-// acknowledgement callback: acked runs exactly once — on the reader
-// goroutine with nil once the server acknowledged the send, with the
-// servant's RemoteError when it failed remotely, or with the transport
-// error when the connection died (or the send itself failed) — the journal
-// bookkeeping a replaying caller needs, which the collective Flush cannot
-// provide. Like Send, it blocks on the flow-control window; unlike Send,
-// its remote failures are NOT accumulated for Flush (the callback owns
-// them).
-func (s *Stub) SendSeq(method string, seq uint64, acked func(error), args ...any) {
+// acknowledgement: sink is delivered exactly once (see InvokeSeq) with no
+// results and a nil error once the server acknowledged the send, the
+// servant's RemoteError when it failed remotely, or the transport error when
+// the connection died or the send itself failed — the journal bookkeeping a
+// replaying caller needs, which the collective Flush cannot provide. Like
+// Send, it blocks on the flow-control window; unlike Send, its remote
+// failures are NOT accumulated for Flush (the sink owns them).
+func (s *Stub) SendSeq(method string, seq uint64, sink Sink, args ...any) {
 	if method == "" {
-		acked(errors.New("rmi: empty method name"))
+		sink.Deliver(nil, 0, errEmptyMethod)
 		return
-	}
-	// The exactly-once guard: a post failure after the pending entry was
-	// enqueued reaches acked both through fail's drain and through post's
-	// error return (see InvokeCB).
-	var delivered atomic.Bool
-	once := func(err error) {
-		if delivered.CompareAndSwap(false, true) {
-			acked(err)
-		}
 	}
 	if err := s.client.acquireSendCredit(); err != nil {
-		once(err)
+		sink.Deliver(nil, 0, err)
 		return
 	}
-	p := &pendingReply{oneWay: true, deliver: func(resp *response, err error) {
-		_, _, err = outcome(resp, err)
-		once(err)
-	}}
-	if err := s.client.post(s.name, method, args, true, false, seq, s.stream, "", p); err != nil {
-		once(err)
-	}
+	s.invoke(method, seq, true, sink, args)
+}
+
+func (s *Stub) invoke(method string, seq uint64, oneWay bool, sink Sink, args []any) {
+	p := acquirePending()
+	p.sink, p.oneWay = sink, oneWay
+	s.client.submit(s.request(method, args, seq, oneWay), p)
 }

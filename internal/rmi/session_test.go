@@ -56,7 +56,7 @@ func invokeSeq(t *testing.T, stub *Stub, method string, seq uint64, args ...any)
 		err error
 	}
 	ch := make(chan out, 1)
-	stub.InvokeSeq(method, seq, func(res []any, _ time.Duration, err error) { ch <- out{res, err} }, args...)
+	stub.InvokeSeq(method, seq, SinkFunc(func(res []any, _ time.Duration, err error) { ch <- out{res, err} }), args...)
 	o := <-ch
 	return o.res, o.err
 }
@@ -218,8 +218,9 @@ func TestSendSeqAcksPerCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	acks := make(chan error, 2)
-	stub.SendSeq("Add", 1, func(err error) { acks <- err }, int64(7))
-	stub.SendSeq("Fail", 2, func(err error) { acks <- err })
+	ack := SinkFunc(func(_ []any, _ time.Duration, err error) { acks <- err })
+	stub.SendSeq("Add", 1, ack, int64(7))
+	stub.SendSeq("Fail", 2, ack)
 	if err := <-acks; err != nil {
 		t.Errorf("Add ack = %v, want nil", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 )
 
 // This file is the node side of peer-to-peer pipeline forwarding. A driver
@@ -342,7 +343,7 @@ func (r *pipeRouter) afterDispatch(name string, servant Servant, method string, 
 	r.seq++
 	seq := r.seq
 	r.mu.Unlock()
-	stub.SendSeq(method, seq, func(err error) {
+	stub.SendSeq(method, seq, SinkFunc(func(_ []any, _ time.Duration, err error) {
 		switch {
 		case err == nil:
 			r.settle(name, nil)
@@ -357,7 +358,7 @@ func (r *pipeRouter) afterDispatch(name string, servant Servant, method string, 
 			r.breakHop(name)
 			r.strand(name, next, stage+1, method, fw)
 		}
-	}, fw...)
+	}), fw...)
 }
 
 // isRemote reports whether err is the successor servant's own failure (the

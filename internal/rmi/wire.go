@@ -120,7 +120,9 @@ func (binCodec) Name() string { return binaryName }
 
 func (binCodec) newEncoder(bw *bufio.Writer) frameEncoder { return &binEncoder{bw: bw} }
 
-func (binCodec) newDecoder(br *bufio.Reader) frameDecoder { return &binDecoder{br: br} }
+func (binCodec) newDecoder(br *bufio.Reader) frameDecoder {
+	return &binDecoder{br: br, names: make(map[string]string)}
+}
 
 // binEncoder assembles each frame in a reused scratch buffer — frameHeadroom
 // bytes of room, then the body — and writes it with its length prefix in one
@@ -319,6 +321,31 @@ func (e *binEncoder) appendValue(b []byte, v any) ([]byte, error) {
 type binDecoder struct {
 	br  *bufio.Reader
 	buf []byte
+	// names interns the request header's strings — object, method, session
+	// tag: a connection repeats the same few on every request, so each is
+	// copied out of the frame once and handed out again after that.
+	names map[string]string
+}
+
+// maxInterned bounds a connection's name table; past it a new name is simply
+// copied per request, as every name was before. A driver's connection names a
+// few dozen objects and methods.
+const maxInterned = 256
+
+// name reads a length-prefixed string through the connection's name table.
+func (d *binDecoder) name(c *wireCursor) (string, error) {
+	b, err := c.prefixed()
+	if err != nil {
+		return "", err
+	}
+	if s, ok := d.names[string(b)]; ok { // the conversion in a map index does not allocate
+		return s, nil
+	}
+	s := string(b)
+	if len(d.names) < maxInterned {
+		d.names[s] = s
+	}
+	return s, nil
 }
 
 func (d *binDecoder) readFrame(wantKind byte) (wireCursor, error) {
@@ -371,14 +398,14 @@ func (d *binDecoder) DecodeRequest(req *request) error {
 		}
 		req.Stream = uint32(s)
 	}
-	if req.Object, err = c.str(); err != nil {
+	if req.Object, err = d.name(&c); err != nil {
 		return err
 	}
-	if req.Method, err = c.str(); err != nil {
+	if req.Method, err = d.name(&c); err != nil {
 		return err
 	}
 	if flags&frTracked != 0 {
-		if req.Client, err = c.str(); err != nil {
+		if req.Client, err = d.name(&c); err != nil {
 			return err
 		}
 		if req.Seq, err = c.uvarint(); err != nil {
@@ -495,16 +522,18 @@ func (c *wireCursor) take(n uint64) ([]byte, error) {
 	return b, nil
 }
 
-func (c *wireCursor) str() (string, error) {
+// prefixed reads a length-prefixed run of bytes; the result aliases the frame.
+func (c *wireCursor) prefixed() ([]byte, error) {
 	n, err := c.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	b, err := c.take(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return c.take(n)
+}
+
+func (c *wireCursor) str() (string, error) {
+	b, err := c.prefixed()
+	return string(b), err
 }
 
 // values parses a counted value list ([]any).
@@ -562,11 +591,7 @@ func (c *wireCursor) value() (any, error) {
 	case vString:
 		return c.str()
 	case vBytes:
-		n, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.take(n)
+		b, err := c.prefixed()
 		if err != nil {
 			return nil, err
 		}
@@ -587,11 +612,7 @@ func (c *wireCursor) value() (any, error) {
 		}
 		return v, nil
 	case vGob:
-		n, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.take(n)
+		b, err := c.prefixed()
 		if err != nil {
 			return nil, err
 		}

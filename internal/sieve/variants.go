@@ -949,16 +949,14 @@ func gather(ctx exec.Context, w *wiring, v Variant, pf any) ([]int32, error) {
 		}
 		stages := w.pipe.Managed()
 		last := stages[len(stages)-1]
-		marks := map[string]any{par.MarkInternal: true, par.MarkNoAsync: true}
-		res, err := w.class.CallMarked(ctx, marks, last, "Accepted")
+		res, err := w.class.CallWith(ctx, par.Internal|par.NoAsync, last, "Accepted")
 		if err := take(res, err); err != nil {
 			return nil, err
 		}
 	case w.farm != nil:
 		// Replicated seeds: take one copy; survivors from every worker.
 		workers := w.farm.Managed()
-		marks := map[string]any{par.MarkInternal: true, par.MarkNoAsync: true}
-		res, err := w.class.CallMarked(ctx, marks, workers[0], "Seeds")
+		res, err := w.class.CallWith(ctx, par.Internal|par.NoAsync, workers[0], "Seeds")
 		if err := take(res, err); err != nil {
 			return nil, err
 		}
