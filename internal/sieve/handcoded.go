@@ -2,7 +2,7 @@ package sieve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"aspectpar/internal/cluster"
@@ -150,7 +150,7 @@ func runHandCoded(p Params) (Result, error) {
 			primes = append(primes, fetch(i, f.Seeds())...)
 		}
 		primes = append(primes, fetch(p.Filters-1, filters[p.Filters-1].Accepted())...)
-		sort.Slice(primes, func(i, j int) bool { return primes[i] < primes[j] })
+		slices.Sort(primes)
 		res.PrimeCount, res.PrimeSum = Checksum(primes)
 	})
 	if runErr != nil {
@@ -179,6 +179,6 @@ func HandSequential(max int32) ([]int32, error) {
 	}
 	survivors := f.Filter(Candidates(sqrtMax, max))
 	primes := append(f.Seeds(), survivors...)
-	sort.Slice(primes, func(i, j int) bool { return primes[i] < primes[j] })
+	slices.Sort(primes)
 	return primes, nil
 }

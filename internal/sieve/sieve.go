@@ -15,9 +15,14 @@
 // range and survivors flow down the chain; in the farm partition every
 // worker holds all the seeds and each pack is fully filtered by one worker.
 //
-// The class counts its arithmetic operations (trial divisions) so the
-// metering aspect can convert real work into virtual CPU time on the
-// simulated testbed.
+// The class counts its arithmetic operations so the metering aspect can
+// convert real work into virtual CPU time on the simulated testbed. An
+// operation is one seed tried against one candidate, counted exactly as the
+// naive trial-division loop would — every seed up to and including the one
+// that divides the candidate or the first whose square exceeds it. How
+// divisibility is decided is not part of the contract: Filter multiplies by
+// a precomputed reciprocal instead of dividing, so the wall-clock kernel can
+// get faster while the virtual-time model it feeds stays where it is.
 package sieve
 
 import "fmt"
@@ -28,6 +33,11 @@ type PrimeFilter struct {
 	seeds      []int32 // primes in [pmin, pmax]
 	accepted   []int32 // survivors this filter let through
 	ops        int64   // trial divisions since the last TakeOps
+
+	// Per seed p, for Filter: magic = ⌊(2⁶⁴−1)/p⌋+1, for which p divides a
+	// non-negative int32 n exactly when magic·n mod 2⁶⁴ < magic (Lemire,
+	// Kaser & Kurz, "Faster remainder by direct computation").
+	magic []uint64
 }
 
 // NewPrimeFilter calculates the seed primes in [pmin, pmax] by trial
@@ -40,6 +50,7 @@ func NewPrimeFilter(pmin, pmax int32) (*PrimeFilter, error) {
 	for n := pmin; n <= pmax; n++ {
 		if f.isPrime(n) {
 			f.seeds = append(f.seeds, n)
+			f.magic = append(f.magic, ^uint64(0)/uint64(n)+1)
 		}
 	}
 	return f, nil
@@ -68,26 +79,68 @@ func (f *PrimeFilter) isPrime(n int32) bool {
 // than in-place mutation, because packs travel by value over middleware).
 // Survivors are also accumulated in the filter, so the final pipeline
 // element (or each farm worker) holds the primes it discovered.
+//
+// It is the naive loop — for each seed in order: count one operation, stop
+// if p² > n, reject if p divides n — with the division strength-reduced
+// away. k is the number of seeds with p² ≤ n, so only magic[:k] is tried;
+// p divides n exactly when magic·n wraps to less than magic.
 func (f *PrimeFilter) Filter(nums []int32) []int32 {
-	out := make([]int32, 0, len(nums))
+	start := len(f.accepted)
+	seeds, k := f.seeds, 0
+	var ops int64
 	for _, n := range nums {
-		keep := true
-		for _, p := range f.seeds {
-			f.ops++
-			if int64(p)*int64(p) > int64(n) {
-				break // no seed ≤ √n divides n
-			}
-			if n%p == 0 {
-				keep = false
-				break
-			}
+		// Packs ascend, so the cursor rarely moves; it moves both ways so
+		// unsorted and negative input (k = 0) stay correct.
+		for k < len(seeds) && int64(seeds[k])*int64(seeds[k]) <= int64(n) {
+			k++
 		}
-		if keep {
-			out = append(out, n)
+		for k > 0 && int64(seeds[k-1])*int64(seeds[k-1]) > int64(n) {
+			k--
+		}
+		// The naive loop stops at seed i — a divisor, or at i = k the first
+		// seed with p² > n — having counted it, unless it ran out of seeds.
+		i := firstDivisor(f.magic[:k], uint64(n))
+		ops += int64(min(i+1, len(seeds)))
+		if i == k {
+			f.accepted = append(f.accepted, n)
 		}
 	}
-	f.accepted = append(f.accepted, out...)
-	return out
+	f.ops += ops
+	// A copy, not a view: Restore rewrites accepted's backing array in place
+	// while a reply holding this pack may still be encoding.
+	return append(make([]int32, 0, len(f.accepted)-start), f.accepted[start:]...)
+}
+
+// firstDivisor returns the index of the first seed that divides n, or
+// len(magic) if none does: one multiply and one compare per seed, eight
+// seeds per trip round the loop.
+func firstDivisor(magic []uint64, n uint64) int {
+	i := 0
+	for ; i <= len(magic)-8; i += 8 {
+		m := magic[i : i+8 : i+8]
+		switch {
+		case m[0]*n < m[0]:
+			return i
+		case m[1]*n < m[1]:
+			return i + 1
+		case m[2]*n < m[2]:
+			return i + 2
+		case m[3]*n < m[3]:
+			return i + 3
+		case m[4]*n < m[4]:
+			return i + 4
+		case m[5]*n < m[5]:
+			return i + 5
+		case m[6]*n < m[6]:
+			return i + 6
+		case m[7]*n < m[7]:
+			return i + 7
+		}
+	}
+	for i < len(magic) && magic[i]*n >= magic[i] {
+		i++
+	}
+	return i
 }
 
 // Seeds returns the filter's seed primes.

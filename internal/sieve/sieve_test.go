@@ -1,7 +1,11 @@
 package sieve
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -84,6 +88,205 @@ func TestFilterAccumulatesAccepted(t *testing.T) {
 	if got := fmt.Sprint(f.Accepted()); got != "[101 103]" {
 		t.Errorf("accepted = %s", got)
 	}
+}
+
+// --- The kernel's contract: survivors and operation counts of the naive loop.
+
+// referenceFilter is PrimeFilter.Filter's loop as it stood before the
+// division was strength-reduced away, verbatim — the oracle for what the
+// kernel keeps and for what it counts.
+func referenceFilter(seeds, nums []int32) (out []int32, ops int64) {
+	out = make([]int32, 0, len(nums))
+	for _, n := range nums {
+		keep := true
+		for _, p := range seeds {
+			ops++
+			if int64(p)*int64(p) > int64(n) {
+				break // no seed ≤ √n divides n
+			}
+			if n%p == 0 {
+				keep = false
+				break
+			}
+		}
+		if keep {
+			out = append(out, n)
+		}
+	}
+	return out, ops
+}
+
+// kernelRanges are the seed ranges the differential test and the fuzz target
+// share: the farm's, the three smallest, a mid-pipeline stage, every seed
+// whose square fits an int32, and one with no seed at all.
+var kernelRanges = [][2]int32{{2, 3162}, {2, 2}, {3, 3}, {2, 10}, {790, 1800}, {2, 46340}, {24, 28}}
+
+// checkAgainstReference runs packs through a fresh copy of f and compares
+// each pack's survivors and operation count with the naive loop's.
+func checkAgainstReference(t *testing.T, f *PrimeFilter, packs ...[]int32) {
+	t.Helper()
+	g := PrimeFilter{pmin: f.pmin, pmax: f.pmax, seeds: f.seeds, magic: f.magic}
+	var accepted []int32
+	for i, nums := range packs {
+		want, wantOps := referenceFilter(g.seeds, nums)
+		got, gotOps := g.Filter(nums), g.TakeOps()
+		accepted = append(accepted, want...)
+		if !slices.Equal(got, want) {
+			t.Fatalf("[%d,%d] pack %d: survivors differ from trial division (%d kept, want %d)", g.pmin, g.pmax, i, len(got), len(want))
+		}
+		if gotOps != wantOps {
+			t.Fatalf("[%d,%d] pack %d: %d ops, trial division counts %d", g.pmin, g.pmax, i, gotOps, wantOps)
+		}
+	}
+	if !slices.Equal(g.accepted, accepted) {
+		t.Fatalf("[%d,%d]: accepted is not the concatenation of the survivors", g.pmin, g.pmax)
+	}
+}
+
+func TestFilterMatchesTrialDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, r := range kernelRanges {
+		f, err := NewPrimeFilter(r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		edge := []int32{math.MinInt32, math.MinInt32 + 1, -9, -2, -1, 0, 1, 2, 3, 4, 6, 8, 9, 10, 1 << 30, math.MaxInt32 - 1, math.MaxInt32}
+		if seeds := f.seeds; len(seeds) > 0 {
+			for _, p := range []int32{seeds[0], seeds[len(seeds)/2], seeds[len(seeds)-1]} {
+				edge = append(edge, p-1, p, p+1, p*p-1, p*p, p*p+1, 2*p, 3*p)
+			}
+		}
+		for _, limit := range []int32{100, r[1] * r[1], math.MaxInt32} {
+			for i := 0; i < 4000; i++ {
+				edge = append(edge, rng.Int31n(limit))
+			}
+		}
+		ascending := slices.Clone(edge)
+		slices.Sort(ascending)
+		descending := slices.Clone(ascending)
+		slices.Reverse(descending)
+		checkAgainstReference(t, f, ascending, descending, edge,
+			Candidates(r[1], min(r[1]*r[1], 2_000_000)),
+			Candidates(math.MaxInt32-40_000, math.MaxInt32), ascending)
+	}
+}
+
+// TestFilterOpsPinned holds the operation count — what the metering aspect
+// prices virtual time from — to the value the naive loop produced for the
+// farm filter of a 2,000,000 sieve.
+func TestFilterOpsPinned(t *testing.T) {
+	f, _ := NewPrimeFilter(2, 1414)
+	if got := f.TakeOps(); got != 4478 {
+		t.Errorf("constructor ops = %d, want 4478", got)
+	}
+	survivors := f.Filter(Candidates(1414, 2_000_000))
+	if got := f.TakeOps(); got != 33_462_766 {
+		t.Errorf("filter ops = %d, want 33462766", got)
+	}
+	if len(survivors) != 148_710 {
+		t.Errorf("%d survivors, want 148710", len(survivors))
+	}
+}
+
+func FuzzFilter(f *testing.F) {
+	filters := make([]*PrimeFilter, len(kernelRanges))
+	for i, r := range kernelRanges {
+		filters[i], _ = NewPrimeFilter(r[0], r[1])
+		f.Add(uint8(i), uint16(0), uint16(0), []byte("\x00\x00\x00\x00\xff\xff\xff\x7f\x00\x00\x00\x80\x09\x00\x00\x00"))
+	}
+	f.Add(uint8(len(kernelRanges)), uint16(46_300), uint16(100), binary.LittleEndian.AppendUint32(nil, 46_337*46_337))
+	f.Fuzz(func(t *testing.T, which uint8, pmin, width uint16, data []byte) {
+		var pf *PrimeFilter
+		if i := int(which) % (len(filters) + 1); i < len(filters) {
+			pf = filters[i]
+		} else {
+			lo := int32(pmin) + 2
+			pf, _ = NewPrimeFilter(lo, lo+int32(width%512))
+		}
+		nums := make([]int32, len(data)/4)
+		for i := range nums {
+			nums[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		checkAgainstReference(t, pf, nums[:len(nums)/2], nums[len(nums)/2:])
+	})
+}
+
+// A returned pack must not share memory with the filter's accumulated
+// survivors: Restore rewrites those in place while a reply holding the pack
+// may still be encoding.
+func TestFilterResultSurvivesRestore(t *testing.T) {
+	f, _ := NewPrimeFilter(2, 10)
+	first := f.Filter([]int32{101, 102, 103, 107})
+	want := slices.Clone(first)
+	f.Restore([]int32{11, 13})
+	f.Filter([]int32{17, 19, 23, 29})
+	if !slices.Equal(first, want) {
+		t.Errorf("first pack became %v after Restore + Filter, want %v", first, want)
+	}
+	if got := fmt.Sprint(f.Accepted()); got != "[11 13 17 19 23 29]" {
+		t.Errorf("accepted = %s", got)
+	}
+}
+
+func TestFilterAllocs(t *testing.T) {
+	f, _ := NewPrimeFilter(2, 3162)
+	// A short pack, many runs: the count is the whole process's, and earlier
+	// tests of this package leave timers behind that allocate now and then.
+	pack := Candidates(3162, 7162)
+	f.Filter(pack) // accepted has the capacity from here on
+	allocs := testing.AllocsPerRun(200, func() {
+		f.Restore(nil)
+		f.Filter(pack)
+	})
+	t.Logf("%.2f allocations per Filter call", allocs)
+	if allocs > 2 {
+		t.Errorf("%.2f allocations per Filter call, budget 2", allocs)
+	}
+}
+
+// splitPacks must not remember a short list: the clamp to len(data) is per
+// call, not a write to the wiring's captured pack count.
+func TestSplitPacksClampIsPerCall(t *testing.T) {
+	split := splitPacks(50, 1, 4)
+	if got := len(split([]any{[]int32{3, 5, 7}})); got != 3 {
+		t.Fatalf("3 candidates split into %d packs, want 3", got)
+	}
+	if got := len(split([]any{Candidates(2, 2002)})); got != 50 {
+		t.Errorf("1000 candidates split into %d packs after a short list, want 50", got)
+	}
+}
+
+// benchmarkFilter feeds input to the filter in 400 KB packs, as the farm and
+// pipeline wirings do, and reports the kernel's cost per candidate.
+func benchmarkFilter(b *testing.B, f *PrimeFilter, input []int32) {
+	const pack = 100_000
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Restore(nil)
+		for at := 0; at < len(input); at += pack {
+			f.Filter(input[at:min(at+pack, len(input))])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(input)), "ns/candidate")
+}
+
+// BenchmarkFilterKernel is the farm worker's job at the paper's scale: every
+// seed up to √Max against every odd candidate in (√Max, Max].
+func BenchmarkFilterKernel(b *testing.B) {
+	max := PaperParams(1).Max
+	f, _ := NewPrimeFilter(2, ISqrt(max))
+	benchmarkFilter(b, f, Candidates(ISqrt(max), max))
+}
+
+// BenchmarkFilterKernelMidStage is the second of four pipeline elements: its
+// slice of the seeds against what the first element let through.
+func BenchmarkFilterKernelMidStage(b *testing.B) {
+	max := PaperParams(1).Max
+	ranges := stageRanges(ISqrt(max), 4)
+	first, _ := NewPrimeFilter(ranges[0][0], ranges[0][1])
+	f, _ := NewPrimeFilter(ranges[1][0], ranges[1][1])
+	benchmarkFilter(b, f, first.Filter(Candidates(ISqrt(max), max)))
 }
 
 func TestISqrt(t *testing.T) {

@@ -2,7 +2,7 @@ package sieve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"aspectpar/internal/aspect"
@@ -472,11 +472,9 @@ func splitPacks(packs int, skew float64, period int) func(args []any) [][]any {
 		if len(data) == 0 {
 			return nil
 		}
-		if packs > len(data) {
-			packs = len(data)
-		}
+		n := min(packs, len(data)) // a local: the wiring splits many lists
 		// Pack weights: uniform, or period-spaced heavy packs.
-		weights := make([]float64, packs)
+		weights := make([]float64, n)
 		total := 0.0
 		for i := range weights {
 			weights[i] = 1
@@ -485,13 +483,13 @@ func splitPacks(packs int, skew float64, period int) func(args []any) [][]any {
 			}
 			total += weights[i]
 		}
-		out := make([][]any, 0, packs)
+		out := make([][]any, 0, n)
 		start := 0
 		acc := 0.0
-		for i := 0; i < packs; i++ {
+		for i := 0; i < n; i++ {
 			acc += weights[i]
 			end := int(acc / total * float64(len(data)))
-			if i == packs-1 {
+			if i == n-1 {
 				end = len(data)
 			}
 			if end <= start {
@@ -973,6 +971,6 @@ func gather(ctx exec.Context, w *wiring, v Variant, pf any) ([]int32, error) {
 			return nil, err
 		}
 	}
-	sort.Slice(primes, func(i, j int) bool { return primes[i] < primes[j] })
+	slices.Sort(primes)
 	return primes, nil
 }
