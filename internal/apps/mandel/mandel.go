@@ -31,7 +31,7 @@ type Worker struct {
 	spec Spec
 
 	mu   sync.Mutex
-	rows map[int][]uint16
+	rows [][]uint16 // indexed by row; nil where this worker rendered nothing
 	ops  int64
 }
 
@@ -40,7 +40,7 @@ func NewWorker(spec Spec) (*Worker, error) {
 	if spec.Width <= 0 || spec.Height <= 0 || spec.MaxIter <= 0 {
 		return nil, fmt.Errorf("mandel: invalid spec %+v", spec)
 	}
-	return &Worker{spec: spec, rows: make(map[int][]uint16)}, nil
+	return &Worker{spec: spec, rows: make([][]uint16, spec.Height)}, nil
 }
 
 // Render computes the iteration counts of the given rows and stores them.
@@ -48,7 +48,7 @@ func (w *Worker) Render(rows []int32) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, r := range rows {
-		w.rows[int(r)] = w.renderRow(int(r))
+		w.rows[r] = w.renderRow(int(r))
 	}
 }
 
@@ -76,9 +76,17 @@ func (w *Worker) renderRow(row int) []uint16 {
 func (w *Worker) Rows() map[int][]uint16 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make(map[int][]uint16, len(w.rows))
-	for k, v := range w.rows {
-		out[k] = v
+	n := 0
+	for _, counts := range w.rows {
+		if counts != nil {
+			n++
+		}
+	}
+	out := make(map[int][]uint16, n)
+	for r, counts := range w.rows {
+		if counts != nil {
+			out[r] = counts
+		}
 	}
 	return out
 }

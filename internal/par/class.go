@@ -337,11 +337,22 @@ type Stack struct {
 	mods []Module
 }
 
-// NewStack plugs the modules into the domain's weaver, in order.
+// NewStack plugs the modules into the domain's weaver, in order. A
+// Distribution among them tells the stack's Concurrency modules which targets
+// it places: calls on those keep an activity each (see Concurrency).
 func NewStack(dom *Domain, mods ...Module) *Stack {
 	s := &Stack{dom: dom, mods: mods}
 	for _, m := range mods {
 		m.Plug(dom.Weaver())
+		if d, ok := m.(*Distribution); ok {
+			for _, o := range mods {
+				if c, ok := o.(*Concurrency); ok {
+					c.mu.Lock()
+					c.placed = d.mw.NodeOf
+					c.mu.Unlock()
+				}
+			}
+		}
 	}
 	return s
 }

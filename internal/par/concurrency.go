@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"aspectpar/internal/aspect"
 	"aspectpar/internal/exec"
@@ -11,26 +12,52 @@ import (
 // Concurrency is the paper's concurrency module (Figure 12): asynchronous
 // method invocation plus per-object synchronisation, in one pluggable unit.
 // It wraps two kernel aspects because the two pieces of advice need
-// different positions in the chain: spawning must happen on the caller's
+// different positions in the chain: detaching must happen on the caller's
 // side (outside distribution) while mutual exclusion must happen where the
 // object lives (inside distribution).
+//
+// An asynchronous call on a local object is an entry in that object's queue:
+// the object's calls cannot overlap anyway, so one drainer activity per busy
+// object runs them in submission order (FIFO per object is guaranteed) and
+// exits when the queue is empty. Only a call on a target the plugged
+// Distribution has placed, or a call with no target, still costs an activity
+// of its own (the paper's "new Thread"): its continuation blocks on a round
+// trip, and overlapping those is the point.
 type Concurrency struct {
 	async *aspect.Aspect
 	sync  *aspect.Aspect
-	names sync.Map // "Type.Method" → cached spawn name (hot-path alloc relief)
+
+	pending atomic.Int64
+	spawned atomic.Int64
 
 	mu      sync.Mutex
 	wg      exec.WaitGroup
-	pending int
 	errs    []error
-	mutexes map[any]exec.Mutex
-	spawned int64
-
-	// executor runs one asynchronous call; the default spawns a fresh
-	// activity (the paper's "new Thread"), the ThreadPool optimisation
-	// replaces it with a bounded pool.
+	objects map[any]*object
+	// placed reports the targets whose calls travel through a middleware:
+	// none, until NewStack sets it from the stack's Distribution. It is
+	// called with mu held.
+	placed func(obj any) (exec.NodeID, bool)
+	// executor launches an activity — a local object's drainer or one placed
+	// call; the ThreadPool optimisation replaces it with a bounded pool.
 	executor func(ctx exec.Context, name string, task func(exec.Context))
 }
+
+// object is what the module keeps per target, under the module lock.
+type object struct {
+	excl    exec.Mutex // held around every call on the object (concurrency-sync)
+	queue   []queued   // asynchronous calls not yet taken by the drainer
+	running bool       // a drainer is launched and has not yet seen the queue empty
+}
+
+// queued is the rest of one asynchronous call's advice chain.
+type queued struct {
+	jp      *aspect.JoinPoint
+	proceed aspect.ProceedFunc
+}
+
+// spawnActivity is the default executor: a fresh activity per task.
+func spawnActivity(ctx exec.Context, name string, task func(exec.Context)) { ctx.Spawn(name, task) }
 
 // NewConcurrency builds the module for the calls selected by pc (typically
 // call(Class.Method(..)) for the methods that may run in parallel).
@@ -38,10 +65,8 @@ type Concurrency struct {
 // thread safe, so every asynchronous method is also mutually exclusive per
 // object.
 func NewConcurrency(pc aspect.Pointcut) *Concurrency {
-	c := &Concurrency{mutexes: make(map[any]exec.Mutex)}
-	c.executor = func(ctx exec.Context, name string, task func(exec.Context)) {
-		ctx.Spawn(name, task)
-	}
+	c := &Concurrency{objects: make(map[any]*object), executor: spawnActivity}
+	c.placed = func(any) (exec.NodeID, bool) { return 0, false }
 
 	c.async = aspect.NewAspect("concurrency-async", precAsync).
 		Around(pc, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
@@ -49,23 +74,36 @@ func NewConcurrency(pc aspect.Pointcut) *Concurrency {
 				return proceed(nil)
 			}
 			ctx := ctxOf(jp)
-			c.track(ctx, 1)
 			// The caller receives nil results immediately, so whatever the
 			// body returns is discarded: downstream middleware may reply
 			// with a bare acknowledgement.
 			jp.Mark(Void)
-			name := c.spawnName(jp.Type, jp.Method)
-			c.executor(ctx, name, func(child exec.Context) {
-				defer c.untrack()
-				// The remainder of this chain runs inside the new
-				// activity; rebind the joinpoint context so inner advice
-				// charges and blocks the right process.
-				jp.Ctx = child
-				if _, err := proceed(nil); err != nil {
-					c.fail(err)
+			c.pending.Add(1)
+			c.spawned.Add(1)
+			c.mu.Lock()
+			if c.wg == nil {
+				c.wg = ctx.NewWaitGroup()
+			}
+			c.wg.Add(1)
+			launch := c.executor
+			var o *object // stays nil for a call that needs an activity of its own
+			if _, remote := c.placed(jp.Target); !remote && jp.Target != nil {
+				o = c.object(ctx, jp.Target)
+				o.queue = append(o.queue, queued{jp, proceed})
+				if o.running {
+					c.mu.Unlock()
+					return nil, nil // asynchronous void call, as in the paper
 				}
-			})
-			return nil, nil // asynchronous void call, as in the paper
+				o.running = true
+			}
+			c.mu.Unlock()
+			name := "async:" + jp.Type + "." + jp.Method
+			if o != nil {
+				launch(ctx, name, func(child exec.Context) { c.drain(child, o) })
+			} else {
+				launch(ctx, name, func(child exec.Context) { c.run(child, queued{jp, proceed}) })
+			}
+			return nil, nil
 		})
 
 	c.sync = aspect.NewAspect("concurrency-sync", precSync).
@@ -74,25 +112,57 @@ func NewConcurrency(pc aspect.Pointcut) *Concurrency {
 				return proceed(nil)
 			}
 			ctx := ctxOf(jp)
-			mu := c.mutexFor(ctx, jp.Target)
-			mu.Lock(ctx)
-			defer mu.Unlock(ctx)
+			c.mu.Lock()
+			excl := c.object(ctx, jp.Target).excl
+			c.mu.Unlock()
+			excl.Lock(ctx)
+			defer excl.Unlock(ctx)
 			return proceed(nil)
 		})
 	return c
 }
 
-// spawnName returns the cached activity name for a (type, method) pair: the
-// async advice runs once per split piece, so formatting the name on every
-// call is measurable allocation churn on the dispatch hot path.
-func (c *Concurrency) spawnName(typ, method string) string {
-	key := typ + "." + method
-	if v, ok := c.names.Load(key); ok {
-		return v.(string)
+// object returns the target's record; c.mu is held.
+func (c *Concurrency) object(ctx exec.Context, target any) *object {
+	o := c.objects[target]
+	if o == nil {
+		o = &object{excl: ctx.NewMutex()}
+		c.objects[target] = o
 	}
-	name := "async:" + key
-	c.names.Store(key, name)
-	return name
+	return o
+}
+
+// drain is a busy object's one activity: it runs the queued calls in arrival
+// order, a batch at a time, and exits when it finds the queue empty.
+func (c *Concurrency) drain(ctx exec.Context, o *object) {
+	var batch []queued
+	for {
+		c.mu.Lock()
+		batch, o.queue = o.queue, batch[:0]
+		o.running = len(batch) > 0
+		c.mu.Unlock()
+		if len(batch) == 0 {
+			return
+		}
+		for i, call := range batch {
+			batch[i] = queued{}
+			c.run(ctx, call)
+		}
+	}
+}
+
+// run executes the remainder of an asynchronous call's chain inside the
+// activity ctx; the joinpoint context is rebound so inner advice charges and
+// blocks the right process.
+func (c *Concurrency) run(ctx exec.Context, call queued) {
+	call.jp.Ctx = ctx
+	if _, err := call.proceed(nil); err != nil {
+		c.mu.Lock()
+		c.errs = append(c.errs, err)
+		c.mu.Unlock()
+	}
+	c.pending.Add(-1)
+	c.wg.Done()
 }
 
 // ModuleName implements Module.
@@ -108,58 +178,18 @@ func (c *Concurrency) Unplug(w *aspect.Weaver) {
 }
 
 // SetExecutor replaces the activity launcher (used by the ThreadPool
-// optimisation). Passing nil restores per-call spawning.
+// optimisation). Passing nil restores spawning.
 func (c *Concurrency) SetExecutor(e func(ctx exec.Context, name string, task func(exec.Context))) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if e == nil {
-		e = func(ctx exec.Context, name string, task func(exec.Context)) { ctx.Spawn(name, task) }
+		e = spawnActivity
 	}
+	c.mu.Lock()
 	c.executor = e
+	c.mu.Unlock()
 }
 
 // Spawned reports how many asynchronous calls were launched (diagnostics).
-func (c *Concurrency) Spawned() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.spawned
-}
-
-func (c *Concurrency) track(ctx exec.Context, n int) {
-	c.mu.Lock()
-	if c.wg == nil {
-		c.wg = ctx.NewWaitGroup()
-	}
-	c.wg.Add(n)
-	c.pending += n
-	c.spawned += int64(n)
-	c.mu.Unlock()
-}
-
-func (c *Concurrency) untrack() {
-	c.mu.Lock()
-	c.pending--
-	wg := c.wg
-	c.mu.Unlock()
-	wg.Done()
-}
-
-func (c *Concurrency) fail(err error) {
-	c.mu.Lock()
-	c.errs = append(c.errs, err)
-	c.mu.Unlock()
-}
-
-func (c *Concurrency) mutexFor(ctx exec.Context, target any) exec.Mutex {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	mu, ok := c.mutexes[target]
-	if !ok {
-		mu = ctx.NewMutex()
-		c.mutexes[target] = mu
-	}
-	return mu
-}
+func (c *Concurrency) Spawned() int64 { return c.spawned.Load() }
 
 // Join implements Joiner: it waits for all launched asynchronous calls and
 // returns their accumulated errors.
@@ -176,8 +206,4 @@ func (c *Concurrency) Join(ctx exec.Context) error {
 }
 
 // Quiet implements Joiner.
-func (c *Concurrency) Quiet() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pending == 0
-}
+func (c *Concurrency) Quiet() bool { return c.pending.Load() == 0 }

@@ -13,9 +13,14 @@
 //     pre-assignment, the paper's dynamic self-scheduling
 //     ([FarmConfig].Dynamic), or the work-stealing adaptive scheduler
 //     ([FarmConfig].Stealing) described below.
-//   - Concurrency ([Concurrency]): asynchronous method invocation (a new
-//     activity per call, the paper's "new Thread") and synchronisation
-//     (per-object mutual exclusion), plus quiescence for joining.
+//   - Concurrency ([Concurrency]): asynchronous method invocation and
+//     synchronisation (per-object mutual exclusion), plus quiescence for
+//     joining. An asynchronous call on a local object is an entry in that
+//     object's queue, run in submission order by the one drainer activity a
+//     busy object has; only a call on a target the stack's [Distribution]
+//     has placed costs an activity of its own (the paper's "new Thread"),
+//     because its round trips are worth overlapping. [NewStack] tells the
+//     module which targets those are.
 //   - Distribution ([Distribution]): placement of aspect-managed objects on
 //     cluster nodes and transparent redirection of calls through a
 //     [Middleware] — simulated Java RMI ([NewSimRMI]) or the lighter MPP
@@ -39,10 +44,11 @@
 //	> metering (5) > method body
 //
 // so a call from core functionality is split by the partition module, each
-// piece spawns an activity, the activity ships the call to the object's node,
-// the server serialises per-object access, pipeline forwarding happens where
-// the object lives, and the metering module (the simulation's cost account)
-// charges the computation to that node's hardware contexts.
+// piece is detached from its caller — queued on its local object, or given an
+// activity that ships the call to the object's node — the server serialises
+// per-object access, pipeline forwarding happens where the object lives, and
+// the metering module (the simulation's cost account) charges the computation
+// to that node's hardware contexts.
 //
 // # Work-stealing adaptive scheduling
 //

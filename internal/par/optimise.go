@@ -15,18 +15,18 @@ import (
 
 // --- Thread pool -------------------------------------------------------------
 
-// ThreadPool replaces the concurrency module's activity-per-call launcher
-// with a bounded pool of worker activities fed by a queue. Plugging it
-// changes no pointcut: it reconfigures the concurrency module, which is why
-// it must be built over an existing Concurrency.
+// ThreadPool replaces the concurrency module's activity launcher with a
+// bounded pool of worker activities fed by a queue: what it bounds is the
+// number of local objects draining their call queues, plus placed calls in
+// flight, at once. Plugging it changes no pointcut: it reconfigures the
+// concurrency module, which is why it must be built over an existing
+// Concurrency.
 type ThreadPool struct {
 	conc    *Concurrency
 	workers int
 
-	mu      sync.Mutex
-	queue   exec.Chan
-	started bool
-	plugged bool
+	mu    sync.Mutex
+	queue exec.Chan // nil until the first submit starts the workers
 }
 
 // NewThreadPool builds the optimisation over the given concurrency module.
@@ -41,41 +41,25 @@ func NewThreadPool(conc *Concurrency, workers int) *ThreadPool {
 func (t *ThreadPool) ModuleName() string { return fmt.Sprintf("threadpool(%d)", t.workers) }
 
 // Plug implements Module: it swaps the concurrency executor for the pool.
-func (t *ThreadPool) Plug(*aspect.Weaver) {
-	t.mu.Lock()
-	t.plugged = true
-	t.mu.Unlock()
-	t.conc.SetExecutor(t.submit)
-}
+func (t *ThreadPool) Plug(*aspect.Weaver) { t.conc.SetExecutor(t.submit) }
 
-// Unplug implements Module: it restores activity-per-call spawning.
-func (t *ThreadPool) Unplug(*aspect.Weaver) {
-	t.mu.Lock()
-	t.plugged = false
-	t.mu.Unlock()
-	t.conc.SetExecutor(nil)
-}
-
-type poolTask struct {
-	name string
-	fn   func(exec.Context)
-}
+// Unplug implements Module: it restores spawning.
+func (t *ThreadPool) Unplug(*aspect.Weaver) { t.conc.SetExecutor(nil) }
 
 // submit enqueues a task, starting the worker activities on first use (on
 // the submitting activity's node — the pool serves the client side, where
 // asynchronous calls are launched).
-func (t *ThreadPool) submit(ctx exec.Context, name string, task func(exec.Context)) {
+func (t *ThreadPool) submit(ctx exec.Context, _ string, task func(exec.Context)) {
 	t.mu.Lock()
-	if !t.started {
+	if t.queue == nil {
 		t.queue = ctx.NewChan(1 << 16)
 		for i := 0; i < t.workers; i++ {
 			ctx.SpawnDaemonOn(ctx.Node(), fmt.Sprintf("pool-worker-%d", i), t.worker)
 		}
-		t.started = true
 	}
 	q := t.queue
 	t.mu.Unlock()
-	q.Send(ctx, poolTask{name: name, fn: task})
+	q.Send(ctx, task)
 }
 
 func (t *ThreadPool) worker(ctx exec.Context) {
@@ -84,7 +68,7 @@ func (t *ThreadPool) worker(ctx exec.Context) {
 		if !ok {
 			return
 		}
-		v.(poolTask).fn(ctx)
+		v.(func(exec.Context))(ctx)
 	}
 }
 
