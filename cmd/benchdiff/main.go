@@ -10,19 +10,6 @@
 //
 //	benchdiff -baseline BENCH_baseline.json -current BENCH_pr.json [-threshold 0.15]
 //	         [-tuned] [-tuned-threshold 0.05] [-tuned-wins 3]
-//	benchdiff -throughput -current BENCH_pr.json
-//	         [-throughput-baseline BENCH_throughput_baseline.json]
-//	         [-throughput-threshold 0.25] [-speedup 1.5]
-//
-// With -throughput it instead gates the wall-clock net-throughput cells
-// (paperbench -net-throughput): each cell must stay within the threshold of
-// the checked-in baseline — recorded conservatively, since wall-clock rates
-// vary by machine — and the wire-speed transport (binary codec, multiplexed
-// streams) must beat the pinned gob/FIFO cell by at least -speedup within the
-// same run, the machine-independent assertion. The default ratio is what a
-// 2-core box holds with room (it reads 2.4–3.5x there): a window's frames
-// share their writes, so the syscalls both cells used to pay alike no longer
-// hide the codecs' difference.
 //
 // With -tuned it additionally pairs every tuned cell of the current record
 // with its fixed-knob twin and fails when the online tuning controllers
@@ -47,11 +34,6 @@ func main() {
 		tuned          = flag.Bool("tuned", false, "also gate tuned cells against their fixed-knob twins")
 		tunedThreshold = flag.Float64("tuned-threshold", 0.05, "maximum tolerated tuned-over-fixed virtual-time growth")
 		tunedWins      = flag.Int("tuned-wins", 3, "minimum tuned cells that must beat their fixed twin by >1%")
-
-		throughput     = flag.Bool("throughput", false, "gate wall-clock net-throughput cells instead of virtual-time cells")
-		tpBaselinePath = flag.String("throughput-baseline", "BENCH_throughput_baseline.json", "throughput baseline record")
-		tpThreshold    = flag.Float64("throughput-threshold", 0.25, "maximum tolerated relative calls/sec drop")
-		tpSpeedup      = flag.Float64("speedup", 1.5, "minimum binary-streams over gob-fifo calls/sec ratio in the current record")
 	)
 	flag.Parse()
 
@@ -59,30 +41,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
-	}
-
-	if *throughput {
-		tpBaseline, err := bench.ReadRecord(*tpBaselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
-		tc := bench.ThroughputCompare(tpBaseline, current, *tpThreshold, "binary-streams", "gob-fifo")
-		fmt.Print(tc.Report)
-		if !tc.OK(*tpSpeedup) {
-			fmt.Fprintf(os.Stderr, "\nbenchdiff: THROUGHPUT GATE FAIL — %d regression(s), %d missing, speedup %.2fx (need %.2fx)\n",
-				len(tc.Regressions), len(tc.Missing), tc.Speedup, *tpSpeedup)
-			for _, r := range tc.Regressions {
-				fmt.Fprintln(os.Stderr, "  regression:", r)
-			}
-			for _, m := range tc.Missing {
-				fmt.Fprintln(os.Stderr, "  missing:", m)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("\nbenchdiff: throughput gate OK — within %.0f%% of baseline, %.2fx speedup (need %.2fx)\n",
-			*tpThreshold*100, tc.Speedup, *tpSpeedup)
-		return
 	}
 
 	baseline, err := bench.ReadRecord(*baselinePath)

@@ -6,18 +6,11 @@
 //	paperbench [-exp table1|fig16|fig17|packing|imbalance|schedule|all]
 //	           [-max N] [-packs N] [-runs N] [-filters 1,4,7,10,13,16]
 //	           [-skew F] [-window N] [-json FILE]
-//	paperbench -net-throughput [-net-calls N] [-net-payload N] [-net-window N]
-//	           [-net-streams N] [-runs N] [-json FILE]
-//	paperbench -stream-throughput [-stream-frames N] [-stream-size N]
-//	           [-stream-window N] [-runs N] [-json FILE]
 //
-// -net-throughput switches to the wall-clock transport sweep: windowed calls
-// over loopback NetRMI, the wire-speed configuration (binary codec,
-// multiplexed streams) against the gob/FIFO baseline; benchdiff -throughput
-// gates the recorded rates. -stream-throughput measures the resident
-// imagepipe streaming service end to end — windowed ingest, peer-to-peer
-// stage hops, pushed completions — and records a stream-throughput cell next to
-// the transport ones.
+// Every number it prints is virtual time from the simulated cluster's cost
+// model, deterministic run to run. Wall-clock measurements of the real
+// transport and services live in the separate benchmark module
+// (benchmark/run.sh), not here.
 //
 // The defaults are the paper's parameters: maximum prime 10,000,000, 50
 // messages, filter counts 1..16, median of 5 runs. -json appends the
@@ -48,59 +41,8 @@ func main() {
 		window   = flag.Int("window", 0, "dispatch window of the self-scheduling farms (0 = default, 1 = synchronous)")
 		autotune = flag.Bool("autotune", false, "switch on the online tuning controllers (tuned cells record as tuned twins)")
 		jsonPath = flag.String("json", "", "append measured points to this JSON record file")
-
-		netThroughput = flag.Bool("net-throughput", false, "measure wall-clock transport throughput over loopback NetRMI (binary+streams vs gob baseline) instead of the virtual-time experiments")
-		netCalls      = flag.Int("net-calls", 20_000, "windowed calls per net-throughput cell")
-		netPayload    = flag.Int("net-payload", 512, "[]int32 elements per net-throughput call")
-		netWindow     = flag.Int("net-window", 64, "in-flight calls of the net-throughput driver")
-		netStreams    = flag.Int("net-streams", 3, "streams of the net-throughput wire-speed cell")
-
-		streamThroughput = flag.Bool("stream-throughput", false, "measure the resident imagepipe streaming service (peer-to-peer stage hops) over loopback nodes instead of the virtual-time experiments")
-		streamFrames     = flag.Int("stream-frames", 5_000, "frames per stream-throughput run")
-		streamSize       = flag.Int("stream-size", 256, "float64 samples per frame")
-		streamWindow     = flag.Int("stream-window", 64, "in-flight frames the service admits")
 	)
 	flag.Parse()
-
-	if *streamThroughput {
-		pt, err := bench.StreamThroughput(*streamFrames, *streamSize, *streamWindow, *runs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: stream-throughput: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatStream(pt))
-		if *jsonPath != "" {
-			entries := bench.StreamEntries(pt)
-			if err := bench.MergeInto(*jsonPath, entries); err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("\nwrote %d measured points to %s\n", len(entries), *jsonPath)
-		}
-		return
-	}
-
-	if *netThroughput {
-		var points []bench.ThroughputPoint
-		for _, cfg := range bench.ThroughputConfigs(*netStreams) {
-			pt, err := bench.NetThroughput(cfg, *netCalls, *netPayload, *netWindow, *runs)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: net-throughput %s: %v\n", cfg.Series, err)
-				os.Exit(1)
-			}
-			points = append(points, pt)
-		}
-		fmt.Print(bench.FormatThroughput(points))
-		if *jsonPath != "" {
-			entries := bench.ThroughputEntries(points)
-			if err := bench.MergeInto(*jsonPath, entries); err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("\nwrote %d measured points to %s\n", len(entries), *jsonPath)
-		}
-		return
-	}
 
 	counts, err := parseCounts(*filters)
 	if err != nil {

@@ -32,15 +32,6 @@ type Entry struct {
 	Max       int   `json:"max"`
 	Packs     int   `json:"packs"`
 	VirtualNs int64 `json:"virtual_ns"`
-
-	// Wall-clock cells (experiments "net-throughput" and "stream-throughput")
-	// leave VirtualNs zero and carry measured rates instead: higher is
-	// better, so ThroughputCompare gates them, not Compare. Codec and Streams
-	// pin the transport configuration into the key.
-	Codec       string  `json:"codec,omitempty"`
-	Streams     int     `json:"streams,omitempty"`
-	CallsPerSec float64 `json:"calls_per_sec,omitempty"`
-	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
 }
 
 // Key identifies the configuration cell; baseline and current entries are
@@ -50,12 +41,6 @@ func (e Entry) Key() string {
 		e.Experiment, e.Series, e.Filters, e.Skew, e.Window, e.Max, e.Packs)
 	if e.Tuned {
 		key += "|tuned"
-	}
-	if e.Codec != "" {
-		key += "|codec=" + e.Codec
-	}
-	if e.Streams > 1 {
-		key += fmt.Sprintf("|streams=%d", e.Streams)
 	}
 	return key
 }
@@ -240,95 +225,6 @@ type Comparison struct {
 
 // OK reports whether the gate passes.
 func (c *Comparison) OK() bool { return len(c.Regressions) == 0 && len(c.Missing) == 0 }
-
-// ThroughputComparison is the outcome of gating wall-clock transport cells:
-// cells are matched by key and flagged when the measured rate DROPPED beyond
-// the threshold (higher is better, the mirror of Compare), plus the
-// intra-record speedup of the wire-speed configuration over the baseline
-// transport.
-type ThroughputComparison struct {
-	Regressions []string
-	Missing     []string
-	// Speedup is the minimum calls/sec ratio of the fast series over the
-	// base series across paired workload shapes in the current record; 0
-	// when no pair exists.
-	Speedup float64
-	Report  string
-}
-
-// OK reports whether the throughput gate passes: no cell slowed beyond the
-// threshold, no baseline cell unmeasured, and the fast transport at least
-// minSpeedup times the baseline transport.
-func (c *ThroughputComparison) OK(minSpeedup float64) bool {
-	return len(c.Regressions) == 0 && len(c.Missing) == 0 && c.Speedup >= minSpeedup
-}
-
-// ThroughputCompare gates current wall-clock cells — the net-throughput
-// transport cells and the stream-throughput service cell — against a
-// checked-in baseline (recorded conservatively — CI machines vary; the
-// threshold absorbs that, the baseline absorbs the rest) and computes the
-// current record's own fast-over-base transport speedup, the
-// machine-independent half of the gate.
-func ThroughputCompare(baseline, current *Record, threshold float64, fastSeries, baseSeries string) *ThroughputComparison {
-	cur := make(map[string]Entry, len(current.Entries))
-	for _, e := range current.Entries {
-		cur[e.Key()] = e
-	}
-	c := &ThroughputComparison{}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-72s %14s %14s %8s\n", "throughput cell (calls/sec)", "baseline", "current", "delta")
-	for _, base := range baseline.Entries {
-		if base.Experiment != "net-throughput" && base.Experiment != "stream-throughput" {
-			continue
-		}
-		key := base.Key()
-		now, ok := cur[key]
-		if !ok {
-			c.Missing = append(c.Missing, key)
-			fmt.Fprintf(&b, "%-72s %14.0f %14s %8s\n", key, base.CallsPerSec, "MISSING", "-")
-			continue
-		}
-		delta := (now.CallsPerSec - base.CallsPerSec) / base.CallsPerSec
-		flag := ""
-		if delta < -threshold {
-			c.Regressions = append(c.Regressions, fmt.Sprintf("%s: %.0f -> %.0f calls/sec (%+.1f%% < -%.0f%%)",
-				key, base.CallsPerSec, now.CallsPerSec, delta*100, threshold*100))
-			flag = "  REGRESSION"
-		}
-		fmt.Fprintf(&b, "%-72s %14.0f %14.0f %+7.1f%%%s\n", key, base.CallsPerSec, now.CallsPerSec, delta*100, flag)
-	}
-	// Pair fast and base series on identical workload shape (window,
-	// payload, calls) and take the worst ratio: every shape must hold the
-	// speedup, not just the friendliest one.
-	type shape struct{ window, max, packs int }
-	fast := make(map[shape]float64)
-	slow := make(map[shape]float64)
-	for _, e := range current.Entries {
-		if e.Experiment != "net-throughput" {
-			continue
-		}
-		s := shape{e.Window, e.Max, e.Packs}
-		switch e.Series {
-		case fastSeries:
-			fast[s] = e.CallsPerSec
-		case baseSeries:
-			slow[s] = e.CallsPerSec
-		}
-	}
-	for s, f := range fast {
-		if base, ok := slow[s]; ok && base > 0 {
-			ratio := f / base
-			if c.Speedup == 0 || ratio < c.Speedup {
-				c.Speedup = ratio
-			}
-		}
-	}
-	if c.Speedup > 0 {
-		fmt.Fprintf(&b, "\n%s over %s: %.2fx\n", fastSeries, baseSeries, c.Speedup)
-	}
-	c.Report = b.String()
-	return c
-}
 
 // Compare matches current entries against the baseline by configuration key
 // and flags any cell whose virtual time exceeds baseline × (1 + threshold).

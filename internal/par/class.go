@@ -357,24 +357,6 @@ func NewStack(dom *Domain, mods ...Module) *Stack {
 	return s
 }
 
-// Modules returns the composed modules in plug order.
-func (s *Stack) Modules() []Module { return s.mods }
-
-// Describe renders the stack as a Table 1 style row.
-func (s *Stack) Describe() string {
-	if len(s.mods) == 0 {
-		return "sequential (no modules)"
-	}
-	out := ""
-	for i, m := range s.mods {
-		if i > 0 {
-			out += " + "
-		}
-		out += m.ModuleName()
-	}
-	return out
-}
-
 // Join drives every Joiner module to quiescence. Asynchronous work can
 // create more asynchronous work (a pipeline stage forwards to the next, a
 // one-way message spawns a server-side activity), so Join loops until a full

@@ -2,7 +2,6 @@ package par
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"aspectpar/internal/aspect"
@@ -41,28 +40,6 @@ func SingleNode(n exec.NodeID) Placement { return singleNode(n) }
 type singleNode exec.NodeID
 
 func (s singleNode) NodeFor(int) exec.NodeID { return exec.NodeID(s) }
-
-// RandomPlacement places objects uniformly at random over nodes
-// [first, first+count) with a fixed seed, keeping runs reproducible.
-func RandomPlacement(seed int64, first exec.NodeID, count int) Placement {
-	if count <= 0 {
-		panic("par: RandomPlacement over no nodes")
-	}
-	return &randomPlacement{rng: rand.New(rand.NewSource(seed)), first: first, count: count}
-}
-
-type randomPlacement struct {
-	mu    sync.Mutex
-	rng   *rand.Rand
-	first exec.NodeID
-	count int
-}
-
-func (r *randomPlacement) NodeFor(int) exec.NodeID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.first + exec.NodeID(r.rng.Intn(r.count))
-}
 
 // Distribution is the paper's distribution module (Figure 14): it places
 // aspect-managed objects on cluster nodes at construction joinpoints and

@@ -315,10 +315,10 @@
 //
 // The pool requires a fault policy (WithPoolNet(WithFaultPolicy(...)) —
 // drains and failovers are the same machinery), and each pooled driver
-// asks the registry for a private namespace ([WithPoolNamespace], default
-// on): every export name carries a registry-allocated "d<N>/" prefix, so
-// concurrent drivers sharing one pool never collide on bindings and
-// Reset scopes itself to the driver's own names. A placement that races
+// asks the registry for a private namespace: every export name carries a
+// registry-allocated "d<N>/" prefix, so concurrent drivers sharing one pool
+// never collide on bindings and Reset scopes itself to the driver's own
+// names. A placement that races
 // its node's death is self-healing: a submission finding a live export
 // stranded on a dead peer re-homes it on a survivor (late failover)
 // instead of orphaning the call.

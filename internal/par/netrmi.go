@@ -178,16 +178,6 @@ func (m *NetRMI) eligibleIDs() []exec.NodeID {
 	return ids
 }
 
-// SetNamespace installs the per-driver binding prefix applied to every
-// export name (and used by Reset to scope itself to this driver's
-// bindings). Must be set before the first placement; "" keeps the
-// pre-pool, collision-prone global names.
-func (m *NetRMI) SetNamespace(prefix string) {
-	m.mu.Lock()
-	m.prefix = prefix
-	m.mu.Unlock()
-}
-
 // Drain proactively migrates node's exports and queued calls onto a
 // surviving, non-cordoned node using the reincarnation/failover machinery,
 // while the source node is still alive — the second half of cordon →

@@ -677,17 +677,12 @@ func TestStackDescribe(t *testing.T) {
 	dom, class := defineBox(t)
 	farm := NewFarm(FarmConfig{Class: class, Method: "Work", Workers: 2})
 	conc := NewConcurrency(aspect.Call("Box", "Work"))
-	stack := NewStack(dom, farm, conc)
-	d := stack.Describe()
-	if !strings.Contains(d, "farm(2)") || !strings.Contains(d, "concurrency") {
-		t.Errorf("Describe = %q", d)
+	NewStack(dom, farm, conc)
+	if got := farm.ModuleName(); !strings.Contains(got, "farm(2)") {
+		t.Errorf("farm ModuleName = %q", got)
 	}
-	if len(stack.Modules()) != 2 {
-		t.Error("Modules() wrong length")
-	}
-	empty := NewStack(dom)
-	if !strings.Contains(empty.Describe(), "sequential") {
-		t.Errorf("empty Describe = %q", empty.Describe())
+	if got := conc.ModuleName(); !strings.Contains(got, "concurrency") {
+		t.Errorf("concurrency ModuleName = %q", got)
 	}
 }
 

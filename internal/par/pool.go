@@ -42,7 +42,6 @@ type poolOptions struct {
 	pollSet     bool
 	cordonAfter int
 	drainGrace  time.Duration
-	namespace   *bool
 }
 
 // DefaultPoolPoll is the membership poll interval when WithPoolPoll is not
@@ -78,14 +77,6 @@ func WithCordonAfter(n int) PoolOption {
 // are migrated off. 0 drains at the next reconciliation after the cordon.
 func WithDrainGrace(d time.Duration) PoolOption {
 	return func(o *poolOptions) { o.drainGrace = d }
-}
-
-// WithPoolNamespace switches per-driver binding namespaces on or off
-// (default on): each DialPool asks the registry for a fresh namespace prefix
-// and scopes every export name — and Reset — with it, so many drivers share
-// one pool without export-name collisions.
-func WithPoolNamespace(on bool) PoolOption {
-	return func(o *poolOptions) { o.namespace = &on }
 }
 
 // poolMember is the pool's record of one registry member.
@@ -181,15 +172,17 @@ func DialPool(registry string, opts ...PoolOption) (*Pool, error) {
 		return nil, err
 	}
 	p.m = m
-	if o.namespace == nil || *o.namespace {
-		ns, err := p.namespace()
-		if err != nil {
-			m.Close()
-			p.closeRegistry()
-			return nil, fmt.Errorf("par: pool namespace from %s: %w", registry, err)
-		}
-		m.SetNamespace(ns)
+	// Every export name — and Reset — is scoped by a fresh prefix from the
+	// registry, so many drivers share one pool without name collisions.
+	ns, err := p.namespace()
+	if err != nil {
+		m.Close()
+		p.closeRegistry()
+		return nil, fmt.Errorf("par: pool namespace from %s: %w", registry, err)
 	}
+	m.mu.Lock()
+	m.prefix = ns
+	m.mu.Unlock()
 	if o.poll > 0 {
 		p.stop = make(chan struct{})
 		p.done = make(chan struct{})

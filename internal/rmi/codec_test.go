@@ -461,7 +461,8 @@ func TestServeOnExistingListener(t *testing.T) {
 	if err != nil {
 		t.Skipf("loopback TCP unavailable: %v", err)
 	}
-	srv := Serve(ln)
+	srv := NewServer()
+	srv.serve(ln)
 	defer srv.Close()
 	srv.Export("echo", func(method string, args []any) ([]any, error) { return args, nil })
 	c, err := Dial(ln.Addr().String())

@@ -22,9 +22,8 @@ const DefaultHeartbeatInterval = 200 * time.Millisecond
 
 // heartbeatConfig is the membership configuration fixed at construction.
 type heartbeatConfig struct {
-	registry  string        // registry address; "" disables membership
-	interval  time.Duration // beat interval; ≤0 selects the default
-	advertise string        // announced address; "" announces the bound one
+	registry string        // registry address; "" disables membership
+	interval time.Duration // beat interval; ≤0 selects the default
 }
 
 // registryGrace bounds, on the wall clock, what Listen and Close wait for the
@@ -45,10 +44,6 @@ func (s *Server) startHeartbeat(bound string) {
 	if s.hb.registry == "" {
 		return
 	}
-	addr := s.hb.advertise
-	if addr == "" {
-		addr = bound
-	}
 	interval := s.hb.interval
 	if interval <= 0 {
 		interval = DefaultHeartbeatInterval
@@ -63,7 +58,7 @@ func (s *Server) startHeartbeat(bound string) {
 	stop, done := s.hbStop, s.hbDone
 	s.mu.Unlock()
 	registered := make(chan struct{})
-	go s.heartbeatLoop(addr, interval, registered, stop, done)
+	go s.heartbeatLoop(bound, interval, registered, stop, done)
 	grace := time.NewTimer(registryGrace)
 	defer grace.Stop()
 	select {

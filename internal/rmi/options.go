@@ -1,7 +1,6 @@
 package rmi
 
 import (
-	"net"
 	"time"
 
 	"aspectpar/internal/clock"
@@ -27,7 +26,6 @@ type options struct {
 	codecs    []Codec
 	registry  string
 	heartbeat time.Duration
-	advertise string
 }
 
 func (o *options) apply(opts []Option) {
@@ -98,26 +96,4 @@ func WithRegistry(addr string) Option {
 // without WithRegistry.
 func WithHeartbeat(interval time.Duration) Option {
 	return func(o *options) { o.heartbeat = interval }
-}
-
-// WithAdvertise overrides the address a registered server announces to its
-// registry. By default the bound listener address is announced, which is
-// wrong for daemons listening on a wildcard address (":9001" binds as
-// "[::]:9001"); pass the address peers should actually dial.
-func WithAdvertise(addr string) Option {
-	return func(o *options) { o.advertise = addr }
-}
-
-// Serve starts a server on an existing listener, configured by opts — the
-// option-first twin of NewServer+Listen for callers that bring their own
-// net.Listener.
-func Serve(ln net.Listener, opts ...Option) *Server {
-	s := NewServer(opts...)
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	s.startHeartbeat(ln.Addr().String())
-	return s
 }

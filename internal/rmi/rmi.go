@@ -194,7 +194,7 @@ func NewServer(opts ...Option) *Server {
 		done:     make(chan struct{}),
 		clk:      clock.Or(o.clk),
 		codecs:   make(map[string]Codec),
-		hb:       heartbeatConfig{registry: o.registry, interval: o.heartbeat, advertise: o.advertise},
+		hb:       heartbeatConfig{registry: o.registry, interval: o.heartbeat},
 	}
 	accepted := o.codecs
 	if accepted == nil {
