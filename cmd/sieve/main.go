@@ -28,7 +28,6 @@ func main() {
 		packs   = flag.Int("packs", 50, "number of messages")
 		skew    = flag.Float64("skew", 0, "make every filters-th pack this many times larger (load imbalance)")
 		window  = flag.Int("window", 0, "dispatch window of the self-scheduling farms (0 = default, 1 = synchronous)")
-		tune    = flag.Bool("autotune", false, "switch on the online tuning controllers (window depth, pack chunking, placement-aware stealing)")
 		faults  = flag.Bool("faults", false, "with -net: enable fault tolerance — journaled calls, reconnect/replay across node crashes, placement failover (kill an rminode mid-run and watch the farm finish)")
 		netList = flag.String("net", "", "comma-separated rminode addresses: run the variant's cell over the real TCP middleware instead of the simulated testbed")
 		pool    = flag.String("pool", "", "elastic-pool registry address (see cmd/poolctl): like -net, but the membership is discovered live — nodes started with rminode -registry join mid-run, dead ones are cordoned and drained")
@@ -43,7 +42,6 @@ func main() {
 	p.Packs = *packs
 	p.Skew = *skew
 	p.Window = *window
-	p.Autotune = *tune
 
 	start := time.Now()
 	var res sieve.Result
@@ -119,14 +117,8 @@ func main() {
 		fmt.Printf("activities   : %d asynchronous calls\n", res.Spawned)
 	}
 	if res.Steals.Executed > 0 {
-		fmt.Printf("scheduler    : %d packs executed (%d seeded + %d splits), %d steals moved %d packs (%d local, %d remote)\n",
-			res.Steals.Executed, res.Steals.Seeded, res.Steals.Splits, res.Steals.Steals, res.Steals.Stolen,
-			res.Steals.LocalSteals, res.Steals.RemoteSteals)
-	}
-	if *tune && res.Tune != (par.TuneStats{}) {
-		fmt.Printf("autotuner    : %d window grows, %d sheds, %d packs chunked; avg pack service %v\n",
-			res.Tune.WindowGrows, res.Tune.WindowSheds, res.Tune.Chunks,
-			time.Duration(res.Tune.AvgServiceNs).Round(time.Microsecond))
+		fmt.Printf("scheduler    : %d packs executed (%d seeded + %d splits), %d steals moved %d packs\n",
+			res.Steals.Executed, res.Steals.Seeded, res.Steals.Splits, res.Steals.Steals, res.Steals.Stolen)
 	}
 	if *faults {
 		f := res.Faults

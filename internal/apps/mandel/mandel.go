@@ -146,11 +146,6 @@ type Config struct {
 	// NsPerOp meters the renderer's arithmetic at this virtual cost per
 	// operation; 0 plugs no metering (real-backend runs).
 	NsPerOp float64
-	// Autotune switches on par's online tuning controllers for the
-	// self-scheduling schedules (see par.AutotuneConfig): useful here
-	// because row costs vary wildly with the set's interior, the exact
-	// imbalance the controllers adapt to. Off by default.
-	Autotune bool
 }
 
 // DefineClass registers MandelWorker on a domain. It is shared by Build and
@@ -196,11 +191,10 @@ func Build(spec Spec, workers int, cfg Config) *Wiring {
 		sched = Stealing
 	}
 	fc := par.FarmConfig{
-		Class:    w.Class,
-		Method:   "Render",
-		Workers:  workers,
-		Window:   cfg.Window,
-		Autotune: par.AutotuneConfig{Enabled: cfg.Autotune},
+		Class:   w.Class,
+		Method:  "Render",
+		Workers: workers,
+		Window:  cfg.Window,
 	}
 	switch sched {
 	case Stealing:
@@ -235,7 +229,6 @@ func Build(spec Spec, workers int, cfg Config) *Wiring {
 		w.Dist = par.NewDistribution(w.Dom, aspect.New("MandelWorker"),
 			aspect.Call("MandelWorker", "*"), cfg.Distribute, placement)
 		mods = append(mods, w.Dist)
-		w.Dist.TunePlacement(w.Farm)
 	}
 	if cfg.NsPerOp > 0 {
 		mods = append(mods, par.NewMetering(

@@ -154,65 +154,6 @@ func TestStealingWindowedOverRMI(t *testing.T) {
 	_ = imgWin2
 }
 
-// TestAutotunedStealingOverRMI runs the distributed row farm with the online
-// tuning controllers on. Pixels must stay exact, runs must replay
-// identically, and the window-depth controller must engage. Note the
-// pack-size controller stays quiet here by design: its estimator keys on
-// payload size (elements × the per-element cost EWMA), and mandel's bands
-// are size-uniform — their skew is per-row cost, which the shed law and
-// steal-splitting absorb instead. The sieve's size-skewed packs are the
-// chunking workload (tuner_test, autotune_test).
-func TestAutotunedStealingOverRMI(t *testing.T) {
-	spec := DefaultSpec(64, 96)
-	want := Sequential(spec)
-	run := func() ([][]uint16, time.Duration, par.StealStats, par.TuneStats) {
-		cl := cluster.New(sim.NewEngine(), cluster.PaperTestbed())
-		w := Build(spec, 6, Config{
-			Schedule:   Stealing,
-			Distribute: par.NewSimRMI(cl),
-			Placement:  par.RoundRobin(1, 6),
-			NsPerOp:    50,
-			Autotune:   true,
-		})
-		var img [][]uint16
-		err := cl.Run(func(ctx exec.Context) {
-			var rerr error
-			img, rerr = w.Render(ctx, spec)
-			if rerr != nil {
-				t.Error(rerr)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return img, cl.Elapsed(), w.Farm.StealStats(), w.Farm.TuneStats()
-	}
-	img, e1, st, tu := run()
-	for r := range want {
-		for c := range want[r] {
-			if img[r][c] != want[r][c] {
-				t.Fatalf("pixel (%d,%d) = %d, want %d", r, c, img[r][c], want[r][c])
-			}
-		}
-	}
-	if st.Executed != st.Seeded+st.Splits {
-		t.Errorf("pack accounting broken: %+v", st)
-	}
-	if st.LocalSteals+st.RemoteSteals != st.Steals {
-		t.Errorf("steal locality accounting broken: %+v", st)
-	}
-	if tu.AvgServiceNs == 0 {
-		t.Errorf("controllers collected no signals: %+v", tu)
-	}
-	if tu.WindowGrows == 0 {
-		t.Errorf("window-depth controller never engaged: %+v", tu)
-	}
-	_, e2, st2, tu2 := run()
-	if e1 != e2 || st != st2 || tu != tu2 {
-		t.Errorf("autotuned runs diverge: %v/%v\n%+v\n%+v\n%+v\n%+v", e1, e2, st, st2, tu, tu2)
-	}
-}
-
 // TestNetMatchesSequential runs the mandel farm over the real-TCP middleware
 // — par.NetRMI against in-process loopback rmi.Node daemons, each hosting
 // MandelWorker on its own fresh domain — and checks every pixel against the

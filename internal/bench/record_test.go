@@ -17,14 +17,14 @@ func sampleSeries(skew float64, ns int64) []Series {
 
 func TestRecordMergeRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rec.json")
-	first := SeriesEntries("schedule", 0, 2_000_000, 50, false, sampleSeries(1, 100))
+	first := SeriesEntries("schedule", 0, 2_000_000, 50, sampleSeries(1, 100))
 	if err := MergeInto(path, first); err != nil {
 		t.Fatal(err)
 	}
 	// Merge a second sweep at another skew plus an updated value for the
 	// first cell: same-key entries replace, new ones append.
-	second := SeriesEntries("schedule", 0, 2_000_000, 50, false, sampleSeries(8, 300))
-	updated := SeriesEntries("schedule", 0, 2_000_000, 50, false, sampleSeries(1, 200))
+	second := SeriesEntries("schedule", 0, 2_000_000, 50, sampleSeries(8, 300))
+	updated := SeriesEntries("schedule", 0, 2_000_000, 50, sampleSeries(1, 200))
 	if err := MergeInto(path, append(second, updated...)); err != nil {
 		t.Fatal(err)
 	}

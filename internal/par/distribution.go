@@ -148,33 +148,6 @@ func (d *Distribution) Unplug(w *aspect.Weaver) { w.Unplug(d.asp) }
 // Middleware returns the middleware the module redirects through.
 func (d *Distribution) Middleware() Middleware { return d.mw }
 
-// NodeOf reports the placement of an object exported through this module's
-// middleware — the replica→node lookup the farm's tuning layer consumes
-// (Farm.UsePlacement) for placement-aware victim selection.
-func (d *Distribution) NodeOf(obj any) (exec.NodeID, bool) { return d.mw.NodeOf(obj) }
-
-// LocalityCosted is an optional Middleware capability: implementations
-// whose transport prices cross-node traffic above local traffic (the real
-// backend) return true. The simulated middlewares charge every steal
-// transaction the same and do not implement it.
-type LocalityCosted interface {
-	LocalityCosted() bool
-}
-
-// TunePlacement wires this module's placement knowledge into the farm's
-// tuning layer — but only when the middleware actually prices locality
-// (LocalityCosted): over the uniform-cost simulated middlewares a
-// placement-preferring victim order is pure schedule perturbation, so the
-// rule lives here, at the seam that knows the middleware, instead of being
-// re-encoded by every harness. Callers that want placement-aware stealing
-// over a simulated middleware anyway can still call Farm.UsePlacement
-// directly.
-func (d *Distribution) TunePlacement(f *Farm) {
-	if lc, ok := d.mw.(LocalityCosted); ok && lc.LocalityCosted() {
-		f.UsePlacement(d.mw.NodeOf)
-	}
-}
-
 // Join implements Joiner by delegating to the middleware when it tracks
 // in-flight work (one-way sends).
 func (d *Distribution) Join(ctx exec.Context) error {

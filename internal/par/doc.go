@@ -118,45 +118,6 @@
 // virtual time; window edge cases (1, > packs, failures mid-window) are
 // covered by window_test.go.
 //
-// # Online adaptive tuning
-//
-// Every knob above — the dispatch window depth, StealConfig.MinSplit's
-// split floor, the victim scan order — started as a fixed constant chosen
-// per benchmark. [AutotuneConfig] (FarmConfig.Autotune, tuner.go) replaces
-// them with feedback controllers driven by signals the system already
-// collects: the simulated middlewares stamp each windowed [Completion] with
-// its issue time, request arrival time and server-side service time; the
-// steal scheduler counts steals; the [Metering] module's op counters pin
-// work conservation in the tests.
-//
-//   - Window depth: each windowed worker tracks the analytic hiding target
-//     1 + ceil(rtt0/service) per reclaimed completion, slow-starts at depth
-//     1 (stealing loops), grows additively and shrinks by exponential decay
-//     — and sheds its claim to depth 1 when live steal pressure coincides
-//     with a reclaimed pack ≥ HeavyFactor × the service EWMA, because a
-//     pack in flight can no longer be stolen or split.
-//   - Pack size: owners estimate a popped pack's cost from the per-element
-//     EWMA and, at ≥ ChunkFactor × the average service time, carve off a
-//     bite of about half an average pack and requeue the stealable rest —
-//     so nobody disappears into a pack far heavier than what its peers run,
-//     the tail serialisation no victim-side policy can undo once the pack
-//     is in flight.
-//   - Placement: with replica placements learned from the Distribution
-//     module ([Farm.UsePlacement] ← Distribution.NodeOf), thieves scan
-//     co-located victims before crossing the network; [StealStats] splits
-//     its counters into LocalSteals/RemoteSteals. (The simulated cost model
-//     charges both the same, so the sieve harness enables this controller
-//     only over the real middleware.)
-//
-// All of it defaults off: with the zero AutotuneConfig the dispatch paths
-// are bit-identical to the fixed-knob protocol — pinned by golden
-// virtual-time tests and the checked-in bench baseline. With it on, runs
-// stay deterministic under virtual time (controllers consume only engine-
-// ordered signals), conserve work exactly, and the tuned-vs-fixed bench
-// gate (cmd/benchdiff -tuned) keeps every tuned cell within 5% of the
-// hand-tuned fixed configuration while the skewed-pack cells beat it
-// outright. [Farm.TuneStats] exposes what the controllers did.
-//
 // # Real middleware (NetRMI)
 //
 // The simulated twins model what a remote call costs; [NetRMI] performs it.
@@ -195,10 +156,7 @@
 // drains.
 // NetRMI performs real blocking I/O and therefore runs only under the real
 // exec backend, with wall-clock elapsed times; the simulated cells remain
-// the deterministic cost model. Real-transport completions carry the same
-// tuning signals as the simulated ones — node-side service time stamped
-// into each response, client-side RTT measured at the stub — so the
-// adaptive controllers above engage over TCP too.
+// the deterministic cost model.
 //
 // # Failure handling (one call path, a policy on top)
 //
@@ -236,8 +194,8 @@
 //
 //   - Placement failover. When the reconnect budget is exhausted the peer
 //     is dropped and its objects are rebuilt the same way on a surviving
-//     node; the registry placement is remapped, so [Distribution.NodeOf] —
-//     and the placement-aware stealing it feeds — follows the move. A new
+//     node; the registry placement is remapped, so the middleware's
+//     NodeOf follows the move. A new
 //     export whose requested node is already gone for good fails over at
 //     creation time: the object is built on a surviving node instead and
 //     the returned reference records where it actually landed. If no

@@ -191,10 +191,8 @@ func (h *Heartbeat) stepStealing(ctx exec.Context, workers []any, args []any) []
 	}
 	sc := h.cfg.Steal
 	// A partition's step is not divisible: disable pack splitting outright
-	// rather than letting the default []int32 halver (or the tuning layer's
-	// cost-bounded cutter) inspect task payloads.
+	// rather than letting the default []int32 halver inspect task payloads.
 	sc.SplitPack = func([]any) ([]any, []any, bool) { return nil, nil, false }
-	sc.SplitAt = func([]any, int) ([]any, []any, bool) { return nil, nil, false }
 	sched := newStealScheduler(sc, runners)
 	parts := make([][]any, len(workers))
 	for i, w := range workers {

@@ -28,10 +28,9 @@ type Metering struct {
 	nsPerOp float64
 	// dispatchOverhead is charged once per intercepted joinpoint.
 	dispatchOverhead time.Duration
-	// joinpoints and ops accumulate what the module observed — the signal
-	// tap the tuning layer's tests use to assert work conservation (an
-	// autotuned run performs exactly the operations of a fixed-knob run,
-	// just scheduled differently).
+	// joinpoints and ops accumulate what the module observed — the tap
+	// tests use to assert work conservation (a run performs exactly the
+	// operations of the sequential code, however it was scheduled).
 	joinpoints atomic.Int64
 	ops        atomic.Int64
 }

@@ -59,16 +59,6 @@ type Completion struct {
 	sentAt time.Duration
 	size   int
 	link   simnet.LinkProfile
-
-	// Tuning signals, stamped by the simulated middlewares: when the call
-	// was issued by its caller, when the request finished crossing the wire,
-	// how long the server-side dispatch computed, and the payload element
-	// count. Zero (service in particular) means "no signal" — the window
-	// controller then falls back to the configured fixed depth.
-	issuedAt time.Duration
-	arrival  time.Duration
-	service  time.Duration
-	elems    int
 }
 
 // Reclaim charges the caller-side tail of the acknowledgement — the residual
@@ -335,14 +325,13 @@ func (m *simRMI) Invoke(ctx exec.Context, obj any, method string, args []any, vo
 // rmiCall is one pipelined asynchronous invocation in an object's dispatch
 // queue.
 type rmiCall struct {
-	method   string
-	args     []any
-	void     bool
-	from     exec.NodeID
-	sentAt   time.Duration
-	issuedAt time.Duration
-	size     int
-	done     exec.Chan
+	method string
+	args   []any
+	void   bool
+	from   exec.NodeID
+	sentAt time.Duration
+	size   int
+	done   exec.Chan
 }
 
 // InvokeAsync implements AsyncInvoker: the caller pays only the request
@@ -356,14 +345,13 @@ func (m *simRMI) InvokeAsync(ctx exec.Context, obj any, method string, args []an
 		done.Send(ctx, &Completion{Err: err})
 		return
 	}
-	issuedAt := ctx.Now()
 	link := m.links.link(ctx.Node(), e.node)
 	size := m.sizer.Size(args)
 	ctx.Compute(link.SendCPU(size))
 	m.stats.count(1, int64(size))
 	m.inbox(ctx, e, obj).Send(ctx, &rmiCall{
 		method: method, args: args, void: void,
-		from: ctx.Node(), sentAt: ctx.Now(), issuedAt: issuedAt, size: size, done: done,
+		from: ctx.Node(), sentAt: ctx.Now(), size: size, done: done,
 	})
 }
 
@@ -396,17 +384,13 @@ func (m *simRMI) serveAsync(sctx exec.Context, e *exportEntry, obj any, inbox ex
 		link := m.links.link(call.from, e.node)
 		// The request is still on the wire until sentAt + wire time.
 		waitArrival(sctx, link, call.sentAt, call.size)
-		t0 := sctx.Now()
-		arrival := call.sentAt + link.WireTime(call.size)
 		res, err := e.class.Dispatch(sctx, obj, call.method, call.args)
-		service := sctx.Now() - t0
 		replySize := m.replySize(call.void, res)
 		sctx.Compute(link.SendCPU(replySize))
 		m.stats.count(1, int64(replySize))
 		call.done.Send(sctx, &Completion{
 			Res: res, Err: err,
 			sentAt: sctx.Now(), size: replySize, link: m.links.link(e.node, call.from),
-			issuedAt: call.issuedAt, arrival: arrival, service: service, elems: payloadElems(call.args),
 		})
 	}
 }
@@ -449,15 +433,14 @@ func (m *simMPP) MiddlewareName() string { return "mpp" }
 
 // mppMsg is one message in an object's inbox.
 type mppMsg struct {
-	method   string
-	args     []any
-	from     exec.NodeID
-	sentAt   time.Duration
-	issuedAt time.Duration // windowed calls: caller-side issue instant
-	size     int
-	void     bool
-	reply    exec.Chan // request/reply conversations (nil otherwise)
-	done     exec.Chan // windowed asynchronous invocations (nil otherwise)
+	method string
+	args   []any
+	from   exec.NodeID
+	sentAt time.Duration
+	size   int
+	void   bool
+	reply  exec.Chan // request/reply conversations (nil otherwise)
+	done   exec.Chan // windowed asynchronous invocations (nil otherwise)
 }
 
 type mppReply struct {
@@ -504,9 +487,7 @@ func (m *simMPP) serve(sctx exec.Context, e *exportEntry, obj any) {
 		link := m.links.link(msg.from, e.node)
 		// The message is still on the wire until sentAt + wire time.
 		waitArrival(sctx, link, msg.sentAt, msg.size)
-		t0 := sctx.Now()
 		res, err := e.class.Dispatch(sctx, obj, msg.method, msg.args)
-		service := sctx.Now() - t0
 		switch {
 		case msg.done != nil:
 			// Windowed asynchronous call: acknowledge to the sender's
@@ -517,8 +498,6 @@ func (m *simMPP) serve(sctx exec.Context, e *exportEntry, obj any) {
 			msg.done.Send(sctx, &Completion{
 				Res: res, Err: err,
 				sentAt: sctx.Now(), size: size, link: m.links.link(e.node, msg.from),
-				issuedAt: msg.issuedAt, arrival: msg.sentAt + link.WireTime(msg.size),
-				service: service, elems: payloadElems(msg.args),
 			})
 		case msg.reply != nil:
 			size := m.replySize(msg.void, res)
@@ -568,12 +547,11 @@ func (m *simMPP) InvokeAsync(ctx exec.Context, obj any, method string, args []an
 		done.Send(ctx, &Completion{Err: err})
 		return
 	}
-	issuedAt := ctx.Now()
 	link := m.links.link(ctx.Node(), e.node)
 	size := m.sizer.Size(args)
 	ctx.Compute(link.SendCPU(size))
 	m.stats.count(1, int64(size))
-	msg := &mppMsg{method: method, args: args, from: ctx.Node(), sentAt: ctx.Now(), issuedAt: issuedAt, size: size, void: void}
+	msg := &mppMsg{method: method, args: args, from: ctx.Node(), sentAt: ctx.Now(), size: size, void: void}
 	if m.oneway[method] {
 		m.track(ctx)
 		e.inbox.Send(ctx, msg)

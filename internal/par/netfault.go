@@ -41,9 +41,9 @@ import (
 //   - Placement failover (node unreachable): when the reconnect budget is
 //     exhausted the peer is declared lost. Unless NoFailover is set, its
 //     objects are re-created on a surviving node the same way (creation +
-//     history replay), the registry placement is remapped — Distribution's
-//     NodeOf, and with it the scheduler's placement-aware stealing, now
-//     reports the surviving node — and the orphaned calls follow. When no
+//     history replay), the registry placement is remapped — the
+//     middleware's NodeOf now reports the surviving node — and the
+//     orphaned calls follow. When no
 //     surviving node hosts the class, the journal is failed with a typed
 //     NoFailoverError that Join surfaces: fail fast, not silent loss.
 //
@@ -220,16 +220,14 @@ type netCall struct {
 
 	// Who waits for the final outcome — nobody, for a fire-and-forget void
 	// call, whose terminal failure goes to the Join error list instead; else
-	// exactly one of: a windowed caller's completion channel (done, with the
-	// stamps its Completion carries), the export a Snapshot probe of the
+	// exactly one of: a windowed caller's completion channel (done), the
+	// export a Snapshot probe of the
 	// journal's own checkpoints (ckpt; never recorded in the history it exists
 	// to truncate), or the goroutine parked in Invoke (reply).
-	done   exec.Chan
-	ctx    exec.Context
-	issued time.Time
-	elems  int
-	ckpt   *netExport
-	reply  parked
+	done  exec.Chan
+	ctx   exec.Context
+	ckpt  *netExport
+	reply parked
 
 	// Set by transmit, read by Deliver: the journal the wire outcome returns
 	// to, and the request's size for the traffic counters.
@@ -242,27 +240,27 @@ type netCall struct {
 // connection's reader goroutine. The reply bytes of a value-returning call
 // are approximated — every later pending response waits behind this — where
 // re-encoding the results just for the traffic counter is too expensive.
-func (c *netCall) Deliver(res []any, svc time.Duration, err error) {
+func (c *netCall) Deliver(res []any, _ time.Duration, err error) {
 	if !c.void {
 		c.fa.m.stats.count(1, int64(approxReplySize(res)))
 	} else if err == nil {
 		c.fa.m.stats.count(2, c.reqSize+replyFloor)
 	}
-	c.fa.onOutcome(c.pf, c, c.gen, res, svc, err)
+	c.fa.onOutcome(c.pf, c, c.gen, res, err)
 }
 
 // conclude hands the call's final outcome to whoever waits for it — nobody,
 // for a void call. The journal calls it exactly once, after taking the call
 // off its books.
-func (c *netCall) conclude(res []any, svc time.Duration, err error) {
+func (c *netCall) conclude(res []any, err error) {
 	switch {
 	case c.void:
 	case c.done != nil:
-		c.done.Send(c.ctx, stampCompletion(c.fa.m.clk, res, err, c.issued, svc, c.elems))
+		c.done.Send(c.ctx, &Completion{Res: res, Err: err})
 	case c.ckpt != nil:
 		c.fa.checkpointed(c.ckpt, res, err)
 	default:
-		c.reply.Deliver(res, svc, err)
+		c.reply.Deliver(res, 0, err)
 	}
 }
 
@@ -277,15 +275,14 @@ type parked struct {
 // outcome is one call's final result as a value.
 type outcome struct {
 	res []any
-	svc time.Duration
 	err error
 }
 
 func (p *parked) arm() { p.wg.Add(1) }
 
 // Deliver implements rmi.Sink.
-func (p *parked) Deliver(res []any, svc time.Duration, err error) {
-	p.o = outcome{res, svc, err}
+func (p *parked) Deliver(res []any, _ time.Duration, err error) {
+	p.o = outcome{res, err}
 	p.wg.Done()
 }
 
@@ -517,7 +514,7 @@ func (fa *netFaults) submit(call *netCall) {
 		exp := fa.exports[call.ref]
 		if exp == nil {
 			fa.mu.Unlock()
-			fa.finish(call, nil, 0, errUnexported(call.method))
+			fa.finish(call, nil, errUnexported(call.method))
 			return
 		}
 		for exp.moving && !fa.closed {
@@ -602,7 +599,7 @@ func (fa *netFaults) transmit(pf *peerFault, call *netCall, gen int64, stub *rmi
 // onOutcome classifies one wire outcome: executed calls settle, transport
 // failures leave the entry journaled and start the peer's recovery — whose
 // budget, under the fail-fast policy, is already spent.
-func (fa *netFaults) onOutcome(pf *peerFault, call *netCall, gen int64, res []any, svc time.Duration, err error) {
+func (fa *netFaults) onOutcome(pf *peerFault, call *netCall, gen int64, res []any, err error) {
 	err = staleAsFault(call, pf.node, err)
 	fa.mu.Lock()
 	pf.wired--
@@ -611,7 +608,7 @@ func (fa *netFaults) onOutcome(pf *peerFault, call *netCall, gen int64, res []an
 		live := fa.settleLocked(pf, call, err)
 		fa.mu.Unlock()
 		if live {
-			call.conclude(res, svc, err)
+			call.conclude(res, err)
 		}
 		return
 	}
@@ -655,13 +652,13 @@ func staleAsFault(call *netCall, node exec.NodeID, err error) error {
 // settle removes a journal entry — the call's outcome is final — records the
 // applied-call history used for state reconstruction, and delivers. A call
 // already settled elsewhere (reset drain, close) is left alone.
-func (fa *netFaults) settle(pf *peerFault, call *netCall, res []any, svc time.Duration, err error) {
+func (fa *netFaults) settle(pf *peerFault, call *netCall, res []any, err error) {
 	fa.mu.Lock()
 	live := fa.settleLocked(pf, call, err)
 	fa.cond.Broadcast()
 	fa.mu.Unlock()
 	if live {
-		call.conclude(res, svc, err)
+		call.conclude(res, err)
 	}
 }
 
@@ -740,8 +737,8 @@ func dropLocked(sj *streamJournal, call *netCall) bool {
 
 // finish hands a call's final outcome to its caller; fire-and-forget void
 // calls report terminal failures through the Join error list instead.
-func (fa *netFaults) finish(call *netCall, res []any, svc time.Duration, err error) {
-	call.conclude(res, svc, err)
+func (fa *netFaults) finish(call *netCall, res []any, err error) {
+	call.conclude(res, err)
 	if call.void && err != nil {
 		fa.recordErr(err)
 	}
@@ -764,7 +761,7 @@ func (fa *netFaults) deliverOrphan(call *netCall, node exec.NodeID, cause error)
 		fe.Args = call.args
 		fa.requeues.Add(1)
 	}
-	fa.finish(call, nil, 0, fe)
+	fa.finish(call, nil, fe)
 }
 
 // callSync performs one session-tracked call synchronously on wire's stream,
@@ -815,7 +812,7 @@ func (fa *netFaults) invalidate(cause error) {
 	fa.cond.Broadcast()
 	fa.mu.Unlock()
 	for _, call := range calls {
-		call.conclude(nil, 0, cause)
+		call.conclude(nil, cause)
 	}
 }
 

@@ -118,7 +118,7 @@ func (fa *netFaults) drainJournal(pf *peerFault, gen int64, target exec.NodeID, 
 			fa.m.stats.count(2, int64(fa.m.sizer.Size(call.args)+approxReplySize(o.res)))
 		}
 		fa.replays.Add(1)
-		fa.settle(pf, call, o.res, o.svc, staleAsFault(call, pf.node, o.err))
+		fa.settle(pf, call, o.res, staleAsFault(call, pf.node, o.err))
 	}
 }
 
@@ -206,10 +206,9 @@ func (fa *netFaults) reexport(exp *netExport, tp *netPeer, target exec.NodeID, g
 		history = append([]histEntry{{method: "Restore", args: exp.checkpoint}}, history...)
 	}
 	fa.mu.Unlock()
-	// The registry follows, so Distribution.NodeOf — and the scheduler's
-	// placement-aware stealing it feeds — tracks the move. A re-homed
-	// reference may be a pipeline stage: the installed topology now points a
-	// predecessor at a stale placement, so schedule a re-push.
+	// The registry follows, so the middleware's NodeOf tracks the move. A
+	// re-homed reference may be a pipeline stage: the installed topology now
+	// points a predecessor at a stale placement, so schedule a re-push.
 	fa.m.reg.setNode(exp.ref, target)
 	fa.m.topoMarkDirty()
 	fa.failovers.Add(1)
@@ -575,6 +574,6 @@ func (fa *netFaults) abandon(pf *peerFault) {
 	fa.cond.Broadcast()
 	fa.mu.Unlock()
 	for _, call := range calls {
-		call.conclude(nil, 0, &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: errMWReset})
+		call.conclude(nil, &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: errMWReset})
 	}
 }

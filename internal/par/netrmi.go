@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"aspectpar/internal/clock"
 	"aspectpar/internal/exec"
@@ -378,11 +377,6 @@ func (m *NetRMI) Invoke(ctx exec.Context, obj any, method string, args []any, vo
 // completion is built on the connection's reader goroutine and handed to the
 // worker's buffered done channel — no future and no per-call goroutine, which
 // used to dominate the windowed hot path's allocations.
-//
-// Completions are stamped with the tuning signals the PR-4 controllers
-// consume: the node-side service time travels back in the response, and the
-// client-side round trip is measured here — so window-depth and pack-size
-// autotuning engage over real TCP instead of holding their fixed knobs.
 func (m *NetRMI) InvokeAsync(ctx exec.Context, obj any, method string, args []any, void bool, done exec.Chan) {
 	ref, ok := obj.(*NetRef)
 	if !ok {
@@ -396,7 +390,6 @@ func (m *NetRMI) InvokeAsync(ctx exec.Context, obj any, method string, args []an
 		return
 	}
 	call.done, call.ctx = done, ctx
-	call.elems, call.issued = payloadElems(args), m.clk.Now()
 	m.faults.submit(call)
 }
 
@@ -428,28 +421,6 @@ func (m *NetRMI) InvokeParked(obj any, method string, args ...any) ([]any, error
 	return res, err
 }
 
-// stampCompletion builds a windowed completion carrying real-transport
-// tuning signals. The sim middlewares stamp issue/arrival/service instants
-// from the virtual clock; here only differences are measurable, so the
-// completion encodes them relative to zero: issuedAt 0 and arrival
-// (rtt−service)/2 make the window controller's rtt0 = 2·(arrival−issuedAt)
-// come out as the measured non-compute round trip. A missing service stamp
-// (transport failure) leaves the completion signal-free, which the
-// controllers treat as "hold the fixed knob". The RTT is measured on the
-// middleware's clock, so under the chaos harness's virtual time the tuning
-// controllers see the injected latencies, not the wall.
-func stampCompletion(clk clock.Clock, res []any, err error, issued time.Time, service time.Duration, elems int) *Completion {
-	c := &Completion{Res: res, Err: err}
-	if service > 0 {
-		if half := (clk.Since(issued) - service) / 2; half > 0 {
-			c.arrival = half
-		}
-		c.service = service
-		c.elems = elems
-	}
-	return c
-}
-
 // approxReplySize estimates a reply's wire size without re-encoding it:
 // the acknowledgement floor plus four bytes per []int32 payload element.
 // Exact sizing (sizer.Size) gob-encodes the value, which is too expensive
@@ -457,11 +428,6 @@ func stampCompletion(clk clock.Clock, res []any, err error, issued time.Time, se
 func approxReplySize(res []any) int {
 	return replyFloor + 4*payloadElems(res)
 }
-
-// LocalityCosted implements the optional Middleware capability: the real
-// transport makes cross-node steals genuinely costlier than co-located
-// ones, so placement-aware victim selection pays here.
-func (m *NetRMI) LocalityCosted() bool { return true }
 
 // Reset asks every configured node to unbind its placed objects (connecting
 // as needed), so a long-running daemon can serve successive runs with fresh

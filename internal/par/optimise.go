@@ -250,21 +250,8 @@ func splitInt32Payload(args []any, min int) (a, b []any, ok bool) {
 	return []any{payload[:mid:mid]}, []any{payload[mid:]}, true
 }
 
-// splitInt32At cuts the first n elements off a call whose single argument
-// is an []int32 payload — the default StealConfig.SplitAt, which the
-// pack-size tuning controller uses to carve cost-bounded bites (unlike the
-// halving splitter, the cut point is chosen by measured cost, not shape).
-func splitInt32At(args []any, n int) (bite, rest []any, ok bool) {
-	payload, ok := singleInt32Payload(args)
-	if !ok || n <= 0 || n >= len(payload) {
-		return nil, nil, false
-	}
-	return []any{payload[:n:n]}, []any{payload[n:]}, true
-}
-
 // payloadElems reports the []int32 payload length of a call's argument list
-// (0 when the shape differs) — the unit the tuning controllers' per-element
-// cost signal scales by.
+// (0 when the shape differs).
 func payloadElems(args []any) int {
 	payload, ok := singleInt32Payload(args)
 	if !ok {

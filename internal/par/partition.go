@@ -371,11 +371,6 @@ type FarmConfig struct {
 	// dispatcher). Without a distribution middleware that supports
 	// AsyncInvoker the window is inert: calls execute inline as before.
 	Window int
-	// Autotune switches on the online tuning controllers (tuner.go): window
-	// depth, pack chunking and placement-aware victim selection adapt from
-	// measured signals instead of the fixed knobs above. The zero value
-	// keeps every dispatch path bit-identical to the fixed-knob protocol.
-	Autotune AutotuneConfig
 }
 
 // DefaultWindow is the dispatch window the self-scheduling farms use when
@@ -389,9 +384,8 @@ const DefaultWindow = 2
 // Farm is the farm partition module (static round-robin, dynamic
 // self-scheduling, or adaptive work-stealing).
 type Farm struct {
-	cfg   FarmConfig
-	asp   *aspect.Aspect
-	tuner *tuner // nil unless cfg.Autotune.Enabled
+	cfg FarmConfig
+	asp *aspect.Aspect
 
 	set managedSet
 
@@ -427,7 +421,7 @@ func NewFarm(cfg FarmConfig) *Farm {
 	if cfg.Dynamic && cfg.Stealing {
 		panic("par: farm cannot be both Dynamic and Stealing")
 	}
-	f := &Farm{cfg: cfg, tuner: newTuner(cfg.Autotune)}
+	f := &Farm{cfg: cfg}
 
 	newPC := aspect.New(cfg.Class.Name())
 	callPC := aspect.Call(cfg.Class.Name(), cfg.Method)
@@ -532,20 +526,16 @@ func (f *Farm) fail(err error) {
 }
 
 // window resolves the dispatch window of this farm's self-scheduling loops:
-// StealConfig.Window (stealing only) overrides FarmConfig.Window, zero
-// selects DefaultWindow.
+// zero selects DefaultWindow.
 func (f *Farm) window() int {
-	w := f.cfg.Window
-	if f.cfg.Stealing && f.cfg.Steal.Window != 0 {
-		w = f.cfg.Steal.Window
-	}
-	switch {
+	switch w := f.cfg.Window; {
 	case w == 0:
 		return DefaultWindow
 	case w < 1:
 		return 1
+	default:
+		return w
 	}
-	return w
 }
 
 // windowSlot is the per-call envelope of the windowed dispatch protocol: the
@@ -572,47 +562,14 @@ func (f *Farm) issuePack(ctx exec.Context, w any, args []any, done exec.Chan) bo
 	return slot.issued
 }
 
-// reclaimOne blocks for the next completion of this worker's window —
-// completion-ordered reclamation — and settles it. It returns the
-// completion so windowed loops can feed their depth controller.
-func (f *Farm) reclaimOne(ctx exec.Context, done exec.Chan) *Completion {
-	v, _ := done.Recv(ctx)
-	c := v.(*Completion)
-	f.settleCompletion(ctx, c)
-	return c
-}
-
 // settleCompletion settles one reclaimed completion's caller-side reply
-// costs and records its error, if any. With autotuning on it also folds the
-// completion's timing signals into the tuner here — not in the window
-// controller — so the pack-size controller keeps its cost profile even
-// when the window controller is disabled (AutotuneConfig.NoWindow). Both
-// self-scheduling loops route every non-orphan completion through it, so
-// the reclamation protocol cannot drift between them.
+// costs and records its error, if any. Both self-scheduling loops route
+// every non-orphan completion through it, so the reclamation protocol
+// cannot drift between them.
 func (f *Farm) settleCompletion(ctx exec.Context, c *Completion) {
 	if _, err := c.Reclaim(ctx); err != nil {
 		f.fail(err)
 	}
-	if f.tuner != nil && c.service > 0 {
-		f.tuner.observe(c.service, c.elems)
-	}
-}
-
-// workerWindow wires one windowed worker loop's depth control: with the
-// window controller on it returns the per-worker controller, its slow-start
-// depth and a channel capacity covering the controller cap; with it off the
-// fixed depth applies. Both self-scheduling loops use it, so the dynamic
-// and stealing farms cannot drift apart in how depth and capacity relate.
-func (f *Farm) workerWindow(sched *stealScheduler, win int) (wc *windowCtl, depth, chanCap int) {
-	depth, chanCap = win, win
-	if f.tuner.windowOn() {
-		wc = newWindowCtl(f.tuner, sched, win)
-		depth = wc.depth()
-		if wc.max > chanCap {
-			chanCap = wc.max
-		}
-	}
-	return wc, depth, chanCap
 }
 
 // dispatchDynamic implements self-scheduling: a shared work queue and one
@@ -647,19 +604,12 @@ func (f *Farm) dispatchDynamic(ctx exec.Context, workers []any, parts [][]any) e
 				}
 			}
 			// Windowed self-scheduling with completion-ordered reclamation.
-			// With autotuning on, a per-worker controller adapts the depth
-			// (the shared queue has no steal pressure to shed against, so
-			// only the latency-ratio law applies).
-			wc, depth, chanCap := f.workerWindow(nil, win)
-			done := child.NewChan(chanCap)
+			done := child.NewChan(win)
 			inflight := 0
 			reclaim := func() {
-				c := f.reclaimOne(child, done)
+				v, _ := done.Recv(child)
+				f.settleCompletion(child, v.(*Completion))
 				inflight--
-				if wc != nil {
-					wc.observe(c)
-					depth = wc.depth()
-				}
 			}
 			for {
 				part, ok := queue.Recv(child)
@@ -668,7 +618,7 @@ func (f *Farm) dispatchDynamic(ctx exec.Context, workers []any, parts [][]any) e
 				}
 				if f.issuePack(child, w, part.([]any), done) {
 					inflight++
-					for inflight >= depth {
+					for inflight >= win {
 						reclaim()
 					}
 				}
@@ -690,26 +640,6 @@ func (f *Farm) dispatchDynamic(ctx exec.Context, workers []any, parts [][]any) e
 // the idle replica (and, with distribution plugged, to its node).
 func (f *Farm) dispatchStealing(ctx exec.Context, workers []any, parts [][]any) error {
 	sched := newStealScheduler(f.cfg.Steal, len(workers))
-	sched.tuner = f.tuner
-	if f.tuner.placementOn() {
-		if nodeOf := f.tuner.placementLookup(); nodeOf != nil {
-			// Placement-aware victim selection: resolve each worker
-			// replica's node once per round; thieves then prefer co-located
-			// victims (scheduler.trySteal).
-			nodes := make([]exec.NodeID, len(workers))
-			known := false
-			for i, w := range workers {
-				nodes[i] = -1 // unresolved must not alias real node 0
-				if n, ok := nodeOf(w); ok {
-					nodes[i] = n
-					known = true
-				}
-			}
-			if known {
-				sched.setNodes(nodes)
-			}
-		}
-	}
 	sched.seed(parts)
 	r := &stealRound{sched: sched, win: f.window(), workers: len(workers)}
 	f.mu.Lock()
@@ -786,7 +716,7 @@ func (f *Farm) Grow(ctx exec.Context, node exec.NodeID) (any, error) {
 		f.mu.Unlock()
 		return obj, nil
 	}
-	i := r.sched.addWorker(node)
+	i := r.sched.addWorker()
 	r.workers++
 	// Join bookkeeping inline (beginRound re-locks f.mu): the widened round
 	// must never be observable as quiet between the decision and the spawn.
@@ -833,8 +763,7 @@ func (f *Farm) stealWorkerSync(child exec.Context, sched *stealScheduler, i int,
 // worker dies with packs outstanding, the round aborts with an error
 // instead of spinning.
 func (f *Farm) stealWorkerWindowed(child exec.Context, sched *stealScheduler, i int, w any, win int) {
-	wc, depth, chanCap := f.workerWindow(sched, win)
-	done := child.NewChan(chanCap)
+	done := child.NewChan(win)
 	inflight := 0
 	orphans := 0 // consecutive orphaned packs from this worker's replica
 	const maxOrphans = 3
@@ -855,17 +784,13 @@ func (f *Farm) stealWorkerWindowed(child exec.Context, sched *stealScheduler, i 
 		orphans = 0
 		f.settleCompletion(child, c)
 		sched.finish()
-		if wc != nil {
-			wc.observe(c)
-			depth = wc.depth()
-		}
 	}
 	// dispatch issues one obtained pack; inline execution (no async
 	// middleware) completes — and finishes — before it returns.
 	dispatch := func(pk stealPack) {
 		if f.issuePack(child, w, pk.args, done) {
 			inflight++
-			for inflight >= depth {
+			for inflight >= win {
 				reclaim()
 			}
 		} else {
@@ -946,21 +871,6 @@ func (f *Farm) stealWorkerWindowed(child exec.Context, sched *stealScheduler, i 
 		}
 	}
 }
-
-// UsePlacement hands the farm a replica→node lookup — typically the
-// Distribution module's middleware NodeOf — so the tuning layer's
-// placement-aware victim selection can prefer co-located victims. It is a
-// no-op unless the farm was built with Autotune enabled (and its placement
-// controller on).
-func (f *Farm) UsePlacement(nodeOf func(obj any) (exec.NodeID, bool)) {
-	if f.tuner != nil {
-		f.tuner.usePlacement(nodeOf)
-	}
-}
-
-// TuneStats reports the tuning controllers' counters (zero unless the farm
-// was built with Autotune enabled).
-func (f *Farm) TuneStats() TuneStats { return f.tuner.stats() }
 
 // StealStats reports the work-stealing scheduler's counters, summed over
 // every finished dispatch round (zero unless the farm was built with

@@ -49,16 +49,6 @@ type StealConfig struct {
 	// MinSplit is the minimum payload elements per half for the default
 	// splitter; 0 selects 64.
 	MinSplit int
-	// SplitAt carves the first n payload elements off a pack: it returns the
-	// bite and the rest, or ok=false when the pack cannot be cut there. The
-	// pack-size tuning controller uses it to carve cost-bounded bites off
-	// packs far heavier than the observed average (see AutotuneConfig); it
-	// is unused without autotuning. When SplitPack is nil (default halver),
-	// a cutter for the single-[]int32 payload shape is installed alongside
-	// it; a custom SplitPack without a matching SplitAt deliberately leaves
-	// chunking off — the controller must not cut packs at points a custom
-	// split policy may not allow.
-	SplitAt func(args []any, n int) (bite, rest []any, ok bool)
 	// StealOverhead is the virtual CPU time charged to the thief per
 	// successful steal transaction (locking the victim, moving ownership);
 	// 0 selects 2µs, negative disables the charge.
@@ -66,11 +56,6 @@ type StealConfig struct {
 	// MaxBackoff caps the idle worker's exponential backoff sleep; 0
 	// selects 64µs.
 	MaxBackoff time.Duration
-	// Window overrides FarmConfig.Window for the stealing worker loops: the
-	// number of packs each worker keeps in flight through the distribution
-	// middleware. 0 inherits the farm's window; 1 forces the synchronous
-	// per-pack protocol. See FarmConfig.Window.
-	Window int
 }
 
 func (c StealConfig) withDefaults() StealConfig {
@@ -81,9 +66,6 @@ func (c StealConfig) withDefaults() StealConfig {
 		min := c.MinSplit
 		c.SplitPack = func(args []any) ([]any, []any, bool) {
 			return splitInt32Payload(args, min)
-		}
-		if c.SplitAt == nil {
-			c.SplitAt = splitInt32At
 		}
 	}
 	if c.StealOverhead == 0 {
@@ -112,16 +94,9 @@ type StealStats struct {
 	Steals int64
 	// Stolen counts packs that changed owner through a steal.
 	Stolen int64
-	// Splits counts packs split in two by a steal request, the owner-side
-	// fringe rule, or the pack-size tuning controller's chunking (each chunk
-	// counts here too, so the invariant holds with autotuning on).
+	// Splits counts packs split in two by a steal request or the owner-side
+	// fringe rule.
 	Splits int64
-	// LocalSteals and RemoteSteals partition Steals by replica placement:
-	// a steal is local when thief and victim replicas share a node (always,
-	// when no placement is known). The placement-aware victim selection of
-	// the tuning layer exists to grow the local share.
-	LocalSteals  int64
-	RemoteSteals int64
 	// FailedScans counts full victim scans that found nothing to steal.
 	FailedScans int64
 }
@@ -148,35 +123,19 @@ func (d *stealDeque) pushBack(pks ...stealPack) {
 	d.mu.Unlock()
 }
 
-// workerSet is one immutable snapshot of the round's workers: the deques and
-// (when placement-aware victim selection is on) each worker's replica node.
-// The scheduler publishes it through an atomic pointer so a node joining
-// mid-run can widen the set — copy, append, swap — while the worker loops
-// read whatever snapshot they loaded without a lock. The deque objects
-// themselves are stable across snapshots (the copy shares the pointers), so
-// an index obtained from one snapshot still names the same deque in a newer
-// one; a late snapshot simply has more indices.
-type workerSet struct {
-	deques []*stealDeque
-	// nodes is worker i's replica placement; nil means unknown (victim scan
-	// order stays the fixed round-robin and every steal counts as local).
-	// Individual unresolved replicas hold -1, which matches nothing — they
-	// must not alias real node 0.
-	nodes []exec.NodeID
-}
-
 // stealScheduler coordinates one dispatch round: the deques, the outstanding
 // pack count that drives termination, and the statistics.
 type stealScheduler struct {
 	cfg StealConfig
-	// ws is the current worker set (see workerSet); growMu serialises the
-	// copy-on-write growth.
-	ws     atomic.Pointer[workerSet]
+	// ws is one immutable snapshot of the round's worker deques, published
+	// through an atomic pointer so a node joining mid-run can widen the set
+	// — copy, append, swap — while the worker loops read whatever snapshot
+	// they loaded without a lock. The deque objects themselves are stable
+	// across snapshots (the copy shares the pointers), so an index obtained
+	// from one snapshot still names the same deque in a newer one; a late
+	// snapshot simply has more indices. growMu serialises the growth.
+	ws     atomic.Pointer[[]*stealDeque]
 	growMu sync.Mutex
-
-	// tuner is the farm's tuning-controller state; nil runs the fixed-knob
-	// protocol bit-identically to previous behaviour.
-	tuner *tuner
 
 	// remaining counts packs enqueued but not yet finished. Every pack
 	// increments it before it becomes visible (initial seeding, the new
@@ -196,14 +155,12 @@ type stealScheduler struct {
 	// replica is unrecoverable; the last one aborts the round.
 	deadWorkers atomic.Int64
 
-	seeded       atomic.Int64
-	executed     atomic.Int64
-	steals       atomic.Int64
-	stolen       atomic.Int64
-	splits       atomic.Int64
-	localSteals  atomic.Int64
-	remoteSteals atomic.Int64
-	failedScans  atomic.Int64
+	seeded      atomic.Int64
+	executed    atomic.Int64
+	steals      atomic.Int64
+	stolen      atomic.Int64
+	splits      atomic.Int64
+	failedScans atomic.Int64
 }
 
 func newStealScheduler(cfg StealConfig, workers int) *stealScheduler {
@@ -212,41 +169,26 @@ func newStealScheduler(cfg StealConfig, workers int) *stealScheduler {
 	for i := range deques {
 		deques[i] = &stealDeque{}
 	}
-	s.ws.Store(&workerSet{deques: deques})
+	s.ws.Store(&deques)
 	return s
 }
 
-// workers returns the current worker-set snapshot.
-func (s *stealScheduler) workers() *workerSet { return s.ws.Load() }
+// workers returns the current worker-deque snapshot.
+func (s *stealScheduler) workers() []*stealDeque { return *s.ws.Load() }
 
-// setNodes installs the round-start placement resolution (placement-aware
-// victim selection); len(nodes) must equal the current worker count.
-func (s *stealScheduler) setNodes(nodes []exec.NodeID) {
-	s.growMu.Lock()
-	old := s.ws.Load()
-	s.ws.Store(&workerSet{deques: old.deques, nodes: nodes})
-	s.growMu.Unlock()
-}
-
-// addWorker widens the round by one worker with an empty deque placed at
-// node, returning the new worker's index. Copy-on-write: in-flight scans
-// keep their old snapshot and simply do not see the newcomer until they
-// reload; the newcomer starts hungry and steals its first pack.
-func (s *stealScheduler) addWorker(node exec.NodeID) int {
+// addWorker widens the round by one worker with an empty deque, returning
+// the new worker's index. Copy-on-write: in-flight scans keep their old
+// snapshot and simply do not see the newcomer until they reload; the
+// newcomer starts hungry and steals its first pack.
+func (s *stealScheduler) addWorker() int {
 	s.growMu.Lock()
 	defer s.growMu.Unlock()
-	old := s.ws.Load()
-	i := len(old.deques)
+	old := s.workers()
+	i := len(old)
 	deques := make([]*stealDeque, i+1)
-	copy(deques, old.deques)
+	copy(deques, old)
 	deques[i] = &stealDeque{}
-	var nodes []exec.NodeID
-	if old.nodes != nil {
-		nodes = make([]exec.NodeID, i+1)
-		copy(nodes, old.nodes)
-		nodes[i] = node
-	}
-	s.ws.Store(&workerSet{deques: deques, nodes: nodes})
+	s.ws.Store(&deques)
 	return i
 }
 
@@ -261,7 +203,7 @@ func (s *stealScheduler) seed(parts [][]any) {
 	for i, part := range parts {
 		packs[i] = stealPack{args: part}
 	}
-	deques := s.workers().deques
+	deques := s.workers()
 	s.remaining.Add(int64(len(packs)))
 	s.seeded.Add(int64(len(packs)))
 	for len(packs) > 0 && len(packs) < len(deques) {
@@ -336,26 +278,8 @@ func (s *stealScheduler) next(ctx exec.Context, i int) (stealPack, bool) {
 // before the new half becomes visible, keeping the termination counter
 // conservative.
 func (s *stealScheduler) take(i int) (stealPack, bool) {
-	d := s.workers().deques[i]
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.packs) == 0 {
-		return stealPack{}, false
-	}
-	pk := d.packs[0]
-	d.packs = d.packs[1:]
-	if s.tuner.packSizeOn() {
-		pk = s.chunk(d, pk)
-	}
-	if len(d.packs) == 0 && s.hungry.Load() > 0 {
-		if a, b, ok := s.cfg.SplitPack(pk.args); ok {
-			pk = stealPack{args: a}
-			s.remaining.Add(1)
-			d.packs = append(d.packs, stealPack{args: b})
-			s.splits.Add(1)
-		}
-	}
-	return pk, true
+	pk, ok, _ := s.takeWindowed(i, false)
+	return pk, ok
 }
 
 // takeWindowed pops worker i's next local pack for a windowed (pipelined)
@@ -367,14 +291,14 @@ func (s *stealScheduler) take(i int) (stealPack, bool) {
 // static assignment's imbalance. With an idle pipe (pipelined=false) the
 // behaviour is exactly take's, including the owner-side split rule.
 func (s *stealScheduler) takeWindowed(i int, pipelined bool) (pk stealPack, ok, deferred bool) {
-	ws := s.workers()
-	d := ws.deques[i]
+	deques := s.workers()
+	d := deques[i]
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.packs) == 0 {
 		return stealPack{}, false, false
 	}
-	if pipelined && len(d.packs) == 1 && len(ws.deques) > 1 {
+	if pipelined && len(d.packs) == 1 && len(deques) > 1 {
 		// Deferring only makes sense while a thief could exist: a
 		// single-worker farm has none, and deferring there just drains the
 		// pipe before the tail pack — the fringe-rule fix of ISSUE 4.
@@ -382,9 +306,6 @@ func (s *stealScheduler) takeWindowed(i int, pipelined bool) (pk stealPack, ok, 
 	}
 	pk = d.packs[0]
 	d.packs = d.packs[1:]
-	if s.tuner.packSizeOn() {
-		pk = s.chunk(d, pk)
-	}
 	if len(d.packs) == 0 && s.hungry.Load() > 0 {
 		if a, b, ok := s.cfg.SplitPack(pk.args); ok {
 			pk = stealPack{args: a}
@@ -399,40 +320,17 @@ func (s *stealScheduler) takeWindowed(i int, pipelined bool) (pk stealPack, ok, 
 // trySteal scans the other deques starting at worker i's right neighbour and
 // takes work from the first deque that has any: the back half when several
 // packs queue there, one half of a freshly split pack when only one does.
-// With replica placements known (placement-aware victim selection), the scan
-// runs in two passes — co-located victims first, remote ones only when no
-// local deque has work — so stolen packs migrate across the network only
-// when the thief's node is truly out of work. Scan order stays a fixed
-// round-robin inside each pass, keeping virtual-time runs deterministic.
+// Scan order is a fixed round-robin, keeping virtual-time runs
+// deterministic. A successful steal charges the thief's overhead.
 func (s *stealScheduler) trySteal(ctx exec.Context, i int) (stealPack, bool) {
-	ws := s.workers()
-	n := len(ws.deques)
-	if ws.nodes != nil {
-		for _, local := range []bool{true, false} {
-			for off := 1; off < n; off++ {
-				v := (i + off) % n
-				coLocated := ws.nodes[i] >= 0 && ws.nodes[v] == ws.nodes[i]
-				if coLocated != local {
-					continue
-				}
-				if pk, ok := s.stealFrom(ws, ws.deques[v], i); ok {
-					// Scan order treats unresolved placements (-1) as
-					// remote (scanned last), but the stats count them as
-					// local — unknown placement must not inflate the
-					// remote-steal metric the placement controller is
-					// judged by.
-					s.noteSteal(ctx, coLocated || ws.nodes[i] < 0 || ws.nodes[v] < 0)
-					return pk, true
-				}
-			}
-		}
-		s.failedScans.Add(1)
-		return stealPack{}, false
-	}
+	deques := s.workers()
+	n := len(deques)
 	for off := 1; off < n; off++ {
-		v := ws.deques[(i+off)%n]
-		if pk, ok := s.stealFrom(ws, v, i); ok {
-			s.noteSteal(ctx, true)
+		if pk, ok := s.stealFrom(deques, deques[(i+off)%n], i); ok {
+			s.steals.Add(1)
+			if s.cfg.StealOverhead > 0 {
+				ctx.Compute(s.cfg.StealOverhead)
+			}
 			return pk, true
 		}
 	}
@@ -440,26 +338,11 @@ func (s *stealScheduler) trySteal(ctx exec.Context, i int) (stealPack, bool) {
 	return stealPack{}, false
 }
 
-// noteSteal accounts one successful steal transaction and charges the
-// thief's overhead. Steals with unknown placement count as local (a single
-// unplaced farm is one process).
-func (s *stealScheduler) noteSteal(ctx exec.Context, local bool) {
-	s.steals.Add(1)
-	if local {
-		s.localSteals.Add(1)
-	} else {
-		s.remoteSteals.Add(1)
-	}
-	if s.cfg.StealOverhead > 0 {
-		ctx.Compute(s.cfg.StealOverhead)
-	}
-}
-
 // stealFrom attempts one steal transaction against victim deque v on behalf
 // of thief i. It returns the pack the thief should execute next; surplus
 // stolen packs are re-queued on the thief's own deque (resolved through the
 // caller's snapshot — deque identity is stable across growth).
-func (s *stealScheduler) stealFrom(ws *workerSet, v *stealDeque, i int) (stealPack, bool) {
+func (s *stealScheduler) stealFrom(deques []*stealDeque, v *stealDeque, i int) (stealPack, bool) {
 	v.mu.Lock()
 	switch n := len(v.packs); {
 	case n >= 2:
@@ -471,7 +354,7 @@ func (s *stealScheduler) stealFrom(ws *workerSet, v *stealDeque, i int) (stealPa
 		v.mu.Unlock()
 		s.stolen.Add(int64(k))
 		if len(stolen) > 1 {
-			ws.deques[i].pushBack(stolen[1:]...)
+			deques[i].pushBack(stolen[1:]...)
 		}
 		return stolen[0], true
 	case n == 1:
@@ -502,53 +385,6 @@ func (s *stealScheduler) stealFrom(ws *workerSet, v *stealDeque, i int) (stealPa
 	}
 }
 
-// chunk is the pack-size tuning controller's owner-side carve: when the
-// popped pack's estimated cost (payload elements × the per-element cost
-// EWMA) is at least ChunkFactor × the average pack service time, the owner
-// takes only a bite of about half an average pack's worth and requeues the
-// rest at the front of its deque — still stealable, still splittable. A
-// worker therefore cannot disappear into a pack far heavier than what its
-// peers are running, which is what serialises the tail of skewed rounds;
-// uniform rounds never trigger it because every pack sits at the average.
-// Inert (and unreachable) when the tuner or its pack-size controller is
-// off. Called with d's mutex held.
-func (s *stealScheduler) chunk(d *stealDeque, pk stealPack) stealPack {
-	t := s.tuner
-	nspe := t.nspe.Load()
-	avg := t.svcEWMA.Load()
-	if nspe <= 0 || avg <= 0 {
-		return pk // no cost profile yet (round start)
-	}
-	elems := payloadElems(pk.args)
-	if elems == 0 {
-		return pk
-	}
-	if int64(elems)*nspe < int64(t.cfg.ChunkFactor)*avg {
-		return pk
-	}
-	bite := int(avg / nspe / 2)
-	if bite < s.cfg.MinSplit {
-		bite = s.cfg.MinSplit
-	}
-	// Both sides honour the MinSplit floor, like every other split path: a
-	// rest fragment below it would pay full per-pack dispatch overhead for
-	// sub-threshold work.
-	if bite >= elems || elems-bite < s.cfg.MinSplit || s.cfg.SplitAt == nil {
-		return pk
-	}
-	biteArgs, rest, ok := s.cfg.SplitAt(pk.args, bite)
-	if !ok {
-		return pk
-	}
-	// The rest becomes visible before the termination counter could reach
-	// zero: remaining grows first, as everywhere else.
-	s.remaining.Add(1)
-	d.packs = append([]stealPack{{args: rest}}, d.packs...)
-	s.splits.Add(1)
-	t.chunks.Add(1)
-	return stealPack{args: biteArgs}
-}
-
 // drained reports whether every pack of the round has finished — the
 // workers' termination signal — or the round was aborted (all replicas
 // lost: the outstanding packs can never run).
@@ -560,7 +396,7 @@ func (s *stealScheduler) drained() bool { return s.remaining.Load() == 0 || s.ab
 // it; remaining was never decremented, so work conservation holds: the pack
 // executes exactly once, on whichever surviving replica obtains it.
 func (s *stealScheduler) requeueOrphan(from int, args []any) {
-	deques := s.workers().deques
+	deques := s.workers()
 	n := len(deques)
 	deques[(from+1)%n].pushBack(stealPack{args: args})
 }
@@ -570,7 +406,7 @@ func (s *stealScheduler) requeueOrphan(from int, args []any) {
 // round is aborted — the packs have no surviving replica to run on — and
 // noteDeadWorker reports true so the last worker records the failure.
 func (s *stealScheduler) noteDeadWorker() bool {
-	if s.deadWorkers.Add(1) == int64(len(s.workers().deques)) && s.remaining.Load() > 0 {
+	if s.deadWorkers.Add(1) == int64(len(s.workers())) && s.remaining.Load() > 0 {
 		s.aborted.Store(true)
 		return true
 	}
@@ -592,21 +428,17 @@ func (s *StealStats) add(o StealStats) {
 	s.Steals += o.Steals
 	s.Stolen += o.Stolen
 	s.Splits += o.Splits
-	s.LocalSteals += o.LocalSteals
-	s.RemoteSteals += o.RemoteSteals
 	s.FailedScans += o.FailedScans
 }
 
 // stats snapshots the counters.
 func (s *stealScheduler) stats() StealStats {
 	return StealStats{
-		Seeded:       s.seeded.Load(),
-		Executed:     s.executed.Load(),
-		Steals:       s.steals.Load(),
-		Stolen:       s.stolen.Load(),
-		Splits:       s.splits.Load(),
-		LocalSteals:  s.localSteals.Load(),
-		RemoteSteals: s.remoteSteals.Load(),
-		FailedScans:  s.failedScans.Load(),
+		Seeded:      s.seeded.Load(),
+		Executed:    s.executed.Load(),
+		Steals:      s.steals.Load(),
+		Stolen:      s.stolen.Load(),
+		Splits:      s.splits.Load(),
+		FailedScans: s.failedScans.Load(),
 	}
 }

@@ -196,3 +196,20 @@ func TestRealBackendStealStress(t *testing.T) {
 		t.Error("farm not quiet after Join")
 	}
 }
+
+// TestTakeWindowedSingleWorkerTakesLastPack pins the fringe-rule fix: a
+// single-worker farm has no thieves, so deferring the last local pack only
+// drains the pipe before the tail pack. Multi-worker farms must keep
+// deferring.
+func TestTakeWindowedSingleWorkerTakesLastPack(t *testing.T) {
+	solo := newStealScheduler(StealConfig{}, 1)
+	solo.seed([][]any{{[]int32{1, 2, 3}}})
+	if _, ok, deferred := solo.takeWindowed(0, true); !ok || deferred {
+		t.Errorf("single worker: last pack ok=%v deferred=%v, want taken", ok, deferred)
+	}
+	duo := newStealScheduler(StealConfig{}, 2)
+	duo.seed([][]any{{[]int32{1, 2, 3}}, {[]int32{4, 5, 6}}})
+	if _, ok, deferred := duo.takeWindowed(0, true); ok || !deferred {
+		t.Errorf("two workers: last pack ok=%v deferred=%v, want deferred (stealable)", ok, deferred)
+	}
+}

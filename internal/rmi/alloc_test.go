@@ -49,8 +49,8 @@ func TestSendAllocsPerWindowedCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	client, stub := startEchoServer(t, WithCodec(GobCodec()))
-	client.SetSendWindow(1 << 20) // measure sends, not window stalls
+	// A huge window: measure sends, not window stalls.
+	client, stub := startEchoServer(t, WithCodec(GobCodec()), WithSendWindow(1<<20))
 	payload := make([]int32, 512)
 	if err := stub.Send("M", payload); err != nil { // warm the path
 		t.Fatal(err)

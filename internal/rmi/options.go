@@ -9,9 +9,7 @@ import (
 // Functional construction options for clients and servers: every knob (the
 // clock before Listen, the session tag before the first tracked request, the
 // send window) is fixed at construction, so there is no window in which a
-// half-configured client or server is observable. Only the send window can
-// also be changed afterwards (Client.SetSendWindow — the autotuner resizes
-// live windows).
+// half-configured client or server is observable.
 
 // Option configures a Client (at Dial) or a Server (at NewServer/Serve).
 // Options that only make sense on one side are ignored by the other.
@@ -43,8 +41,10 @@ func WithClock(clk clock.Clock) Option {
 	return func(o *options) { o.clk = clk }
 }
 
-// WithSendWindow sets a client's one-way flow-control window (values below 1
-// clamp to 1); see SetSendWindow for the semantics.
+// WithSendWindow sets a client's one-way flow-control window: the maximum
+// number of sends that may be in flight (sent but unacknowledged) before
+// Send blocks. Values below 1 clamp to 1 (fully synchronous ack-by-ack
+// flow); 0 keeps DefaultSendWindow.
 func WithSendWindow(n int) Option {
 	return func(o *options) { o.window = n }
 }

@@ -17,7 +17,7 @@
 //     the result with wait-by-necessity;
 //   - [Stub.Send] — one-way windowed dispatch: the call returns as soon as
 //     the request is written, bounded by an explicit flow-control window of
-//     unacknowledged sends ([Client.SetSendWindow]); server-side failures are
+//     unacknowledged sends ([WithSendWindow]); server-side failures are
 //     gathered by [Client.Flush].
 package rmi
 
@@ -131,8 +131,8 @@ type response struct {
 	// Stale marks a rejected session-tracked request whose epoch no longer
 	// matches the server's (restarted node, or a reset rotated the epoch).
 	Stale bool
-	// ServiceNs is the server-side dispatch time of a two-way call — the
-	// service-time signal the client's tuning controllers consume.
+	// ServiceNs is the server-side dispatch time of a two-way call, handed
+	// to the caller's Sink as its service argument.
 	ServiceNs int64
 	// Stream echoes the request's stream, so the client's reader can match
 	// the response to the right per-stream FIFO.
@@ -871,22 +871,6 @@ func (c *Client) hello(offer Codec) (int64, error) {
 	return resp.Epoch, nil
 }
 
-// SetSendWindow sets the flow-control window: the maximum number of one-way
-// sends that may be in flight (sent but unacknowledged) before Send blocks.
-// Values below 1 are clamped to 1 (fully synchronous ack-by-ack flow).
-// Unlike the construction options this one is still useful at runtime — the
-// autotuner resizes live windows through it; WithSendWindow covers the
-// construction-time case.
-func (c *Client) SetSendWindow(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.mu.Lock()
-	c.windowSize = n
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
 // Close closes the connection. Requests already posted reach the server
 // first: whatever the frame writer still buffers is written out before the
 // socket drops. Calls still in flight — including a window of unacknowledged
@@ -1220,8 +1204,7 @@ func outcome(resp *response, err error) ([]any, time.Duration, error) {
 // through deliver instead of a future: no future, no per-call goroutine —
 // InvokeSeq without a sequence number, for a caller with a plain function
 // (see Sink for when and where deliver runs). The service argument is the
-// server-stamped dispatch time, the signal the caller's tuning controllers
-// consume.
+// server-stamped dispatch time.
 func (s *Stub) InvokeCB(method string, deliver func([]any, time.Duration, error), args ...any) {
 	s.InvokeSeq(method, 0, SinkFunc(deliver), args...)
 }

@@ -246,12 +246,11 @@ func TestInvokeAsyncRemoteError(t *testing.T) {
 
 func TestSendWindowAndFlush(t *testing.T) {
 	addr, _ := startServer(t)
-	c, err := Dial(addr)
+	c, err := Dial(addr, WithSendWindow(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetSendWindow(4)
 	stub, err := c.Lookup("counter")
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +441,7 @@ func TestCloseMidWindowResolvesPending(t *testing.T) {
 	}()
 	// Pinned to gob: a default Dial negotiates, and this listener would never
 	// answer the Hello.
-	c, err := Dial(ln.Addr().String(), WithCodec(GobCodec()))
+	c, err := Dial(ln.Addr().String(), WithCodec(GobCodec()), WithSendWindow(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +452,6 @@ func TestCloseMidWindowResolvesPending(t *testing.T) {
 	}
 	// A full window of one-way sends, then one more on another goroutine:
 	// it blocks on flow control until Close unblocks it with an error.
-	c.SetSendWindow(2)
 	for i := 0; i < 2; i++ {
 		if err := stub.Send("Work"); err != nil {
 			t.Fatal(err)

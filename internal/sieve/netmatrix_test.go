@@ -93,35 +93,6 @@ func TestNetMatchesSimulatedRMI(t *testing.T) {
 	}
 }
 
-// TestNetAutotuned runs the stealing farm over the real middleware with the
-// tuning controllers on: the transport stamps node-side service time into
-// each response and the client measures the round trip, so the window and
-// pack-size controllers engage from real signals instead of holding the
-// fixed knobs. Placement-aware victim selection runs against the real
-// two-node placement, and the primes still match the oracle exactly.
-func TestNetAutotuned(t *testing.T) {
-	requireLoopback(t)
-	p := netParams()
-	p.Autotune = true
-	want, err := HandSequential(p.Max)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunCombo(Combo{PartStealingFarm, ConcMerged, DistNet}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertPrimesEqual(t, res.Primes, want)
-	if st := res.Steals; st.LocalSteals+st.RemoteSteals != st.Steals {
-		t.Errorf("steal locality accounting broken over net: %+v", st)
-	}
-	// The controllers must have seen real timing signals: service EWMAs only
-	// accumulate when NetRMI completions carry node-side dispatch times.
-	if res.Tune.AvgServiceNs <= 0 {
-		t.Errorf("no service-time signal reached the tuner over real TCP: %+v", res.Tune)
-	}
-}
-
 // TestNetBinaryStreamsConformance runs the self-scheduling farms over the
 // wire-speed configuration — binary codec, three dispatch streams per peer —
 // and checks the primes against the oracle and against a run pinned to

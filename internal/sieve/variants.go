@@ -260,23 +260,10 @@ type Params struct {
 	// the others — the load imbalance that separates the dynamic and
 	// stealing farms from the static one (ablation C).
 	Skew float64
-	// Steal tunes the work-stealing scheduler for stealing-farm runs; the
-	// zero value selects the par.StealConfig defaults.
-	Steal par.StealConfig
 	// Window is the latency-hiding dispatch window of the self-scheduling
 	// farms (FarmDRMI, FarmStealing): packs kept in flight per worker. 0
 	// selects par.DefaultWindow, 1 the synchronous per-pack round trip.
 	Window int
-	// Autotune switches on par's online tuning controllers for the
-	// self-scheduling farms: window depth, pack chunking and
-	// placement-aware victim selection adapt from measured signals (see
-	// par.AutotuneConfig). Off by default — fixed-knob runs stay
-	// bit-identical to the checked-in virtual-time baseline.
-	Autotune bool
-	// Tune overrides the tuning controllers' defaults when Autotune is set
-	// (Enabled is forced on); the zero value selects all controllers with
-	// default gains.
-	Tune par.AutotuneConfig
 	// KeepPrimes retains the full sorted prime list in Result.Primes —
 	// used by the conformance harness; large sweeps leave it off and
 	// compare checksums.
@@ -372,9 +359,6 @@ type Result struct {
 	// Steals reports the work-stealing scheduler's counters (zero unless
 	// the stealing farm ran).
 	Steals par.StealStats
-	// Tune reports the tuning controllers' counters (zero unless
-	// Params.Autotune enabled them).
-	Tune par.TuneStats
 	// Faults reports the fault-tolerance subsystem's counters (zero unless
 	// Params.Faults enabled it on a DistNet run).
 	Faults par.FaultStats
@@ -740,8 +724,6 @@ func build(c Combo, p Params) (*wiring, error) {
 		mods = append(mods, w.pipe)
 
 	case PartFarm, PartDynamicFarm, PartStealingFarm:
-		tune := p.Tune
-		tune.Enabled = p.Autotune || tune.Enabled
 		w.farm = par.NewFarm(par.FarmConfig{
 			Class:    w.class,
 			Method:   "Filter",
@@ -749,9 +731,7 @@ func build(c Combo, p Params) (*wiring, error) {
 			Split:    splitPacks(p.Packs, p.Skew, p.Filters),
 			Dynamic:  c.Partition == PartDynamicFarm,
 			Stealing: c.Partition == PartStealingFarm,
-			Steal:    p.Steal,
 			Window:   p.Window,
-			Autotune: tune,
 		})
 		mods = append(mods, w.farm)
 
@@ -807,13 +787,6 @@ func build(c Combo, p Params) (*wiring, error) {
 	if p.PackingDegree > 1 && !seq {
 		w.packing = par.NewPacking(w.class, "Filter", p.PackingDegree)
 		mods = append(mods, w.packing)
-	}
-
-	if w.farm != nil && w.dist != nil {
-		// Feed replica placements to the farm's tuning layer — only over a
-		// middleware that prices locality (see Distribution.TunePlacement);
-		// inert unless Autotune enabled the placement controller.
-		w.dist.TunePlacement(w.farm)
 	}
 
 	overhead := p.DispatchOverhead
@@ -903,7 +876,6 @@ func runWoven(v Variant, c Combo, p Params) (Result, error) {
 	}
 	if w.farm != nil {
 		res.Steals = w.farm.StealStats()
-		res.Tune = w.farm.TuneStats()
 	}
 	return res, nil
 }
