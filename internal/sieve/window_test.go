@@ -62,3 +62,31 @@ func TestWindowDeterministicAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestInlineWindowKeepsSchedule pins what lets window 1 share the windowed
+// worker loop: without an asynchronous middleware every pack call runs
+// inline, so the window never fills and windows 1, 2 and 4 must produce the
+// same virtual-time schedule and the same scheduler counters, in both
+// self-scheduling partitions, balanced and skewed.
+func TestInlineWindowKeepsSchedule(t *testing.T) {
+	for _, part := range []PartitionKind{PartStealingFarm, PartDynamicFarm} {
+		c := Combo{Partition: part, Concurrency: ConcMerged, Distribution: DistNone}
+		for _, skew := range []float64{0, 8} {
+			var first Result
+			for _, window := range []int{1, 2, 4} {
+				res, err := RunCombo(c, Params{Max: 300_000, Packs: 30, Filters: 4, Skew: skew, Window: window})
+				if err != nil {
+					t.Fatalf("%s skew=%g window=%d: %v", c, skew, window, err)
+				}
+				if window == 1 {
+					first = res
+					continue
+				}
+				if res.Elapsed != first.Elapsed || res.Steals != first.Steals {
+					t.Errorf("%s skew=%g: window %d gives %v %+v, window 1 %v %+v",
+						c, skew, window, res.Elapsed, res.Steals, first.Elapsed, first.Steals)
+				}
+			}
+		}
+	}
+}
