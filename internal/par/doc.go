@@ -25,7 +25,7 @@
 //     cluster nodes and transparent redirection of calls through a
 //     [Middleware] — simulated Java RMI ([NewSimRMI]) or the lighter MPP
 //     message-passing package ([NewSimMPP]).
-//   - Optimisation ([ThreadPool], [Caching], [Packing]): independently
+//   - Optimisation ([ThreadPool], [Packing]): independently
 //     pluggable performance aspects.
 //
 // Core classes register with a [Domain] as a [Class]: a constructor, a method
@@ -110,10 +110,13 @@
 //     would quietly re-create static assignment's imbalance. The deferred
 //     pack stays queued — stealable, splittable — until the window drains.
 //
-// Window=1 degrades to the exact synchronous code path (byte-identical
-// virtual-time schedules); the zero value selects [DefaultWindow] (double
-// buffering). Without a distribution middleware — or over one that cannot
-// pipeline — the marks are inert and calls execute inline as before.
+// There is one worker loop per schedule. Window=1 is a one-slot window of
+// that loop: every pack call is the plain synchronous round trip, carries no
+// windowSlot, and finishes before the worker obtains the next pack, so the
+// middleware never journals it as windowed. The zero value selects
+// [DefaultWindow] (double buffering). Without a distribution middleware — or
+// over one that cannot pipeline — the marks are inert and calls execute
+// inline, so every window gives the same schedule.
 // Completion-ordered reclamation keeps the protocol deterministic under
 // virtual time; window edge cases (1, > packs, failures mid-window) are
 // covered by window_test.go.

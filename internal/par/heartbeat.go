@@ -35,23 +35,6 @@ type HeartbeatConfig struct {
 	// Exchange moves boundary data between partitions after each step;
 	// nil skips exchange (embarrassingly parallel iteration).
 	Exchange func(ctx exec.Context, workers []any, call HBCall) error
-	// Stealing selects the work-stealing schedule for the step broadcast:
-	// instead of one activity per partition, Runners activities pull
-	// (partition, step) tasks from per-runner deques and steal pending
-	// tasks when their own deque runs dry. A step still executes on its own
-	// partition object — tasks are atomic, only their assignment to driving
-	// activities migrates — so the schedule pays off when step costs are
-	// heterogeneous across partitions or when partitions outnumber the
-	// hardware contexts a broadcast would claim at once.
-	Stealing bool
-	// Runners is the number of driving activities per stealing step; 0
-	// selects one per partition (pure balancing, no oversubscription
-	// relief).
-	Runners int
-	// Steal tunes the stealing schedule (StealOverhead, MaxBackoff). Pack
-	// splitting does not apply — a partition's step is atomic — so
-	// SplitPack and MinSplit are ignored.
-	Steal StealConfig
 }
 
 // Heartbeat is the heartbeat partition module.
@@ -60,10 +43,9 @@ type Heartbeat struct {
 	asp *aspect.Aspect
 	set managedSet
 
-	mu         sync.Mutex
-	wg         exec.WaitGroup
-	pending    int
-	stealTotal StealStats // folded from finished stealing steps
+	mu      sync.Mutex
+	wg      exec.WaitGroup
+	pending int
 }
 
 // NewHeartbeat builds the module.
@@ -110,14 +92,7 @@ func NewHeartbeat(cfg HeartbeatConfig) *Heartbeat {
 		if len(workers) == 0 {
 			return proceed(nil)
 		}
-		args := jp.Args
-
-		var errs []error
-		if cfg.Stealing {
-			errs = h.stepStealing(ctx, workers, args)
-		} else {
-			errs = h.stepBroadcast(ctx, workers, args)
-		}
+		errs := h.stepBroadcast(ctx, workers, jp.Args)
 		if cfg.Exchange != nil {
 			call := func(cctx exec.Context, worker any, method string, cargs ...any) ([]any, error) {
 				return cfg.Class.CallWith(cctx, Internal|NoAsync, worker, method, cargs...)
@@ -155,8 +130,8 @@ func (h *Heartbeat) stepDone(barrier exec.WaitGroup) {
 	wg.Done()
 }
 
-// stepBroadcast is the plain schedule: one activity per partition, all
-// spawned at once, joined at the barrier.
+// stepBroadcast runs one step: one activity per partition, all spawned at
+// once, joined at the barrier.
 func (h *Heartbeat) stepBroadcast(ctx exec.Context, workers []any, args []any) []error {
 	barrier := h.beginStep(ctx, len(workers))
 	var errMu sync.Mutex
@@ -178,73 +153,8 @@ func (h *Heartbeat) stepBroadcast(ctx exec.Context, workers []any, args []any) [
 	return errs
 }
 
-// stepStealing is the work-stealing schedule: the partitions' step calls are
-// dealt as atomic tasks into per-runner deques and Runners activities drain
-// them with the adaptive scheduler's take/steal/backoff protocol. A runner
-// that finishes its cheap partitions steals the pending steps of a loaded
-// one, so heterogeneous step costs stop gating the barrier on the unluckiest
-// pre-assignment — the same cure the stealing farm applies to skewed packs.
-func (h *Heartbeat) stepStealing(ctx exec.Context, workers []any, args []any) []error {
-	runners := h.cfg.Runners
-	if runners <= 0 || runners > len(workers) {
-		runners = len(workers)
-	}
-	sc := h.cfg.Steal
-	// A partition's step is not divisible: disable pack splitting outright
-	// rather than letting the default []int32 halver inspect task payloads.
-	sc.SplitPack = func([]any) ([]any, []any, bool) { return nil, nil, false }
-	sched := newStealScheduler(sc, runners)
-	parts := make([][]any, len(workers))
-	for i, w := range workers {
-		parts[i] = []any{w}
-	}
-	sched.seed(parts)
-
-	barrier := h.beginStep(ctx, runners)
-	var errMu sync.Mutex
-	var errs []error
-	for r := 0; r < runners; r++ {
-		r := r
-		ctx.Spawn(fmt.Sprintf("heartbeat-runner-%d", r), func(child exec.Context) {
-			defer h.stepDone(barrier)
-			for {
-				pk, ok := sched.next(child, r)
-				if !ok {
-					return
-				}
-				if _, err := h.cfg.Class.CallWith(child, Internal|NoAsync, pk.args[0], h.cfg.StepMethod, args...); err != nil {
-					errMu.Lock()
-					errs = append(errs, err)
-					errMu.Unlock()
-				}
-				sched.finish()
-			}
-		})
-	}
-	barrier.Wait(ctx)
-	h.mu.Lock()
-	h.stealTotal.add(sched.stats())
-	h.mu.Unlock()
-	errMu.Lock()
-	defer errMu.Unlock()
-	return errs
-}
-
-// StealStats reports the stealing schedule's counters summed over every
-// completed step (zero unless the module was built with Stealing).
-func (h *Heartbeat) StealStats() StealStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stealTotal
-}
-
 // ModuleName implements Module.
-func (h *Heartbeat) ModuleName() string {
-	if h.cfg.Stealing {
-		return fmt.Sprintf("stealing-heartbeat(%d)", h.cfg.Workers)
-	}
-	return fmt.Sprintf("heartbeat(%d)", h.cfg.Workers)
-}
+func (h *Heartbeat) ModuleName() string { return fmt.Sprintf("heartbeat(%d)", h.cfg.Workers) }
 
 // Plug implements Module.
 func (h *Heartbeat) Plug(w *aspect.Weaver) { w.Plug(h.asp) }

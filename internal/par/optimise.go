@@ -10,8 +10,9 @@ import (
 
 // This file implements the paper's fourth concern category: optimisation
 // aspects (Section 4.4). "Examples are: thread pools, cache objects,
-// communication packing and replicated computation." Each is an
-// independently pluggable module.
+// communication packing and replicated computation." Thread pools and
+// communication packing are implemented here, each an independently
+// pluggable module.
 
 // --- Thread pool -------------------------------------------------------------
 
@@ -71,84 +72,6 @@ func (t *ThreadPool) worker(ctx exec.Context) {
 		v.(func(exec.Context))(ctx)
 	}
 }
-
-// --- Cache objects -----------------------------------------------------------
-
-// CacheKey derives the memoisation key for a call; returning ok=false skips
-// caching for that call.
-type CacheKey func(jp *aspect.JoinPoint) (key string, ok bool)
-
-// Caching memoises results of idempotent calls selected by a pointcut (the
-// paper's "cache objects" optimisation). The first call proceeds; repeats
-// are answered from the cache without touching the object — with
-// distribution plugged, without touching the network.
-type Caching struct {
-	asp *aspect.Aspect
-
-	mu     sync.Mutex
-	cache  map[string]cached
-	hits   int64
-	misses int64
-}
-
-type cached struct {
-	res []any
-	err error
-}
-
-// NewCaching builds the module; key nil caches per (target, method) for
-// argument-less calls only.
-func NewCaching(pc aspect.Pointcut, key CacheKey) *Caching {
-	c := &Caching{cache: make(map[string]cached)}
-	if key == nil {
-		key = func(jp *aspect.JoinPoint) (string, bool) {
-			if len(jp.Args) != 0 {
-				return "", false
-			}
-			return fmt.Sprintf("%p.%s", jp.Target, jp.Method), true
-		}
-	}
-	c.asp = aspect.NewAspect("caching", precOptimisation).
-		Around(pc, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
-			if jp.Marked(Remote) {
-				return proceed(nil)
-			}
-			k, ok := key(jp)
-			if !ok {
-				return proceed(nil)
-			}
-			c.mu.Lock()
-			if hit, found := c.cache[k]; found {
-				c.hits++
-				c.mu.Unlock()
-				return hit.res, hit.err
-			}
-			c.misses++
-			c.mu.Unlock()
-			res, err := proceed(nil)
-			c.mu.Lock()
-			c.cache[k] = cached{res: res, err: err}
-			c.mu.Unlock()
-			return res, err
-		})
-	return c
-}
-
-// Stats returns (hits, misses).
-func (c *Caching) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// ModuleName implements Module.
-func (c *Caching) ModuleName() string { return "caching" }
-
-// Plug implements Module.
-func (c *Caching) Plug(w *aspect.Weaver) { w.Plug(c.asp) }
-
-// Unplug implements Module.
-func (c *Caching) Unplug(w *aspect.Weaver) { w.Unplug(c.asp) }
 
 // --- Communication packing ----------------------------------------------------
 
@@ -308,54 +231,3 @@ func (p *Packing) Plug(w *aspect.Weaver) { w.Plug(p.asp) }
 
 // Unplug implements Module.
 func (p *Packing) Unplug(w *aspect.Weaver) { w.Unplug(p.asp) }
-
-// --- Replicated computation ---------------------------------------------------
-
-// Replication implements the paper's "replicated computation" optimisation:
-// calls to the selected method are executed on every managed replica
-// locally instead of being answered by one object and shipped around. It
-// suits cheap, deterministic state-setting methods (e.g. (re)seeding every
-// farm worker) where recomputing beats communicating.
-type Replication struct {
-	class  *Class
-	method string
-	source func() []any // managed set provider
-	asp    *aspect.Aspect
-}
-
-// NewReplication builds the module; managed supplies the current replica
-// set (e.g. Farm.Managed).
-func NewReplication(class *Class, method string, managed func() []any) *Replication {
-	r := &Replication{class: class, method: method, source: managed}
-	pc := aspect.Call(class.Name(), method)
-	r.asp = aspect.NewAspect("replication", precPartition+1).
-		Around(pc, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
-			if jp.Marked(Internal | Remote) {
-				return proceed(nil)
-			}
-			objs := r.source()
-			if len(objs) == 0 {
-				return proceed(nil)
-			}
-			ctx := ctxOf(jp)
-			var last []any
-			for _, obj := range objs {
-				res, err := r.class.CallWith(ctx, Internal|NoAsync, obj, r.method, jp.Args...)
-				if err != nil {
-					return nil, err
-				}
-				last = res
-			}
-			return last, nil
-		})
-	return r
-}
-
-// ModuleName implements Module.
-func (r *Replication) ModuleName() string { return "replication" }
-
-// Plug implements Module.
-func (r *Replication) Plug(w *aspect.Weaver) { w.Plug(r.asp) }
-
-// Unplug implements Module.
-func (r *Replication) Unplug(w *aspect.Weaver) { w.Unplug(r.asp) }

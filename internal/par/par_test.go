@@ -737,34 +737,6 @@ func TestThreadPoolUnplugRestoresSpawning(t *testing.T) {
 	}
 }
 
-func TestCachingMemoises(t *testing.T) {
-	dom, class := defineBox(t)
-	caching := NewCaching(aspect.Call("Box", "Sum"), nil)
-	stack := NewStack(dom, caching)
-	defer stack.Unplug()
-	ctx := exec.Real()
-	obj, _ := class.New(ctx)
-	_, _ = class.Call(ctx, obj, "Work", payload(2, 3))
-	for i := 0; i < 3; i++ {
-		res, err := class.Call(ctx, obj, "Sum")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res[0].(int64) != 5 {
-			t.Errorf("sum = %v", res[0])
-		}
-	}
-	hits, misses := caching.Stats()
-	if hits != 2 || misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 2/1", hits, misses)
-	}
-	// Calls with arguments bypass the default key.
-	_, _ = class.Call(ctx, obj, "Work", payload(1))
-	if h, _ := caching.Stats(); h != 2 {
-		t.Error("arged call must not be cached by the default key")
-	}
-}
-
 func TestPackingMergesMessages(t *testing.T) {
 	dom, class := defineBox(t)
 	farm := NewFarm(FarmConfig{Class: class, Method: "Work", Workers: 1, Split: splitBy(1)})
@@ -790,26 +762,6 @@ func TestPackingMergesMessages(t *testing.T) {
 	calls, merged := packing.Stats()
 	if calls != 7 || merged != 3 {
 		t.Errorf("packing stats = %d buffered, %d merged", calls, merged)
-	}
-}
-
-func TestReplicationRunsOnAllReplicas(t *testing.T) {
-	dom, class := defineBox(t)
-	farm := NewFarm(FarmConfig{Class: class, Method: "Work", Workers: 3, Split: splitBy(1)})
-	repl := NewReplication(class, "Sum", farm.Managed)
-	stack := NewStack(dom, farm, repl)
-	defer stack.Unplug()
-	ctx := exec.Real()
-	obj, _ := class.New(ctx)
-	_, _ = class.Call(ctx, obj, "Work", payload(1, 2, 3))
-	// A core-functionality Sum call is replicated to every worker; the
-	// result is the last replica's answer.
-	res, err := class.Call(ctx, obj, "Sum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].(int64) != 3 {
-		t.Errorf("last replica sum = %v, want 3 (worker 2 holds {3})", res[0])
 	}
 }
 

@@ -366,9 +366,9 @@ type FarmConfig struct {
 	// schedules (Dynamic and Stealing): each worker keeps up to Window packs
 	// in flight through the distribution middleware instead of blocking on
 	// every round trip, reclaiming completions in completion order. 0
-	// selects DefaultWindow; 1 restores the fully synchronous per-pack
-	// protocol (byte-identical virtual-time schedules to the unwindowed
-	// dispatcher). Without a distribution middleware that supports
+	// selects DefaultWindow; 1 is a one-slot window of the same worker loop
+	// whose every pack call is the plain synchronous round trip, never
+	// journaled as windowed. Without a distribution middleware that supports
 	// AsyncInvoker the window is inert: calls execute inline as before.
 	Window int
 }
@@ -547,14 +547,24 @@ type windowSlot struct {
 	issued bool
 }
 
-// issuePack ships one pack call with windowed delivery requested. It reports
+// issuePack ships one pack call of a worker loop with window win. It reports
 // whether the completion will arrive on done; when false the call ran inline
-// — no distribution plugged, the object is local, or the middleware cannot
-// pipeline — and any error was already recorded. The call is deliberately
-// NOT marked void: the synchronous (window=1) protocol ships result payloads
-// in its replies, so the windowed protocol does too — the window is the only
-// variable between the two, keeping latency-hiding measurements honest.
-func (f *Farm) issuePack(ctx exec.Context, w any, args []any, done exec.Chan) bool {
+// and any error was already recorded, so the loop finishes the pack at once.
+// A window of 1 makes the plain synchronous call: it requests no windowed
+// delivery, so a middleware never journals it as windowed and an orphan is
+// never retryable. Wider windows request windowed delivery, which still runs
+// inline when no distribution is plugged, the object is local, or the
+// middleware cannot pipeline. The call is deliberately NOT marked void: the
+// synchronous protocol ships result payloads in its replies, so the windowed
+// protocol does too — the window is the only variable between the two,
+// keeping latency-hiding measurements honest.
+func (f *Farm) issuePack(ctx exec.Context, w any, args []any, win int, done exec.Chan) bool {
+	if win <= 1 {
+		if _, err := f.cfg.Class.CallWith(ctx, Internal|NoAsync, w, f.cfg.Method, args...); err != nil {
+			f.fail(err)
+		}
+		return false
+	}
 	slot := &windowSlot{done: done}
 	if _, err := f.cfg.Class.callWindowed(ctx, slot, w, f.cfg.Method, args); err != nil && !slot.issued {
 		f.fail(err)
@@ -563,7 +573,7 @@ func (f *Farm) issuePack(ctx exec.Context, w any, args []any, done exec.Chan) bo
 }
 
 // settleCompletion settles one reclaimed completion's caller-side reply
-// costs and records its error, if any. Both self-scheduling loops route
+// costs and records its error, if any. Both self-scheduling partitions route
 // every non-orphan completion through it, so the reclamation protocol
 // cannot drift between them.
 func (f *Farm) settleCompletion(ctx exec.Context, c *Completion) {
@@ -574,10 +584,10 @@ func (f *Farm) settleCompletion(ctx exec.Context, c *Completion) {
 
 // dispatchDynamic implements self-scheduling: a shared work queue and one
 // dispatcher activity per worker pulling from it. The per-piece calls run
-// inline (MarkNoAsync) — the dispatcher activity is the concurrency. With a
-// window above 1 each dispatcher pipelines: it keeps up to Window packs in
-// flight through the middleware and pulls the next piece as soon as a slot
-// frees, instead of blocking on every synchronous round trip.
+// inline (MarkNoAsync) — the dispatcher activity is the concurrency. Each
+// dispatcher keeps up to Window packs in flight through the middleware and
+// pulls the next piece as soon as a slot frees; with a window of 1 every
+// pack is one blocking round trip.
 func (f *Farm) dispatchDynamic(ctx exec.Context, workers []any, parts [][]any) error {
 	queue := ctx.NewChan(len(parts))
 	for _, part := range parts {
@@ -590,20 +600,6 @@ func (f *Farm) dispatchDynamic(ctx exec.Context, workers []any, parts [][]any) e
 		w := w
 		ctx.Spawn(fmt.Sprintf("farm-worker-%d", i), func(child exec.Context) {
 			defer f.workerDone()
-			if win <= 1 {
-				// Synchronous self-scheduling: one blocking round trip per
-				// pack, byte-identical to the unwindowed protocol.
-				for {
-					part, ok := queue.Recv(child)
-					if !ok {
-						return
-					}
-					if _, err := f.cfg.Class.CallWith(child, Internal|NoAsync, w, f.cfg.Method, part.([]any)...); err != nil {
-						f.fail(err)
-					}
-				}
-			}
-			// Windowed self-scheduling with completion-ordered reclamation.
 			done := child.NewChan(win)
 			inflight := 0
 			reclaim := func() {
@@ -616,7 +612,7 @@ func (f *Farm) dispatchDynamic(ctx exec.Context, workers []any, parts [][]any) e
 				if !ok {
 					break
 				}
-				if f.issuePack(child, w, part.([]any), done) {
+				if f.issuePack(child, w, part.([]any), win, done) {
 					inflight++
 					for inflight >= win {
 						reclaim()
@@ -658,11 +654,7 @@ func (f *Farm) dispatchStealing(ctx exec.Context, workers []any, parts [][]any) 
 func (f *Farm) spawnStealWorker(ctx exec.Context, r *stealRound, i int, w any) {
 	ctx.Spawn(fmt.Sprintf("steal-worker-%d", i), func(child exec.Context) {
 		defer f.workerDone()
-		if r.win <= 1 {
-			f.stealWorkerSync(child, r.sched, i, w)
-		} else {
-			f.stealWorkerWindowed(child, r.sched, i, w, r.win)
-		}
+		f.stealWorker(child, r.sched, i, w, r.win)
 		// The round's counters settle only once every worker is out of
 		// its loop; the last one folds them into the farm total and the
 		// scheduler (deques, pack payloads) becomes garbage.
@@ -730,28 +722,15 @@ func (f *Farm) Grow(ctx exec.Context, node exec.NodeID) (any, error) {
 	return obj, nil
 }
 
-// stealWorkerSync is the synchronous (window ≤ 1) stealing worker loop: one
-// blocking round trip per pack, byte-identical to the unwindowed protocol.
-func (f *Farm) stealWorkerSync(child exec.Context, sched *stealScheduler, i int, w any) {
-	for {
-		pk, ok := sched.next(child, i)
-		if !ok {
-			return
-		}
-		if _, err := f.cfg.Class.CallWith(child, Internal|NoAsync, w, f.cfg.Method, pk.args...); err != nil {
-			f.fail(err)
-		}
-		sched.finish()
-	}
-}
-
-// stealWorkerWindowed is the latency-hiding stealing worker loop: it obtains
-// packs with the same take/steal/split protocol but keeps up to win of them
-// in flight through the middleware, reclaiming completions — and only then
-// marking packs finished — in completion order. A worker that runs out of
-// obtainable work reclaims its own window first (those completions free
-// slots AND drive the round's termination counter) before falling back to
-// the idle yield/backoff protocol.
+// stealWorker is the stealing worker loop: it obtains packs with the
+// take/steal/split protocol and keeps up to win of them in flight through the
+// middleware, reclaiming completions — and only then marking packs finished —
+// in completion order. With a window of 1, or without an asynchronous
+// middleware, every pack runs inline and finishes before the next is
+// obtained. A worker that runs out of obtainable work reclaims its own
+// window first (those completions free slots AND drive the round's
+// termination counter) before falling back to the idle yield/backoff
+// protocol.
 //
 // Over a fault-tolerant middleware a completion can carry a retryable
 // FaultError: the pack was orphaned — its replica's session was lost before
@@ -762,7 +741,7 @@ func (f *Farm) stealWorkerSync(child exec.Context, sched *stealScheduler, i int,
 // stops executing, and leaves its queued packs to the thieves. If every
 // worker dies with packs outstanding, the round aborts with an error
 // instead of spinning.
-func (f *Farm) stealWorkerWindowed(child exec.Context, sched *stealScheduler, i int, w any, win int) {
+func (f *Farm) stealWorker(child exec.Context, sched *stealScheduler, i int, w any, win int) {
 	done := child.NewChan(win)
 	inflight := 0
 	orphans := 0 // consecutive orphaned packs from this worker's replica
@@ -785,10 +764,10 @@ func (f *Farm) stealWorkerWindowed(child exec.Context, sched *stealScheduler, i 
 		f.settleCompletion(child, c)
 		sched.finish()
 	}
-	// dispatch issues one obtained pack; inline execution (no async
-	// middleware) completes — and finishes — before it returns.
+	// dispatch issues one obtained pack; inline execution (window 1 or no
+	// async middleware) completes — and finishes — before it returns.
 	dispatch := func(pk stealPack) {
-		if f.issuePack(child, w, pk.args, done) {
+		if f.issuePack(child, w, pk.args, win, done) {
 			inflight++
 			for inflight >= win {
 				reclaim()
@@ -832,8 +811,8 @@ func (f *Farm) stealWorkerWindowed(child exec.Context, sched *stealScheduler, i 
 			continue
 		}
 		if !ok {
-			// Out of local work: hungry until a pack is obtained, arming
-			// owner-side splitting exactly like the synchronous loop.
+			// Out of local work: hungry until a pack is obtained, which arms
+			// owner-side splitting in the other workers' takeWindowed.
 			setHungry(true)
 			pk, ok = sched.trySteal(child, i)
 		}
@@ -850,8 +829,10 @@ func (f *Farm) stealWorkerWindowed(child exec.Context, sched *stealScheduler, i 
 		if sched.drained() {
 			return
 		}
-		// Idle protocol, as in stealScheduler.next: yield so a victim can
-		// expose work at zero virtual cost, rescan, then back off.
+		// Idle protocol: yield so a busy victim can expose work at zero
+		// (virtual) cost, rescan, then back off exponentially so an idle
+		// tail is cheap on real hardware and always advances the virtual
+		// clock.
 		exec.Yield(child)
 		if pk, ok := sched.trySteal(child, i); ok {
 			setHungry(false)

@@ -226,70 +226,17 @@ func (s *stealScheduler) seed(parts [][]any) {
 	}
 }
 
-// next returns the next pack worker i should execute, stealing and splitting
-// as needed, or ok=false when the whole dispatch round is complete. It blocks
-// (via the idle/backoff protocol) while other workers still hold unfinished
-// packs that might split or be re-queued.
-func (s *stealScheduler) next(ctx exec.Context, i int) (stealPack, bool) {
-	if pk, ok := s.take(i); ok {
-		return pk, true
-	}
-	// Out of local work: this worker is hungry until it obtains a pack or
-	// the round ends. The counter is the steal-demand signal that arms
-	// owner-side splitting in take.
-	s.hungry.Add(1)
-	defer s.hungry.Add(-1)
-	backoff := time.Microsecond
-	for {
-		if pk, ok := s.take(i); ok {
-			return pk, true
-		}
-		if pk, ok := s.trySteal(ctx, i); ok {
-			return pk, true
-		}
-		if s.drained() {
-			return stealPack{}, false
-		}
-		// Idle protocol: yield first so a busy victim can run and expose
-		// work at zero (virtual) cost, then back off exponentially so an
-		// idle tail is cheap on real hardware and always advances the
-		// virtual clock.
-		exec.Yield(ctx)
-		if pk, ok := s.trySteal(ctx, i); ok {
-			return pk, true
-		}
-		if s.drained() {
-			return stealPack{}, false
-		}
-		ctx.Sleep(backoff)
-		if backoff < s.cfg.MaxBackoff {
-			backoff *= 2
-			if backoff > s.cfg.MaxBackoff {
-				backoff = s.cfg.MaxBackoff
-			}
-		}
-	}
-}
-
-// take pops worker i's next local pack. Popping the last local pack while
-// some other worker is hungry applies the owner-side dynamic sizing rule:
-// split it (when big enough) and leave one half queued, so a worker about to
-// disappear into a coarse pack exposes stealable work first. remaining grows
-// before the new half becomes visible, keeping the termination counter
-// conservative.
-func (s *stealScheduler) take(i int) (stealPack, bool) {
-	pk, ok, _ := s.takeWindowed(i, false)
-	return pk, ok
-}
-
-// takeWindowed pops worker i's next local pack for a windowed (pipelined)
-// worker loop. With packs already in flight (pipelined), the LAST local pack
-// is not prefetched: deferred reports that it exists but stays queued —
-// visible to thieves and to owner-side splitting — until the worker's window
-// drains. Prefetching it would claim work an idle worker may need: a pack in
-// flight can no longer be stolen, so eager claiming at the fringe re-creates
-// static assignment's imbalance. With an idle pipe (pipelined=false) the
-// behaviour is exactly take's, including the owner-side split rule.
+// takeWindowed pops worker i's next local pack. Popping the last local pack
+// while some other worker is hungry applies the owner-side dynamic sizing
+// rule: split it (when big enough) and leave one half queued, so a worker
+// about to disappear into a coarse pack exposes stealable work first.
+// remaining grows before the new half becomes visible, keeping the
+// termination counter conservative. With packs already in flight
+// (pipelined), the LAST local pack is not prefetched: deferred reports that
+// it exists but stays queued — visible to thieves and to owner-side
+// splitting — until the worker's window drains. Prefetching it would claim
+// work an idle worker may need: a pack in flight can no longer be stolen, so
+// eager claiming at the fringe re-creates static assignment's imbalance.
 func (s *stealScheduler) takeWindowed(i int, pipelined bool) (pk stealPack, ok, deferred bool) {
 	deques := s.workers()
 	d := deques[i]

@@ -68,9 +68,10 @@ func wantSum(data []int32) int64 {
 }
 
 // TestWindowOneMatchesSynchronousProtocol pins the degradation contract:
-// window=1 runs the synchronous per-pack code path, so its virtual-time
-// schedule is byte-identical across runs and across both self-scheduling
-// disciplines' window-1 configurations of the same workload.
+// window=1 is a one-slot window of the worker loop whose every pack call is
+// the plain synchronous round trip, so its virtual-time schedule is
+// identical across runs in both self-scheduling disciplines and no pack is
+// lost.
 func TestWindowOneMatchesSynchronousProtocol(t *testing.T) {
 	data := windowData(4096)
 	for _, dynamic := range []bool{true, false} {
