@@ -208,7 +208,7 @@
 // FaultPolicy.RequeueOrphans changes who owns a lost session's in-flight
 // packs: instead of replaying them, the middleware hands them back as
 // retryable [FaultError]s carrying the original arguments, and the
-// stealing farm's windowed loop re-absorbs them into the deques — a
+// stealing farm's worker loop re-absorbs them into the deques — a
 // surviving replica's worker re-executes them, and the scheduler's
 // Executed == Seeded + Splits invariant holds through the crash because
 // an orphaned pack was never counted finished. A worker whose replica

@@ -140,7 +140,7 @@ type FaultStats struct {
 // FaultError wraps a call the journal could not transparently recover.
 // Retryable reports that the call never executed anywhere — its state effect
 // is not lost, just unplaced — so the caller may re-dispatch it elsewhere;
-// the stealing farm's windowed loop does exactly that with the original
+// the stealing farm's worker loop does exactly that with the original
 // Args (scheduler reabsorption). Non-retryable errors are terminal.
 type FaultError struct {
 	Object    string
