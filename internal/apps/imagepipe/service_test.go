@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -301,6 +302,56 @@ func TestServiceSurvivesTerminalStageKill(t *testing.T) {
 	s.mu.Unlock()
 	if resets == 0 {
 		t.Error("the ledger restarted under a new incarnation, but the cursor was never reset")
+	}
+}
+
+// TestServiceRetriesSlowFramesExactlyOnce pins the "slow, not lost" retry
+// path: the middle stage holds each frame's first Ingest well past the
+// service's retry deadline, so the service re-ingests frames that are still
+// in flight and every stage sees ids it has already filtered. No node fails;
+// the stream must still be exactly the oracle, delivered once.
+func TestServiceRetriesSlowFramesExactlyOnce(t *testing.T) {
+	requireLoopback(t)
+	const retryAfter = 20 * time.Millisecond
+	var slowed sync.Map // ids whose first Ingest at the middle stage was held
+	_, addrs := startStageNodes(t, func(node *rmi.Node, dom *par.Domain) {
+		dom.Weaver().Plug(aspect.NewAspect("slow", 100).Around(aspect.Call("Stage", "Ingest"),
+			func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
+				if jp.Target.(*Stage).kind == Kinds[1] {
+					if _, again := slowed.LoadOrStore(jp.Args[0].(int64), true); !again {
+						time.Sleep(3 * retryAfter)
+					}
+				}
+				return proceed(jp.Args)
+			}))
+	})
+	s, err := StartService(ServiceConfig{Addrs: addrs, RetryAfter: retryAfter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	in := frames(12, 24)
+	want := Sequential(in)
+	var ids []int64
+	for lo := 0; lo < len(in); lo += 4 {
+		batch, err := s.Submit(in[lo : lo+4])
+		if err != nil {
+			t.Fatalf("submit wave at %d: %v", lo, err)
+		}
+		ids = append(ids, batch...)
+	}
+	got, err := s.Drain()
+	if err != nil {
+		t.Fatalf("drain: %v (recorded: %v)", err, s.Err())
+	}
+	assertStream(t, got, ids, in, want)
+	st := s.Stats()
+	if st.Retried == 0 {
+		t.Error("no frame was re-ingested while still in flight")
+	}
+	if st.Duplicates != 0 || st.Completed != int64(len(in)) {
+		t.Errorf("stats: %+v", st)
 	}
 }
 
