@@ -23,10 +23,8 @@ type Frame []float64
 
 // Stage is the sequential core class: one image filter. It is oblivious of
 // pipelining, concurrency and distribution. For the resident streaming
-// service the stage also carries a small idempotence layer: a bounded cache
-// of recently filtered frame ids (so a redelivered hop re-forwards the
-// cached output instead of duplicating work) and — on the terminal stage —
-// an exactly-once completion ledger the service reads with AwaitDone.
+// service the terminal stage also carries the stream's one dedupe layer: an
+// exactly-once completion ledger the service reads with AwaitDone.
 type Stage struct {
 	kind string
 	last bool // terminal stage of a streaming chain: records completions
@@ -34,9 +32,6 @@ type Stage struct {
 	mu  sync.Mutex
 	out []Frame
 	ops int64
-
-	seen  map[int64]Frame // id → cached output (bounded by streamSeen)
-	order []int64         // seen insertion order, for eviction
 
 	// Terminal stage only. The ledger is an append-only sequence: entry k
 	// (counting from 1) is doneIDs[k-1-base]. A reader acknowledges a prefix
@@ -50,12 +45,6 @@ type Stage struct {
 	appended   chan struct{}   // closed and replaced on every append
 	stop       <-chan struct{} // the hosting node is shutting down (ParkUntil)
 }
-
-// streamSeen bounds each stage's idempotence cache. Old entries evict in
-// insertion order; the end-to-end retry in Service re-filters anything that
-// falls out (the filters are deterministic, so a recomputed frame is
-// byte-identical to the evicted one).
-const streamSeen = 4096
 
 // idSet records int64 ids, each at most once, in memory bounded by how far
 // out of order they arrive: every id below low is a member, and only the
@@ -161,25 +150,14 @@ func (s *Stage) Apply(f Frame) Frame {
 
 // Ingest is the streaming entry point: filter one identified frame and
 // return (id, output) for the forward rule to carry to the next stage. A
-// repeated id — a redelivered strand or an end-to-end retry — returns the
-// cached output without re-counting work, so retries are idempotent at
-// every stage and the terminal ledger delivers each id at most once.
+// repeated id — a redelivered hop or an end-to-end retry — is filtered
+// again; the filters are deterministic, so the recomputed frame is
+// byte-identical, and the terminal stage appends an id to its ledger only
+// the first time it sees it, so each id is delivered at most once.
 func (s *Stage) Ingest(id int64, f Frame) (int64, Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if out, ok := s.seen[id]; ok {
-		return id, out
-	}
 	out := s.filter(f)
-	if s.seen == nil {
-		s.seen = make(map[int64]Frame)
-	}
-	s.seen[id] = out
-	s.order = append(s.order, id)
-	if len(s.order) > streamSeen {
-		delete(s.seen, s.order[0])
-		s.order = s.order[1:]
-	}
 	if s.last && s.recorded.add(id) {
 		s.doneIDs = append(s.doneIDs, id)
 		s.doneFrames = append(s.doneFrames, out)

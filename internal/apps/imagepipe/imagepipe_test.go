@@ -136,6 +136,7 @@ func TestTerminalLedgerIsBoundedAndExactlyOnce(t *testing.T) {
 	s, _ := NewStage("threshold")
 	s.markTerminal()
 	const total = 200_000
+	const bound = 4096 // ids the ledger may remember individually
 	f := Frame{0.7}
 	delivered := make([]bool, total)
 	var inc, cursor int64
@@ -168,8 +169,8 @@ func TestTerminalLedgerIsBoundedAndExactlyOnce(t *testing.T) {
 		if id%64 == 63 {
 			read()
 		}
-		if n := len(s.recorded.above); n > streamSeen {
-			t.Fatalf("after id %d the ledger remembers %d ids individually, want at most %d", id, n, streamSeen)
+		if n := len(s.recorded.above); n > bound {
+			t.Fatalf("after id %d the ledger remembers %d ids individually, want at most %d", id, n, bound)
 		}
 	}
 	for _, id := range late {

@@ -29,17 +29,18 @@ import (
 // its retry deadline, and start the parked read again if it ended. Fault
 // detection and recovery live there, at the cadence the service always had.
 //
-// Delivery is exactly-once end to end, by layered idempotence rather than
-// distributed transactions: every frame carries a stream id, every stage
-// dedupes ids against a bounded cache (a redelivered hop re-forwards the
-// cached output), the terminal stage's ledger records each id at most once
-// and is read by cursor — entries leave it only once a later read has
-// acknowledged them, so a lost reply is repeated, not lost — and the service
-// re-ingests from the head any id that misses its retry deadline. A
+// Delivery is exactly-once end to end with one dedupe layer, the terminal
+// stage's ledger, rather than distributed transactions: every frame carries a
+// stream id, the ledger records each id at most once and is read by cursor —
+// entries leave it only once a later read has acknowledged them, so a lost
+// reply is repeated, not lost — the driver hands out only ids still pending,
+// and the service re-ingests from the head any id that misses its retry
+// deadline. Inner stages keep no record of what they filtered: a duplicate
+// is filtered again, byte-identically, and absorbed at the ledger. A
 // mid-stream stage crash therefore loses nothing: unacked hops strand at the
 // upstream node and are redelivered after the topology heals, anything lost
-// inside the dead process is re-driven from the head, and the dedupe layers
-// absorb every duplicate the recovery creates.
+// inside the dead process is re-driven from the head, and the ledger absorbs
+// every duplicate the recovery creates.
 type Service struct {
 	cfg   ServiceConfig
 	clk   clock.Clock
@@ -110,8 +111,8 @@ type ServiceConfig struct {
 	Window int
 
 	// RetryAfter is the end-to-end retry deadline: a frame not delivered
-	// within it is re-ingested from the head (default 250ms). Stage-level
-	// dedupe makes the retry idempotent.
+	// within it is re-ingested from the head (default 250ms). The terminal
+	// ledger makes the retry idempotent.
 	RetryAfter time.Duration
 
 	// Clock overrides the service's time source (retry deadlines, the
