@@ -702,6 +702,7 @@ func (fa *netFaults) settleLocked(pf *peerFault, call *netCall, err error) bool 
 func (fa *netFaults) checkpointed(exp *netExport, res []any, err error) {
 	fa.mu.Lock()
 	exp.ckptPending = false
+	fa.cond.Broadcast() // a Join may be waiting for the probe to conclude
 	if err != nil {
 		// Only a servant-level refusal disables checkpointing; a
 		// transport-path failure leaves the gate open for a retry after the
@@ -817,7 +818,8 @@ func (fa *netFaults) invalidate(cause error) {
 }
 
 // join blocks until every peer is quiescent — no recovery running, no
-// journaled call unsettled — and returns the terminal fault errors.
+// journaled call unsettled, no checkpoint probe scheduled but not yet
+// concluded — and returns the terminal fault errors.
 func (fa *netFaults) join() error {
 	fa.mu.Lock()
 	for fa.busyLocked() {
@@ -830,6 +832,13 @@ func (fa *netFaults) join() error {
 }
 
 func (fa *netFaults) busyLocked() bool {
+	// settleLocked schedules a probe on a goroutine of its own, so it can be
+	// in no journal yet; its flag covers it from scheduling to conclusion.
+	for _, exp := range fa.exports {
+		if exp.ckptPending {
+			return true
+		}
+	}
 	for _, pf := range fa.peers {
 		if pf.state == pfRecovering {
 			return true
