@@ -27,6 +27,11 @@ import (
 // the node retains its arguments and hands them to the driver at the next
 // poll, and the driver redelivers through its own (fault-journaled) stubs —
 // the automatic ClientForward fallback for a broken hop.
+//
+// Hops are not deduped by session: the lane dials its successors without a
+// session tag, so a hop is sent untracked, and a redelivered strand may run
+// a second time at its target. The application owns hop duplicates — the
+// image pipeline's terminal ledger records each frame id at most once.
 
 // Control verbs served under ControlName, in addition to the creation
 // protocol (see node.go).
@@ -144,7 +149,6 @@ type pipeRouter struct {
 	peers    map[string]*pipePeer     // by successor address
 	strands  []Stranded
 	errs     []string
-	seq      uint64
 }
 
 func newPipeRouter(n *Node) *pipeRouter {
@@ -339,11 +343,7 @@ func (r *pipeRouter) afterDispatch(name string, servant Servant, method string, 
 		r.strand(name, next, hop.stage+1, method, fw)
 		return
 	}
-	r.mu.Lock()
-	r.seq++
-	seq := r.seq
-	r.mu.Unlock()
-	stub.SendSeq(method, seq, SinkFunc(func(_ []any, _ time.Duration, err error) {
+	stub.SendSeq(method, 0, SinkFunc(func(_ []any, _ time.Duration, err error) {
 		switch {
 		case err == nil:
 			r.settle(name, nil)
