@@ -832,8 +832,8 @@ func (fa *netFaults) join() error {
 }
 
 func (fa *netFaults) busyLocked() bool {
-	// settleLocked schedules a probe on a goroutine of its own, so it can be
-	// in no journal yet; its flag covers it from scheduling to conclusion.
+	// settleLocked starts a probe on a goroutine that may not have journaled
+	// it yet; the flag covers the probe from scheduling to conclusion.
 	for _, exp := range fa.exports {
 		if exp.ckptPending {
 			return true
