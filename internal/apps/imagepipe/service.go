@@ -47,7 +47,6 @@ type Service struct {
 	ctx   exec.Context
 	class *par.Class
 	pipe  *par.Pipeline
-	stack *par.Stack
 	mw    *par.NetRMI
 	pool  *par.Pool
 	nodes []*rmi.Node // owned in-process loopback daemons
@@ -269,7 +268,7 @@ func (s *Service) deploy() error {
 	if err := s.pipe.UseTopology(s.mw); err != nil {
 		return err
 	}
-	s.stack = par.NewStack(dom, s.pipe, dist)
+	par.NewStack(dom, s.pipe, dist) // plugs the modules; nothing reads the stack back
 	head, err := s.class.New(s.ctx, Kinds[0], false)
 	if err != nil {
 		return fmt.Errorf("imagepipe: deploying stage chain: %w", err)

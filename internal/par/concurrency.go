@@ -38,9 +38,6 @@ type Concurrency struct {
 	// none, until NewStack sets it from the stack's Distribution. It is
 	// called with mu held.
 	placed func(obj any) (exec.NodeID, bool)
-	// executor launches an activity — a local object's drainer or one placed
-	// call; the ThreadPool optimisation replaces it with a bounded pool.
-	executor func(ctx exec.Context, name string, task func(exec.Context))
 }
 
 // object is what the module keeps per target, under the module lock.
@@ -56,16 +53,13 @@ type queued struct {
 	proceed aspect.ProceedFunc
 }
 
-// spawnActivity is the default executor: a fresh activity per task.
-func spawnActivity(ctx exec.Context, name string, task func(exec.Context)) { ctx.Spawn(name, task) }
-
 // NewConcurrency builds the module for the calls selected by pc (typically
 // call(Class.Method(..)) for the methods that may run in parallel).
 // Synchronisation covers the same pointcut: the paper's objects are not
 // thread safe, so every asynchronous method is also mutually exclusive per
 // object.
 func NewConcurrency(pc aspect.Pointcut) *Concurrency {
-	c := &Concurrency{objects: make(map[any]*object), executor: spawnActivity}
+	c := &Concurrency{objects: make(map[any]*object)}
 	c.placed = func(any) (exec.NodeID, bool) { return 0, false }
 
 	c.async = aspect.NewAspect("concurrency-async", precAsync).
@@ -85,7 +79,6 @@ func NewConcurrency(pc aspect.Pointcut) *Concurrency {
 				c.wg = ctx.NewWaitGroup()
 			}
 			c.wg.Add(1)
-			launch := c.executor
 			var o *object // stays nil for a call that needs an activity of its own
 			if _, remote := c.placed(jp.Target); !remote && jp.Target != nil {
 				o = c.object(ctx, jp.Target)
@@ -99,9 +92,9 @@ func NewConcurrency(pc aspect.Pointcut) *Concurrency {
 			c.mu.Unlock()
 			name := "async:" + jp.Type + "." + jp.Method
 			if o != nil {
-				launch(ctx, name, func(child exec.Context) { c.drain(child, o) })
+				ctx.Spawn(name, func(child exec.Context) { c.drain(child, o) })
 			} else {
-				launch(ctx, name, func(child exec.Context) { c.run(child, queued{jp, proceed}) })
+				ctx.Spawn(name, func(child exec.Context) { c.run(child, queued{jp, proceed}) })
 			}
 			return nil, nil
 		})
@@ -175,17 +168,6 @@ func (c *Concurrency) Plug(w *aspect.Weaver) { w.Plug(c.async, c.sync) }
 func (c *Concurrency) Unplug(w *aspect.Weaver) {
 	w.Unplug(c.async)
 	w.Unplug(c.sync)
-}
-
-// SetExecutor replaces the activity launcher (used by the ThreadPool
-// optimisation). Passing nil restores spawning.
-func (c *Concurrency) SetExecutor(e func(ctx exec.Context, name string, task func(exec.Context))) {
-	if e == nil {
-		e = spawnActivity
-	}
-	c.mu.Lock()
-	c.executor = e
-	c.mu.Unlock()
 }
 
 // Spawned reports how many asynchronous calls were launched (diagnostics).

@@ -80,16 +80,12 @@ func defineProbe(dom *Domain) *Class {
 }
 
 // probeStack wires Concurrency over every Probe method and creates n objects.
-func probeStack(t *testing.T, n int, extra func(*Concurrency) []Module) (*Class, *Concurrency, *Stack, []*probe) {
+func probeStack(t *testing.T, n int) (*Class, *Concurrency, *Stack, []*probe) {
 	t.Helper()
 	dom := NewDomain()
 	class := defineProbe(dom)
 	conc := NewConcurrency(aspect.Call("Probe", "*"))
-	mods := []Module{conc}
-	if extra != nil {
-		mods = append(mods, extra(conc)...)
-	}
-	stack := NewStack(dom, mods...)
+	stack := NewStack(dom, conc)
 	objs := make([]*probe, n)
 	for i := range objs {
 		obj, err := class.New(exec.Real())
@@ -114,7 +110,7 @@ func wantOrder(t *testing.T, got []int32, want ...int32) {
 }
 
 func TestConcurrencyLocalCallsRunInSubmissionOrder(t *testing.T) {
-	class, conc, stack, objs := probeStack(t, 2, nil)
+	class, conc, stack, objs := probeStack(t, 2)
 	ctx := exec.Real()
 	const n = 500
 	want := make([]int32, n)
@@ -141,7 +137,7 @@ func TestConcurrencyLocalCallsRunInSubmissionOrder(t *testing.T) {
 }
 
 func TestConcurrencyJoinWaitsForQueuedCallsAndReturnsTheirErrors(t *testing.T) {
-	class, conc, stack, objs := probeStack(t, 1, nil)
+	class, conc, stack, objs := probeStack(t, 1)
 	ctx := exec.Real()
 	o := objs[0]
 	// The drainer parks inside Hold, so the two Fails and the Step are still
@@ -176,7 +172,7 @@ func TestConcurrencyJoinWaitsForQueuedCallsAndReturnsTheirErrors(t *testing.T) {
 }
 
 func TestConcurrencySyncAndQueuedAsyncCallsNeverOverlap(t *testing.T) {
-	class, _, stack, objs := probeStack(t, 1, nil)
+	class, _, stack, objs := probeStack(t, 1)
 	ctx := exec.Real()
 	o := objs[0]
 	const n = 300
@@ -218,7 +214,7 @@ func TestConcurrencySyncAndQueuedAsyncCallsNeverOverlap(t *testing.T) {
 }
 
 func TestConcurrencyAsyncCallFromInsideACallRunsAfterIt(t *testing.T) {
-	class, _, stack, objs := probeStack(t, 1, nil)
+	class, _, stack, objs := probeStack(t, 1)
 	ctx := exec.Real()
 	o := objs[0]
 	if _, err := class.Call(ctx, o, "Nest", int32(7)); err != nil {
@@ -230,75 +226,6 @@ func TestConcurrencyAsyncCallFromInsideACallRunsAfterIt(t *testing.T) {
 	wantOrder(t, o.order, 7, -7, 8)
 	if o.overlap.Load() {
 		t.Error("the nested call ran inside its parent")
-	}
-}
-
-func TestThreadPoolOfOneOverThreeObjectsCompletes(t *testing.T) {
-	class, conc, stack, objs := probeStack(t, 3, func(c *Concurrency) []Module {
-		return []Module{NewThreadPool(c, 1)}
-	})
-	ctx := exec.Real()
-	const n = 200
-	for i := int32(0); i < n; i++ {
-		for _, o := range objs {
-			if _, err := class.Call(ctx, o, "Step", i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := stack.Join(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range objs {
-		if len(o.order) != n {
-			t.Errorf("object %d ran %d calls, want %d", i, len(o.order), n)
-		}
-	}
-	if conc.Spawned() != 3*n {
-		t.Errorf("spawned = %d, want %d", conc.Spawned(), 3*n)
-	}
-}
-
-// TestConcurrencySetExecutorMidRun swaps the executor while calls are in
-// flight (a ThreadPool plugged and unplugged under load): run it under -race.
-func TestConcurrencySetExecutorMidRun(t *testing.T) {
-	class, conc, stack, objs := probeStack(t, 4, nil)
-	ctx := exec.Real()
-	pool := NewThreadPool(conc, 2)
-	stop := make(chan struct{})
-	var swapper sync.WaitGroup
-	swapper.Add(1)
-	go func() {
-		defer swapper.Done()
-		for {
-			select {
-			case <-stop:
-				pool.Unplug(nil)
-				return
-			default:
-				pool.Plug(nil)
-				runtime.Gosched()
-				pool.Unplug(nil)
-			}
-		}
-	}()
-	const n = 400
-	for i := int32(0); i < n; i++ {
-		for _, o := range objs {
-			if _, err := class.Call(ctx, o, "Step", i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	close(stop)
-	swapper.Wait()
-	if err := stack.Join(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range objs {
-		if len(o.order) != n || o.overlap.Load() {
-			t.Errorf("object %d: %d calls (want %d), overlap %v", i, len(o.order), n, o.overlap.Load())
-		}
 	}
 }
 
@@ -365,7 +292,7 @@ func TestConcurrencyPlacedCallsKeepAnActivityEach(t *testing.T) {
 // goroutines one woven-local render used to hold: 8,192 asynchronous calls on
 // two local objects are two drainers, whatever the backlog.
 func TestAsyncCallsDoNotPileUpGoroutines(t *testing.T) {
-	class, _, stack, objs := probeStack(t, 2, nil)
+	class, _, stack, objs := probeStack(t, 2)
 	ctx := exec.Real()
 	base := runtime.NumGoroutine()
 	for i := int32(0); i < 8192/2; i++ {

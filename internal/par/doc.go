@@ -25,8 +25,8 @@
 //     cluster nodes and transparent redirection of calls through a
 //     [Middleware] — simulated Java RMI ([NewSimRMI]) or the lighter MPP
 //     message-passing package ([NewSimMPP]).
-//   - Optimisation ([ThreadPool], [Packing]): independently
-//     pluggable performance aspects.
+//   - Optimisation ([Packing]): an independently pluggable performance
+//     aspect.
 //
 // Core classes register with a [Domain] as a [Class]: a constructor, a method
 // table, and woven call sites ([Class.New], [Class.Call]) that route through
@@ -39,7 +39,7 @@
 //
 // Advice ordering (outermost first) is fixed by module precedence:
 //
-//	partition split/duplicate (40) > thread pool (35) > concurrency async (30)
+//	partition split/duplicate (40) > optimisation (35) > concurrency async (30)
 //	> distribution (20) > concurrency sync (10) > partition forward (8)
 //	> metering (5) > method body
 //

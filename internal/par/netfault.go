@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"aspectpar/internal/exec"
 	"aspectpar/internal/rmi"
@@ -240,7 +239,7 @@ type netCall struct {
 // connection's reader goroutine. The reply bytes of a value-returning call
 // are approximated — every later pending response waits behind this — where
 // re-encoding the results just for the traffic counter is too expensive.
-func (c *netCall) Deliver(res []any, _ time.Duration, err error) {
+func (c *netCall) Deliver(res []any, err error) {
 	if !c.void {
 		c.fa.m.stats.count(1, int64(approxReplySize(res)))
 	} else if err == nil {
@@ -260,7 +259,7 @@ func (c *netCall) conclude(res []any, err error) {
 	case c.ckpt != nil:
 		c.fa.checkpointed(c.ckpt, res, err)
 	default:
-		c.reply.Deliver(res, 0, err)
+		c.reply.Deliver(res, err)
 	}
 }
 
@@ -281,7 +280,7 @@ type outcome struct {
 func (p *parked) arm() { p.wg.Add(1) }
 
 // Deliver implements rmi.Sink.
-func (p *parked) Deliver(res []any, _ time.Duration, err error) {
+func (p *parked) Deliver(res []any, err error) {
 	p.o = outcome{res, err}
 	p.wg.Done()
 }

@@ -10,70 +10,11 @@ import (
 
 // This file implements the paper's fourth concern category: optimisation
 // aspects (Section 4.4). "Examples are: thread pools, cache objects,
-// communication packing and replicated computation." Thread pools and
-// communication packing are implemented here, each an independently
-// pluggable module.
-
-// --- Thread pool -------------------------------------------------------------
-
-// ThreadPool replaces the concurrency module's activity launcher with a
-// bounded pool of worker activities fed by a queue: what it bounds is the
-// number of local objects draining their call queues, plus placed calls in
-// flight, at once. Plugging it changes no pointcut: it reconfigures the
-// concurrency module, which is why it must be built over an existing
-// Concurrency.
-type ThreadPool struct {
-	conc    *Concurrency
-	workers int
-
-	mu    sync.Mutex
-	queue exec.Chan // nil until the first submit starts the workers
-}
-
-// NewThreadPool builds the optimisation over the given concurrency module.
-func NewThreadPool(conc *Concurrency, workers int) *ThreadPool {
-	if workers <= 0 {
-		panic(fmt.Sprintf("par: thread pool with %d workers", workers))
-	}
-	return &ThreadPool{conc: conc, workers: workers}
-}
-
-// ModuleName implements Module.
-func (t *ThreadPool) ModuleName() string { return fmt.Sprintf("threadpool(%d)", t.workers) }
-
-// Plug implements Module: it swaps the concurrency executor for the pool.
-func (t *ThreadPool) Plug(*aspect.Weaver) { t.conc.SetExecutor(t.submit) }
-
-// Unplug implements Module: it restores spawning.
-func (t *ThreadPool) Unplug(*aspect.Weaver) { t.conc.SetExecutor(nil) }
-
-// submit enqueues a task, starting the worker activities on first use (on
-// the submitting activity's node — the pool serves the client side, where
-// asynchronous calls are launched).
-func (t *ThreadPool) submit(ctx exec.Context, _ string, task func(exec.Context)) {
-	t.mu.Lock()
-	if t.queue == nil {
-		t.queue = ctx.NewChan(1 << 16)
-		for i := 0; i < t.workers; i++ {
-			ctx.SpawnDaemonOn(ctx.Node(), fmt.Sprintf("pool-worker-%d", i), t.worker)
-		}
-	}
-	q := t.queue
-	t.mu.Unlock()
-	q.Send(ctx, task)
-}
-
-func (t *ThreadPool) worker(ctx exec.Context) {
-	for {
-		v, ok := t.queue.Recv(ctx)
-		if !ok {
-			return
-		}
-		v.(func(exec.Context))(ctx)
-	}
-}
-
-// --- Communication packing ----------------------------------------------------
+// communication packing and replicated computation." Communication packing
+// is implemented here as an independently pluggable module. The thread pool
+// is subsumed by the concurrency module's per-object queue: one drainer per
+// busy object, not one activity per call (TestAsyncCallsDoNotPileUpGoroutines
+// pins the bound).
 
 // markPacked flags calls that carry an already-merged payload so the packing
 // advice does not re-buffer them.

@@ -688,55 +688,6 @@ func TestStackDescribe(t *testing.T) {
 
 // --- Optimisations --------------------------------------------------------------------
 
-func TestThreadPoolBoundsConcurrency(t *testing.T) {
-	dom, class := defineBox(t)
-	conc := NewConcurrency(aspect.Call("Box", "Work"))
-	meter := NewMetering(aspect.Call("Box", "*"), 1e6, 0)
-	farm := NewFarm(FarmConfig{Class: class, Method: "Work", Workers: 8, Split: splitBy(1)})
-	pool := NewThreadPool(conc, 2)
-	stack := NewStack(dom, farm, conc, meter, pool)
-	// Plenty of hardware contexts: only the pool limits parallelism.
-	cl := cluster.New(sim.NewEngine(), cluster.Config{Machines: 1, ContextsPerMachine: 16})
-	err := cl.Run(func(ctx exec.Context) {
-		obj, _ := class.New(ctx)
-		_, _ = class.Call(ctx, obj, "Work", payload(1, 2, 3, 4, 5, 6, 7, 8))
-		if err := stack.Join(ctx); err != nil {
-			t.Error(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 8 pieces × 1ms with 2 pool workers -> 4ms (vs 1ms unbounded).
-	if cl.Elapsed() != 4*time.Millisecond {
-		t.Errorf("elapsed = %v, want 4ms", cl.Elapsed())
-	}
-}
-
-func TestThreadPoolUnplugRestoresSpawning(t *testing.T) {
-	dom, class := defineBox(t)
-	conc := NewConcurrency(aspect.Call("Box", "Work"))
-	meter := NewMetering(aspect.Call("Box", "*"), 1e6, 0)
-	farm := NewFarm(FarmConfig{Class: class, Method: "Work", Workers: 8, Split: splitBy(1)})
-	pool := NewThreadPool(conc, 2)
-	stack := NewStack(dom, farm, conc, meter, pool)
-	pool.Unplug(dom.Weaver())
-	cl := cluster.New(sim.NewEngine(), cluster.Config{Machines: 1, ContextsPerMachine: 16})
-	err := cl.Run(func(ctx exec.Context) {
-		obj, _ := class.New(ctx)
-		_, _ = class.Call(ctx, obj, "Work", payload(1, 2, 3, 4, 5, 6, 7, 8))
-		if err := stack.Join(ctx); err != nil {
-			t.Error(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl.Elapsed() != time.Millisecond {
-		t.Errorf("elapsed = %v, want 1ms (unbounded spawning)", cl.Elapsed())
-	}
-}
-
 func TestPackingMergesMessages(t *testing.T) {
 	dom, class := defineBox(t)
 	farm := NewFarm(FarmConfig{Class: class, Method: "Work", Workers: 1, Split: splitBy(1)})

@@ -83,7 +83,6 @@ func WithDrainGrace(d time.Duration) PoolOption {
 type poolMember struct {
 	addr     string
 	node     exec.NodeID
-	epoch    int64
 	bad      int  // consecutive unhealthy observations
 	cordoned bool // no new placements; drain pending or done
 	drained  bool
@@ -159,7 +158,7 @@ func DialPool(registry string, opts ...PoolOption) (*Pool, error) {
 			continue
 		}
 		addrs[next] = mm.Addr
-		p.members[mm.Addr] = &poolMember{addr: mm.Addr, node: next, epoch: mm.Epoch}
+		p.members[mm.Addr] = &poolMember{addr: mm.Addr, node: next}
 		next++
 	}
 	if len(addrs) == 0 {
@@ -341,14 +340,13 @@ func (p *Pool) Refresh() error {
 		rec := p.members[mm.Addr]
 		if rec == nil {
 			// A newcomer: joins cordon-free.
-			rec = &poolMember{addr: mm.Addr, epoch: mm.Epoch}
+			rec = &poolMember{addr: mm.Addr}
 			p.members[mm.Addr] = rec
 			rec.node = -1 // resolved by AddNode below
 			acts = append(acts, action{addr: mm.Addr, join: true})
 			continue
 		}
 		rec.left = false
-		rec.epoch = mm.Epoch
 		if mm.Healthy {
 			rec.bad = 0
 			if rec.cordoned && !rec.drained {

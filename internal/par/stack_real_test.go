@@ -93,26 +93,3 @@ func TestRealBackendPipelineWithConcurrency(t *testing.T) {
 		}
 	}
 }
-
-func TestRealBackendThreadPool(t *testing.T) {
-	dom, class := defineBox(t)
-	conc := NewConcurrency(aspect.Call("Box", "Work"))
-	farm := NewFarm(FarmConfig{Class: class, Method: "Work", Workers: 2, Split: splitBy(1)})
-	pool := NewThreadPool(conc, 2)
-	stack := NewStack(dom, farm, conc, pool)
-	ctx := exec.Real()
-	obj, _ := class.New(ctx)
-	if _, err := class.Call(ctx, obj, "Work", []int32{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
-		t.Fatal(err)
-	}
-	if err := stack.Join(ctx); err != nil {
-		t.Fatal(err)
-	}
-	total := int64(0)
-	for _, w := range farm.Managed() {
-		total += w.(*box).sum()
-	}
-	if total != 36 {
-		t.Errorf("total = %d, want 36", total)
-	}
-}

@@ -117,7 +117,7 @@ func TestInvokeCBAllocsPerCall(t *testing.T) {
 	payload := make([]int32, 512)
 	ready := make(chan struct{}, 1)
 	call := func() {
-		stub.InvokeCB("M", func([]any, time.Duration, error) { ready <- struct{}{} }, payload)
+		stub.InvokeCB("M", func([]any, error) { ready <- struct{}{} }, payload)
 		<-ready
 	}
 	call() // warm the path
@@ -142,7 +142,7 @@ func TestBinaryInvokeCBAllocsPerCall(t *testing.T) {
 	_, stub := startEchoServer(t)
 	args := []any{make([]int32, 16)}
 	ready := make(chan struct{}, 1)
-	deliver := func([]any, time.Duration, error) { ready <- struct{}{} }
+	deliver := func([]any, error) { ready <- struct{}{} }
 	stub = stub.OnStream(1)
 	call := func() {
 		stub.InvokeCB("M", deliver, args...)
@@ -169,7 +169,7 @@ func TestBinaryInvokeSeqAllocsPerCall(t *testing.T) {
 	stub = stub.OnStream(1)
 	args := []any{make([]int32, 16)}
 	ready := make(chan struct{}, 1)
-	sink := SinkFunc(func([]any, time.Duration, error) { ready <- struct{}{} })
+	sink := SinkFunc(func([]any, error) { ready <- struct{}{} })
 	var seq uint64
 	call := func() {
 		seq++
@@ -215,7 +215,7 @@ func TestInvokeCBDeliversExactlyOnce(t *testing.T) {
 			srv.Abort() // crash the peer mid-stream
 		}
 		calls.Add(1)
-		stub.InvokeCB("M", func([]any, time.Duration, error) { deliveries.Add(1) }, payload)
+		stub.InvokeCB("M", func([]any, error) { deliveries.Add(1) }, payload)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for deliveries.Load() < calls.Load() && time.Now().Before(deadline) {
@@ -355,7 +355,7 @@ func TestBinaryCallCheaperThanGob(t *testing.T) {
 
 	perCall := func(stub *Stub) float64 {
 		ready := make(chan struct{}, 1)
-		deliver := func([]any, time.Duration, error) { ready <- struct{}{} }
+		deliver := func([]any, error) { ready <- struct{}{} }
 		call := func() {
 			stub.InvokeCB("M", deliver, payload)
 			<-ready

@@ -89,10 +89,10 @@ func TestBinaryCodecRoundTripsRequests(t *testing.T) {
 func TestBinaryCodecRoundTripsResponses(t *testing.T) {
 	RegisterType(time.Duration(0))
 	cases := []*response{
-		{Results: wireValueCases(), Bound: true, ServiceNs: 1234, Stream: 7},
+		{Results: wireValueCases(), Bound: true, Stream: 7},
 		{Err: "servant failure", Bound: true},
 		{Bound: true, Epoch: -42, Codec: "binary"},
-		{Dup: true, Stale: true},
+		{Stale: true},
 		{Results: []any{}, Bound: true}, // empty, not nil
 	}
 	for i, in := range cases {
@@ -418,7 +418,7 @@ func TestStreamDedupeIsPerStream(t *testing.T) {
 	}
 	invoke := func(stream uint32, seq uint64) int {
 		done := make(chan int, 1)
-		stub.OnStream(stream).InvokeSeq("M", seq, SinkFunc(func(res []any, _ time.Duration, err error) {
+		stub.OnStream(stream).InvokeSeq("M", seq, SinkFunc(func(res []any, err error) {
 			if err != nil {
 				t.Errorf("stream %d seq %d: %v", stream, seq, err)
 				done <- -1

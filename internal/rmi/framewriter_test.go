@@ -144,7 +144,7 @@ func TestWritesPerWindowedCall(t *testing.T) {
 	const window = 64
 	payload := make([]byte, 64)
 	done := make(chan error, window)
-	deliver := func(_ []any, _ time.Duration, err error) { done <- err }
+	deliver := func(_ []any, err error) { done <- err }
 	stubs := [3]*Stub{tp.stub.OnStream(1), tp.stub.OnStream(2), tp.stub.OnStream(3)}
 	post := func(i int) { stubs[i%len(stubs)].InvokeCB("M", deliver, payload) }
 	for i := 0; i < window; i++ {
@@ -338,7 +338,7 @@ func TestFrameWriterServerCloseDeliversBufferedReplies(t *testing.T) {
 	defer close(hold)
 	const calls = 90
 	results := make(chan error, calls+1)
-	deliver := func(_ []any, _ time.Duration, err error) { results <- err }
+	deliver := func(_ []any, err error) { results <- err }
 	tp.stub.InvokeCB("Park", deliver) // stream 0: dispatched by the read loop itself
 	await(t, parked, "the read loop to park in its servant")
 	for i := 0; i < calls; i++ {
@@ -400,8 +400,8 @@ func TestFrameWriterFlusherFailurePoisons(t *testing.T) {
 	const calls = 40
 	var fired [calls + 1]atomic.Int32
 	errs := make(chan error, calls+1)
-	deliver := func(i int) func([]any, time.Duration, error) {
-		return func(_ []any, _ time.Duration, err error) {
+	deliver := func(i int) func([]any, error) {
+		return func(_ []any, err error) {
 			fired[i].Add(1)
 			errs <- err
 		}

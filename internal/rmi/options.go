@@ -34,9 +34,8 @@ func (o *options) apply(opts []Option) {
 	}
 }
 
-// WithClock installs the time source — reconnect backoff on a client;
-// service-time stamps, drain graces and injected delays on a server. nil
-// keeps the wall clock.
+// WithClock installs the time source — reconnect backoff on a client; drain
+// graces and injected delays on a server. nil keeps the wall clock.
 func WithClock(clk clock.Clock) Option {
 	return func(o *options) { o.clk = clk }
 }

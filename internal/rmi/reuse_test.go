@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // The tests below pin the ownership rule of the recycled per-call records
@@ -26,7 +25,7 @@ type tagSink struct {
 	all   *sync.WaitGroup
 }
 
-func (s *tagSink) Deliver(res []any, _ time.Duration, err error) {
+func (s *tagSink) Deliver(res []any, err error) {
 	if s.fired.Add(1) != 1 {
 		return // counted; the test reports it
 	}
@@ -149,10 +148,10 @@ type holdSink struct {
 	letGo   chan struct{}
 }
 
-func (s *holdSink) Deliver(res []any, service time.Duration, err error) {
+func (s *holdSink) Deliver(res []any, err error) {
 	s.entered <- struct{}{}
 	<-s.letGo
-	s.tagSink.Deliver(res, service, err)
+	s.tagSink.Deliver(res, err)
 }
 
 // TestRecycledRecordsAcrossReconnect swaps the connection generation while

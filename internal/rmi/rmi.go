@@ -125,15 +125,9 @@ type response struct {
 	Bound   bool // lookup replies
 	// Epoch is the server's session epoch, stamped on handshake replies.
 	Epoch int64
-	// Dup marks a deduplicated replay whose cached response has been pruned:
-	// the call was applied exactly once; its results are gone.
-	Dup bool
 	// Stale marks a rejected session-tracked request whose epoch no longer
 	// matches the server's (restarted node, or a reset rotated the epoch).
 	Stale bool
-	// ServiceNs is the server-side dispatch time of a two-way call, handed
-	// to the caller's Sink as its service argument.
-	ServiceNs int64
 	// Stream echoes the request's stream, so the client's reader can match
 	// the response to the right per-stream FIFO.
 	Stream uint32
@@ -158,9 +152,9 @@ type Server struct {
 	requests atomic.Int64
 	sessions map[sessionKey]*clientSession
 
-	// clk is the server's time source: service-time stamps, the drain grace
-	// and injected dispatch delays all flow through it. Fixed before Listen
-	// (WithClock), so the serving goroutines read it without locking.
+	// clk is the server's time source: the drain grace and injected dispatch
+	// delays both flow through it. Fixed before Listen (WithClock), so the
+	// serving goroutines read it without locking.
 	clk clock.Clock
 
 	// codecs is the set of frame codecs this server accepts in handshake
@@ -472,15 +466,10 @@ func (s *Server) handle(req *request, scratch *response) *response {
 	if !ok {
 		resp.Err = fmt.Sprintf("object %q not bound", req.Object)
 	} else {
-		var start time.Time
-		if !req.OneWay {
-			start = s.clk.Now()
-		}
 		results, err := safeDispatch(dispatch, req.Method, req.Args)
 		resp.Bound = true
 		if !req.OneWay { // a one-way reply is a bare acknowledgement
 			resp.Results = results
-			resp.ServiceNs = s.clk.Since(start).Nanoseconds()
 		}
 		if err != nil {
 			resp.Err = err.Error()
@@ -623,22 +612,21 @@ func closeRead(conn net.Conn) {
 }
 
 // Sink receives the outcome of one asynchronous call, exactly once: the
-// results, the server-stamped dispatch time (zero when the transport failed
-// before a response) and the error — a RemoteError for a servant failure, the
-// transport error when the connection died or the send itself failed. Deliver
-// runs on the client's reader goroutine (or inline, when the call could not be
-// sent) and must not block; handing off to a buffered channel fits. A caller
-// that keeps a record per call of its own implements Sink on that record and
-// pays no closure per call; SinkFunc adapts a plain function.
+// results and the error — a RemoteError for a servant failure, the transport
+// error when the connection died or the send itself failed. Deliver runs on
+// the client's reader goroutine (or inline, when the call could not be sent)
+// and must not block; handing off to a buffered channel fits. A caller that
+// keeps a record per call of its own implements Sink on that record and pays
+// no closure per call; SinkFunc adapts a plain function.
 type Sink interface {
-	Deliver(res []any, service time.Duration, err error)
+	Deliver(res []any, err error)
 }
 
 // SinkFunc adapts a function to Sink.
-type SinkFunc func(res []any, service time.Duration, err error)
+type SinkFunc func(res []any, err error)
 
 // Deliver implements Sink.
-func (f SinkFunc) Deliver(res []any, service time.Duration, err error) { f(res, service, err) }
+func (f SinkFunc) Deliver(res []any, err error) { f(res, err) }
 
 // pendingReply is the one record a call has while its request is on the wire.
 // The server answers each stream in request order, so the client keeps a FIFO
@@ -707,7 +695,7 @@ func (p *pendingReply) complete(resp *response, err error) {
 	}
 	sink := p.sink
 	releasePending(p)
-	sink.Deliver(outcome(resp, err)) // a one-way reply is a bare acknowledgement: no results, no service time
+	sink.Deliver(outcome(resp, err)) // a one-way reply is a bare acknowledgement: no results
 }
 
 // requestPool recycles request frames: on the send path a request is fully
@@ -1167,8 +1155,7 @@ func (s *Stub) Invoke(method string, args ...any) ([]any, error) {
 		return nil, errEmptyMethod
 	}
 	resp, err := s.client.roundTrip(s.request(method, args, 0, false), nil)
-	res, _, err := outcome(&resp, err)
-	return res, err
+	return outcome(&resp, err)
 }
 
 // InvokeAsync ships the invocation and returns immediately with a future for
@@ -1178,34 +1165,32 @@ func (s *Stub) Invoke(method string, args ...any) ([]any, error) {
 // chain of synchronous Invokes would pay serially.
 func (s *Stub) InvokeAsync(method string, args ...any) *future.Future[[]any] {
 	f, resolve := future.New[[]any]()
-	s.InvokeCB(method, func(res []any, _ time.Duration, err error) { resolve(res, err) }, args...)
+	s.InvokeCB(method, resolve, args...)
 	return f
 }
 
-// outcome maps one wire response to the caller-visible result triple: the
-// results, the server-side service time (zero when the server did not stamp
-// one) and the error — a RemoteError for servant failures, ErrStaleSession
-// for session-epoch rejections, nil with nil results for deduplicated
-// replays whose cached response was pruned.
-func outcome(resp *response, err error) ([]any, time.Duration, error) {
+// outcome maps one wire response to the caller-visible results and error —
+// a RemoteError for servant failures, ErrStaleSession for session-epoch
+// rejections, nil with nil results for deduplicated replays whose cached
+// response was pruned.
+func outcome(resp *response, err error) ([]any, error) {
 	switch {
 	case err != nil:
-		return nil, 0, err
+		return nil, err
 	case resp.Stale:
-		return nil, 0, fmt.Errorf("rmi: %w", ErrStaleSession)
+		return nil, fmt.Errorf("rmi: %w", ErrStaleSession)
 	case resp.Err != "":
-		return resp.Results, time.Duration(resp.ServiceNs), &RemoteError{Msg: resp.Err}
+		return resp.Results, &RemoteError{Msg: resp.Err}
 	default:
-		return resp.Results, time.Duration(resp.ServiceNs), nil
+		return resp.Results, nil
 	}
 }
 
 // InvokeCB ships the invocation like InvokeAsync but delivers the outcome
 // through deliver instead of a future: no future, no per-call goroutine —
 // InvokeSeq without a sequence number, for a caller with a plain function
-// (see Sink for when and where deliver runs). The service argument is the
-// server-stamped dispatch time.
-func (s *Stub) InvokeCB(method string, deliver func([]any, time.Duration, error), args ...any) {
+// (see Sink for when and where deliver runs).
+func (s *Stub) InvokeCB(method string, deliver func([]any, error), args ...any) {
 	s.InvokeSeq(method, 0, SinkFunc(deliver), args...)
 }
 

@@ -67,7 +67,7 @@ func MixIdentity(base int64) int64 {
 
 // dedupeKeep bounds the per-client response cache: responses of the last
 // dedupeKeep applied sequence numbers can be replayed verbatim; older
-// duplicates are acknowledged with a bare Dup marker. It comfortably covers
+// duplicates are answered with a bare acknowledgement. It comfortably covers
 // any send window a replaying client can have had in flight.
 const dedupeKeep = 256
 
@@ -100,10 +100,10 @@ type trackedCall struct {
 
 // beginTracked is the server side of at-most-once execution for one tracked
 // request. It returns a non-nil response when the request must NOT be
-// dispatched — it was already applied (the cached response, or a bare Dup
-// marker once pruned) — possibly after waiting for an in-progress original
-// to finish. Otherwise it returns the trackedCall the handler must pass to
-// endTracked with the dispatched response.
+// dispatched — it was already applied (the cached response, or a bare
+// acknowledgement once pruned) — possibly after waiting for an in-progress
+// original to finish. Otherwise it returns the trackedCall the handler must
+// pass to endTracked with the dispatched response.
 func (s *Server) beginTracked(client string, stream uint32, seq uint64) (*response, trackedCall) {
 	s.mu.Lock()
 	key := sessionKey{client: client, stream: stream}
@@ -116,7 +116,7 @@ func (s *Server) beginTracked(client string, stream uint32, seq uint64) (*respon
 		r := sess.results[seq]
 		s.mu.Unlock()
 		if r == nil {
-			r = &response{Bound: true, Dup: true}
+			r = &response{Bound: true}
 		}
 		return r, trackedCall{}
 	}
@@ -127,7 +127,7 @@ func (s *Server) beginTracked(client string, stream uint32, seq uint64) (*respon
 		r := sess.results[seq]
 		s.mu.Unlock()
 		if r == nil {
-			r = &response{Bound: true, Dup: true}
+			r = &response{Bound: true}
 		}
 		return r, trackedCall{}
 	}
@@ -330,7 +330,7 @@ func (c *Client) Reconnect() (sameEpoch bool, err error) {
 // the dead connection never accepted is delivered here, inline.
 func (s *Stub) InvokeSeq(method string, seq uint64, sink Sink, args ...any) {
 	if method == "" {
-		sink.Deliver(nil, 0, errEmptyMethod)
+		sink.Deliver(nil, errEmptyMethod)
 		return
 	}
 	s.invoke(method, seq, false, sink, args)
@@ -346,11 +346,11 @@ func (s *Stub) InvokeSeq(method string, seq uint64, sink Sink, args ...any) {
 // failures are NOT accumulated for Flush (the sink owns them).
 func (s *Stub) SendSeq(method string, seq uint64, sink Sink, args ...any) {
 	if method == "" {
-		sink.Deliver(nil, 0, errEmptyMethod)
+		sink.Deliver(nil, errEmptyMethod)
 		return
 	}
 	if err := s.client.acquireSendCredit(); err != nil {
-		sink.Deliver(nil, 0, err)
+		sink.Deliver(nil, err)
 		return
 	}
 	s.invoke(method, seq, true, sink, args)

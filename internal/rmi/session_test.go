@@ -56,7 +56,7 @@ func invokeSeq(t *testing.T, stub *Stub, method string, seq uint64, args ...any)
 		err error
 	}
 	ch := make(chan out, 1)
-	stub.InvokeSeq(method, seq, SinkFunc(func(res []any, _ time.Duration, err error) { ch <- out{res, err} }), args...)
+	stub.InvokeSeq(method, seq, SinkFunc(func(res []any, err error) { ch <- out{res, err} }), args...)
 	o := <-ch
 	return o.res, o.err
 }
@@ -218,7 +218,7 @@ func TestSendSeqAcksPerCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	acks := make(chan error, 2)
-	ack := SinkFunc(func(_ []any, _ time.Duration, err error) { acks <- err })
+	ack := SinkFunc(func(_ []any, err error) { acks <- err })
 	stub.SendSeq("Add", 1, ack, int64(7))
 	stub.SendSeq("Fail", 2, ack)
 	if err := <-acks; err != nil {
@@ -234,25 +234,6 @@ func TestSendSeqAcksPerCall(t *testing.T) {
 	}
 	if got := total.Load(); got != 7 {
 		t.Errorf("total = %d, want 7", got)
-	}
-}
-
-func TestServiceTimeStamped(t *testing.T) {
-	_, addr, _ := startCounter(t)
-	c := dialSession(t, addr, "cli-1")
-	stub, err := c.Lookup("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	svcCh := make(chan time.Duration, 1)
-	stub.InvokeCB("Get", func(_ []any, svc time.Duration, err error) {
-		if err != nil {
-			t.Errorf("Get: %v", err)
-		}
-		svcCh <- svc
-	})
-	if svc := <-svcCh; svc <= 0 {
-		t.Errorf("service time %v, want > 0 (server must stamp dispatch time)", svc)
 	}
 }
 

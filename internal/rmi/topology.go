@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 )
 
 // This file is the node side of peer-to-peer pipeline forwarding. A driver
@@ -343,7 +342,7 @@ func (r *pipeRouter) afterDispatch(name string, servant Servant, method string, 
 		r.strand(name, next, hop.stage+1, method, fw)
 		return
 	}
-	stub.SendSeq(method, 0, SinkFunc(func(_ []any, _ time.Duration, err error) {
+	stub.SendSeq(method, 0, SinkFunc(func(_ []any, err error) {
 		switch {
 		case err == nil:
 			r.settle(name, nil)

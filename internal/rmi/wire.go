@@ -60,11 +60,9 @@ const (
 // response flag bits.
 const (
 	rfBound   = 1 << 0
-	rfDup     = 1 << 1
 	rfStale   = 1 << 2
 	rfErr     = 1 << 3
 	rfEpoch   = 1 << 4
-	rfService = 1 << 5
 	rfResults = 1 << 6
 	rfStream  = 1 << 7
 	rfCodec   = 1 << 8
@@ -208,9 +206,6 @@ func (e *binEncoder) EncodeResponse(resp *response) error {
 	if resp.Bound {
 		flags |= rfBound
 	}
-	if resp.Dup {
-		flags |= rfDup
-	}
 	if resp.Stale {
 		flags |= rfStale
 	}
@@ -219,9 +214,6 @@ func (e *binEncoder) EncodeResponse(resp *response) error {
 	}
 	if resp.Epoch != 0 {
 		flags |= rfEpoch
-	}
-	if resp.ServiceNs != 0 {
-		flags |= rfService
 	}
 	if resp.Results != nil {
 		flags |= rfResults
@@ -238,9 +230,6 @@ func (e *binEncoder) EncodeResponse(resp *response) error {
 	}
 	if flags&rfEpoch != 0 {
 		b = appendZigzag(b, resp.Epoch)
-	}
-	if flags&rfService != 0 {
-		b = appendZigzag(b, resp.ServiceNs)
 	}
 	if flags&rfErr != 0 {
 		b = appendWireString(b, resp.Err)
@@ -438,7 +427,6 @@ func (d *binDecoder) DecodeResponse(resp *response) error {
 		return err
 	}
 	resp.Bound = flags&rfBound != 0
-	resp.Dup = flags&rfDup != 0
 	resp.Stale = flags&rfStale != 0
 	if flags&rfStream != 0 {
 		s, err := c.uvarint()
@@ -452,11 +440,6 @@ func (d *binDecoder) DecodeResponse(resp *response) error {
 	}
 	if flags&rfEpoch != 0 {
 		if resp.Epoch, err = c.zigzag(); err != nil {
-			return err
-		}
-	}
-	if flags&rfService != 0 {
-		if resp.ServiceNs, err = c.zigzag(); err != nil {
 			return err
 		}
 	}

@@ -150,7 +150,6 @@ func (g *fuzzGen) response() *response {
 	flags := g.byte()
 	resp := &response{
 		Bound: flags&1 != 0,
-		Dup:   flags&2 != 0,
 		Stale: flags&4 != 0,
 	}
 	if flags&8 != 0 {
@@ -158,9 +157,6 @@ func (g *fuzzGen) response() *response {
 	}
 	if flags&16 != 0 {
 		resp.Epoch = int64(g.u64())
-	}
-	if flags&32 != 0 {
-		resp.ServiceNs = int64(g.u64())
 	}
 	if flags&64 != 0 {
 		resp.Stream = uint32(g.u64())
@@ -262,7 +258,7 @@ func FuzzBinaryDecodeRobustness(f *testing.F) {
 	buf.Reset()
 	bw = bufio.NewWriter(&buf)
 	enc = BinaryCodec().newEncoder(bw)
-	enc.EncodeResponse(&response{Results: []any{int64(-1), []float64{1.5}}, Bound: true, ServiceNs: 77})
+	enc.EncodeResponse(&response{Results: []any{int64(-1), []float64{1.5}}, Bound: true})
 	bw.Flush()
 	f.Add(buf.Bytes())
 	f.Add([]byte{})

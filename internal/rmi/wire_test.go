@@ -210,7 +210,7 @@ func TestBinaryDecoderRejectsBadNamedValues(t *testing.T) {
 func TestBinaryGoldenFrames(t *testing.T) {
 	const (
 		goldenRequest  = "69012d020350533105536965766503632f3107050d0002010309040c050d06000000000000f83f070173080201020903ffffffff02000000000000400a02ffffffffffffffff00000000000100000b02000000000000f83f00000000000002c00c020402090103000000"
-		goldenResponse = "1802f9010753a4130165030b01000000000000e03f09000a00"
+		goldenResponse = "1602d90107530165030b01000000000000e03f09000a00"
 	)
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
@@ -224,7 +224,7 @@ func TestBinaryGoldenFrames(t *testing.T) {
 		t.Errorf("request frame changed:\n got %s\nwant %s", got, goldenRequest)
 	}
 	buf.Reset()
-	if err := enc.EncodeResponse(&response{Results: []any{[]float64{0.5}, []int32{}, []int64(nil)}, Bound: true, ServiceNs: 1234, Stream: 7, Epoch: -42, Err: "e"}); err != nil {
+	if err := enc.EncodeResponse(&response{Results: []any{[]float64{0.5}, []int32{}, []int64(nil)}, Bound: true, Stream: 7, Epoch: -42, Err: "e"}); err != nil {
 		t.Fatal(err)
 	}
 	bw.Flush()

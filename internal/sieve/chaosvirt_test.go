@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,6 +163,31 @@ func TestChaosVirtualSweep(t *testing.T) {
 	}
 }
 
+// script runs a cell's scripted events, each on a goroutine of its own.
+// halt tells them the run is over and waits until they have returned, so
+// nothing a script starts — a joining daemon, say — comes up after the
+// harness has closed its nodes.
+type script struct {
+	stop chan struct{}
+	once sync.Once
+	wg   sync.WaitGroup
+}
+
+func newScript() *script { return &script{stop: make(chan struct{})} }
+
+func (s *script) run(event func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		event()
+	}()
+}
+
+func (s *script) halt() {
+	s.once.Do(func() { close(s.stop) })
+	s.wg.Wait()
+}
+
 // runVirtCell executes one scripted scenario cell and checks its oracle and
 // accounting invariants.
 func runVirtCell(t *testing.T, cell chaosCell, sc virtScenario, p Params, want []int32, seed int64) {
@@ -174,15 +200,8 @@ func runVirtCell(t *testing.T, cell chaosCell, sc virtScenario, p Params, want [
 	p.Clock = v
 	tag := fmt.Sprintf("seed=%d cell=%s scenario=%+v", seed, cell.name, sc)
 
-	stop := make(chan struct{})
-	stopped := false
-	halt := func() {
-		if !stopped {
-			stopped = true
-			close(stop)
-		}
-	}
-	defer halt()
+	ev := newScript()
+	defer ev.halt()
 
 	var fired atomic.Bool // first scripted event landed before the run ended
 	var kills []*killPlan
@@ -191,58 +210,58 @@ func runVirtCell(t *testing.T, cell chaosCell, sc virtScenario, p Params, want [
 	case "kill":
 		kills = append(kills, nodes.armKill(sc.Victim, sc.At))
 	case "partition":
-		go func() {
+		ev.run(func() {
 			select {
-			case <-stop:
+			case <-ev.stop:
 				return
 			case <-nodes.node(sc.Victim).WatchRequests(sc.At):
 			}
 			nodes.node(sc.Victim).SetPartitioned(true)
 			fired.Store(true)
 			select {
-			case <-stop:
+			case <-ev.stop:
 			case <-nodes.node(survivor).WatchRequests(sc.HealAt):
 			}
 			nodes.node(sc.Victim).SetPartitioned(false)
-		}()
+		})
 	case "slowlink":
-		go func() {
+		ev.run(func() {
 			select {
-			case <-stop:
+			case <-ev.stop:
 				return
 			case <-nodes.node(sc.Victim).WatchRequests(sc.At):
 			}
 			nodes.node(sc.Victim).SetDispatchDelay(sc.Delay)
 			fired.Store(true)
 			select {
-			case <-stop:
+			case <-ev.stop:
 			case <-nodes.node(sc.Victim).WatchRequests(sc.At2):
 			}
 			nodes.node(sc.Victim).SetDispatchDelay(0)
-		}()
+		})
 	case "multikill":
 		kills = append(kills, nodes.armKill(sc.Victim, sc.At), nodes.armKill(survivor, sc.At2))
 	case "driver-restart":
-		go func() {
+		ev.run(func() {
 			// Pin the victim's current incarnation: under a starved scheduler
 			// this goroutine can wake after the deployment restart below has
 			// already swapped in a fresh node, and partitioning that fresh
 			// node would sabotage the rerun it is supposed to stay clear of.
 			n := nodes.node(sc.Victim)
 			select {
-			case <-stop:
+			case <-ev.stop:
 				return
 			case <-n.WatchRequests(sc.At):
 			}
 			n.SetPartitioned(true)
 			fired.Store(true)
-		}()
+		})
 	default:
 		t.Fatalf("unknown scenario kind %q", sc.Kind)
 	}
 
 	res, err := RunCombo(cell.combo, p)
-	halt()
+	ev.halt()
 	for i, k := range kills {
 		if k.wait(t, tag) && i == 0 {
 			fired.Store(true)

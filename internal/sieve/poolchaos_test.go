@@ -150,60 +150,53 @@ func runPoolVirtCell(t *testing.T, cell chaosCell, sc virtScenario, p Params, wa
 	p.Clock = v
 	tag := fmt.Sprintf("seed=%d cell=%s scenario=%+v", seed, cell.name, sc)
 
-	stop := make(chan struct{})
-	stopped := false
-	halt := func() {
-		if !stopped {
-			stopped = true
-			close(stop)
-		}
-	}
-	defer halt()
+	ev := newScript()
+	defer ev.halt()
 
 	var fired atomic.Bool
 	victim := sc.Victim
 	survivor := 1 - victim
 	switch sc.Kind {
 	case "join":
-		go func() {
+		ev.run(func() {
 			select {
-			case <-stop:
+			case <-ev.stop:
 				return
 			case <-pc.node(0).WatchRequests(sc.At):
 			}
 			if pc.start() != nil {
 				fired.Store(true)
 			}
-		}()
+		})
 	case "leave":
-		go func() {
+		ev.run(func() {
 			select {
-			case <-stop:
+			case <-ev.stop:
 				return
 			case <-pc.node(victim).WatchRequests(sc.At):
 			}
 			pc.node(victim).Close() // graceful: drains in-flight calls, deregisters
 			fired.Store(true)
-		}()
+		})
 	case "flap":
-		go func() {
+		ev.run(func() {
 			select {
-			case <-stop:
+			case <-ev.stop:
 				return
 			case <-pc.node(victim).WatchRequests(sc.At):
 			}
 			pc.node(victim).SetPartitioned(true) // severs links AND silences beats
 			fired.Store(true)
 			select {
-			case <-stop:
+			case <-ev.stop:
 			case <-pc.node(survivor).WatchRequests(sc.HealAt):
 			}
 			pc.node(victim).SetPartitioned(false)
-		}()
+		})
 	case "cordon":
-		go func() {
+		ev.run(func() {
 			select {
-			case <-stop:
+			case <-ev.stop:
 				return
 			case <-pc.node(victim).WatchRequests(sc.At):
 			}
@@ -211,13 +204,13 @@ func runPoolVirtCell(t *testing.T, cell chaosCell, sc virtScenario, p Params, wa
 			// and the drain migrates its exports to the survivor.
 			pc.node(victim).SetPartitioned(true)
 			fired.Store(true)
-		}()
+		})
 	default:
 		t.Fatalf("unknown pool scenario kind %q", sc.Kind)
 	}
 
 	res, err := RunCombo(cell.combo, p)
-	halt()
+	ev.halt()
 	if err != nil {
 		t.Fatalf("%s: run failed: %v", tag, err)
 	}
@@ -307,22 +300,15 @@ func runChurnDrill(t *testing.T, seed int64, combo Combo, pol par.FaultPolicy, p
 	p.Faults = pol
 	p.Clock = v
 
-	stop := make(chan struct{})
-	stopped := false
-	halt := func() {
-		if !stopped {
-			stopped = true
-			close(stop)
-		}
-	}
-	defer halt()
+	ev := newScript()
+	defer ev.halt()
 
 	var joiner atomic.Pointer[rmi.Node]
-	go func() {
+	ev.run(func() {
 		// Daemon 1 crashes (no deregistration) at its killAt'th request and
 		// a fresh daemon joins the registry the moment it is dead.
 		select {
-		case <-stop:
+		case <-ev.stop:
 			return
 		case <-pc.node(1).WatchRequests(killAt):
 		}
@@ -334,15 +320,15 @@ func runChurnDrill(t *testing.T, seed int64, combo Combo, pol par.FaultPolicy, p
 		// the survivor: missed beats cordon it and the drain migrates its
 		// exports.
 		select {
-		case <-stop:
+		case <-ev.stop:
 			return
 		case <-pc.node(0).WatchRequests(pc.node(0).Requests() + cordonAfter):
 		}
 		pc.node(2).SetPartitioned(true)
-	}()
+	})
 
 	res, err := RunCombo(combo, p)
-	halt()
+	ev.halt()
 	tag := fmt.Sprintf("drill seed=%d (kill@%d, cordon+%d)", seed, killAt, cordonAfter)
 	if err != nil {
 		t.Fatalf("%s: run failed: %v", tag, err)
