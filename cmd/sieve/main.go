@@ -122,8 +122,8 @@ func main() {
 	}
 	if *faults {
 		f := res.Faults
-		fmt.Printf("fault layer  : %d reconnects, %d replays, %d failovers, %d dropped peers, %d requeued packs\n",
-			f.Reconnects, f.Replays, f.Failovers, f.DroppedPeers, f.Requeues)
+		fmt.Printf("fault layer  : %d reconnects, %d replays, %d failovers, %d dropped peers\n",
+			f.Reconnects, f.Replays, f.Failovers, f.DroppedPeers)
 	}
 
 	if *verify {

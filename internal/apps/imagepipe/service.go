@@ -98,7 +98,8 @@ type ServiceConfig struct {
 	Registry string
 
 	// Faults enables the middleware's fault-tolerance subsystem; a service
-	// that must survive node crashes sets Enabled (and usually Failover).
+	// that must survive node crashes sets Enabled, which also turns on
+	// placement failover.
 	Faults par.FaultPolicy
 
 	// Net appends extra middleware options (codec, stream width, ...).

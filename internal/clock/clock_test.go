@@ -91,11 +91,12 @@ func TestVirtualTimerStop(t *testing.T) {
 
 // TestVirtualAutoAdvance pins the pump: sleeps complete without anyone
 // calling Advance, in bounded wall time, and the clock lands exactly on the
-// deadlines (no drift from the settle delay).
+// deadlines (no drift from the settle delay). Every sleeper parks before the
+// pump starts: a sleeper parking after the first advance would sleep from the
+// advanced time, and its deadline would not be start+i hours.
 func TestVirtualAutoAdvance(t *testing.T) {
 	v := NewVirtual(time.Unix(0, 0))
 	defer v.Close()
-	v.AutoAdvance(100 * time.Microsecond)
 	var done atomic.Int32
 	var wg sync.WaitGroup
 	for i := 1; i <= 5; i++ {
@@ -106,6 +107,8 @@ func TestVirtualAutoAdvance(t *testing.T) {
 			done.Add(1)
 		}(i)
 	}
+	v.AwaitWaits(5)
+	v.AutoAdvance(100 * time.Microsecond)
 	wg.Wait()
 	if done.Load() != 5 {
 		t.Fatalf("done = %d, want 5", done.Load())

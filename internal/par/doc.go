@@ -74,8 +74,8 @@
 //     exponential backoff — so the same code neither burns a real CPU nor
 //     livelocks the discrete-event engine.
 //
-// Each successful steal charges StealConfig.StealOverhead of CPU to the
-// thief, so virtual-time runs account for the transaction cost. Under the
+// Each successful steal charges a fixed 2µs of CPU to the thief, so
+// virtual-time runs account for the transaction cost. Under the
 // virtual-time backend the whole protocol is deterministic: victim selection
 // is a fixed scan order, backoff is seedless, and the engine orders
 // same-instant events FIFO. [Farm.StealStats] exposes the counters; the
@@ -205,22 +205,16 @@
 //     surviving node hosts the class, the pending calls fail and Join
 //     surfaces a typed [NoFailoverError]: fail fast, never silent loss.
 //
-// FaultPolicy.RequeueOrphans changes who owns a lost session's in-flight
-// packs: instead of replaying them, the middleware hands them back as
-// retryable [FaultError]s carrying the original arguments, and the
-// stealing farm's worker loop re-absorbs them into the deques — a
-// surviving replica's worker re-executes them, and the scheduler's
-// Executed == Seeded + Splits invariant holds through the crash because
-// an orphaned pack was never counted finished. A worker whose replica
-// keeps orphaning goes dead (its queued packs stay stealable); if every
-// replica is lost with work outstanding, the round aborts with an error.
+// A lost session's in-flight packs are replayed by the journal like any
+// other call; the stealing farm has no recovery path of its own, and the
+// scheduler's Executed == Seeded + Splits invariant holds through the crash.
 //
 // Two guards close the reset race: NetRMI.Reset bumps the journal
 // generation (an in-flight recovery abandons instead of resurrecting
 // pre-reset exports), and the node's reset rotates its session epoch (a
 // replay that slips past the client-side check is rejected as stale,
 // rmi.ErrStaleSession). [NetRMI.FaultStats] counts reconnects, replays,
-// failovers, dropped peers, requeued orphans and abandoned recoveries; the
+// failovers, dropped peers and abandoned recoveries; the
 // chaos CI matrix kills node daemons at seeded points mid-run and pins
 // every cell to the hand-coded oracle. The journal holds constructor
 // arguments and applied calls for the run's lifetime — bounded work for

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"sync/atomic"
 	"time"
 
 	"aspectpar/internal/aspect"
@@ -28,11 +27,6 @@ type Metering struct {
 	nsPerOp float64
 	// dispatchOverhead is charged once per intercepted joinpoint.
 	dispatchOverhead time.Duration
-	// joinpoints and ops accumulate what the module observed — the tap
-	// tests use to assert work conservation (a run performs exactly the
-	// operations of the sequential code, however it was scheduled).
-	joinpoints atomic.Int64
-	ops        atomic.Int64
 }
 
 // NewMetering builds the module for the joinpoints selected by pc (calls and
@@ -50,12 +44,9 @@ func NewMetering(pc aspect.Pointcut, nsPerOp float64, dispatchOverhead time.Dura
 			} else {
 				subject = jp.Target
 			}
-			m.joinpoints.Add(1)
 			cost := m.dispatchOverhead
 			if rep, ok := subject.(OpsReporter); ok {
-				n := rep.TakeOps()
-				m.ops.Add(n)
-				cost += time.Duration(float64(n) * m.nsPerOp)
+				cost += time.Duration(float64(rep.TakeOps()) * m.nsPerOp)
 			}
 			if cost > 0 {
 				ctxOf(jp).Compute(cost)
@@ -67,12 +58,6 @@ func NewMetering(pc aspect.Pointcut, nsPerOp float64, dispatchOverhead time.Dura
 
 // NsPerOp returns the configured per-operation cost.
 func (m *Metering) NsPerOp() float64 { return m.nsPerOp }
-
-// Observed reports how many joinpoints the module intercepted and how many
-// operations it billed — the cost-account totals scheduling cannot change.
-func (m *Metering) Observed() (joinpoints, ops int64) {
-	return m.joinpoints.Load(), m.ops.Load()
-}
 
 // ModuleName implements Module.
 func (m *Metering) ModuleName() string { return "metering" }

@@ -34,16 +34,14 @@ import (
 //     journaled constructor arguments and replays its applied-call history in
 //     order, reconstructing the state; re-execution is correct precisely
 //     because the previous incarnation's effects vanished with it. Then the
-//     unacknowledged calls are replayed (or, under RequeueOrphans, handed
-//     back to the scheduler as retryable orphans).
+//     unacknowledged calls are replayed.
 //
 //   - Placement failover (node unreachable): when the reconnect budget is
-//     exhausted the peer is declared lost. Unless NoFailover is set, its
-//     objects are re-created on a surviving node the same way (creation +
-//     history replay), the registry placement is remapped — the
-//     middleware's NodeOf now reports the surviving node — and the
-//     orphaned calls follow. When no
-//     surviving node hosts the class, the journal is failed with a typed
+//     exhausted the peer is declared lost. Its objects are re-created on a
+//     surviving node the same way (creation + history replay), the
+//     registry placement is remapped — the middleware's NodeOf now reports
+//     the surviving node — and the orphaned calls follow. When no surviving
+//     node hosts the class, the journal is failed with a typed
 //     NoFailoverError that Join surfaces: fail fast, not silent loss.
 //
 // Fail-fast is the degenerate policy of the same path (FaultPolicy's zero
@@ -68,20 +66,6 @@ type FaultPolicy struct {
 	// value selects rmi.ReconnectPolicy's defaults (5 attempts, 5ms..250ms
 	// exponential backoff).
 	Reconnect rmi.ReconnectPolicy
-	// MaxRecoveryRounds is the number of full reconnect+replay cycles per
-	// failure before the peer is declared lost (a replay can itself hit a
-	// dying node); 0 selects 2.
-	MaxRecoveryRounds int
-	// NoFailover keeps recovery reconnect-only: a lost peer's calls fail
-	// (or requeue, see RequeueOrphans) instead of moving its objects to a
-	// surviving node.
-	NoFailover bool
-	// RequeueOrphans hands the unacknowledged *windowed* calls of a lost
-	// session back to their caller as retryable FaultErrors instead of
-	// replaying them: the stealing farm's scheduler re-absorbs the orphaned
-	// packs and a surviving replica re-executes them. Object state is still
-	// reconstructed by history replay; only the in-flight packs change hands.
-	RequeueOrphans bool
 	// CheckpointEvery bounds the replay journal: once an export's
 	// applied-call history reaches this length, the journal asks the
 	// object to Snapshot itself and truncates the history behind the
@@ -93,16 +77,17 @@ type FaultPolicy struct {
 	CheckpointEvery int
 }
 
+// recoveryRounds is the number of full reconnect+replay cycles per failure
+// before the peer is declared lost (a replay can itself hit a dying node).
+const recoveryRounds = 2
+
 // withDefaults resolves the policy the journal actually runs. A policy that
 // is not Enabled is spelled out as data rather than tested for on the paths:
-// zero recovery rounds, no failover, one creation attempt, nothing requeued,
-// nothing checkpointed — whatever its other fields say.
+// one creation attempt, nothing checkpointed — whatever its other fields say.
+// Whether recovery runs rounds and fails over at all follows Enabled.
 func (p FaultPolicy) withDefaults() FaultPolicy {
 	if !p.Enabled {
-		return FaultPolicy{NoFailover: true, Reconnect: rmi.ReconnectPolicy{MaxAttempts: 1}}
-	}
-	if p.MaxRecoveryRounds <= 0 {
-		p.MaxRecoveryRounds = 2
+		return FaultPolicy{Reconnect: rmi.ReconnectPolicy{MaxAttempts: 1}}
 	}
 	return p
 }
@@ -120,9 +105,6 @@ type FaultStats struct {
 	Failovers int64
 	// DroppedPeers counts peers given up on after the recovery budget.
 	DroppedPeers int64
-	// Requeues counts windowed calls handed back to the scheduler as
-	// retryable orphans (FaultPolicy.RequeueOrphans).
-	Requeues int64
 	// Abandoned counts peers drained without replay because their
 	// generation ended (Reset/Close raced the recovery). Tests use it as
 	// the "recovery finished, nothing resurrected" signal.
@@ -136,29 +118,18 @@ type FaultStats struct {
 	Checkpoints int64
 }
 
-// FaultError wraps a call the journal could not transparently recover.
-// Retryable reports that the call never executed anywhere — its state effect
-// is not lost, just unplaced — so the caller may re-dispatch it elsewhere;
-// the stealing farm's worker loop does exactly that with the original
-// Args (scheduler reabsorption). Non-retryable errors are terminal.
+// FaultError wraps a call the journal could not transparently recover. It is
+// terminal: no recovery will run the call.
 type FaultError struct {
-	Object    string
-	Method    string
-	Node      exec.NodeID
-	Retryable bool
-	// Args is the original argument list of a retryable call: the pack the
-	// scheduler re-absorbs. Nil on terminal errors.
-	Args []any
-	Err  error
+	Object string
+	Method string
+	Node   exec.NodeID
+	Err    error
 }
 
 // Error implements error.
 func (e *FaultError) Error() string {
-	verb := "lost"
-	if e.Retryable {
-		verb = "orphaned"
-	}
-	return fmt.Sprintf("par: netrmi %s call %s.%s (node %d): %v", verb, e.Object, e.Method, e.Node, e.Err)
+	return fmt.Sprintf("par: netrmi lost call %s.%s (node %d): %v", e.Object, e.Method, e.Node, e.Err)
 }
 
 // Unwrap implements errors.Is/As chaining.
@@ -208,14 +179,13 @@ const (
 // and the place its final outcome leaves from (conclude), so a call costs
 // this allocation and no closure.
 type netCall struct {
-	fa       *netFaults
-	seq      uint64
-	stream   uint32 // dispatch stream the call rides: its seq space and dedupe key
-	ref      *NetRef
-	method   string
-	args     []any
-	void     bool
-	windowed bool
+	fa     *netFaults
+	seq    uint64
+	stream uint32 // dispatch stream the call rides: its seq space and dedupe key
+	ref    *NetRef
+	method string
+	args   []any
+	void   bool
 
 	// Who waits for the final outcome — nobody, for a fire-and-forget void
 	// call, whose terminal failure goes to the Join error list instead; else
@@ -378,7 +348,6 @@ type netFaults struct {
 	replays      atomic.Int64
 	failovers    atomic.Int64
 	droppedPeers atomic.Int64
-	requeues     atomic.Int64
 	abandoned    atomic.Int64
 	drains       atomic.Int64
 	checkpoints  atomic.Int64
@@ -421,7 +390,6 @@ func (fa *netFaults) stats() FaultStats {
 		Replays:      fa.replays.Load(),
 		Failovers:    fa.failovers.Load(),
 		DroppedPeers: fa.droppedPeers.Load(),
-		Requeues:     fa.requeues.Load(),
 		Abandoned:    fa.abandoned.Load(),
 		Drains:       fa.drains.Load(),
 		Checkpoints:  fa.checkpoints.Load(),
@@ -568,7 +536,7 @@ func (fa *netFaults) submit(call *netCall) {
 			// order == its seq order.
 			fa.transmit(pf, call, gen, stub)
 			if !fa.policy.Enabled {
-				// Nothing will ever replay or requeue it, so the journal entry
+				// Nothing will ever replay it, so the journal entry
 				// need not pin the payload (a 400 KB pack, times the send
 				// window) until the acknowledgement.
 				call.args = nil
@@ -751,17 +719,9 @@ func (fa *netFaults) recordErr(err error) {
 	fa.mu.Unlock()
 }
 
-// deliverOrphan fails one call against a lost peer: retryable — so the
-// stealing scheduler re-absorbs the pack — when the policy requeues orphans
-// and the call is a windowed pack with a caller to hand it back to.
+// deliverOrphan fails one call against a lost peer.
 func (fa *netFaults) deliverOrphan(call *netCall, node exec.NodeID, cause error) {
-	retry := fa.policy.RequeueOrphans && call.windowed && !call.void
-	fe := &FaultError{Object: call.ref.Name, Method: call.method, Node: node, Retryable: retry, Err: cause}
-	if retry {
-		fe.Args = call.args
-		fa.requeues.Add(1)
-	}
-	fa.finish(call, nil, fe)
+	fa.finish(call, nil, &FaultError{Object: call.ref.Name, Method: call.method, Node: node, Err: cause})
 }
 
 // callSync performs one session-tracked call synchronously on wire's stream,

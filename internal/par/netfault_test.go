@@ -348,39 +348,6 @@ func TestFaultNoSurvivorFailsFastTyped(t *testing.T) {
 	}
 }
 
-// TestFaultRequeueOrphansRetryable pins the scheduler-reabsorption contract:
-// under RequeueOrphans + NoFailover, a lost peer's windowed calls come back
-// as retryable FaultErrors carrying the original arguments — the shape the
-// stealing farm's windowed loop requeues — and Join stays clean (nothing
-// was lost; the packs are the caller's again).
-func TestFaultRequeueOrphansRetryable(t *testing.T) {
-	r := startFaultRig(t, 1, FaultPolicy{
-		NoFailover: true, RequeueOrphans: true,
-		Reconnect: rmi.ReconnectPolicy{MaxAttempts: 2, BaseBackoff: 2 * time.Millisecond},
-	})
-	obj := r.export(t, "PS1", 0)
-	r.node(0).Abort()
-	done := r.ctx.NewChan(2)
-	args := []any{int64(42)}
-	r.mw.InvokeAsync(r.ctx, obj, "Add", args, false, done)
-	v, _ := done.Recv(r.ctx)
-	_, err := v.(*Completion).Reclaim(r.ctx)
-	var fe *FaultError
-	if !errors.As(err, &fe) {
-		t.Fatalf("orphan completion error = %v, want FaultError", err)
-	}
-	if !fe.Retryable || len(fe.Args) != 1 || fe.Args[0].(int64) != 42 {
-		t.Errorf("orphan not retryable with original args: %+v", fe)
-	}
-	st := r.mw.FaultStats()
-	if st.Requeues == 0 || st.DroppedPeers == 0 {
-		t.Errorf("requeue left no trace: %+v", st)
-	}
-	if err := r.mw.Join(r.ctx); err != nil {
-		t.Errorf("Join = %v, want nil (orphans were handed back, not lost)", err)
-	}
-}
-
 // TestFaultResetDoesNotResurrect is the CtlReset ↔ reconnect race
 // regression: a driver reset racing a peer's recovery must not resurrect
 // pre-reset exports. The middleware runs on a virtual clock nobody advances,

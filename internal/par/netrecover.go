@@ -32,7 +32,7 @@ func (fa *netFaults) recover(pf *peerFault, gen int64) {
 	fa.quiesceLocked(pf)
 	fa.mu.Unlock()
 	client := fa.m.clientOf(pf.node)
-	for round := 0; client != nil && round < fa.policy.MaxRecoveryRounds; round++ {
+	for round := 0; client != nil && fa.policy.Enabled && round < recoveryRounds; round++ {
 		if fa.stale(gen) {
 			fa.abandon(pf)
 			return
@@ -60,8 +60,7 @@ func (fa *netFaults) recover(pf *peerFault, gen int64) {
 //   - pf's own node as a new incarnation, or a surviving node taking the lost
 //     peer's objects: sessions there started empty (or carry the survivor's
 //     own traffic), so replays draw fresh sequence numbers on the target's
-//     journal, every call keeping its stream. Under RequeueOrphans the
-//     windowed entries are handed back to the scheduler instead.
+//     journal, every call keeping its stream.
 //
 // Entries submitted while the drain runs are part of it. When every journal
 // is empty the peer is, atomically, healed (target is its own node) or left
@@ -69,7 +68,6 @@ func (fa *netFaults) recover(pf *peerFault, gen int64) {
 // failure mid-replay returns false: the caller starts another round, or
 // tries the next survivor.
 func (fa *netFaults) drainJournal(pf *peerFault, gen int64, target exec.NodeID, sameSeq bool) bool {
-	requeue := !sameSeq && fa.policy.RequeueOrphans
 	for {
 		fa.mu.Lock()
 		if gen != fa.gen || fa.closed {
@@ -94,9 +92,8 @@ func (fa *netFaults) drainJournal(pf *peerFault, gen int64, target exec.NodeID, 
 		}
 		call := sj.calls[0]
 		exp := fa.exports[call.ref]
-		if exp.dead || requeue && call.windowed && !call.void {
-			// Nothing to replay it on (the object could not be rebuilt), or
-			// the policy hands windowed packs back instead of replaying them.
+		if exp.dead {
+			// Nothing to replay it on: the object could not be rebuilt.
 			dropLocked(sj, call)
 			fa.cond.Broadcast()
 			fa.mu.Unlock()
@@ -251,8 +248,8 @@ func (fa *netFaults) exportNew(node exec.NodeID, name string, ctlArgs []any) (*r
 	dialFails := 0
 	// retarget is creation-time placement failover: the object has not been
 	// built anywhere yet, so the creation simply moves to a surviving node —
-	// a fresh session there, nothing to dedupe — unless the policy pins
-	// placement.
+	// a fresh session there, nothing to dedupe — unless the policy is
+	// fail-fast.
 	retarget := func() bool {
 		return fa.failoverTo(node, func(target exec.NodeID) bool {
 			fa.failovers.Add(1)
@@ -328,7 +325,7 @@ func (fa *netFaults) awaitRecovery(node exec.NodeID) bool {
 }
 
 // failPeer is the end of the reconnect budget: fail the journal over to a
-// surviving node, or — NoFailover, or no survivor — drop the peer.
+// surviving node, or — fail-fast, or no survivor — drop the peer.
 func (fa *netFaults) failPeer(pf *peerFault, gen int64) {
 	// The peer itself is lost from here, wherever its objects end up. Counted
 	// before the failover's drain can deliver a replayed call's reply: the
@@ -346,7 +343,7 @@ func (fa *netFaults) failPeer(pf *peerFault, gen int64) {
 	}
 	// No survivor could take the lost objects: typed, Join-visible.
 	var terminal error
-	if exps := fa.exportsOn(pf.node); !fa.policy.NoFailover && len(exps) > 0 {
+	if exps := fa.exportsOn(pf.node); fa.policy.Enabled && len(exps) > 0 {
 		terminal = &NoFailoverError{
 			Object: exps[0].ref.Name, Class: exps[0].class.Name(), Node: pf.node,
 			Err: errPeerLost,
@@ -361,9 +358,9 @@ func (fa *netFaults) failPeer(pf *peerFault, gen int64) {
 // candidate must not doom the move while another survivor exists: a target
 // can itself be dying — a partitioned node still accepts dials, so the
 // reachability probe passes and only the session traffic exposes it. Under
-// NoFailover there are no candidates.
+// the fail-fast policy there are no candidates.
 func (fa *netFaults) failoverTo(node exec.NodeID, take func(target exec.NodeID) bool) bool {
-	if fa.policy.NoFailover {
+	if !fa.policy.Enabled {
 		return false
 	}
 	tried := map[exec.NodeID]bool{node: true}
@@ -503,9 +500,8 @@ func (fa *netFaults) lateFailover(exp *netExport, node exec.NodeID) bool {
 	})
 }
 
-// dropPeer gives up on a peer: its journal is failed (retryable for
-// windowed packs under RequeueOrphans — the scheduler re-absorbs them), its
-// exports are dead, and the terminal error, if any, waits for Join.
+// dropPeer gives up on a peer: its journal is failed, its exports are dead,
+// and the terminal error, if any, waits for Join.
 func (fa *netFaults) dropPeer(pf *peerFault, gen int64, terminal error) {
 	fa.mu.Lock()
 	if gen != fa.gen || fa.closed {

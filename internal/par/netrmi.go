@@ -383,7 +383,7 @@ func (m *NetRMI) InvokeAsync(ctx exec.Context, obj any, method string, args []an
 		done.Send(ctx, &Completion{Err: errUnexported(method)})
 		return
 	}
-	call := &netCall{fa: m.faults, ref: ref, method: method, args: args, void: void, windowed: true}
+	call := &netCall{fa: m.faults, ref: ref, method: method, args: args, void: void}
 	if void {
 		m.faults.submit(call)
 		done.Send(ctx, &Completion{})
@@ -469,7 +469,7 @@ func (m *NetRMI) Reset() error {
 		}
 		ok++
 	}
-	if !pol.NoFailover && ok > 0 {
+	if pol.Enabled && ok > 0 {
 		// Degraded start: a member that is dead or partitioned before the
 		// first request must not abort the run when the policy allows
 		// failover — placements that would have landed on it move to a
@@ -482,7 +482,7 @@ func (m *NetRMI) Reset() error {
 }
 
 // Join implements Joiner: it waits for the journal to settle — every call
-// acknowledged, replayed, failed over, requeued or failed; recoveries
+// acknowledged, replayed, failed over or failed; recoveries
 // finished — which drains every connection's one-way window, and returns the
 // gathered failures of the void traffic: remote errors, the calls lost with a
 // dropped peer, a NoFailoverError when an object could not be re-homed

@@ -551,8 +551,7 @@ type windowSlot struct {
 // whether the completion will arrive on done; when false the call ran inline
 // and any error was already recorded, so the loop finishes the pack at once.
 // A window of 1 makes the plain synchronous call: it requests no windowed
-// delivery, so a middleware never journals it as windowed and an orphan is
-// never retryable. Wider windows request windowed delivery, which still runs
+// delivery. Wider windows request windowed delivery, which still runs
 // inline when no distribution is plugged, the object is local, or the
 // middleware cannot pipeline. The call is deliberately NOT marked void: the
 // synchronous protocol ships result payloads in its replies, so the windowed
@@ -574,8 +573,8 @@ func (f *Farm) issuePack(ctx exec.Context, w any, args []any, win int, done exec
 
 // settleCompletion settles one reclaimed completion's caller-side reply
 // costs and records its error, if any. Both self-scheduling partitions route
-// every non-orphan completion through it, so the reclamation protocol
-// cannot drift between them.
+// every completion through it, so the reclamation protocol cannot drift
+// between them.
 func (f *Farm) settleCompletion(ctx exec.Context, c *Completion) {
 	if _, err := c.Reclaim(ctx); err != nil {
 		f.fail(err)
@@ -731,37 +730,13 @@ func (f *Farm) Grow(ctx exec.Context, node exec.NodeID) (any, error) {
 // window first (those completions free slots AND drive the round's
 // termination counter) before falling back to the idle yield/backoff
 // protocol.
-//
-// Over a fault-tolerant middleware a completion can carry a retryable
-// FaultError: the pack was orphaned — its replica's session was lost before
-// the call executed anywhere — and the scheduler re-absorbs it (the pack
-// goes back into the deques, where a surviving replica's worker obtains it;
-// work conservation holds because the pack was never finished). A worker
-// whose own replica keeps orphaning packs goes dead: it drains its window,
-// stops executing, and leaves its queued packs to the thieves. If every
-// worker dies with packs outstanding, the round aborts with an error
-// instead of spinning.
 func (f *Farm) stealWorker(child exec.Context, sched *stealScheduler, i int, w any, win int) {
 	done := child.NewChan(win)
 	inflight := 0
-	orphans := 0 // consecutive orphaned packs from this worker's replica
-	const maxOrphans = 3
 	reclaim := func() {
 		v, _ := done.Recv(child)
-		c := v.(*Completion)
 		inflight--
-		var fe *FaultError
-		if c.Err != nil && errors.As(c.Err, &fe) && fe.Retryable && fe.Args != nil {
-			// Orphaned pack: hand it back instead of failing the run. The
-			// scheduler requeues it on another deque; remaining is untouched
-			// (the pack never finished), so Executed == Seeded + Splits
-			// survives the crash.
-			sched.requeueOrphan(i, fe.Args)
-			orphans++
-			return
-		}
-		orphans = 0
-		f.settleCompletion(child, c)
+		f.settleCompletion(child, v.(*Completion))
 		sched.finish()
 	}
 	// dispatch issues one obtained pack; inline execution (window 1 or no
@@ -790,19 +765,6 @@ func (f *Farm) stealWorker(child exec.Context, sched *stealScheduler, i int, w a
 	}
 	defer setHungry(false)
 	for {
-		if orphans >= maxOrphans {
-			// This worker's replica is unrecoverable: drain the window
-			// (requeueing any further orphans) and stop executing. The
-			// queued packs stay stealable; if no worker survives with work
-			// outstanding, the round aborts.
-			for inflight > 0 {
-				reclaim()
-			}
-			if sched.noteDeadWorker() {
-				f.fail(fmt.Errorf("par: stealing farm lost every replica with %d packs outstanding", sched.remaining.Load()))
-			}
-			return
-		}
 		pk, ok, deferred := sched.takeWindowed(i, inflight > 0)
 		if deferred {
 			// The last local pack stays queued — stealable — while the pipe
@@ -844,12 +806,7 @@ func (f *Farm) stealWorker(child exec.Context, sched *stealScheduler, i int, w a
 			return
 		}
 		child.Sleep(backoff)
-		if backoff < sched.cfg.MaxBackoff {
-			backoff *= 2
-			if backoff > sched.cfg.MaxBackoff {
-				backoff = sched.cfg.MaxBackoff
-			}
-		}
+		backoff = min(2*backoff, maxIdleBackoff)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 //   - a member that misses heartbeats is CORDONED (no new placements; the
 //     failover target scan skips it) and, after the drain grace, DRAINED:
 //     its exports migrate to survivors over the reincarnation machinery
-//     (NetRMI.Drain) while orphaned packs requeue into the scheduler;
+//     (NetRMI.Drain), and the calls journaled on it replay there;
 //   - a member that heals inside the grace (a flapping link) is uncordoned
 //     and keeps its placements — the grace exists so flaps do not churn;
 //   - a member that deregistered (graceful shutdown) or vanished from the

@@ -41,44 +41,26 @@ import (
 // StealConfig tunes the work-stealing scheduler. The zero value selects
 // defaults suitable for pack payloads of a few thousand elements.
 type StealConfig struct {
-	// SplitPack divides one queued pack into two non-empty halves; it
-	// reports ok=false when the pack is too small to split. nil installs a
-	// splitter that halves a single []int32 payload argument (the shape of
-	// the paper's number packs) no smaller than MinSplit elements per half.
-	SplitPack func(args []any) (a, b []any, ok bool)
-	// MinSplit is the minimum payload elements per half for the default
-	// splitter; 0 selects 64.
+	// MinSplit is the minimum number of elements per half when a pack's
+	// single []int32 payload argument (the shape of the paper's number
+	// packs) is split in two; 0 selects 64.
 	MinSplit int
-	// StealOverhead is the virtual CPU time charged to the thief per
-	// successful steal transaction (locking the victim, moving ownership);
-	// 0 selects 2µs, negative disables the charge.
-	StealOverhead time.Duration
-	// MaxBackoff caps the idle worker's exponential backoff sleep; 0
-	// selects 64µs.
-	MaxBackoff time.Duration
 }
 
 func (c StealConfig) withDefaults() StealConfig {
 	if c.MinSplit <= 0 {
 		c.MinSplit = 64
 	}
-	if c.SplitPack == nil {
-		min := c.MinSplit
-		c.SplitPack = func(args []any) ([]any, []any, bool) {
-			return splitInt32Payload(args, min)
-		}
-	}
-	if c.StealOverhead == 0 {
-		c.StealOverhead = 2 * time.Microsecond
-	}
-	if c.StealOverhead < 0 {
-		c.StealOverhead = 0
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 64 * time.Microsecond
-	}
 	return c
 }
+
+const (
+	// stealOverhead is the virtual CPU time charged to the thief per
+	// successful steal transaction (locking the victim, moving ownership).
+	stealOverhead = 2 * time.Microsecond
+	// maxIdleBackoff caps the idle worker's exponential backoff sleep.
+	maxIdleBackoff = 64 * time.Microsecond
+)
 
 // StealStats reports what the scheduler did during a run; the accounting
 // invariant Executed == Seeded + Splits ("no pack lost, none run twice") is
@@ -146,14 +128,6 @@ type stealScheduler struct {
 	// hungry counts workers currently out of local work — the steal-demand
 	// signal that arms owner-side splitting.
 	hungry atomic.Int64
-	// aborted ends the round without work conservation: every replica is
-	// lost (fault-tolerant runs), so the remaining packs can never execute
-	// and the idle workers must stop waiting for them. The recorded farm
-	// error is the round's outcome.
-	aborted atomic.Bool
-	// deadWorkers counts workers that stopped executing because their
-	// replica is unrecoverable; the last one aborts the round.
-	deadWorkers atomic.Int64
 
 	seeded      atomic.Int64
 	executed    atomic.Int64
@@ -209,7 +183,7 @@ func (s *stealScheduler) seed(parts [][]any) {
 	for len(packs) > 0 && len(packs) < len(deques) {
 		grew := false
 		for i := 0; i < len(packs) && len(packs) < len(deques); i++ {
-			if a, b, ok := s.cfg.SplitPack(packs[i].args); ok {
+			if a, b, ok := splitInt32Payload(packs[i].args, s.cfg.MinSplit); ok {
 				packs[i] = stealPack{args: a}
 				packs = append(packs, stealPack{args: b})
 				s.remaining.Add(1)
@@ -254,7 +228,7 @@ func (s *stealScheduler) takeWindowed(i int, pipelined bool) (pk stealPack, ok, 
 	pk = d.packs[0]
 	d.packs = d.packs[1:]
 	if len(d.packs) == 0 && s.hungry.Load() > 0 {
-		if a, b, ok := s.cfg.SplitPack(pk.args); ok {
+		if a, b, ok := splitInt32Payload(pk.args, s.cfg.MinSplit); ok {
 			pk = stealPack{args: a}
 			s.remaining.Add(1)
 			d.packs = append(d.packs, stealPack{args: b})
@@ -275,9 +249,7 @@ func (s *stealScheduler) trySteal(ctx exec.Context, i int) (stealPack, bool) {
 	for off := 1; off < n; off++ {
 		if pk, ok := s.stealFrom(deques, deques[(i+off)%n], i); ok {
 			s.steals.Add(1)
-			if s.cfg.StealOverhead > 0 {
-				ctx.Compute(s.cfg.StealOverhead)
-			}
+			ctx.Compute(stealOverhead)
 			return pk, true
 		}
 	}
@@ -310,7 +282,7 @@ func (s *stealScheduler) stealFrom(deques []*stealDeque, v *stealDeque, i int) (
 		// BEFORE the new half escapes the critical section, so the
 		// termination counter can lag low but never reads zero while a
 		// pack is outstanding.
-		if a, b, ok := s.cfg.SplitPack(v.packs[0].args); ok {
+		if a, b, ok := splitInt32Payload(v.packs[0].args, s.cfg.MinSplit); ok {
 			v.packs[0] = stealPack{args: a}
 			s.remaining.Add(1)
 			v.mu.Unlock()
@@ -333,32 +305,8 @@ func (s *stealScheduler) stealFrom(deques []*stealDeque, v *stealDeque, i int) (
 }
 
 // drained reports whether every pack of the round has finished — the
-// workers' termination signal — or the round was aborted (all replicas
-// lost: the outstanding packs can never run).
-func (s *stealScheduler) drained() bool { return s.remaining.Load() == 0 || s.aborted.Load() }
-
-// requeueOrphan returns an orphaned pack — issued on a replica that was
-// lost before the call executed anywhere — to the round. It goes onto
-// another worker's deque, where the normal take/steal protocol re-absorbs
-// it; remaining was never decremented, so work conservation holds: the pack
-// executes exactly once, on whichever surviving replica obtains it.
-func (s *stealScheduler) requeueOrphan(from int, args []any) {
-	deques := s.workers()
-	n := len(deques)
-	deques[(from+1)%n].pushBack(stealPack{args: args})
-}
-
-// noteDeadWorker records that worker's replica is unrecoverable and the
-// worker stops executing. When every worker is dead while packs remain, the
-// round is aborted — the packs have no surviving replica to run on — and
-// noteDeadWorker reports true so the last worker records the failure.
-func (s *stealScheduler) noteDeadWorker() bool {
-	if s.deadWorkers.Add(1) == int64(len(s.workers())) && s.remaining.Load() > 0 {
-		s.aborted.Store(true)
-		return true
-	}
-	return false
-}
+// workers' termination signal.
+func (s *stealScheduler) drained() bool { return s.remaining.Load() == 0 }
 
 // finish records the completion of one pack.
 func (s *stealScheduler) finish() {

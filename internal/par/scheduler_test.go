@@ -155,7 +155,7 @@ func TestRealBackendStealStress(t *testing.T) {
 		Class: class, Method: "Work", Workers: workers,
 		Split:    splitBy(64),
 		Stealing: true,
-		Steal:    StealConfig{MinSplit: 4, MaxBackoff: 10 * time.Microsecond},
+		Steal:    StealConfig{MinSplit: 4},
 	})
 	stack := NewStack(dom, farm)
 	ctx := exec.Real()

@@ -224,10 +224,11 @@ func chaosCells() []chaosCell {
 			par.FaultPolicy{Enabled: true, Reconnect: fast}},
 		{"stealing-replay", Combo{PartStealingFarm, ConcMerged, DistNet},
 			par.FaultPolicy{Enabled: true, Reconnect: fast}},
-		// Scheduler reabsorption: the crash's orphaned packs are handed back
-		// retryable and a surviving replica's worker re-executes them.
-		{"stealing-requeue", Combo{PartStealingFarm, ConcMerged, DistNet},
-			par.FaultPolicy{Enabled: true, Reconnect: fast, RequeueOrphans: true}},
+		// The static farm's synchronous calls: one journaled call in flight
+		// per worker, replayed (or rebuilt on a new incarnation) across the
+		// crash.
+		{"static-sync", Combo{PartFarm, ConcNone, DistNet},
+			par.FaultPolicy{Enabled: true, Reconnect: fast}},
 		// The static farm's one-way void window: fire-and-forget sends
 		// journaled until their acks, replayed with server-side dedupe.
 		{"static-oneway", Combo{PartFarm, ConcAsync, DistNet},
@@ -278,10 +279,10 @@ func TestChaosMatrix(t *testing.T) {
 				}
 				if killed {
 					f := res.Faults
-					if f.Reconnects+f.Failovers+f.DroppedPeers+f.Requeues == 0 {
+					if f.Reconnects+f.Failovers+f.DroppedPeers == 0 {
 						t.Errorf("%s: node was killed mid-run but FaultStats is empty: %+v", tag, f)
 					}
-					if f.DroppedPeers > 0 && !cell.policy.NoFailover && f.Failovers == 0 {
+					if f.DroppedPeers > 0 && f.Failovers == 0 {
 						t.Errorf("%s: peer dropped without failing its objects over: %+v", tag, f)
 					}
 					t.Logf("%s: recovered (stats %+v)", tag, f)

@@ -307,14 +307,14 @@ func assertVirtCell(t *testing.T, tag string, res Result, want []int32, cell cha
 	f := res.Faults
 	severed := fired && (sc.Kind == "kill" || sc.Kind == "multikill" || sc.Kind == "partition" ||
 		sc.Kind == "driver-restart" || sc.Kind == "flap" || sc.Kind == "cordon")
-	if severed && f.Reconnects+f.Failovers+f.DroppedPeers+f.Requeues == 0 {
+	if severed && f.Reconnects+f.Failovers+f.DroppedPeers == 0 {
 		// A failure scripted at the victim's last served request can land
 		// after the middleware's final interaction with it — nothing to
 		// recover, nothing counted. The oracle and conservation checks above
 		// still bind; the trace is diagnostic.
 		t.Logf("%s: severing failure left no fault trace (landed at the run's tail)", tag)
 	}
-	if f.DroppedPeers > 0 && !cell.policy.NoFailover && f.Failovers == 0 {
+	if f.DroppedPeers > 0 && f.Failovers == 0 {
 		t.Errorf("%s: peer dropped without failing its objects over: %+v", tag, f)
 	}
 }

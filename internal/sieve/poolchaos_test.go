@@ -243,7 +243,6 @@ func TestPoolChurnDrill(t *testing.T) {
 	combo := Combo{PartStealingFarm, ConcMerged, DistNet}
 	pol := par.FaultPolicy{
 		Enabled:         true,
-		RequeueOrphans:  true,
 		CheckpointEvery: 4,
 		Reconnect:       rmi.ReconnectPolicy{MaxAttempts: 40, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
 	}
