@@ -130,12 +130,18 @@ type pipeCounters struct {
 	stranded  int64
 }
 
-// pipePeer is one lazily dialled successor node connection, shared by every
-// local stage forwarding to that address.
+// pipePeer is one lazily dialled connection to a successor stage: one per
+// (successor address, successor name), never shared between two hops. Two
+// hops that went the same way on one connection would share its send window
+// and its dispatch lane at the successor node, and the nodes' lanes could
+// then wait on each other (see afterDispatch).
 type pipePeer struct {
 	client *Client
-	stubs  map[string]*Stub
+	stub   *Stub
 }
+
+// peerKey names one hop's connection: the successor's node and bound name.
+type peerKey struct{ addr, name string }
 
 // pipeRouter is a node's forward lane: the installed topology, the successor
 // connections, and the delivery accounting the driver polls.
@@ -145,7 +151,7 @@ type pipeRouter struct {
 	mu       sync.Mutex
 	hops     map[string]*pipeHop      // by local stage name
 	counters map[string]*pipeCounters // by local stage name, survives re-installs
-	peers    map[string]*pipePeer     // by successor address
+	peers    map[peerKey]*pipePeer    // by successor address and name
 	strands  []Stranded
 	errs     []string
 }
@@ -155,7 +161,7 @@ func newPipeRouter(n *Node) *pipeRouter {
 		n:        n,
 		hops:     make(map[string]*pipeHop),
 		counters: make(map[string]*pipeCounters),
-		peers:    make(map[string]*pipePeer),
+		peers:    make(map[peerKey]*pipePeer),
 	}
 }
 
@@ -244,10 +250,17 @@ func (r *pipeRouter) poll(prefix string, drain bool) PipeStatus {
 
 // reset drops the hops (and counters) of one namespace prefix — "" clears
 // the whole lane, the full-node reset — and with them the versions they were
-// installed under, so the next driver's first install is not stale. Peer
-// connections are kept: addresses outlive tenants.
+// installed under, so the next driver's first install is not stale. The hop
+// connections to successors under the prefix close with them.
 func (r *pipeRouter) reset(prefix string) {
+	var dropped []*pipePeer
 	r.mu.Lock()
+	for key, p := range r.peers {
+		if strings.HasPrefix(key.name, prefix) {
+			dropped = append(dropped, p)
+			delete(r.peers, key)
+		}
+	}
 	if prefix == "" {
 		r.hops = make(map[string]*pipeHop)
 		r.counters = make(map[string]*pipeCounters)
@@ -270,6 +283,9 @@ func (r *pipeRouter) reset(prefix string) {
 	active := len(r.hops) > 0
 	r.mu.Unlock()
 	r.n.pipeActive.Store(active)
+	for _, p := range dropped {
+		p.client.Close()
+	}
 }
 
 // close tears the forward-lane connections down with the node.
@@ -279,7 +295,7 @@ func (r *pipeRouter) close() {
 	for _, p := range r.peers {
 		peers = append(peers, p)
 	}
-	r.peers = make(map[string]*pipePeer)
+	r.peers = make(map[peerKey]*pipePeer)
 	r.mu.Unlock()
 	for _, p := range peers {
 		p.client.Close()
@@ -293,7 +309,10 @@ func (r *pipeRouter) close() {
 // on the forward lane's flow-control window — deliberately: the dispatch's
 // own acknowledgement (to the upstream peer or the driver) is withheld while
 // this stage waits for downstream credit, which is exactly the per-stage
-// backpressure chain. Pipelines are acyclic, so the wait cannot deadlock.
+// backpressure chain. Each hop has a connection of its own (stubFor), so the
+// window a stage waits on is drained by its successor's lane alone, and that
+// lane waits only on stages further down. Pipelines are acyclic, so the
+// chain of waits ends at the terminal stage and cannot deadlock.
 func (r *pipeRouter) afterDispatch(name string, servant Servant, method string, args, results []any) {
 	r.mu.Lock()
 	hop := r.hops[name]
@@ -367,52 +386,36 @@ func isRemote(err error) bool {
 	return ok
 }
 
-// stubFor resolves (dialling and caching as needed) the stub of a successor
-// object at addr.
+// stubFor resolves the stub of a successor object at addr, dialling the
+// hop's own connection on first use. A failed Lookup closes that connection
+// and caches nothing, so the next forward after a re-install dials again.
 func (r *pipeRouter) stubFor(name, addr string) (*Stub, error) {
+	key := peerKey{addr, name}
 	r.mu.Lock()
-	p := r.peers[addr]
-	if p != nil {
-		if stub, ok := p.stubs[name]; ok {
-			r.mu.Unlock()
-			return stub, nil
-		}
-	}
+	p := r.peers[key]
 	r.mu.Unlock()
-	if p == nil {
-		client, err := Dial(addr, WithClock(r.n.srv.clk))
-		if err != nil {
-			return nil, err
-		}
-		r.mu.Lock()
-		if cur := r.peers[addr]; cur != nil {
-			// A concurrent dial won the insert; keep the established peer.
-			p = cur
-			r.mu.Unlock()
-			client.Close()
-		} else {
-			p = &pipePeer{client: client, stubs: make(map[string]*Stub)}
-			r.peers[addr] = p
-			r.mu.Unlock()
-		}
+	if p != nil {
+		return p.stub, nil
 	}
-	stub, err := p.client.Lookup(name)
+	client, err := Dial(addr, WithClock(r.n.srv.clk))
+	if err != nil {
+		return nil, err
+	}
+	stub, err := client.Lookup(name)
 	if err != nil {
 		// The connection may be healthy with the name simply not (yet)
-		// bound, or dead; either way the hop cannot be used. A dead client
-		// is evicted so the next install re-dials.
-		r.mu.Lock()
-		if r.peers[addr] == p {
-			delete(r.peers, addr)
-		}
-		r.mu.Unlock()
-		p.client.Close()
+		// bound, or dead; either way the hop cannot be used.
+		client.Close()
 		return nil, err
 	}
 	r.mu.Lock()
-	if r.peers[addr] == p {
-		p.stubs[name] = stub
+	if cur := r.peers[key]; cur != nil {
+		// A concurrent dial won the insert; keep the established peer.
+		r.mu.Unlock()
+		client.Close()
+		return cur.stub, nil
 	}
+	r.peers[key] = &pipePeer{client: client, stub: stub}
 	r.mu.Unlock()
 	return stub, nil
 }

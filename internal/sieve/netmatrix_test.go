@@ -3,6 +3,7 @@ package sieve
 import (
 	"net"
 	"testing"
+	"time"
 
 	"aspectpar/internal/rmi"
 )
@@ -172,5 +173,48 @@ func TestNetWindowOne(t *testing.T) {
 			t.Fatalf("%s: %v", c, err)
 		}
 		assertPrimesEqual(t, res.Primes, want)
+	}
+}
+
+// TestNetPipelineSharedNodeDoesNotDeadlock: four stages round-robin on two
+// nodes make two hops go the same way (stage 0 → 1 and stage 2 → 3). Sharing
+// one connection, those hops shared its send window and its dispatch lane at
+// the successor, and with many small packs in flight the two nodes' lanes
+// blocked on each other for good. Each hop now has its own connection, so
+// every wait is on a stage further down the pipeline. Each solve gets a
+// deadline; a hang fails the test instead of the package timeout.
+func TestNetPipelineSharedNodeDoesNotDeadlock(t *testing.T) {
+	requireLoopback(t)
+	p := Params{
+		Max:        200_000,
+		Packs:      1_000,
+		Filters:    4,
+		NetNodes:   2,
+		NetCodec:   "binary",
+		NetStreams: 3,
+	}
+	wantN, wantS := Checksum(Reference(p.Max))
+	c := Combo{Partition: PartPipeline, Concurrency: ConcAsync, Distribution: DistNet}
+	for solve := 1; solve <= 10; solve++ {
+		type outcome struct {
+			res Result
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := RunCombo(c, p)
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err != nil {
+				t.Fatalf("solve %d: %v", solve, o.err)
+			}
+			if o.res.PrimeCount != wantN || o.res.PrimeSum != wantS {
+				t.Fatalf("solve %d: primes (%d, %d), want (%d, %d)", solve, o.res.PrimeCount, o.res.PrimeSum, wantN, wantS)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("solve %d did not finish in 10 s: the pipeline's forward lanes deadlocked", solve)
+		}
 	}
 }

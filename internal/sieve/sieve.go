@@ -20,25 +20,45 @@
 // operation is one seed tried against one candidate, counted exactly as the
 // naive trial-division loop would — every seed up to and including the one
 // that divides the candidate or the first whose square exceeds it. How
-// divisibility is decided is not part of the contract: Filter multiplies by
-// a precomputed reciprocal instead of dividing, so the wall-clock kernel can
-// get faster while the virtual-time model it feeds stays where it is.
+// divisibility is decided is not part of the contract, so the wall-clock
+// kernel can get faster while the virtual-time model it feeds stays where it
+// is: Filter crosses off the seeds' multiples over windows of the pack's
+// span, and falls back to trial division (multiplying by a precomputed
+// reciprocal instead of dividing) where a pack is not the shape every
+// product pack has.
 package sieve
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PrimeFilter is the core class: sequential, oblivious of parallelism.
 type PrimeFilter struct {
 	pmin, pmax int32
-	seeds      []int32 // primes in [pmin, pmax]
-	accepted   []int32 // survivors this filter let through
-	ops        int64   // trial divisions since the last TakeOps
+	seeds      []int32   // primes in [pmin, pmax]
+	accepted   [][]int32 // survivors this filter let through, a pack each
+	kept       []int32   // scratch: the survivors of the pack being filtered
+	ops        int64     // trial divisions since the last TakeOps
 
-	// Per seed p, for Filter: magic = ⌊(2⁶⁴−1)/p⌋+1, for which p divides a
-	// non-negative int32 n exactly when magic·n mod 2⁶⁴ < magic (Lemire,
-	// Kaser & Kurz, "Faster remainder by direct computation").
+	// Per seed p, for trialDivide: magic = ⌊(2⁶⁴−1)/p⌋+1, for which p
+	// divides a non-negative int32 n exactly when magic·n mod 2⁶⁴ < magic
+	// (Lemire, Kaser & Kurz, "Faster remainder by direct computation").
 	magic []uint64
+
+	// window is crossOff's scratch: one slot per odd number of a window,
+	// allocated on first use.
+	window []uint16
 }
+
+// sieveWindow is the number of odd numbers one window of crossOff spans:
+// 2¹⁵ uint16 slots, 64 KiB of scratch.
+const sieveWindow = 1 << 15
+
+// sparseRun is the fewest elements a window must hold to be sieved. Marking
+// a window costs a division per seed whatever it holds, so below this
+// crossOff trial-divides the window's first element instead.
+const sparseRun = 64
 
 // NewPrimeFilter calculates the seed primes in [pmin, pmax] by trial
 // division (the paper's two-step filtering, step one).
@@ -80,17 +100,108 @@ func (f *PrimeFilter) isPrime(n int32) bool {
 // Survivors are also accumulated in the filter, so the final pipeline
 // element (or each farm worker) holds the primes it discovered.
 //
-// It is the naive loop — for each seed in order: count one operation, stop
-// if p² > n, reject if p divides n — with the division strength-reduced
-// away. k is the number of seeds with p² ≤ n, so only magic[:k] is tried;
-// p divides n exactly when magic·n wraps to less than magic.
+// It keeps and counts what the naive loop does — for each seed in order:
+// count one operation, stop if p² > n, reject if p divides n. A pack of
+// strictly ascending odd numbers ≥ 3 (sub-ranges of Candidates, stolen
+// halves of those, and survivors forwarded from either) is sieved by
+// crossOff; whatever part of a pack breaks that shape is trial-divided.
 func (f *PrimeFilter) Filter(nums []int32) []int32 {
-	start := len(f.accepted)
-	seeds, k := f.seeds, 0
+	f.kept = f.kept[:0]
+	done := f.crossOff(nums)
+	f.trialDivide(nums[done:], 0)
+	// Survivors are kept as the packs Filter returned, each sized exactly
+	// and never written again, so a reply still encoding one is safe and
+	// the accumulated survivors never regrow one long array.
+	out := append(make([]int32, 0, len(f.kept)), f.kept...)
+	f.accepted = append(f.accepted, out)
+	return out
+}
+
+// crossOff filters the longest prefix of nums that is strictly ascending,
+// odd and ≥ 3, and returns its length. It cuts the prefix into windows of
+// sieveWindow odd numbers. In each, every seed p with p² ≤ the window's end
+// stores its index + 1 at each odd multiple m ≥ max(p², base), largest seed
+// first, so a slot ends up naming the smallest seed the naive loop would
+// have stopped at. An unmarked element is a survivor; the loop would have
+// run through the k seeds with p² ≤ n. Seeds above 46,340 have p² > MaxInt32
+// and never mark, so an index fits a uint16. Survivors, their order and ops
+// are those of the naive loop, element by element.
+func (f *PrimeFilter) crossOff(nums []int32) int {
+	if len(nums) == 0 || nums[0] < 3 {
+		return 0
+	}
+	if f.window == nil {
+		f.window = make([]uint16, sieveWindow)
+	}
+	seeds := f.seeds
+	last := int64(nums[len(nums)-1])
+	var ops int64
+	k, kw := 0, 0 // seeds with p² ≤ the current element, ≤ the window's end
+	prev := int64(1)
+	j := 0
+scan:
+	for j < len(nums) {
+		base := int64(nums[j])
+		if base&1 == 0 || base <= prev {
+			break
+		}
+		end := min(base+2*(sieveWindow-1), max(last, base))
+		if j+sparseRun < len(nums) && int64(nums[j+sparseRun]) > end {
+			k = f.trialDivide(nums[j:j+1], k)
+			prev = base
+			j++
+			continue
+		}
+		slots := f.window[:(end-base)/2+1]
+		clear(slots)
+		for kw < len(seeds) && int64(seeds[kw])*int64(seeds[kw]) <= end {
+			kw++
+		}
+		for s := kw - 1; s >= 0; s-- {
+			p := int64(seeds[s])
+			if p == 2 {
+				continue // no odd multiples
+			}
+			q := (max(p*p, base) + p - 1) / p
+			mark := uint16(s + 1)
+			for at := ((q|1)*p - base) >> 1; at < int64(len(slots)); at += p {
+				slots[at] = mark
+			}
+		}
+		for ; j < len(nums); j++ {
+			n := int64(nums[j])
+			if n > end {
+				break
+			}
+			if n&1 == 0 || n <= prev {
+				break scan
+			}
+			prev = n
+			i := int(slots[(n-base)>>1]) - 1
+			if i < 0 {
+				for k < len(seeds) && int64(seeds[k])*int64(seeds[k]) <= n {
+					k++
+				}
+				i = k
+				f.kept = append(f.kept, int32(n))
+			}
+			ops += int64(min(i+1, len(seeds)))
+		}
+	}
+	f.ops += ops
+	return j
+}
+
+// trialDivide is the naive loop with the division strength-reduced away. k
+// is the number of seeds with p² ≤ n, so only magic[:k] is tried; p divides
+// n exactly when magic·n wraps to less than magic. k starts from the
+// caller's cursor and is returned where it stopped.
+func (f *PrimeFilter) trialDivide(nums []int32, k int) int {
+	seeds := f.seeds
 	var ops int64
 	for _, n := range nums {
-		// Packs ascend, so the cursor rarely moves; it moves both ways so
-		// unsorted and negative input (k = 0) stay correct.
+		// The cursor moves both ways so unsorted and negative input (k = 0)
+		// stay correct.
 		for k < len(seeds) && int64(seeds[k])*int64(seeds[k]) <= int64(n) {
 			k++
 		}
@@ -102,13 +213,11 @@ func (f *PrimeFilter) Filter(nums []int32) []int32 {
 		i := firstDivisor(f.magic[:k], uint64(n))
 		ops += int64(min(i+1, len(seeds)))
 		if i == k {
-			f.accepted = append(f.accepted, n)
+			f.kept = append(f.kept, n)
 		}
 	}
 	f.ops += ops
-	// A copy, not a view: Restore rewrites accepted's backing array in place
-	// while a reply holding this pack may still be encoding.
-	return append(make([]int32, 0, len(f.accepted)-start), f.accepted[start:]...)
+	return k
 }
 
 // firstDivisor returns the index of the first seed that divides n, or
@@ -150,7 +259,7 @@ func (f *PrimeFilter) Seeds() []int32 {
 
 // Accepted returns the survivors this filter accumulated.
 func (f *PrimeFilter) Accepted() []int32 {
-	return append([]int32(nil), f.accepted...)
+	return slices.Concat(f.accepted...)
 }
 
 // Range returns the filter's seed prime range.
@@ -161,13 +270,13 @@ func (f *PrimeFilter) Range() (pmin, pmax int32) { return f.pmin, f.pmax }
 // from the constructor arguments, so they are rebuilt by the constructor
 // replay and need not travel.
 func (f *PrimeFilter) Snapshot() []int32 {
-	return append([]int32(nil), f.accepted...)
+	return slices.Concat(f.accepted...)
 }
 
 // Restore reinstates a Snapshot — the inverse used when reincarnation replays
 // a checkpoint plus the journal tail instead of the full history.
 func (f *PrimeFilter) Restore(accepted []int32) {
-	f.accepted = append(f.accepted[:0], accepted...)
+	f.accepted = append(f.accepted[:0], slices.Clone(accepted))
 }
 
 // TakeOps implements par.OpsReporter: it returns and resets the operation

@@ -138,7 +138,7 @@ func checkAgainstReference(t *testing.T, f *PrimeFilter, packs ...[]int32) {
 			t.Fatalf("[%d,%d] pack %d: %d ops, trial division counts %d", g.pmin, g.pmax, i, gotOps, wantOps)
 		}
 	}
-	if !slices.Equal(g.accepted, accepted) {
+	if !slices.Equal(g.Accepted(), accepted) {
 		t.Fatalf("[%d,%d]: accepted is not the concatenation of the survivors", g.pmin, g.pmax)
 	}
 }
@@ -168,7 +168,62 @@ func TestFilterMatchesTrialDivision(t *testing.T) {
 		checkAgainstReference(t, f, ascending, descending, edge,
 			Candidates(r[1], min(r[1]*r[1], 2_000_000)),
 			Candidates(math.MaxInt32-40_000, math.MaxInt32), ascending)
+
+		// The shape every product pack has — strictly ascending odd numbers
+		// ≥ 3 — which Filter sieves instead of trial-dividing.
+		var shaped [][]int32
+		for _, limit := range []int32{100, r[1] * r[1], math.MaxInt32} {
+			pack := make([]int32, 4000)
+			for i := range pack {
+				pack[i] = rng.Int31n(limit) | 1
+			}
+			shaped = append(shaped, oddAscending(pack))
+		}
+		// Packs spanning 2·sieveWindow − 2, which fills one window exactly,
+		// and 2 or 4 more, which spill one or two slots into the next —
+		// contiguous and sparse, low and high in the int32 range.
+		for _, from := range []int32{r[1] &^ 1, 1_000_000, math.MaxInt32 - 3*sieveWindow - 1} {
+			for _, span := range []int32{2*sieveWindow - 2, 2 * sieveWindow, 2*sieveWindow + 2} {
+				dense := Candidates(from, from+span+1)
+				shaped = append(shaped, dense, oddAscending(slices.DeleteFunc(slices.Clone(dense), func(n int32) bool { return n%3 == 0 })))
+			}
+		}
+		shaped = append(shaped,
+			[]int32{3}, []int32{9}, []int32{math.MaxInt32},
+			Candidates(2, 100_000),
+			// A shaped prefix followed by input of any shape: the sieve stops
+			// where the shape breaks and trial division takes the rest.
+			append(Candidates(r[1], r[1]+3000), edge...))
+		if seeds := f.seeds; len(seeds) > 0 {
+			p := seeds[len(seeds)-1]
+			shaped = append(shaped, []int32{p}, []int32{p * p}, []int32{p*p + 2})
+		}
+		checkAgainstReference(t, f, shaped...)
 	}
+
+	// The inputs of a pipeline's inner and last stages: survivors of the
+	// stages before them, as the paper's four-filter pipeline forwards its
+	// first and last packs.
+	packs := [][]int32{Candidates(3162, 203_162), Candidates(9_800_000, 10_000_000)}
+	for i, r := range stageRanges(3162, 4) {
+		f, err := NewPrimeFilter(r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			checkAgainstReference(t, f, packs...)
+		}
+		for j := range packs {
+			packs[j], _ = referenceFilter(f.seeds, packs[j])
+		}
+	}
+}
+
+// oddAscending returns the odd numbers ≥ 3 of pack, sorted and deduplicated.
+func oddAscending(pack []int32) []int32 {
+	pack = slices.DeleteFunc(slices.Clone(pack), func(n int32) bool { return n < 3 || n%2 == 0 })
+	slices.Sort(pack)
+	return slices.Compact(pack)
 }
 
 // TestFilterOpsPinned holds the operation count — what the metering aspect
@@ -207,7 +262,9 @@ func FuzzFilter(f *testing.F) {
 		for i := range nums {
 			nums[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
 		}
-		checkAgainstReference(t, pf, nums[:len(nums)/2], nums[len(nums)/2:])
+		// Raw bytes are almost never a shaped pack; their odd, sorted,
+		// deduplicated copy always is.
+		checkAgainstReference(t, pf, nums[:len(nums)/2], nums[len(nums)/2:], oddAscending(nums))
 	})
 }
 

@@ -845,6 +845,8 @@ func runWoven(v Variant, c Combo, p Params) (Result, error) {
 		}
 		res.PrimeCount, res.PrimeSum = Checksum(primes)
 		if p.KeepPrimes {
+			// The checksum is order-free; only the kept list is sorted.
+			slices.Sort(primes)
 			res.Primes = primes
 		}
 	}
@@ -893,9 +895,10 @@ func runReal(ctx exec.Context, main func(exec.Context)) (err error) {
 	return nil
 }
 
-// gather collects the primes: the seed primes plus the accepted survivors
-// of the terminal object(s). The collection calls are woven, so with
-// distribution plugged they travel over the middleware like any other call.
+// gather collects the primes, unsorted: the seed primes plus the accepted
+// survivors of the terminal object(s). The collection calls are woven, so
+// with distribution plugged they travel over the middleware like any other
+// call.
 func gather(ctx exec.Context, w *wiring, v Variant, pf any) ([]int32, error) {
 	var primes []int32
 	take := func(res []any, err error) error {
@@ -943,6 +946,5 @@ func gather(ctx exec.Context, w *wiring, v Variant, pf any) ([]int32, error) {
 			return nil, err
 		}
 	}
-	slices.Sort(primes)
 	return primes, nil
 }
