@@ -23,8 +23,9 @@
 //     module which targets those are.
 //   - Distribution ([Distribution]): placement of aspect-managed objects on
 //     cluster nodes and transparent redirection of calls through a
-//     [Middleware] — simulated Java RMI ([NewSimRMI]) or the lighter MPP
-//     message-passing package ([NewSimMPP]).
+//     [Middleware]. One simulated middleware has two constructors: Java RMI
+//     ([NewSimRMI]) and the lighter MPP message-passing package
+//     ([NewSimMPP]), which differ in link profile and protocol traits.
 //   - Optimisation ([Packing]): an independently pluggable performance
 //     aspect.
 //
@@ -123,7 +124,8 @@
 //
 // # Real middleware (NetRMI)
 //
-// The simulated twins model what a remote call costs; [NetRMI] performs it.
+// The simulated middleware models what a remote call costs; [NetRMI]
+// performs it.
 // It implements the same [Middleware] + [AsyncInvoker] seam over package
 // rmi's pipelined TCP transport, so the Distribution module, the Placement
 // policies and the windowed farm dispatchers run unchanged — the module

@@ -13,10 +13,11 @@ import (
 // Middleware is the distribution substrate interface the Distribution module
 // programs against. The paper's point is precisely that swapping RMI for MPP
 // (or a hybrid) is a one-line change in the distribution aspect; this
-// interface is that seam. Implementations come in two families: the
-// simulated twins (NewSimRMI, NewSimMPP), which model cost on the virtual
-// cluster, and the real backend (DialNet), which ships calls over TCP to
-// rmi.Node worker processes.
+// interface is that seam. There are two implementations: one simulated
+// middleware, which models cost on the virtual cluster and whose two
+// constructors (NewSimRMI, NewSimMPP) differ only in link profile and
+// protocol traits, and the real backend (DialNet), which ships calls over
+// TCP to rmi.Node worker processes.
 type Middleware interface {
 	// MiddlewareName identifies the implementation ("rmi", "mpp", "netrmi").
 	MiddlewareName() string
@@ -66,10 +67,7 @@ type Completion struct {
 // returns the invocation's outcome. Reclaiming twice charges once.
 func (c *Completion) Reclaim(ctx exec.Context) ([]any, error) {
 	if c.size > 0 {
-		if arrival := c.sentAt + c.link.WireTime(c.size); arrival > ctx.Now() {
-			ctx.Sleep(arrival - ctx.Now())
-		}
-		ctx.Compute(c.link.RecvCPU(c.size))
+		waitArrival(ctx, c.link, c.sentAt, c.size)
 		c.size = 0
 	}
 	return c.Res, c.Err
@@ -99,7 +97,6 @@ type exportEntry struct {
 	name  string
 	node  exec.NodeID
 	class *Class
-	inbox exec.Chan // MPP only
 }
 
 // registry is the export table shared by the middleware implementations; it
@@ -222,7 +219,7 @@ func (m *mwCore) replySize(void bool, res []any) int {
 	return size
 }
 
-// simLinks is the link-profile pair of the simulated middlewares: the remote
+// simLinks is the link-profile pair of the simulated middleware: the remote
 // profile between distinct nodes, the loopback profile for co-located
 // objects.
 type simLinks struct {
@@ -242,8 +239,8 @@ func (l simLinks) link(from, to exec.NodeID) simnet.LinkProfile {
 
 // waitArrival is the receiver side of one modelled message transfer: sleep
 // until the message sent at sentAt has fully crossed the wire, then charge
-// the receive/unmarshal CPU to the receiving activity. Both simulated
-// middlewares' dispatch loops share it.
+// the receive/unmarshal CPU to the receiving activity — the serve loop for a
+// request, the reclaiming caller for a reply.
 func waitArrival(sctx exec.Context, link simnet.LinkProfile, sentAt time.Duration, size int) {
 	if arrival := sentAt + link.WireTime(size); arrival > sctx.Now() {
 		sctx.Sleep(arrival - sctx.Now())
@@ -251,337 +248,209 @@ func waitArrival(sctx exec.Context, link simnet.LinkProfile, sentAt time.Duratio
 	sctx.Compute(link.RecvCPU(size))
 }
 
-// --- Simulated Java RMI ----------------------------------------------------
+// --- Simulated middleware ----------------------------------------------------
 
-// simRMI models Java RMI on the simulated cluster: synchronous
-// request/reply, heavy per-call software overhead, object serialisation
-// costs on both sides. The woven server side re-enters the domain weaver
-// (Class.Dispatch), exactly like an RMI skeleton invoking the woven method.
-type simRMI struct {
+// simMW models the paper's two middlewares on the simulated cluster, Java RMI
+// and its Java MPP library. Every request is one marshalled message that
+// crosses the modelled link and is dispatched through the domain weaver at
+// the object's node (Class.Dispatch), as an RMI skeleton or the paper's
+// Figure 15 MPP server loop invokes the woven method. The two differ in the
+// link profile and in two protocol traits:
+//
+//   - rmi: a synchronous call runs inline on the caller's activity, and
+//     creation is acknowledged by a full reply message. Without it every
+//     call is a message to the object's serve loop, and the creation
+//     acknowledgement costs only its wire time.
+//   - oneway: the methods that are fire-and-forget sends (MPP's comm.send
+//     of filter packs); every other call gets a reply.
+type simMW struct {
 	mwCore
-	links simLinks
-	cl    *cluster.Cluster
+	links  simLinks
+	rmi    bool
+	oneway map[string]bool
 
 	mu      sync.Mutex
-	inboxes map[any]exec.Chan // per-object async dispatch queues (lazy)
+	inboxes map[any]exec.Chan // per-object serve-loop queues (lazy)
+	wg      exec.WaitGroup    // one-way messages in flight
+	pending int
 }
 
-// NewSimRMI returns an RMI middleware over the simulated cluster.
+// NewSimRMI returns an RMI middleware over the simulated cluster:
+// synchronous request/reply, heavy per-call software overhead, object
+// serialisation costs on both sides.
 func NewSimRMI(cl *cluster.Cluster) Middleware {
-	return &simRMI{
-		mwCore:  newMWCore(),
-		links:   newSimLinks(simnet.RMIProfile()),
-		cl:      cl,
-		inboxes: make(map[any]exec.Chan),
-	}
+	return &simMW{mwCore: newMWCore(), links: newSimLinks(simnet.RMIProfile()), rmi: true,
+		inboxes: make(map[any]exec.Chan)}
 }
 
-func (m *simRMI) MiddlewareName() string { return "rmi" }
+// NewSimMPP returns an MPP middleware over the simulated cluster: thin
+// framing, every call a message to the object's serve loop. Methods named in
+// oneWayMethods are fire-and-forget sends (the paper's comm.send of filter
+// packs); all other methods use request/reply.
+func NewSimMPP(cl *cluster.Cluster, oneWayMethods ...string) Middleware {
+	ow := make(map[string]bool, len(oneWayMethods))
+	for _, m := range oneWayMethods {
+		ow[m] = true
+	}
+	return &simMW{mwCore: newMWCore(), links: newSimLinks(simnet.MPPProfile()), oneway: ow,
+		inboxes: make(map[any]exec.Chan)}
+}
 
-// oneWay models the transfer of one message: sender-side CPU, wire, and
-// receiver-side CPU charged to rctx's node.
-func (m *simRMI) oneWay(ctx, rctx exec.Context, link simnet.LinkProfile, size int) {
+func (m *simMW) MiddlewareName() string {
+	if m.rmi {
+		return "rmi"
+	}
+	return "mpp"
+}
+
+// transfer models one message crossing the link inline: sender-side CPU,
+// wire, and receiver-side CPU charged to rctx's node.
+func (m *simMW) transfer(ctx, rctx exec.Context, link simnet.LinkProfile, size int) {
 	ctx.Compute(link.SendCPU(size))
 	ctx.Sleep(link.WireTime(size))
 	rctx.Compute(link.RecvCPU(size))
 	m.stats.count(1, int64(size))
 }
 
-func (m *simRMI) ExportNew(ctx exec.Context, name string, node exec.NodeID, class *Class,
+func (m *simMW) ExportNew(ctx exec.Context, name string, node exec.NodeID, class *Class,
 	args []any, build func(rctx exec.Context) (any, error)) (any, error) {
 	rctx := ctx.OnNode(node)
 	link := m.links.link(ctx.Node(), node)
-	// Creation protocol: contact the remote JVM and the name server, build
-	// there, receive the remote reference back.
-	m.oneWay(ctx, rctx, link, 64)
+	// Creation protocol: contact the remote runtime and the name server,
+	// build there, receive the reference back.
+	m.transfer(ctx, rctx, link, 64)
 	obj, err := build(rctx)
 	if err != nil {
 		return nil, err
 	}
-	m.oneWay(rctx, ctx, link, 64)
+	if m.rmi {
+		m.transfer(rctx, ctx, link, 64)
+	} else {
+		ctx.Sleep(link.WireTime(64))
+		m.stats.count(1, 64)
+	}
 	if err := m.reg.add(obj, &exportEntry{name: name, node: node, class: class}); err != nil {
 		return nil, err
 	}
 	return obj, nil
 }
 
-func (m *simRMI) Invoke(ctx exec.Context, obj any, method string, args []any, void bool) ([]any, error) {
-	e, err := m.entryOf("rmi", method, obj)
+func (m *simMW) Invoke(ctx exec.Context, obj any, method string, args []any, void bool) ([]any, error) {
+	e, err := m.entryOf(m.MiddlewareName(), method, obj)
 	if err != nil {
 		return nil, err
 	}
-	link := m.links.link(ctx.Node(), e.node)
-	rctx := ctx.OnNode(e.node)
-
-	// Request: marshal, wire, unmarshal, dispatch through the woven server.
-	m.oneWay(ctx, rctx, link, m.sizer.Size(args))
-	res, err := e.class.Dispatch(rctx, obj, method, args)
-	// Reply: RMI is synchronous even for void methods, but a void call
-	// ships only an acknowledgement.
-	m.oneWay(rctx, ctx, link, m.replySize(void, res))
-	return res, err
-}
-
-// rmiCall is one pipelined asynchronous invocation in an object's dispatch
-// queue.
-type rmiCall struct {
-	method string
-	args   []any
-	void   bool
-	from   exec.NodeID
-	sentAt time.Duration
-	size   int
-	done   exec.Chan
-}
-
-// InvokeAsync implements AsyncInvoker: the caller pays only the request
-// marshalling cost, then the call travels to a per-object dispatch loop at
-// the object's node (the skeleton draining one pipelined connection), which
-// executes calls in arrival order and ships acknowledgements back. The
-// caller reclaims the completion — and its reply-tail costs — from done.
-func (m *simRMI) InvokeAsync(ctx exec.Context, obj any, method string, args []any, void bool, done exec.Chan) {
-	e, err := m.entryOf("rmi", method, obj)
-	if err != nil {
-		done.Send(ctx, &Completion{Err: err})
-		return
+	if m.rmi {
+		// Request, dispatch through the woven server, reply: RMI is
+		// synchronous even for void methods, but a void call ships only an
+		// acknowledgement.
+		link := m.links.link(ctx.Node(), e.node)
+		rctx := ctx.OnNode(e.node)
+		m.transfer(ctx, rctx, link, m.sizer.Size(args))
+		res, err := e.class.Dispatch(rctx, obj, method, args)
+		m.transfer(rctx, ctx, link, m.replySize(void, res))
+		return res, err
 	}
-	link := m.links.link(ctx.Node(), e.node)
-	size := m.sizer.Size(args)
-	ctx.Compute(link.SendCPU(size))
-	m.stats.count(1, int64(size))
-	m.inbox(ctx, e, obj).Send(ctx, &rmiCall{
-		method: method, args: args, void: void,
-		from: ctx.Node(), sentAt: ctx.Now(), size: size, done: done,
-	})
-}
-
-// inbox returns obj's asynchronous dispatch queue, spawning its server-side
-// dispatch loop on first use.
-func (m *simRMI) inbox(ctx exec.Context, e *exportEntry, obj any) exec.Chan {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ch, ok := m.inboxes[obj]
-	if !ok {
-		ch = ctx.NewChan(1 << 16)
-		m.inboxes[obj] = ch
-		ctx.SpawnDaemonOn(e.node, "rmi-dispatch:"+e.name, func(sctx exec.Context) {
-			m.serveAsync(sctx, e, obj, ch)
-		})
-	}
-	return ch
-}
-
-// serveAsync is the server side of the pipelined protocol: one loop per
-// object receives the queued calls in order, pays arrival and dispatch
-// costs at the object's node, and acknowledges each call to its sender.
-func (m *simRMI) serveAsync(sctx exec.Context, e *exportEntry, obj any, inbox exec.Chan) {
-	for {
-		v, ok := inbox.Recv(sctx)
-		if !ok {
-			return
-		}
-		call := v.(*rmiCall)
-		link := m.links.link(call.from, e.node)
-		// The request is still on the wire until sentAt + wire time.
-		waitArrival(sctx, link, call.sentAt, call.size)
-		res, err := e.class.Dispatch(sctx, obj, call.method, call.args)
-		replySize := m.replySize(call.void, res)
-		sctx.Compute(link.SendCPU(replySize))
-		m.stats.count(1, int64(replySize))
-		call.done.Send(sctx, &Completion{
-			Res: res, Err: err,
-			sentAt: sctx.Now(), size: replySize, link: m.links.link(e.node, call.from),
-		})
-	}
-}
-
-// --- Simulated MPP (message passing) ---------------------------------------
-
-// simMPP models the paper's Java MPP library (nio-based message passing):
-// one-way sends with thin framing, a per-object server loop receiving
-// messages and dispatching them (the paper's Figure 15 main loop). Methods
-// listed as one-way return immediately after the send; others get a
-// request/reply conversation over the same transport.
-type simMPP struct {
-	mwCore
-	links  simLinks
-	cl     *cluster.Cluster
-	oneway map[string]bool
-
-	mu      sync.Mutex
-	wg      exec.WaitGroup
-	pending int
-}
-
-// NewSimMPP returns an MPP middleware over the simulated cluster. Methods
-// named in oneWayMethods are fire-and-forget sends (the paper's
-// comm.send of filter packs); all other methods use request/reply.
-func NewSimMPP(cl *cluster.Cluster, oneWayMethods ...string) Middleware {
-	ow := make(map[string]bool, len(oneWayMethods))
-	for _, m := range oneWayMethods {
-		ow[m] = true
-	}
-	return &simMPP{
-		mwCore: newMWCore(),
-		links:  newSimLinks(simnet.MPPProfile()),
-		cl:     cl,
-		oneway: ow,
-	}
-}
-
-func (m *simMPP) MiddlewareName() string { return "mpp" }
-
-// mppMsg is one message in an object's inbox.
-type mppMsg struct {
-	method string
-	args   []any
-	from   exec.NodeID
-	sentAt time.Duration
-	size   int
-	void   bool
-	reply  exec.Chan // request/reply conversations (nil otherwise)
-	done   exec.Chan // windowed asynchronous invocations (nil otherwise)
-}
-
-type mppReply struct {
-	res    []any
-	err    error
-	from   exec.NodeID
-	sentAt time.Duration
-	size   int
-}
-
-func (m *simMPP) ExportNew(ctx exec.Context, name string, node exec.NodeID, class *Class,
-	args []any, build func(rctx exec.Context) (any, error)) (any, error) {
-	rctx := ctx.OnNode(node)
-	link := m.links.link(ctx.Node(), node)
-	// Creation control messages, as in RMI but over the cheaper transport.
-	ctx.Compute(link.SendCPU(64))
-	ctx.Sleep(link.WireTime(64))
-	rctx.Compute(link.RecvCPU(64))
-	m.stats.count(2, 128)
-	obj, err := build(rctx)
-	if err != nil {
-		return nil, err
-	}
-	ctx.Sleep(link.WireTime(64)) // creation acknowledgement
-	e := &exportEntry{name: name, node: node, class: class, inbox: ctx.NewChan(1 << 16)}
-	if err := m.reg.add(obj, e); err != nil {
-		return nil, err
-	}
-	// The paper's Figure 15: the server main loop receiving messages and
-	// invoking the method on the local object.
-	ctx.SpawnDaemonOn(node, "mpp-server:"+name, func(sctx exec.Context) {
-		m.serve(sctx, e, obj)
-	})
-	return obj, nil
-}
-
-func (m *simMPP) serve(sctx exec.Context, e *exportEntry, obj any) {
-	for {
-		v, ok := e.inbox.Recv(sctx)
-		if !ok {
-			return
-		}
-		msg := v.(*mppMsg)
-		link := m.links.link(msg.from, e.node)
-		// The message is still on the wire until sentAt + wire time.
-		waitArrival(sctx, link, msg.sentAt, msg.size)
-		res, err := e.class.Dispatch(sctx, obj, msg.method, msg.args)
-		switch {
-		case msg.done != nil:
-			// Windowed asynchronous call: acknowledge to the sender's
-			// completion channel over the same transport.
-			size := m.replySize(msg.void, res)
-			sctx.Compute(link.SendCPU(size))
-			m.stats.count(1, int64(size))
-			msg.done.Send(sctx, &Completion{
-				Res: res, Err: err,
-				sentAt: sctx.Now(), size: size, link: m.links.link(e.node, msg.from),
-			})
-		case msg.reply != nil:
-			size := m.replySize(msg.void, res)
-			sctx.Compute(link.SendCPU(size))
-			m.stats.count(1, int64(size))
-			msg.reply.Send(sctx, &mppReply{res: res, err: err, from: e.node, sentAt: sctx.Now(), size: size})
-		default:
-			m.settle()
-		}
-	}
-}
-
-func (m *simMPP) Invoke(ctx exec.Context, obj any, method string, args []any, void bool) ([]any, error) {
-	e, err := m.entryOf("mpp", method, obj)
-	if err != nil {
-		return nil, err
-	}
-	link := m.links.link(ctx.Node(), e.node)
-	size := m.sizer.Size(args)
-	ctx.Compute(link.SendCPU(size))
-	m.stats.count(1, int64(size))
-
-	msg := &mppMsg{method: method, args: args, from: ctx.Node(), sentAt: ctx.Now(), size: size, void: void}
 	if m.oneway[method] {
-		m.track(ctx)
-		e.inbox.Send(ctx, msg)
+		m.send(ctx, e, obj, method, args, void, nil)
 		return nil, nil
 	}
-	msg.reply = ctx.NewChan(1)
-	e.inbox.Send(ctx, msg)
-	v, _ := msg.reply.Recv(ctx)
-	rep := v.(*mppReply)
-	rlink := m.links.link(rep.from, ctx.Node())
-	waitArrival(ctx, rlink, rep.sentAt, rep.size)
-	return rep.res, rep.err
+	reply := ctx.NewChan(1)
+	m.send(ctx, e, obj, method, args, void, reply)
+	v, _ := reply.Recv(ctx)
+	return v.(*Completion).Reclaim(ctx)
 }
 
-// InvokeAsync implements AsyncInvoker. Methods configured as one-way keep
-// their fire-and-forget transport — there is no acknowledgement, so the
-// window slot frees immediately (the send cost is the only throttle) and the
-// middleware's Join covers the in-flight message. Request/reply methods get
-// the windowed protocol: the server's per-object loop acknowledges each call
-// to the sender's completion channel.
-func (m *simMPP) InvokeAsync(ctx exec.Context, obj any, method string, args []any, void bool, done exec.Chan) {
-	e, err := m.entryOf("mpp", method, obj)
+// InvokeAsync implements AsyncInvoker: the caller pays only the request's
+// sender-side costs, then the call travels to the object's serve loop, which
+// executes calls in arrival order and puts each reply on done. A one-way
+// method has no reply: its window slot frees at once (the send cost is the
+// only throttle) and Join covers the message in flight.
+func (m *simMW) InvokeAsync(ctx exec.Context, obj any, method string, args []any, void bool, done exec.Chan) {
+	e, err := m.entryOf(m.MiddlewareName(), method, obj)
 	if err != nil {
 		done.Send(ctx, &Completion{Err: err})
 		return
 	}
-	link := m.links.link(ctx.Node(), e.node)
-	size := m.sizer.Size(args)
-	ctx.Compute(link.SendCPU(size))
-	m.stats.count(1, int64(size))
-	msg := &mppMsg{method: method, args: args, from: ctx.Node(), sentAt: ctx.Now(), size: size, void: void}
 	if m.oneway[method] {
-		m.track(ctx)
-		e.inbox.Send(ctx, msg)
+		m.send(ctx, e, obj, method, args, void, nil)
 		done.Send(ctx, &Completion{})
 		return
 	}
-	msg.done = done
-	e.inbox.Send(ctx, msg)
+	m.send(ctx, e, obj, method, args, void, done)
 }
 
-func (m *simMPP) track(ctx exec.Context) {
+// simCall is one request queued at an object's serve loop.
+type simCall struct {
+	method string
+	args   []any
+	void   bool
+	from   exec.NodeID
+	sentAt time.Duration
+	size   int
+	done   exec.Chan // the caller's reply channel; nil for a one-way message
+}
+
+// send pays a request's sender-side costs and queues it at obj's serve loop,
+// spawning the loop on first use. A nil done makes it a one-way message,
+// which Join waits for.
+func (m *simMW) send(ctx exec.Context, e *exportEntry, obj any, method string, args []any, void bool, done exec.Chan) {
+	size := m.sizer.Size(args)
+	ctx.Compute(m.links.link(ctx.Node(), e.node).SendCPU(size))
+	m.stats.count(1, int64(size))
 	m.mu.Lock()
-	if m.wg == nil {
-		m.wg = ctx.NewWaitGroup()
+	if done == nil {
+		if m.wg == nil {
+			m.wg = ctx.NewWaitGroup()
+		}
+		m.wg.Add(1)
+		m.pending++
 	}
-	m.wg.Add(1)
-	m.pending++
+	inbox, ok := m.inboxes[obj]
+	if !ok {
+		inbox = ctx.NewChan(1 << 16) // deep enough that no modelled sender waits on it
+		m.inboxes[obj] = inbox
+		ctx.SpawnDaemonOn(e.node, "serve:"+e.name, func(sctx exec.Context) {
+			m.serve(sctx, e, obj, inbox)
+		})
+	}
 	m.mu.Unlock()
+	inbox.Send(ctx, &simCall{method: method, args: args, void: void,
+		from: ctx.Node(), sentAt: ctx.Now(), size: size, done: done})
 }
 
-func (m *simMPP) settle() {
-	m.mu.Lock()
-	m.pending--
-	wg := m.wg
-	m.mu.Unlock()
-	wg.Done()
+// serve is the server side of one object — the RMI skeleton draining its
+// pipelined connection, the paper's Figure 15 MPP main loop. It takes the
+// queued calls in send order and pays each one's arrival and dispatch at the
+// object's node. A one-way message settles; any other call's reply goes to
+// done as a Completion, which the caller (windowed, or a synchronous MPP
+// call) reclaims. The loop never returns: the run's end unwinds it.
+func (m *simMW) serve(sctx exec.Context, e *exportEntry, obj any, inbox exec.Chan) {
+	for {
+		v, _ := inbox.Recv(sctx)
+		c := v.(*simCall)
+		link := m.links.link(c.from, e.node)
+		waitArrival(sctx, link, c.sentAt, c.size)
+		res, err := e.class.Dispatch(sctx, obj, c.method, c.args)
+		if c.done == nil {
+			m.mu.Lock()
+			m.pending--
+			m.mu.Unlock()
+			m.wg.Done()
+			continue
+		}
+		size := m.replySize(c.void, res)
+		sctx.Compute(link.SendCPU(size))
+		m.stats.count(1, int64(size))
+		c.done.Send(sctx, &Completion{
+			Res: res, Err: err,
+			sentAt: sctx.Now(), size: size, link: m.links.link(e.node, c.from),
+		})
+	}
 }
 
 // Join implements Joiner: one-way messages in flight count as pending work.
-func (m *simMPP) Join(ctx exec.Context) error {
+func (m *simMW) Join(ctx exec.Context) error {
 	m.mu.Lock()
 	wg := m.wg
 	m.mu.Unlock()
@@ -592,7 +461,7 @@ func (m *simMPP) Join(ctx exec.Context) error {
 }
 
 // Quiet implements Joiner.
-func (m *simMPP) Quiet() bool {
+func (m *simMW) Quiet() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.pending == 0

@@ -12,13 +12,13 @@ import (
 )
 
 // NetRMI is the real-TCP distribution backend: a Middleware + AsyncInvoker
-// over package rmi's pipelined transport. Where the simulated twins model a
-// remote call's cost, NetRMI performs it — each placement node is an
+// over package rmi's pipelined transport. Where the simulated middleware
+// models a remote call's cost, NetRMI performs it — each placement node is an
 // rmi.Node worker daemon (its own process, or an in-process loopback
 // listener in tests) hosting its own woven domain, and calls cross the wire
 // in the codec negotiated with it.
 //
-// The seam is symmetric with the simulated middlewares: the Distribution
+// The seam is symmetric with the simulated middleware: the Distribution
 // module, the Placement policies and the windowed farm dispatchers run
 // unchanged. Two differences follow from process separation:
 //
@@ -310,8 +310,8 @@ func (m *NetRMI) clientOf(node exec.NodeID) *rmi.Client {
 // the node's own domain executes the woven constructor — and returns a
 // *NetRef remote reference. The build closure is not used: the constructor
 // body must run in the remote process, which is exactly what separates this
-// backend from the in-process twins. Under an enabled fault policy the
-// protocol is retried through recovery — surviving a node crash
+// backend from the in-process simulated middleware. Under an enabled fault
+// policy the protocol is retried through recovery — surviving a node crash
 // mid-placement — and may land on a failover node when the requested one is
 // gone for good.
 func (m *NetRMI) ExportNew(ctx exec.Context, name string, node exec.NodeID, class *Class,
@@ -526,7 +526,7 @@ func (m *NetRMI) Close() error {
 // side of the real middleware. Construction runs the class's woven
 // construction site (so node-local modules — metering, say — apply) and
 // dispatch re-enters the node domain's weaver with MarkRemote set, exactly
-// like the simulated middlewares' server side.
+// like the simulated middleware's serve loop.
 func HostClass(n *rmi.Node, class *Class) {
 	n.Host(class.Name(), classServant{class})
 }

@@ -782,3 +782,70 @@ func TestModuleCombinationsOrdering(t *testing.T) {
 		t.Errorf("on a small workload FarmThreads (%v) should beat FarmRMI (%v), as in the paper's left region", threads, rmi)
 	}
 }
+
+// TestSimMiddlewareGoldenTraffic pins the protocol paths of the simulated
+// middlewares that no sieve variant reaches: MPP request/reply calls, issued
+// windowed (a dynamic farm with window 4) and synchronously (window 1), next
+// to the same farms over RMI. Each row is the elapsed virtual time and every
+// message and byte the cost model charged.
+func TestSimMiddlewareGoldenTraffic(t *testing.T) {
+	golden := []struct {
+		mpp       bool
+		window    int
+		elapsedNs int64
+		messages  int64
+		bytes     int64
+	}{
+		{false, 4, 8390704, 44, 4784},
+		{false, 1, 10857024, 44, 4784},
+		{true, 4, 1959632, 44, 4784},
+		{true, 1, 2770512, 44, 4784},
+	}
+	for _, g := range golden {
+		dom, class := defineBox(t)
+		cl := cluster.New(sim.NewEngine(), cluster.PaperTestbed())
+		mw := NewSimRMI(cl)
+		if g.mpp {
+			mw = NewSimMPP(cl) // no one-way methods: every call is request/reply
+		}
+		farm := NewFarm(FarmConfig{Class: class, Method: "Work", Workers: 3, Split: splitBy(64), Dynamic: true, Window: g.window})
+		dist := NewDistribution(dom, aspect.New("Box"), aspect.Call("Box", "*"), mw, RoundRobin(1, 6))
+		stack := NewStack(dom, farm, dist, NewMetering(aspect.Call("Box", "*"), 1e3, 0))
+		data := windowData(1024)
+		var total int64
+		err := cl.Run(func(ctx exec.Context) {
+			obj, err := class.New(ctx)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := class.Call(ctx, obj, "Work", data); err != nil {
+				t.Error(err)
+			}
+			if err := stack.Join(ctx); err != nil {
+				t.Error(err)
+			}
+			sums, err := farm.Collect(ctx, "Sum")
+			if err != nil {
+				t.Error(err)
+			}
+			for _, s := range sums {
+				total += s.(int64)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s window=%d", mw.MiddlewareName(), g.window)
+		if total != wantSum(data) {
+			t.Errorf("%s: sum %d, want %d", name, total, wantSum(data))
+		}
+		st := mw.Stats()
+		if got := cl.Elapsed().Nanoseconds(); got != g.elapsedNs {
+			t.Errorf("%s: elapsed %d ns, golden %d ns", name, got, g.elapsedNs)
+		}
+		if st.Messages != g.messages || st.Bytes != g.bytes {
+			t.Errorf("%s: traffic %d messages / %d bytes, golden %d / %d", name, st.Messages, st.Bytes, g.messages, g.bytes)
+		}
+	}
+}

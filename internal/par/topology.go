@@ -63,8 +63,9 @@ type TopologyStage struct {
 // TopologyInstaller is the optional Middleware capability behind
 // Pipeline.UseTopology: compiling a created stage chain into a Topology and
 // installing it on the worker nodes. Of the built-in middlewares only NetRMI
-// implements it — the in-process twins re-enter the driver's own weaver on
-// the server side, so their hops already run "at the stage" without a plan.
+// implements it — the in-process simulated middleware re-enters the driver's
+// own weaver on the server side, so its hops already run "at the stage"
+// without a plan.
 type TopologyInstaller interface {
 	// InstallPipeline compiles and installs the topology for the given
 	// stage references (in stage order) and returns the installed plan.

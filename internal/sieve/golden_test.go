@@ -59,3 +59,42 @@ func TestSelfSchedulingGoldenSchedules(t *testing.T) {
 		}
 	}
 }
+
+// TestMiddlewareGoldenTraffic pins, per protocol path of the simulated
+// middlewares, a run's elapsed virtual time and its traffic counters: every
+// message and byte the cost model charges. The rows cover RMI's inline
+// synchronous call (PipeRMI, FarmRMI), its windowed call (FarmDRMI), MPP's
+// one-way sends beside its request/reply calls (FarmMPP, the MPP pipeline)
+// and MPP one-way sends issued through the windowed dispatch of a
+// self-scheduling farm.
+func TestMiddlewareGoldenTraffic(t *testing.T) {
+	golden := []struct {
+		combo     Combo
+		elapsedNs int64
+		messages  int64
+		bytes     int64
+	}{
+		{Combo{PartPipeline, ConcAsync, DistRMI}, 46983394, 258, 1069912},
+		{Combo{PartFarm, ConcAsync, DistRMI}, 27911583, 78, 703884},
+		{Combo{PartDynamicFarm, ConcMerged, DistRMI}, 31277247, 78, 806988},
+		{Combo{PartFarm, ConcAsync, DistMPP}, 20185615, 48, 703404},
+		{Combo{PartPipeline, ConcAsync, DistMPP}, 38298521, 138, 1067992},
+		{Combo{PartDynamicFarm, ConcMerged, DistMPP}, 20185615, 48, 703404},
+	}
+	for _, g := range golden {
+		res, err := RunCombo(g.combo, Params{Max: 300_000, Packs: 30, Filters: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", g.combo, err)
+		}
+		if got := res.Elapsed.Nanoseconds(); got != g.elapsedNs {
+			t.Errorf("%s: elapsed %d ns, golden %d ns", g.combo, got, g.elapsedNs)
+		}
+		if res.Comm.Messages != g.messages || res.Comm.Bytes != g.bytes {
+			t.Errorf("%s: traffic %d messages / %d bytes, golden %d / %d",
+				g.combo, res.Comm.Messages, res.Comm.Bytes, g.messages, g.bytes)
+		}
+		if res.PrimeCount != 25997 || res.PrimeSum != 3709507114 {
+			t.Errorf("%s: checksum %d/%d, golden 25997/3709507114", g.combo, res.PrimeCount, res.PrimeSum)
+		}
+	}
+}

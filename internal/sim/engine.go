@@ -1,9 +1,9 @@
 // Package sim is a deterministic discrete-event simulation kernel.
 //
 // It exists because the paper's evaluation ran on hardware we do not have
-// (seven dual-Xeon 3.2 GHz nodes on Gigabit Ethernet) and this reproduction
-// host has a single CPU core, so real wall-clock parallel speedups are
-// unobservable. The kernel executes the real woven application code inside
+// (seven dual-Xeon 3.2 GHz nodes on Gigabit Ethernet), and a wall-clock run
+// on whatever machine runs the tests would measure that machine, not the
+// paper's. The kernel executes the real woven application code inside
 // cooperative processes while time is virtual: exactly one process runs at
 // any instant, every wake-up flows through a totally ordered event queue
 // (virtual time, then sequence number), so a run is bit-reproducible.
@@ -14,11 +14,17 @@
 // the scheduler. The engine detects global deadlock: if the event queue
 // drains while non-daemon processes are still parked on synchronisation, Run
 // reports them by name.
+//
+// A run ends with its processes: before Run returns — normally, on deadlock
+// or on a panic — it unwinds every process still parked (server daemons
+// waiting for requests, the parked processes of a failed run), running their
+// deferred calls, so no goroutine of a finished simulation outlives it.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -36,18 +42,20 @@ type Engine struct {
 	parked chan struct{}
 
 	nextPID int
-	alive   int // running or blocked processes, daemons included
-	daemons int // alive daemon processes
+	live    map[*Proc]struct{} // started or startable processes, daemons included
+	daemons int                // live daemon processes
 	blocked map[*Proc]struct{}
 
-	failure error
-	running bool
+	failure   error
+	running   bool
+	unwinding bool
 }
 
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
 	return &Engine{
 		parked:  make(chan struct{}),
+		live:    make(map[*Proc]struct{}),
 		blocked: make(map[*Proc]struct{}),
 	}
 }
@@ -91,7 +99,7 @@ func (e *Engine) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 func (e *Engine) spawn(name string, daemon bool, fn func(*Proc)) *Proc {
 	e.nextPID++
 	p := &Proc{eng: e, name: name, pid: e.nextPID, wake: make(chan struct{}), daemon: daemon}
-	e.alive++
+	e.live[p] = struct{}{}
 	if daemon {
 		e.daemons++
 	}
@@ -101,7 +109,6 @@ func (e *Engine) spawn(name string, daemon bool, fn func(*Proc)) *Proc {
 }
 
 func (p *Proc) run(fn func(*Proc)) {
-	<-p.wake // wait for the start event
 	defer func() {
 		e := p.eng
 		if r := recover(); r != nil {
@@ -109,20 +116,32 @@ func (p *Proc) run(fn func(*Proc)) {
 				e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 			}
 		}
-		e.alive--
+		delete(e.live, p)
 		if p.daemon {
 			e.daemons--
 		}
 		e.parked <- struct{}{}
 	}()
+	p.resume() // wait for the start event
 	fn(p)
 }
 
 // yield returns control to the engine; the process resumes when the engine
 // delivers the next wake for it.
 func (p *Proc) yield() {
+	if p.eng.unwinding {
+		runtime.Goexit() // a deferred call blocked while Run unwinds the process
+	}
 	p.eng.parked <- struct{}{}
-	<-p.wake
+	p.resume()
+}
+
+// resume waits for the process's next wake. A closed wake channel is Run
+// unwinding the process: it exits, running its deferred calls.
+func (p *Proc) resume() {
+	if _, ok := <-p.wake; !ok {
+		runtime.Goexit()
+	}
 }
 
 // block parks the process with no scheduled event; some other process (or
@@ -173,13 +192,15 @@ func (p *Proc) Sleep(d time.Duration) {
 
 // Run executes events until none remain, a process panics, or deadlock is
 // detected. It returns the first process panic (wrapped), a deadlock error
-// naming the parked processes, or nil on normal completion. Run may be
-// called once per engine.
+// naming the parked processes, or nil on normal completion. Whichever way it
+// returns, it first unwinds every process still parked, so none outlives the
+// run. Run may be called once per engine.
 func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: Run called twice")
 	}
 	e.running = true
+	defer e.unwind()
 	for e.failure == nil && len(e.events) > 0 {
 		ev := heap.Pop(&e.events).(event)
 		if ev.at < e.now {
@@ -192,10 +213,31 @@ func (e *Engine) Run() error {
 	if e.failure != nil {
 		return e.failure
 	}
-	if e.alive > e.daemons {
+	if len(e.live) > e.daemons {
 		return fmt.Errorf("sim: deadlock at %v: %s", e.now, e.describeBlocked())
 	}
 	return nil
+}
+
+// unwind ends every live process, one at a time and in spawn order, by
+// closing its wake channel: the process exits from the yield it is parked
+// in, or before its first instruction if it never started. Deferred calls
+// still run under the cooperative discipline, so they may touch engine
+// state; any process they spawn is unwound in turn.
+func (e *Engine) unwind() {
+	e.unwinding = true
+	for len(e.live) > 0 {
+		procs := make([]*Proc, 0, len(e.live))
+		for p := range e.live {
+			procs = append(procs, p)
+		}
+		sort.Slice(procs, func(i, j int) bool { return procs[i].pid < procs[j].pid })
+		for _, p := range procs {
+			close(p.wake)
+			<-e.parked
+		}
+	}
+	e.events = nil
 }
 
 func (e *Engine) describeBlocked() string {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -626,6 +627,79 @@ func TestNonDaemonBlockedIsDeadlock(t *testing.T) {
 	e.Spawn("stuck", func(p *Proc) { ch.Recv(p) })
 	if err := e.Run(); err == nil || !strings.Contains(err.Error(), "stuck") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestRunUnwindsParkedProcesses pins that a run's goroutines end with it:
+// whichever way Run returns, every process still parked — daemons waiting
+// on a channel, a mutex or a sleep, processes that never started — exits
+// and runs its deferred calls before Run returns.
+func TestRunUnwindsParkedProcesses(t *testing.T) {
+	cases := []struct {
+		name    string
+		wantErr string
+		failure func(e *Engine) // the non-daemon workload
+	}{
+		{"normal", "", func(e *Engine) {
+			e.Spawn("main", func(p *Proc) { p.Sleep(time.Millisecond) })
+		}},
+		{"deadlock", "deadlock", func(e *Engine) {
+			e.Spawn("stuck", func(p *Proc) { e.NewChan(0).Recv(p) })
+		}},
+		{"panic", "panicked", func(e *Engine) {
+			e.Spawn("main", func(p *Proc) {
+				e.Spawn("never-started", func(*Proc) { t.Error("an unwound process ran") })
+				panic("boom")
+			})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := NewEngine()
+			ch, mu := e.NewChan(0), e.NewMutex()
+			unwound := 0
+			e.SpawnDaemon("recv", func(p *Proc) {
+				defer func() { unwound++ }()
+				ch.Recv(p)
+			})
+			e.SpawnDaemon("holder", func(p *Proc) {
+				mu.Lock(p)
+				defer mu.Unlock(p) // hands the mutex on while unwinding
+				defer ch.Recv(p)   // a deferred call that parks again
+				ch.Recv(p)
+			})
+			e.SpawnDaemon("mutex", func(p *Proc) {
+				defer func() { unwound++ }()
+				mu.Lock(p)
+			})
+			if c.name == "panic" {
+				// Only a failed run returns with events still queued.
+				e.SpawnDaemon("sleep", func(p *Proc) {
+					defer func() { unwound++ }()
+					p.Sleep(time.Hour)
+				})
+			}
+			c.failure(e)
+			err := e.Run()
+			if c.wantErr == "" && err != nil || c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+				t.Fatalf("Run = %v, want error containing %q", err, c.wantErr)
+			}
+			want := 2
+			if c.name == "panic" {
+				want = 3
+			}
+			if unwound != want {
+				t.Errorf("%d deferred calls ran, want %d", unwound, want)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%d goroutines after Run, %d before", n, base)
+			}
+		})
 	}
 }
 
