@@ -90,6 +90,27 @@ func TestModuleMatrixConformance(t *testing.T) {
 		}
 		assertPrimesEqual(t, res.Primes, want)
 	})
+
+	// Without KeepPrimes no list is built: the checksum folds over the
+	// gathered parts. One cell per partition: sequential, static farm,
+	// stealing farm and pipeline.
+	wantCount, wantSum := Checksum(want)
+	unkept := p
+	unkept.KeepPrimes = false
+	for _, c := range []Combo{{}, {PartFarm, ConcAsync, DistRMI}, {PartStealingFarm, ConcMerged, DistRMI}, {PartPipeline, ConcAsync, DistRMI}} {
+		t.Run("checksum-only/"+c.String(), func(t *testing.T) {
+			res, err := RunCombo(c, unkept)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Primes != nil {
+				t.Errorf("%d primes kept with KeepPrimes off", len(res.Primes))
+			}
+			if res.PrimeCount != wantCount || res.PrimeSum != wantSum {
+				t.Errorf("checksum (%d, %d), want (%d, %d)", res.PrimeCount, res.PrimeSum, wantCount, wantSum)
+			}
+		})
+	}
 }
 
 // TestInvalidCombosRejected pins the matrix boundaries: self-scheduling

@@ -23,9 +23,10 @@
 // divisibility is decided is not part of the contract, so the wall-clock
 // kernel can get faster while the virtual-time model it feeds stays where it
 // is: Filter crosses off the seeds' multiples over windows of the pack's
-// span, and falls back to trial division (multiplying by a precomputed
-// reciprocal instead of dividing) where a pack is not the shape every
-// product pack has.
+// span, scans a window that holds every odd number of its span without a
+// branch on the sieve, and falls back to trial division (multiplying by a
+// precomputed reciprocal instead of dividing) where a pack is not the shape
+// every product pack has.
 package sieve
 
 import (
@@ -52,8 +53,9 @@ type PrimeFilter struct {
 }
 
 // sieveWindow is the number of odd numbers one window of crossOff spans:
-// 2¹⁵ uint16 slots, 64 KiB of scratch.
-const sieveWindow = 1 << 15
+// 2¹⁴ uint16 slots, 32 KiB of scratch, which stays in a 48 KiB L1 data
+// cache while the window is marked and scanned.
+const sieveWindow = 1 << 14
 
 // sparseRun is the fewest elements a window must hold to be sieved. Marking
 // a window costs a division per seed whatever it holds, so below this
@@ -122,10 +124,16 @@ func (f *PrimeFilter) Filter(nums []int32) []int32 {
 // sieveWindow odd numbers. In each, every seed p with p² ≤ the window's end
 // stores its index + 1 at each odd multiple m ≥ max(p², base), largest seed
 // first, so a slot ends up naming the smallest seed the naive loop would
-// have stopped at. An unmarked element is a survivor; the loop would have
-// run through the k seeds with p² ≤ n. Seeds above 46,340 have p² > MaxInt32
-// and never mark, so an index fits a uint16. Survivors, their order and ops
-// are those of the naive loop, element by element.
+// have stopped at, and the naive loop's operation count for that element.
+// An unmarked element is a survivor; the loop would have run through the k
+// seeds with p² ≤ n. Seeds above 46,340 have p² > MaxInt32 and never mark,
+// so an index fits a uint16. Survivors, their order and ops are those of the
+// naive loop, element by element.
+//
+// A window whose elements are every odd number from its base (every farm
+// pack, stolen half and first pipeline stage's pack) goes through
+// denseScan; from where that stops, the rest of the window is scanned
+// element by element.
 func (f *PrimeFilter) crossOff(nums []int32) int {
 	if len(nums) == 0 || nums[0] < 3 {
 		return 0
@@ -168,6 +176,10 @@ scan:
 				slots[at] = mark
 			}
 		}
+		var took int
+		took, k = f.denseScan(nums[j:], slots, k)
+		j += took
+		prev = int64(nums[j-1])
 		for ; j < len(nums); j++ {
 			n := int64(nums[j])
 			if n > end {
@@ -190,6 +202,60 @@ scan:
 	}
 	f.ops += ops
 	return j
+}
+
+// denseScan takes the longest prefix of nums, up to one element per slot,
+// that is every odd number from nums[0]: element t is nums[0] + 2t and
+// reads slots[t]. It appends the survivors to kept, counts their operations
+// and returns how many elements it took (at least one) and the seed cursor
+// k, advanced past every seed whose square the prefix reached.
+//
+// The scan has no branch that depends on the sieve: every element is
+// stored, and kept only by advancing the survivor count past it; a marked
+// slot's value is added as its operations; the survivors' operations,
+// min(k+1, len(seeds)) each, are added once per run of elements between
+// two seeds' squares, where k is constant. Checking the progression costs
+// one compare per element.
+func (f *PrimeFilter) denseScan(nums []int32, slots []uint16, k int) (took, _ int) {
+	seeds := f.seeds
+	nums = nums[:min(len(nums), len(slots))]
+	base := int64(nums[0])
+	kept := slices.Grow(f.kept, len(nums))
+	buf := kept[len(kept) : len(kept)+len(nums)]
+	c := 0 // survivors stored in buf
+	var ops int64
+	for took < len(nums) {
+		n := base + 2*int64(took)
+		for k < len(seeds) && int64(seeds[k])*int64(seeds[k]) <= n {
+			k++
+		}
+		stop := len(nums)
+		if k < len(seeds) {
+			// The first element at or past the next seed's square.
+			stop = int(min(int64(stop), (int64(seeds[k])*int64(seeds[k])-base+1)/2))
+		}
+		run, marks := nums[took:stop], slots[took:stop]
+		want := int32(n)
+		c0, sum, i := c, 0, 0
+		for ; i < len(run); i++ {
+			if run[i] != want {
+				break
+			}
+			v := uint32(marks[i])
+			buf[c] = want
+			c += int((v - 1) >> 31) // 1 when v == 0, the slot unmarked
+			sum += int(v)
+			want += 2
+		}
+		ops += int64(sum) + int64(c-c0)*int64(min(k+1, len(seeds)))
+		took += i
+		if i < len(run) {
+			break
+		}
+	}
+	f.kept = kept[:len(kept)+c]
+	f.ops += ops
+	return took, k
 }
 
 // trialDivide is the naive loop with the division strength-reduced away. k
@@ -310,10 +376,18 @@ func Candidates(from, max int32) []int32 {
 		return nil
 	}
 	// The exact size, allocated once: at the paper's scale this is 20 MB on
-	// the driver's serial path, before the first pack can leave.
-	out := make([]int32, 0, (int64(max)-int64(start))/2+1)
-	for n := start; n <= max && n > 0; n += 2 {
-		out = append(out, n)
+	// the driver's serial path, before the first pack can leave. Filling it
+	// by index, four stores a trip, costs less than appending.
+	out := make([]int32, (int64(max)-int64(start))/2+1)
+	n, i := start, 0
+	for ; i+4 <= len(out); i += 4 {
+		o := out[i : i+4 : i+4]
+		o[0], o[1], o[2], o[3] = n, n+2, n+4, n+6
+		n += 8 // may wrap past MaxInt32 after the last four; then unused
+	}
+	for ; i < len(out); i++ {
+		out[i] = n
+		n += 2
 	}
 	return out
 }

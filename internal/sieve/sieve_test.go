@@ -194,9 +194,25 @@ func TestFilterMatchesTrialDivision(t *testing.T) {
 			// A shaped prefix followed by input of any shape: the sieve stops
 			// where the shape breaks and trial division takes the rest.
 			append(Candidates(r[1], r[1]+3000), edge...))
+		// Contiguous runs, which take the dense scan, broken two ways: one
+		// element dropped mid-window, and a run that starts mid-window after
+		// a sparse prefix.
+		run := Candidates(r[1], r[1]+4*sieveWindow)
+		shaped = append(shaped, slices.Delete(slices.Clone(run), sieveWindow/2, sieveWindow/2+1))
+		var prefix []int32
+		for n := r[1] | 1; len(prefix) < 2*sparseRun; n += 14 {
+			prefix = append(prefix, n)
+		}
+		from := prefix[len(prefix)-1]
+		shaped = append(shaped, append(prefix, Candidates(from, from+3*sieveWindow)...))
 		if seeds := f.seeds; len(seeds) > 0 {
 			p := seeds[len(seeds)-1]
 			shaped = append(shaped, []int32{p}, []int32{p * p}, []int32{p*p + 2})
+			// Dense windows across the last seeds' squares, where the
+			// survivors' operation count steps up mid-window.
+			for _, p := range seeds[max(len(seeds)-2, 0):] {
+				shaped = append(shaped, Candidates(max(p*p-sieveWindow, 2), p*p+sieveWindow))
+			}
 		}
 		checkAgainstReference(t, f, shaped...)
 	}
@@ -263,8 +279,20 @@ func FuzzFilter(f *testing.F) {
 			nums[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
 		}
 		// Raw bytes are almost never a shaped pack; their odd, sorted,
-		// deduplicated copy always is.
-		checkAgainstReference(t, pf, nums[:len(nums)/2], nums[len(nums)/2:], oddAscending(nums))
+		// deduplicated copy always is. A contiguous run from its first value,
+		// with element width removed, crosses from the dense scan to the
+		// element-by-element one wherever width falls.
+		shaped := oddAscending(nums)
+		packs := [][]int32{nums[:len(nums)/2], nums[len(nums)/2:], shaped}
+		if len(shaped) > 0 {
+			from := shaped[0] - 1
+			run := Candidates(from, int32(min(int64(from)+3*sieveWindow, math.MaxInt32)))
+			if int(width) < len(run) {
+				run = slices.Delete(run, int(width), int(width)+1)
+			}
+			packs = append(packs, run)
+		}
+		checkAgainstReference(t, pf, packs...)
 	})
 }
 
@@ -344,6 +372,20 @@ func BenchmarkFilterKernelMidStage(b *testing.B) {
 	first, _ := NewPrimeFilter(ranges[0][0], ranges[0][1])
 	f, _ := NewPrimeFilter(ranges[1][0], ranges[1][1])
 	benchmarkFilter(b, f, first.Filter(Candidates(ISqrt(max), max)))
+}
+
+// candidatesSink keeps BenchmarkCandidates' result alive.
+var candidatesSink []int32
+
+// BenchmarkCandidates is the driver's serial phase before the first pack can
+// leave: every odd candidate in (√Max, Max] at the paper's scale.
+func BenchmarkCandidates(b *testing.B) {
+	max := PaperParams(1).Max
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		candidatesSink = Candidates(ISqrt(max), max)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(candidatesSink)), "ns/candidate")
 }
 
 func TestISqrt(t *testing.T) {

@@ -839,15 +839,20 @@ func runWoven(v Variant, c Combo, p Params) (Result, error) {
 		if err := w.stack.Join(ctx); err != nil {
 			panic(err)
 		}
-		primes, err := gather(ctx, w, v, pf)
+		parts, err := gather(ctx, w, pf)
 		if err != nil {
 			panic(err)
 		}
-		res.PrimeCount, res.PrimeSum = Checksum(primes)
+		// The checksum is order-free and folds over the parts; only the
+		// kept list is concatenated and sorted.
+		for _, part := range parts {
+			count, sum := Checksum(part)
+			res.PrimeCount += count
+			res.PrimeSum += sum
+		}
 		if p.KeepPrimes {
-			// The checksum is order-free; only the kept list is sorted.
-			slices.Sort(primes)
-			res.Primes = primes
+			res.Primes = slices.Concat(parts...)
+			slices.Sort(res.Primes)
 		}
 	}
 	if w.net != nil {
@@ -895,21 +900,20 @@ func runReal(ctx exec.Context, main func(exec.Context)) (err error) {
 	return nil
 }
 
-// gather collects the primes, unsorted: the seed primes plus the accepted
-// survivors of the terminal object(s). The collection calls are woven, so
-// with distribution plugged they travel over the middleware like any other
-// call.
-func gather(ctx exec.Context, w *wiring, v Variant, pf any) ([]int32, error) {
-	var primes []int32
+// gather collects the primes as the parts the collection calls returned,
+// unsorted: the seed primes plus the accepted survivors of the terminal
+// object(s). The collection calls are woven, so with distribution plugged
+// they travel over the middleware like any other call.
+func gather(ctx exec.Context, w *wiring, pf any) ([][]int32, error) {
+	var parts [][]int32
 	take := func(res []any, err error) error {
 		if err != nil {
 			return err
 		}
 		for _, r := range res {
-			if r == nil {
-				continue
+			if r != nil {
+				parts = append(parts, r.([]int32))
 			}
-			primes = append(primes, r.([]int32)...)
 		}
 		return nil
 	}
@@ -946,5 +950,5 @@ func gather(ctx exec.Context, w *wiring, v Variant, pf any) ([]int32, error) {
 			return nil, err
 		}
 	}
-	return primes, nil
+	return parts, nil
 }
