@@ -3,6 +3,8 @@ package rmi
 import (
 	"bufio"
 	"bytes"
+	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,19 +229,22 @@ func TestInvokeCBDeliversExactlyOnce(t *testing.T) {
 }
 
 // codecLoop pushes one request through the binary frame encoder and decoder,
-// both reused across calls the way a connection reuses them.
+// both reused across calls the way a connection reuses them: connBufSize
+// buffers, and the encoder given the writer under its bufio buffer, so a bulk
+// array leaves by the vectored write and a long frame is read streamed.
 type codecLoop struct {
 	buf bytes.Buffer
 	bw  *bufio.Writer
-	enc frameEncoder
-	dec frameDecoder
+	enc *binEncoder
+	dec *binDecoder
 }
 
 func newCodecLoop() *codecLoop {
 	l := &codecLoop{}
-	l.bw = bufio.NewWriter(&l.buf)
-	l.enc = BinaryCodec().newEncoder(l.bw)
-	l.dec = BinaryCodec().newDecoder(bufio.NewReader(&l.buf))
+	l.bw = bufio.NewWriterSize(&l.buf, connBufSize)
+	l.enc = BinaryCodec().newEncoder(l.bw).(*binEncoder)
+	l.enc.conn = &l.buf
+	l.dec = BinaryCodec().newDecoder(bufio.NewReaderSize(&l.buf, connBufSize)).(*binDecoder)
 	return l
 }
 
@@ -280,6 +285,46 @@ func TestNamedSliceAllocsPerDecode(t *testing.T) {
 	}
 	if _, ok := newCodecLoop().roundTrip(t, &request{Args: []any{wFrame(samples)}})[0].(wFrame); !ok {
 		t.Error("the frame did not come back as its registered type")
+	}
+}
+
+// TestBulkFrameAllocs pins the copies a bulk array no longer costs, as sizes:
+// a 1 MiB []int32 request leaves the encoder's scratch buffer under
+// connBufSize (the array goes out from its own memory, not through the
+// buffer); a 256 KiB array's encode and decode allocate its payload once and
+// little else (the decoded slice — no frame-sized buffer, no second copy);
+// and the decoder's frame buffer never outgrows the connection's read buffer.
+func TestBulkFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	l := newCodecLoop()
+	for _, n := range []int{connBufSize / 4, 1 << 18} { // from exactly a buffer's worth to 1 MiB
+		l.roundTrip(t, &request{Object: "o", Method: "m", Args: []any{make([]int32, n)}})
+		if cap(l.enc.buf) >= connBufSize {
+			t.Errorf("encoding %d int32s grew the encoder's scratch buffer to %d bytes, want < %d", n, cap(l.enc.buf), connBufSize)
+		}
+	}
+	payload := ramp[int32](1 << 16)
+	req := &request{Object: "o", Method: "m", Args: []any{payload}}
+	l.roundTrip(t, req)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sinkArgs = l.roundTrip(t, req)
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("256 KiB array, encode + decode: %d B/op", perOp)
+	if limit := uint64(4*len(payload)) + 1<<10; perOp > limit {
+		t.Errorf("a 256 KiB array's encode + decode allocates %d B/op, want at most the payload + 1 KiB (%d)", perOp, limit)
+	}
+	if !reflect.DeepEqual(sinkArgs[0], payload) {
+		t.Error("the array did not survive the round trip")
+	}
+	if cap(l.dec.buf) > connBufSize {
+		t.Errorf("the decoder's frame buffer grew to %d bytes, want at most %d", cap(l.dec.buf), connBufSize)
 	}
 }
 

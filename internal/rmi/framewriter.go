@@ -11,14 +11,21 @@ import (
 // reader's — of every connection. A full default window of small frames (64
 // calls of ~100 B, ~130 B with a session tag) fits in one buffer, so a burst
 // crosses in one write(2) and one read(2) each way; bufio's 4 KiB default
-// split it in two. Frames larger than the buffer bypass it (see binEncoder).
+// split it in two. It is also where the binary codec stops copying (see
+// binEncoder and binDecoder): an array of at least this many bytes is written
+// from the sender's slice rather than through the buffer, and a frame longer
+// than the read buffer is parsed through a window onto it, its arrays read
+// straight into the receiver's slices.
 const connBufSize = 16 << 10
 
 // frameWriter is the write side of one connection: driver→node requests,
 // node→driver replies and the node→node forward lane (an ordinary Client)
 // all encode through one of these, under its mutex, into one buffer. Frames
 // are batched, never merged — the bytes on the wire are the bytes the codec
-// produced, in encode order.
+// produced, in encode order. A binary frame carrying a bulk array is the one
+// exception to the buffer: under the same mutex, its encoder flushes the
+// buffer and writes the frame to the connection itself, in one writev that
+// takes the array from the caller's memory.
 //
 // How a frame leaves the buffer follows the traffic, not lock contention (see
 // leave): on an idle connection its writer flushes it inline; otherwise it
@@ -40,10 +47,11 @@ const connBufSize = 16 << 10
 // winding down) empties the buffer before the socket drops; stop alone
 // (Abort, a failed connection) does not.
 type frameWriter struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc frameEncoder
-	err error // sticky: a failed connection never accepts more frames
+	mu   sync.Mutex
+	conn io.Writer // under bw; a binary encoder writes bulk frames to it directly
+	bw   *bufio.Writer
+	enc  frameEncoder
+	err  error // sticky: a failed connection never accepts more frames
 
 	// expecting counts the frames this connection is still waiting to move:
 	// client side, requests whose reply has not arrived; server side,
@@ -64,6 +72,7 @@ type frameWriter struct {
 func newFrameWriter(conn io.Writer, onFail func(error)) *frameWriter {
 	bw := bufio.NewWriterSize(conn, connBufSize)
 	w := &frameWriter{
+		conn:   conn,
 		bw:     bw,
 		enc:    GobCodec().newEncoder(bw),
 		kick:   make(chan struct{}, 1),
@@ -151,4 +160,7 @@ func (w *frameWriter) setCodec(c Codec) {
 		w.err = w.bw.Flush()
 	}
 	w.enc = c.newEncoder(w.bw)
+	if e, ok := w.enc.(*binEncoder); ok {
+		e.conn = w.conn // bulk arrays leave by writev, past bw
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"reflect"
 	"sync"
 )
@@ -31,8 +32,11 @@ import (
 // binary codec.
 //
 // The fixed-width arrays are the host's own memory layout on a little-endian
-// machine, so there they are copied as one block in each direction; a
-// big-endian host (hostLittleEndian, a constant) takes the element-by-element
+// machine, so there an array crosses as one block. A small one is copied into
+// the frame and out of it. One that fills a connection buffer (connBufSize)
+// leaves from the sender's slice, in one vectored write with the rest of its
+// frame, and all of it past the receiver's read window is read from the
+// connection straight into the slice the decoder returns. A big-endian host (hostLittleEndian, a constant) takes the element-by-element
 // loop that produces the same bytes.
 //
 // The format is self-describing at the value level but NOT versioned beyond
@@ -125,12 +129,24 @@ func (binCodec) newDecoder(br *bufio.Reader) frameDecoder {
 // binEncoder assembles each frame in a reused scratch buffer — frameHeadroom
 // bytes of room, then the body — and writes it with its length prefix in one
 // Write: a frame larger than the bufio buffer goes to the connection in one
-// piece instead of a buffer-sized fragment and the rest. Steady state
-// allocates nothing.
+// piece instead of a buffer-sized fragment and the rest. An array of at least
+// connBufSize bytes is left out of the scratch buffer when the encoder can
+// reach the connection (conn): it is noted as a bulk block by position, and
+// flushFrame writes the frame from the scratch buffer and the arrays' own
+// memory in one writev. Steady state allocates nothing but a bulk frame's
+// iovec list.
 type binEncoder struct {
-	bw   *bufio.Writer
-	buf  []byte
-	gobs bytes.Buffer // scratch for vGob fallback values
+	bw    *bufio.Writer
+	conn  io.Writer // the connection under bw; nil copies every array into buf
+	buf   []byte
+	bulks []bulk       // this frame's arrays left out of buf, in frame order
+	gobs  bytes.Buffer // scratch for vGob fallback values
+}
+
+// bulk is an array's memory standing in the frame at buf offset at.
+type bulk struct {
+	at  int
+	raw []byte
 }
 
 // start returns the scratch buffer, emptied, with the headroom in place and
@@ -140,15 +156,45 @@ func (e *binEncoder) start(kind byte) []byte {
 	return append(append(e.buf[:0], room[:]...), kind)
 }
 
-// flushFrame writes the frame assembled in b (headroom included): the length
-// prefix goes right-aligned into the headroom, in front of the body.
+// flushFrame writes the frame assembled in b (headroom included) and its bulk
+// blocks: the length prefix goes right-aligned into the headroom, in front of
+// the body. A frame with bulk blocks leaves behind what bw holds, in one
+// writev of the scratch pieces and the arrays between them; the blocks are
+// forgotten before it returns, so no reference to the caller's arrays
+// outlives the Encode call.
 func (e *binEncoder) flushFrame(b []byte) error {
-	e.buf = b
+	size := len(b) - frameHeadroom
+	for _, bl := range e.bulks {
+		size += len(bl.raw)
+	}
 	var hdr [frameHeadroom]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(b)-frameHeadroom))
+	n := binary.PutUvarint(hdr[:], uint64(size))
 	from := frameHeadroom - n
 	copy(b[from:], hdr[:n])
-	_, err := e.bw.Write(b[from:])
+	if len(e.bulks) == 0 {
+		e.buf = b
+		_, err := e.bw.Write(b[from:])
+		return err
+	}
+	defer e.drop(b, nil)
+	if err := e.bw.Flush(); err != nil {
+		return err
+	}
+	vec := make(net.Buffers, 0, 2*len(e.bulks)+1)
+	for _, bl := range e.bulks {
+		vec = append(vec, b[from:bl.at], bl.raw)
+		from = bl.at
+	}
+	vec = append(vec, b[from:])
+	_, err := vec.WriteTo(e.conn)
+	return err
+}
+
+// drop forgets the frame being assembled in b, keeping the buffer.
+func (e *binEncoder) drop(b []byte, err error) error {
+	e.buf = b[:0]
+	clear(e.bulks)
+	e.bulks = e.bulks[:0]
 	return err
 }
 
@@ -192,8 +238,7 @@ func (e *binEncoder) EncodeRequest(req *request) error {
 		var err error
 		for _, v := range req.Args {
 			if b, err = e.appendValue(b, v); err != nil {
-				e.buf = b[:0]
-				return err
+				return e.drop(b, err)
 			}
 		}
 	}
@@ -242,8 +287,7 @@ func (e *binEncoder) EncodeResponse(resp *response) error {
 		var err error
 		for _, v := range resp.Results {
 			if b, err = e.appendValue(b, v); err != nil {
-				e.buf = b[:0]
-				return err
+				return e.drop(b, err)
 			}
 		}
 	}
@@ -273,11 +317,11 @@ func (e *binEncoder) appendValue(b []byte, v any) ([]byte, error) {
 		b = binary.AppendUvarint(append(b, vBytes), uint64(len(x)))
 		return append(b, x...), nil
 	case []int32:
-		return appendFixed(b, vInt32s, x), nil
+		return appendArray(e, b, vInt32s, x), nil
 	case []int64:
-		return appendFixed(b, vInt64s, x), nil
+		return appendArray(e, b, vInt64s, x), nil
 	case []float64:
-		return appendFixed(b, vFloat64s, x), nil
+		return appendArray(e, b, vFloat64s, x), nil
 	case []any:
 		b = binary.AppendUvarint(append(b, vAnys), uint64(len(x)))
 		var err error
@@ -304,9 +348,13 @@ func (e *binEncoder) appendValue(b []byte, v any) ([]byte, error) {
 	}
 }
 
-// binDecoder reads one length-prefixed frame at a time into a reused buffer
-// and parses it; every variable-length value is copied out, so the buffer's
-// reuse never aliases decoded data.
+// binDecoder reads one length-prefixed frame at a time. A frame that fits the
+// connection's read buffer is read whole into a reused buffer and parsed
+// there; a longer one is parsed through a window onto the read buffer itself,
+// and an array that runs past the window is read from the connection straight
+// into the slice it decodes to (see wireCursor), so buf never outgrows the
+// read buffer. Every variable-length value is copied out: no decoded value
+// aliases a buffer that is reused.
 type binDecoder struct {
 	br  *bufio.Reader
 	buf []byte
@@ -345,25 +393,33 @@ func (d *binDecoder) readFrame(wantKind byte) (wireCursor, error) {
 	if n > maxFrame {
 		return wireCursor{}, fmt.Errorf("rmi: binary frame of %d bytes exceeds limit", n)
 	}
-	if uint64(cap(d.buf)) < n {
-		d.buf = make([]byte, n)
-	}
-	d.buf = d.buf[:n]
-	if _, err := io.ReadFull(d.br, d.buf); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			err = io.EOF // mid-frame connection loss reads as a clean close
+	c := wireCursor{br: d.br, left: n} // streamed, unless it fits the read buffer
+	if n <= uint64(d.br.Size()) {
+		if uint64(cap(d.buf)) < n {
+			d.buf = make([]byte, n)
 		}
-		return wireCursor{}, err
+		d.buf = d.buf[:n]
+		if _, err := io.ReadFull(d.br, d.buf); err != nil {
+			return wireCursor{}, connLoss(err)
+		}
+		c = wireCursor{b: d.buf}
 	}
-	c := wireCursor{b: d.buf}
 	kind, err := c.byte()
-	if err != nil {
-		return wireCursor{}, err
+	if err == nil && kind != wantKind {
+		err = fmt.Errorf("rmi: binary frame kind 0x%02x, want 0x%02x", kind, wantKind)
 	}
-	if kind != wantKind {
-		return wireCursor{}, fmt.Errorf("rmi: binary frame kind 0x%02x, want 0x%02x", kind, wantKind)
+	if err != nil {
+		return wireCursor{}, c.finish(err)
 	}
 	return c, nil
+}
+
+// connLoss maps a connection lost mid-frame to a clean close.
+func connLoss(err error) error {
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		return io.EOF
+	}
+	return err
 }
 
 func (d *binDecoder) DecodeRequest(req *request) error {
@@ -371,6 +427,10 @@ func (d *binDecoder) DecodeRequest(req *request) error {
 	if err != nil {
 		return err
 	}
+	return c.finish(d.request(&c, req))
+}
+
+func (d *binDecoder) request(c *wireCursor, req *request) error {
 	flags, err := c.uvarint()
 	if err != nil {
 		return err
@@ -387,14 +447,14 @@ func (d *binDecoder) DecodeRequest(req *request) error {
 		}
 		req.Stream = uint32(s)
 	}
-	if req.Object, err = d.name(&c); err != nil {
+	if req.Object, err = d.name(c); err != nil {
 		return err
 	}
-	if req.Method, err = d.name(&c); err != nil {
+	if req.Method, err = d.name(c); err != nil {
 		return err
 	}
 	if flags&frTracked != 0 {
-		if req.Client, err = d.name(&c); err != nil {
+		if req.Client, err = d.name(c); err != nil {
 			return err
 		}
 		if req.Seq, err = c.uvarint(); err != nil {
@@ -422,6 +482,10 @@ func (d *binDecoder) DecodeResponse(resp *response) error {
 	if err != nil {
 		return err
 	}
+	return c.finish(d.response(&c, resp))
+}
+
+func (d *binDecoder) response(c *wireCursor, resp *response) error {
 	flags, err := c.uvarint()
 	if err != nil {
 		return err
@@ -462,17 +526,84 @@ func (d *binDecoder) DecodeResponse(resp *response) error {
 }
 
 // wireCursor parses one frame body with bounds checks everywhere: a corrupt
-// frame yields an error, never a panic or an oversized allocation.
+// frame yields an error, never a panic or an allocation beyond the frame's
+// declared length.
+//
+// A frame read whole is b. A frame longer than the read buffer is streamed: b
+// is then a window peeked from br, its bytes still unread there, and left
+// counts the frame's bytes behind the window; refill slides the window on,
+// copyOut reads past it into the caller's memory, and finish skips what the
+// parse did not consume, so the next frame starts where it should.
 type wireCursor struct {
-	b   []byte
-	off int
+	b    []byte
+	off  int
+	br   *bufio.Reader // set while streaming
+	left uint64
 }
 
-func (c *wireCursor) remaining() int { return len(c.b) - c.off }
+// remaining counts the frame's unparsed bytes, in view or not.
+func (c *wireCursor) remaining() int { return len(c.b) - c.off + int(c.left) }
+
+// refill slides a streamed frame's window past what was parsed and shows as
+// much of the rest as the read buffer holds; the callers need at most
+// binary.MaxVarintLen64 bytes, or a take no longer than the buffer.
+func (c *wireCursor) refill() error {
+	if c.left == 0 {
+		return errFrameTruncated
+	}
+	if _, err := c.br.Discard(c.off); err != nil {
+		return connLoss(err)
+	}
+	have := uint64(len(c.b)-c.off) + c.left
+	w := min(have, uint64(c.br.Size()))
+	b, err := c.br.Peek(int(w))
+	if err != nil {
+		return connLoss(err)
+	}
+	c.b, c.off, c.left = b, 0, have-w
+	return nil
+}
+
+// copyOut fills dst with the frame's next len(dst) bytes: what the window
+// holds is copied, the rest of a streamed frame is read from the connection
+// straight into dst (bufio hands a read of at least its size to the
+// connection).
+func (c *wireCursor) copyOut(dst []byte) error {
+	if len(dst) > c.remaining() {
+		return errFrameTruncated
+	}
+	k := copy(dst, c.b[c.off:])
+	c.off += k
+	if k == len(dst) {
+		return nil
+	}
+	if _, err := c.br.Discard(c.off); err != nil {
+		return connLoss(err)
+	}
+	c.b, c.off = nil, 0
+	c.left -= uint64(len(dst) - k)
+	_, err := io.ReadFull(c.br, dst[k:])
+	return connLoss(err)
+}
+
+// finish ends the frame with the parse's verdict err, skipping what is left
+// of a streamed frame; err wins over a failed skip.
+func (c *wireCursor) finish(err error) error {
+	if c.br == nil {
+		return err
+	}
+	_, skipErr := c.br.Discard(len(c.b) + int(c.left))
+	if err == nil {
+		err = connLoss(skipErr)
+	}
+	return err
+}
 
 func (c *wireCursor) byte() (byte, error) {
 	if c.off >= len(c.b) {
-		return 0, errFrameTruncated
+		if err := c.refill(); err != nil {
+			return 0, err
+		}
 	}
 	v := c.b[c.off]
 	c.off++
@@ -481,11 +612,28 @@ func (c *wireCursor) byte() (byte, error) {
 
 func (c *wireCursor) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(c.b[c.off:])
+	if n == 0 && c.left > 0 { // the window ends inside the varint
+		if err := c.refill(); err != nil {
+			return 0, err
+		}
+		v, n = binary.Uvarint(c.b[c.off:])
+	}
 	if n <= 0 {
 		return 0, errFrameTruncated
 	}
 	c.off += n
 	return v, nil
+}
+
+// count reads an element count and checks that that many elements of width
+// bytes fit in what is left of the frame, before anything is allocated for
+// them.
+func (c *wireCursor) count(width uint64) (uint64, error) {
+	n, err := c.uvarint()
+	if err == nil && n > uint64(c.remaining())/width {
+		err = errFrameTruncated
+	}
+	return n, err
 }
 
 func (c *wireCursor) zigzag() (int64, error) {
@@ -496,18 +644,30 @@ func (c *wireCursor) zigzag() (int64, error) {
 	return int64(u>>1) ^ -int64(u&1), nil
 }
 
+// take returns the frame's next n bytes. The result aliases the frame, or a
+// streamed frame's window — valid until the cursor moves on — except for a
+// run longer than the read buffer, which is copied out into fresh memory.
 func (c *wireCursor) take(n uint64) ([]byte, error) {
 	if n > uint64(c.remaining()) {
 		return nil, errFrameTruncated
+	}
+	if n > uint64(len(c.b)-c.off) {
+		if n > uint64(c.br.Size()) {
+			out := make([]byte, n)
+			return out, c.copyOut(out)
+		}
+		if err := c.refill(); err != nil {
+			return nil, err
+		}
 	}
 	b := c.b[c.off : c.off+int(n)]
 	c.off += int(n)
 	return b, nil
 }
 
-// prefixed reads a length-prefixed run of bytes; the result aliases the frame.
+// prefixed reads a length-prefixed run of bytes (see take).
 func (c *wireCursor) prefixed() ([]byte, error) {
-	n, err := c.uvarint()
+	n, err := c.count(1)
 	if err != nil {
 		return nil, err
 	}
@@ -521,20 +681,20 @@ func (c *wireCursor) str() (string, error) {
 
 // values parses a counted value list ([]any).
 func (c *wireCursor) values() ([]any, error) {
-	n, err := c.uvarint()
+	// Every encoded value costs at least one tag byte, so the count can
+	// never legitimately exceed the bytes left. A streamed frame's bytes may
+	// not have arrived yet, so its list grows with the values actually read.
+	n, err := c.count(1)
 	if err != nil {
 		return nil, err
 	}
-	// Every encoded value costs at least one tag byte, so the count can
-	// never legitimately exceed the bytes left.
-	if n > uint64(c.remaining()) {
-		return nil, errFrameTruncated
-	}
-	out := make([]any, n)
-	for i := range out {
-		if out[i], err = c.value(); err != nil {
+	out := make([]any, 0, min(n, uint64(len(c.b)-c.off)))
+	for ; n > 0; n-- {
+		v, err := c.value()
+		if err != nil {
 			return nil, err
 		}
+		out = append(out, v)
 	}
 	return out, nil
 }
@@ -574,11 +734,12 @@ func (c *wireCursor) value() (any, error) {
 	case vString:
 		return c.str()
 	case vBytes:
-		b, err := c.prefixed()
-		if err != nil {
-			return nil, err
+		n, err := c.count(1)
+		if err != nil || n == 0 {
+			return []byte(nil), err
 		}
-		return append([]byte(nil), b...), nil
+		out := make([]byte, n)
+		return out, c.copyOut(out)
 	case vInt32s:
 		return readFixed[int32](c, 4)
 	case vInt64s:
@@ -626,6 +787,19 @@ func (c *wireCursor) value() (any, error) {
 // fixedWidth is the element types of the block-copied array tags.
 type fixedWidth interface{ int32 | int64 | float64 }
 
+// appendArray appends an array value to the frame: copied in (appendFixed),
+// or, when it fills a connection buffer and e can write around its bufio
+// buffer, as tag and count only, with x's memory noted as a bulk block.
+func appendArray[T fixedWidth](e *binEncoder, b []byte, tag byte, x []T) []byte {
+	raw := rawBytes(x)
+	if !hostLittleEndian || e.conn == nil || len(raw) < connBufSize {
+		return appendFixed(b, tag, x)
+	}
+	b = binary.AppendUvarint(append(b, tag), uint64(len(x)))
+	e.bulks = append(e.bulks, bulk{at: len(b), raw: raw})
+	return b
+}
+
 // appendFixed appends an array value — tag, count, then x's elements in
 // fixed-width little-endian form: the slice's own memory on a little-endian
 // host, the portable loop elsewhere.
@@ -656,24 +830,25 @@ func appendFixedPortable[T fixedWidth](b []byte, x []T) []byte {
 }
 
 // readFixed parses a counted array of width-byte elements into a fresh slice
-// (never an alias of the frame buffer, which the decoder reuses).
+// (never an alias of a buffer the decoder reuses): a block copy out of the
+// frame, or, past a streamed frame's window, a read from the connection
+// straight into the slice's memory.
 func readFixed[T fixedWidth](c *wireCursor, width uint64) ([]T, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(c.remaining())/width {
-		return nil, errFrameTruncated
-	}
-	raw, err := c.take(n * width)
+	n, err := c.count(width)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]T, n)
 	if hostLittleEndian {
-		copy(rawBytes(out), raw)
+		err = c.copyOut(rawBytes(out))
 	} else {
-		fillFixedPortable(out, raw)
+		var raw []byte
+		if raw, err = c.take(n * width); err == nil {
+			fillFixedPortable(out, raw)
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

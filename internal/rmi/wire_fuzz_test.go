@@ -4,8 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -240,9 +244,50 @@ func FuzzBinaryGobEquivalence(f *testing.F) {
 	})
 }
 
+// bulkSeed is a robustness seed around a frame longer than the connection's
+// read buffer, one a decoder streams, and the outcome of decoding its frames
+// as requests in turn: true for a frame that decodes, false for an error.
+type bulkSeed struct {
+	why  string
+	data []byte
+	want []bool
+}
+
+func bulkSeeds() []bulkSeed {
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	BinaryCodec().newEncoder(bw).EncodeRequest(&request{Object: "PS1", Method: "Sieve", Args: []any{"x", ramp[int32](8192), ramp[float64](2049)}})
+	bw.Flush()
+	good := buf.Bytes()
+	_, n := binary.Uvarint(good)
+	body := good[n:]
+	reframe := func(size int, body []byte) []byte {
+		return append(binary.AppendUvarint(nil, uint64(size)), body...)
+	}
+	// Kind, flags, object, method and the argument count take 13 bytes; the
+	// first argument's tag follows.
+	badTag := bytes.Clone(body)
+	badTag[13] = 0x7f
+	overCount := requestFrame(append(append([]byte{vInt32s}, binary.AppendUvarint(nil, 1<<20)...), make([]byte, 20_000)...)...)
+	// 16 MiB declared, 8 Mi arguments counted, 20,000 sent (nils).
+	bareCount := binary.AppendUvarint(append(binary.AppendUvarint(nil, 1<<24), bkRequest, frArgs, 0, 0), 1<<23)
+	bareCount = append(bareCount, make([]byte, 20_000)...)
+	return []bulkSeed{
+		{"truncated mid-array", good[:len(good)/2], []bool{false}},
+		{"element count past the frame's end", overCount, []bool{false}},
+		{"a list count the bytes do not back", bareCount, []bool{false}},
+		{"length prefix shorter than the values", reframe(len(body)-100, body), []bool{false}},
+		{"trailing bytes after the last value", reframe(len(body)+7, append(bytes.Clone(body), 1, 2, 3, 4, 5, 6, 7)), []bool{true}},
+		{"a good frame behind a bad one", append(reframe(len(body), badTag), good...), []bool{false, true}},
+	}
+}
+
 // FuzzBinaryDecodeRobustness throws raw bytes at the binary decoder: any
-// input must produce a value or an error, never a panic or a runaway
-// allocation (the frame cap and per-value bounds checks).
+// input must produce a value or an error, never a panic, and never an
+// allocation out of proportion to the frames' declared lengths (the frame cap
+// and per-value bounds checks). The bytes are decoded three ways: read whole,
+// streamed through connection-sized windows and streamed through 16-byte
+// ones; frame by frame, all three must fail or all decode to the same value.
 func FuzzBinaryDecodeRobustness(f *testing.F) {
 	registerWireTestTypes()
 	f.Add(requestFrame(named(wFrameName, vFloat64s, 1, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f)...))
@@ -262,10 +307,58 @@ func FuzzBinaryDecodeRobustness(f *testing.F) {
 	bw.Flush()
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
+	for _, seed := range bulkSeeds() {
+		f.Add(seed.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req request
-		BinaryCodec().newDecoder(bufio.NewReader(bytes.NewReader(data))).DecodeRequest(&req)
-		var resp response
-		BinaryCodec().newDecoder(bufio.NewReader(bytes.NewReader(data))).DecodeResponse(&resp)
+		// What the frames declare, up to the cap a decoder enforces.
+		declared := 0
+		for rest := data; len(rest) > 0; {
+			size, n := binary.Uvarint(rest)
+			if n <= 0 || size > maxFrame {
+				break
+			}
+			declared += int(size)
+			rest = rest[min(uint64(len(rest)), uint64(n)+size):]
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, resp := range []bool{false, true} {
+			var decs [3]frameDecoder
+			for i, size := range []int{max(16, len(data)), connBufSize, 16} {
+				decs[i] = BinaryCodec().newDecoder(bufio.NewReaderSize(bytes.NewReader(data), size))
+			}
+			for frame := 0; frame < 4; frame++ {
+				var got [3]any
+				var errs [3]error
+				for i, dec := range decs {
+					if resp {
+						var r response
+						errs[i], got[i] = dec.DecodeResponse(&r), &r
+					} else {
+						var r request
+						errs[i], got[i] = dec.DecodeRequest(&r), &r
+					}
+				}
+				for i := 1; i < 3; i++ {
+					if (errs[i] == nil) != (errs[0] == nil) {
+						t.Fatalf("frame %d: read whole: %v; streamed (decoder %d): %v", frame, errs[0], i, errs[i])
+					}
+					// %#v where DeepEqual fails: it tells NaN from NaN apart.
+					if errs[0] == nil && !reflect.DeepEqual(got[i], got[0]) && fmt.Sprintf("%#v", got[i]) != fmt.Sprintf("%#v", got[0]) {
+						t.Fatalf("frame %d: read whole %#v, streamed (decoder %d) %#v", frame, got[0], i, got[i])
+					}
+				}
+				if errors.Is(errs[0], io.EOF) {
+					break
+				}
+			}
+		}
+		runtime.ReadMemStats(&after)
+		// Each of the six decodes may allocate what the frames declare, once;
+		// anything more must be backed by bytes the input holds.
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(6*declared+64*len(data)+1<<20); alloc > limit {
+			t.Fatalf("decoding %d bytes declaring %d allocated %d bytes, limit %d", len(data), declared, alloc, limit)
+		}
 	})
 }
