@@ -83,6 +83,22 @@
 // accounting invariant Executed == Seeded + Splits ("no pack lost, no pack
 // filtered twice") is property-tested.
 //
+// # Pack payloads
+//
+// The modules that reshape packs work on calls whose single argument is an
+// []int32 payload, the shape of the paper's number packs: the steal
+// scheduler halves one at len/2, no half under [StealConfig].MinSplit, and
+// [Packing] merges consecutive ones. A partition's Split may put a [Lazy] in
+// that place instead: a pack that knows its length, halves itself at
+// Len()/2 into halves that build to the two parts of the whole, and builds
+// its []int32 only when asked. The steal scheduler halves a Lazy without
+// building it. The pipeline's split loop, the static farm's loop and the
+// self-scheduling farms' pack issue build it just before the pack's call
+// enters the weaver, so Packing, [Metering], every middleware and the fault
+// journal see only []int32 packs, and no pack is built before its call is
+// made. The sieve's candidate range is one: its driver never holds the
+// 20 MB list at once.
+//
 // # Windowed self-scheduling (latency hiding)
 //
 // Both self-scheduling schedules originally blocked on one synchronous

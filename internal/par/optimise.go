@@ -27,8 +27,9 @@ var packed = aspect.RegisterMark(markPacked)
 // distribution middleware plugged, k packs travel as one message, trading
 // per-message overhead against pipelining. It applies to methods whose
 // single argument is an []int32 payload — the shape of the paper's number
-// packs. Buffered work is flushed when Degree packs accumulated per target;
-// Flush pushes out the remainder (the harness calls it before Join).
+// packs; a Lazy pack is built before packing sees it. Buffered work is
+// flushed when Degree packs accumulated per target; Flush pushes out the
+// remainder (the harness calls it before Join).
 type Packing struct {
 	class  *Class
 	method string
@@ -100,12 +101,45 @@ func singleInt32Payload(args []any) ([]int32, bool) {
 	return payload, ok
 }
 
+// Lazy is a pack payload that a partition's Split may return in place of an
+// []int32: Len elements that Build makes only when the pack's call is
+// issued, so a split never holds every pack at once. Halve must cut at
+// Len()/2, the midpoint an []int32 pack is halved at, and the halves must
+// Build to the two parts of the whole's Build.
+type Lazy interface {
+	Len() int
+	Halve() (a, b Lazy)
+	Build() []int32
+}
+
+// built returns a pack call's arguments with a Lazy payload built: the
+// partition modules pass every pack through it just before its call enters
+// the weaver, so no other advice and no middleware ever sees a Lazy.
+func built(args []any) []any {
+	if l, ok := lazyPayload(args); ok {
+		return []any{l.Build()}
+	}
+	return args
+}
+
+func lazyPayload(args []any) (Lazy, bool) {
+	if len(args) != 1 {
+		return nil, false
+	}
+	l, ok := args[0].(Lazy)
+	return l, ok
+}
+
 // splitInt32Payload is the inverse of packing's merge: it halves a call whose
-// single argument is an []int32 payload into two calls of at least min
-// elements each. The steal scheduler uses it as its default dynamic
-// pack-sizing rule; ok is false for other argument shapes or payloads too
-// small to split.
+// single argument is an []int32 or Lazy payload into two calls of at least
+// min elements each, a Lazy one without building it. The steal scheduler
+// uses it as its default dynamic pack-sizing rule; ok is false for other
+// argument shapes or payloads too small to split.
 func splitInt32Payload(args []any, min int) (a, b []any, ok bool) {
+	if l, ok := lazyPayload(args); ok && l.Len() >= 2*min {
+		x, y := l.Halve()
+		return []any{x}, []any{y}, true
+	}
 	payload, ok := singleInt32Payload(args)
 	if !ok || len(payload) < 2*min {
 		return nil, nil, false

@@ -78,7 +78,8 @@ type PipelineConfig struct {
 	StageArgs func(orig []any, stage int) []any
 	// Split divides one core-functionality call's arguments into the
 	// argument lists of the parallel sub-calls (the paper's pack split).
-	// nil forwards the original call unsplit.
+	// nil forwards the original call unsplit. A sub-call's single argument
+	// may be a Lazy payload, built as its call is issued.
 	Split func(args []any) [][]any
 	// Forward derives, from a completed stage call, the arguments to send
 	// to the next stage; returning nil stops propagation at this stage.
@@ -202,7 +203,7 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 		}
 		var errs []error
 		for _, part := range parts {
-			if _, err := cfg.Class.CallWith(ctx, marks, head, cfg.Method, part...); err != nil {
+			if _, err := cfg.Class.CallWith(ctx, marks, head, cfg.Method, built(part)...); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -343,7 +344,8 @@ type FarmConfig struct {
 	// the original arguments to every replica (each farm filter holds ALL
 	// the seed primes).
 	WorkerArgs func(orig []any, worker int) []any
-	// Split divides one call into work pieces; nil keeps the call whole.
+	// Split divides one call into work pieces; nil keeps the call whole. As
+	// in PipelineConfig, a piece may carry a Lazy payload.
 	Split func(args []any) [][]any
 	// Dynamic selects self-scheduling: instead of pre-assigning pieces
 	// round-robin, one dispatcher activity per worker pulls the next piece
@@ -479,7 +481,7 @@ func NewFarm(cfg FarmConfig) *Farm {
 		if len(workers) == 0 {
 			// The object was never duplicated (created before the module
 			// was plugged): process locally, unsplit.
-			return proceed(nil)
+			return proceed(built(jp.Args))
 		}
 		if cfg.Dynamic {
 			return nil, f.dispatchDynamic(ctx, workers, parts)
@@ -490,7 +492,7 @@ func NewFarm(cfg FarmConfig) *Farm {
 		var errs []error
 		for _, part := range parts {
 			w := workers[f.nextWorker(len(workers))]
-			if _, err := cfg.Class.CallWith(ctx, Internal, w, cfg.Method, part...); err != nil {
+			if _, err := cfg.Class.CallWith(ctx, Internal, w, cfg.Method, built(part)...); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -556,8 +558,10 @@ type windowSlot struct {
 // middleware cannot pipeline. The call is deliberately NOT marked void: the
 // synchronous protocol ships result payloads in its replies, so the windowed
 // protocol does too — the window is the only variable between the two,
-// keeping latency-hiding measurements honest.
+// keeping latency-hiding measurements honest. A Lazy payload is built here,
+// so the pack exists only while its call does.
 func (f *Farm) issuePack(ctx exec.Context, w any, args []any, win int, done exec.Chan) bool {
+	args = built(args)
 	if win <= 1 {
 		if _, err := f.cfg.Class.CallWith(ctx, Internal|NoAsync, w, f.cfg.Method, args...); err != nil {
 			f.fail(err)

@@ -42,8 +42,8 @@ import (
 // defaults suitable for pack payloads of a few thousand elements.
 type StealConfig struct {
 	// MinSplit is the minimum number of elements per half when a pack's
-	// single []int32 payload argument (the shape of the paper's number
-	// packs) is split in two; 0 selects 64.
+	// single []int32 or Lazy payload argument (the shape of the paper's
+	// number packs) is split in two; 0 selects 64.
 	MinSplit int
 }
 

@@ -32,6 +32,8 @@ package sieve
 import (
 	"fmt"
 	"slices"
+
+	"aspectpar/internal/par"
 )
 
 // PrimeFilter is the core class: sequential, oblivious of parallelism.
@@ -366,23 +368,56 @@ func ISqrt(n int32) int32 {
 }
 
 // Candidates returns the odd candidate numbers in (from, max] — the paper
-// sends only odd numbers to the pipeline.
-func Candidates(from, max int32) []int32 {
+// sends only odd numbers to the pipeline. The woven runs never build the
+// whole list: they pass CandidateOdds, and each pack is built as its call
+// is issued.
+func Candidates(from, max int32) []int32 { return CandidateOdds(from, max).Build() }
+
+// Odds is the run of N consecutive odd numbers from From: a candidate range
+// as a par.Lazy pack payload, cut and halved without being built.
+type Odds struct {
+	From int32
+	N    int
+}
+
+// CandidateOdds returns the odd candidate numbers in (from, max] as a range.
+func CandidateOdds(from, max int32) Odds {
 	start := from + 1
 	if start%2 == 0 {
 		start++
 	}
 	if start <= 0 || start > max {
+		return Odds{}
+	}
+	return Odds{From: start, N: int((int64(max)-int64(start))/2 + 1)}
+}
+
+// Len implements par.Lazy.
+func (o Odds) Len() int { return o.N }
+
+// Halve implements par.Lazy: it cuts at N/2, where par halves a built pack.
+func (o Odds) Halve() (a, b par.Lazy) {
+	mid := o.N / 2
+	return o.slice(0, mid), o.slice(mid, o.N)
+}
+
+// slice returns elements [i, j) of the range.
+func (o Odds) slice(i, j int) Odds {
+	return Odds{From: int32(int64(o.From) + 2*int64(i)), N: j - i}
+}
+
+// Build implements par.Lazy: the range's numbers, nil when it is empty.
+// Filling the exact size by index, four stores a trip, costs less than
+// appending.
+func (o Odds) Build() []int32 {
+	if o.N == 0 {
 		return nil
 	}
-	// The exact size, allocated once: at the paper's scale this is 20 MB on
-	// the driver's serial path, before the first pack can leave. Filling it
-	// by index, four stores a trip, costs less than appending.
-	out := make([]int32, (int64(max)-int64(start))/2+1)
-	n, i := start, 0
+	out := make([]int32, o.N)
+	n, i := o.From, 0
 	for ; i+4 <= len(out); i += 4 {
-		o := out[i : i+4 : i+4]
-		o[0], o[1], o[2], o[3] = n, n+2, n+4, n+6
+		w := out[i : i+4 : i+4]
+		w[0], w[1], w[2], w[3] = n, n+2, n+4, n+6
 		n += 8 // may wrap past MaxInt32 after the last four; then unused
 	}
 	for ; i < len(out); i++ {

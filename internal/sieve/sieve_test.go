@@ -341,6 +341,55 @@ func TestSplitPacksClampIsPerCall(t *testing.T) {
 	}
 }
 
+// The woven runs pass the candidates as an Odds range and the partition
+// modules build each pack as its call is issued, so the range must cut, and
+// the steal scheduler halve, into exactly the packs the built list gives:
+// splitPacks over CandidateOdds builds, element for element, the packs
+// splitPacks over Candidates returns, and Odds.Halve builds the halves par
+// cuts a built pack into, at len/2.
+func TestSplitPacksOverOddsBuildsTheListPacks(t *testing.T) {
+	type span struct{ from, max int32 }
+	var spans []span
+	for _, max := range []int32{0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 24, 25, 26, 27, 48, 49, 50, 99, 100, 101, 1000, 4099, 99_999, 1_000_003} {
+		spans = append(spans, span{ISqrt(max), max})
+	}
+	spans = append(spans, span{-5, 9}, span{0, 7}, span{math.MaxInt32 - 2, math.MaxInt32}, span{math.MaxInt32 - 1001, math.MaxInt32})
+	for _, sp := range spans {
+		odds, list := CandidateOdds(sp.from, sp.max), Candidates(sp.from, sp.max)
+		if built := odds.Build(); !slices.Equal(built, list) || (built == nil) != (list == nil) || odds.Len() != len(list) {
+			t.Fatalf("CandidateOdds(%d, %d) = %+v builds %v, Candidates gives %v", sp.from, sp.max, odds, built, list)
+		}
+		for _, packs := range []int{1, 8, 50, len(list) + 3} {
+			for _, skew := range []float64{1, 4} {
+				cell := fmt.Sprintf("(%d, %d] in %d packs, skew %g", sp.from, sp.max, packs, skew)
+				lazy := splitPacks(packs, skew, 4)([]any{odds})
+				want := splitPacks(packs, skew, 4)([]any{list})
+				if len(lazy) != len(want) {
+					t.Fatalf("%s: %d packs from the range, %d from the list", cell, len(lazy), len(want))
+				}
+				for i := range lazy {
+					pk, ok := lazy[i][0].(Odds)
+					if len(lazy[i]) != 1 || !ok {
+						t.Fatalf("%s: pack %d is %v, want one Odds", cell, i, lazy[i])
+					}
+					built := pk.Build()
+					if !slices.Equal(built, want[i][0].([]int32)) {
+						t.Fatalf("%s: pack %d builds %v, want %v", cell, i, built, want[i][0])
+					}
+					if pk.Len() < 2 {
+						continue
+					}
+					a, b := pk.Halve()
+					mid := len(built) / 2
+					if !slices.Equal(a.Build(), built[:mid]) || !slices.Equal(b.Build(), built[mid:]) {
+						t.Fatalf("%s: pack %d halves into %v and %v, want %v and %v", cell, i, a.Build(), b.Build(), built[:mid], built[mid:])
+					}
+				}
+			}
+		}
+	}
+}
+
 // benchmarkFilter feeds input to the filter in 400 KB packs, as the farm and
 // pipeline wirings do, and reports the kernel's cost per candidate.
 func benchmarkFilter(b *testing.B, f *PrimeFilter, input []int32) {
@@ -377,13 +426,16 @@ func BenchmarkFilterKernelMidStage(b *testing.B) {
 // candidatesSink keeps BenchmarkCandidates' result alive.
 var candidatesSink []int32
 
-// BenchmarkCandidates is the driver's serial phase before the first pack can
-// leave: every odd candidate in (√Max, Max] at the paper's scale.
+// BenchmarkCandidates is what issuing one pack of the paper's headline run
+// costs the driver before the call leaves: building one of its 50 packs of
+// odd candidates in (√Max, Max] from its range.
 func BenchmarkCandidates(b *testing.B) {
-	max := PaperParams(1).Max
+	p := PaperParams(1)
+	pack := splitPacks(p.Packs, 1, 1)([]any{CandidateOdds(ISqrt(p.Max), p.Max)})[0][0].(Odds)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		candidatesSink = Candidates(ISqrt(max), max)
+		candidatesSink = pack.Build()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(candidatesSink)), "ns/candidate")
 }

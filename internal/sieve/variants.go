@@ -410,7 +410,13 @@ func DefineClass(dom *par.Domain) *par.Class {
 		},
 		map[string]par.MethodBody{
 			"Filter": func(target any, args []any) ([]any, error) {
-				return []any{target.(*PrimeFilter).Filter(args[0].([]int32))}, nil
+				nums, ok := args[0].([]int32)
+				if !ok {
+					// The sequential core's unsplit call: no partition
+					// module built the candidate range.
+					nums = args[0].(Odds).Build()
+				}
+				return []any{target.(*PrimeFilter).Filter(nums)}, nil
 			},
 			"Seeds": func(target any, args []any) ([]any, error) {
 				return []any{target.(*PrimeFilter).Seeds()}, nil
@@ -447,16 +453,25 @@ func DefineClass(dom *par.Domain) *par.Class {
 		})
 }
 
-// splitPacks divides the candidate list argument into p.Packs packs — the
-// paper's method-call split. skew > 1 makes every period-th pack skew times
-// larger (for the load-imbalance ablation); skew ≤ 1 gives equal packs.
+// splitPacks divides the candidate argument — an Odds range or a built
+// []int32 list, cut at the same indices — into p.Packs packs: the paper's
+// method-call split. skew > 1 makes every period-th pack skew times larger
+// (for the load-imbalance ablation); skew ≤ 1 gives equal packs.
 func splitPacks(packs int, skew float64, period int) func(args []any) [][]any {
 	return func(args []any) [][]any {
-		data := args[0].([]int32)
-		if len(data) == 0 {
+		var size int
+		var cut func(start, end int) any
+		switch data := args[0].(type) {
+		case Odds:
+			size, cut = data.N, func(start, end int) any { return data.slice(start, end) }
+		default:
+			list := data.([]int32)
+			size, cut = len(list), func(start, end int) any { return list[start:end:end] }
+		}
+		if size == 0 {
 			return nil
 		}
-		n := min(packs, len(data)) // a local: the wiring splits many lists
+		n := min(packs, size) // a local: the wiring splits many lists
 		// Pack weights: uniform, or period-spaced heavy packs.
 		weights := make([]float64, n)
 		total := 0.0
@@ -472,14 +487,14 @@ func splitPacks(packs int, skew float64, period int) func(args []any) [][]any {
 		acc := 0.0
 		for i := 0; i < n; i++ {
 			acc += weights[i]
-			end := int(acc / total * float64(len(data)))
+			end := int(acc / total * float64(size))
 			if i == n-1 {
-				end = len(data)
+				end = size
 			}
 			if end <= start {
 				continue
 			}
-			out = append(out, []any{data[start:end:end]})
+			out = append(out, []any{cut(start, end)})
 			start = end
 		}
 		return out
@@ -822,12 +837,14 @@ func runWoven(v Variant, c Combo, p Params) (Result, error) {
 
 	main := func(ctx exec.Context) {
 		// --- The paper's core main, verbatim structure -------------------
-		list := Candidates(sqrtMax, p.Max)
+		// The candidates travel as a range; each pack is built as its call
+		// is issued (par.Lazy), so the driver never holds the whole list.
+		cands := CandidateOdds(sqrtMax, p.Max)
 		pf, err := w.class.New(ctx, int32(2), sqrtMax)
 		if err != nil {
 			panic(err)
 		}
-		if _, err := w.class.Call(ctx, pf, "Filter", list); err != nil {
+		if _, err := w.class.Call(ctx, pf, "Filter", cands); err != nil {
 			panic(err)
 		}
 		// --- End of core main; join and gather ---------------------------
