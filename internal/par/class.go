@@ -243,8 +243,10 @@ func (c *Class) Call(ctx exec.Context, target any, method string, args ...any) (
 // CallWith is the call site used by aspect code: marks distinguish
 // aspect-generated calls (Internal), server-side re-entries (Remote), inline
 // execution requests (NoAsync) and calls whose results nobody reads (Void).
+// An Internal call's Lazy payload is built here, as the call enters the
+// weaver, so no advice and no middleware ever sees a Lazy.
 func (c *Class) CallWith(ctx exec.Context, marks aspect.Marks, target any, method string, args ...any) ([]any, error) {
-	return c.call(ctx, target, method, args, func(jp *aspect.JoinPoint) { jp.Mark(marks) })
+	return c.call(ctx, target, method, built(marks, args), func(jp *aspect.JoinPoint) { jp.Mark(marks) })
 }
 
 // CallMarked is CallWith for context given by name: every entry of marks is
@@ -260,9 +262,9 @@ func (c *Class) CallMarked(ctx exec.Context, marks map[string]any, target any, m
 
 // callWindowed is the call site of the windowed self-scheduling dispatchers:
 // an inline, aspect-generated call carrying the slot its completion may be
-// delivered on (see MarkWindowed).
+// delivered on (see MarkWindowed). Its Lazy payload is built as in CallWith.
 func (c *Class) callWindowed(ctx exec.Context, slot *windowSlot, target any, method string, args []any) ([]any, error) {
-	return c.call(ctx, target, method, args, func(jp *aspect.JoinPoint) {
+	return c.call(ctx, target, method, built(Internal, args), func(jp *aspect.JoinPoint) {
 		jp.Mark(Internal | NoAsync)
 		jp.Set(MarkWindowed, slot)
 	})

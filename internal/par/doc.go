@@ -92,12 +92,13 @@
 // that place instead: a pack that knows its length, halves itself at
 // Len()/2 into halves that build to the two parts of the whole, and builds
 // its []int32 only when asked. The steal scheduler halves a Lazy without
-// building it. The pipeline's split loop, the static farm's loop and the
-// self-scheduling farms' pack issue build it just before the pack's call
-// enters the weaver, so Packing, [Metering], every middleware and the fault
-// journal see only []int32 packs, and no pack is built before its call is
-// made. The sieve's candidate range is one: its driver never holds the
-// 20 MB list at once.
+// building it. A pack is built in one place, as its aspect-generated call
+// enters the weaver ([Class.CallWith] marked [Internal]), so Packing,
+// [Metering], every middleware and the fault journal see only []int32
+// packs, and no pack is built before its call is made. An original call no
+// partition splits reaches the body with its Lazy, which the body builds.
+// The sieve's candidate range is one: its driver never holds the 20 MB list
+// at once.
 //
 // # Windowed self-scheduling (latency hiding)
 //

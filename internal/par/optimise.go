@@ -112,11 +112,11 @@ type Lazy interface {
 	Build() []int32
 }
 
-// built returns a pack call's arguments with a Lazy payload built: the
-// partition modules pass every pack through it just before its call enters
-// the weaver, so no other advice and no middleware ever sees a Lazy.
-func built(args []any) []any {
-	if l, ok := lazyPayload(args); ok {
+// built returns the arguments of a call marked Internal with a Lazy payload
+// built, and any other call's as they are. The call sites of aspect-generated
+// calls (Class.CallWith, Class.callWindowed) are the one place that calls it.
+func built(marks aspect.Marks, args []any) []any {
+	if l, ok := lazyPayload(args); ok && marks&Internal != 0 {
 		return []any{l.Build()}
 	}
 	return args

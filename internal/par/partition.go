@@ -203,7 +203,7 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 		}
 		var errs []error
 		for _, part := range parts {
-			if _, err := cfg.Class.CallWith(ctx, marks, head, cfg.Method, built(part)...); err != nil {
+			if _, err := cfg.Class.CallWith(ctx, marks, head, cfg.Method, part...); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -480,8 +480,9 @@ func NewFarm(cfg FarmConfig) *Farm {
 		workers := f.set.all()
 		if len(workers) == 0 {
 			// The object was never duplicated (created before the module
-			// was plugged): process locally, unsplit.
-			return proceed(built(jp.Args))
+			// was plugged): process locally, unsplit — a Lazy argument
+			// reaches the body unbuilt, as with no partition plugged.
+			return proceed(nil)
 		}
 		if cfg.Dynamic {
 			return nil, f.dispatchDynamic(ctx, workers, parts)
@@ -492,7 +493,7 @@ func NewFarm(cfg FarmConfig) *Farm {
 		var errs []error
 		for _, part := range parts {
 			w := workers[f.nextWorker(len(workers))]
-			if _, err := cfg.Class.CallWith(ctx, Internal, w, cfg.Method, built(part)...); err != nil {
+			if _, err := cfg.Class.CallWith(ctx, Internal, w, cfg.Method, part...); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -558,10 +559,8 @@ type windowSlot struct {
 // middleware cannot pipeline. The call is deliberately NOT marked void: the
 // synchronous protocol ships result payloads in its replies, so the windowed
 // protocol does too — the window is the only variable between the two,
-// keeping latency-hiding measurements honest. A Lazy payload is built here,
-// so the pack exists only while its call does.
+// keeping latency-hiding measurements honest.
 func (f *Farm) issuePack(ctx exec.Context, w any, args []any, win int, done exec.Chan) bool {
-	args = built(args)
 	if win <= 1 {
 		if _, err := f.cfg.Class.CallWith(ctx, Internal|NoAsync, w, f.cfg.Method, args...); err != nil {
 			f.fail(err)

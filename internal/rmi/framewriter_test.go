@@ -190,12 +190,19 @@ func (tp *tapped) clientBuffered() int {
 //
 // The batch is the test's script, not the scheduler's. The client's writes
 // are held, so the server reads nothing until the whole window is written,
-// and the round runs on one P with the collector off, where the flusher
-// cannot run until the poster parks. The first call finds the connection idle and is flushed by its
-// poster; the other 63 leave in the flusher's one write. The server reads
-// all 64 requests at once and answers them inline on stream 0: 63 replies
-// wait in the buffer while more requests are buffered behind them, and the
-// last, which finds the connection idle, flushes all 64 in one write.
+// and each round runs on one P with the collector off, where the flusher
+// cannot run until the poster parks. The first call finds the connection
+// idle and is flushed by its poster; the other 63 leave in the flusher's one
+// write, whatever streams they ride. The server reads all 64 requests at
+// once. On stream 0 it answers them inline: 63 replies wait in the buffer
+// while more requests are buffered behind them, and the last, which finds
+// the connection idle, flushes all 64 in one write. On the lanes (streams
+// 1–3, the streams a NetRMI dialled with several streams puts its calls on)
+// each lane goroutine answers its whole share when it is scheduled, and the
+// flusher runs only between two lanes' turns: the replies leave in at most
+// one write per lane (3 per 64 calls), fewer when the flusher runs late and
+// merges two lanes' replies. Which it does is the scheduler's choice, so the
+// lanes are held to that bound, not to an exact count.
 //
 // The runtime preempts a goroutine only after 10 ms on its P, so a round
 // that took under 2 ms ran as scripted. A longer one may have been cut by
@@ -206,8 +213,11 @@ func TestWritesPerWindowedCall(t *testing.T) {
 	}
 	tp := startTapped(t, echo)
 	payload := make([]byte, 64)
-	if _, err := tp.stub.Invoke("M", payload); err != nil { // past the handshake
-		t.Fatal(err)
+	lanes := []*Stub{tp.stub.OnStream(1), tp.stub.OnStream(2), tp.stub.OnStream(3)}
+	for _, s := range append([]*Stub{tp.stub}, lanes...) { // past the handshake, every lane started
+		if _, err := s.Invoke("M", payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
@@ -217,43 +227,61 @@ func TestWritesPerWindowedCall(t *testing.T) {
 	const clientWant, serverWant = 2, 1
 	done := make(chan error, window)
 	deliver := func(_ []any, err error) { done <- err }
-	clean, attempt := 0, 0
-	for ; clean < rounds; attempt++ {
-		if attempt == attempts {
-			t.Fatalf("only %d of %d attempts ran undisturbed", clean, attempts)
-		}
-		cw, sw := tp.clientWrites.Load(), tp.serverWrites.Load()
-		start := time.Now()
-		tp.holdClient.hold()
-		for i := 0; i < window; i++ {
-			tp.stub.InvokeCB("M", deliver, payload)
-		}
-		for tp.clientBuffered() > 0 { // let the flusher run
-			if time.Since(start) > 10*time.Second {
-				t.Fatal("the client's frame writer never emptied its buffer")
+	// script runs rounds of one window posted round-robin over stubs until
+	// 8 ran undisturbed, and hands each undisturbed round's write counts to
+	// judge: the client's before the server read any (posted) and in all.
+	script := func(stubs []*Stub, judge func(posted, cw, sw int64)) (attempt int) {
+		for clean := 0; clean < rounds; attempt++ {
+			if attempt == attempts {
+				t.Fatalf("only %d of %d attempts ran undisturbed", clean, attempts)
 			}
-			runtime.Gosched()
-		}
-		posted := tp.clientWrites.Load() - cw
-		if err := tp.holdClient.release(tp.raw); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < window; i++ {
-			if err := await(t, done, "a windowed completion"); err != nil {
+			cw, sw := tp.clientWrites.Load(), tp.serverWrites.Load()
+			start := time.Now()
+			tp.holdClient.hold()
+			for i := 0; i < window; i++ {
+				stubs[i%len(stubs)].InvokeCB("M", deliver, payload)
+			}
+			for tp.clientBuffered() > 0 { // let the flusher run
+				if time.Since(start) > 10*time.Second {
+					t.Fatal("the client's frame writer never emptied its buffer")
+				}
+				runtime.Gosched()
+			}
+			posted := tp.clientWrites.Load() - cw
+			if err := tp.holdClient.release(tp.raw); err != nil {
 				t.Fatal(err)
 			}
+			for i := 0; i < window; i++ {
+				if err := await(t, done, "a windowed completion"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if time.Since(start) > 2*time.Millisecond {
+				continue // longer than an undisturbed round takes by far
+			}
+			clean++
+			judge(posted, tp.clientWrites.Load()-cw, tp.serverWrites.Load()-sw)
 		}
-		if time.Since(start) > 2*time.Millisecond {
-			continue // longer than an undisturbed round takes by far
-		}
-		clean++
-		cw, sw = tp.clientWrites.Load()-cw, tp.serverWrites.Load()-sw
+		return attempt
+	}
+	n := script([]*Stub{tp.stub}, func(posted, cw, sw int64) {
 		if posted != clientWant || cw != clientWant || sw != serverWant {
-			t.Fatalf("%d calls cost %d client writes (%d before the server read any) and %d server writes, want exactly %d and %d",
+			t.Fatalf("stream 0: %d calls cost %d client writes (%d before the server read any) and %d server writes, want exactly %d and %d",
 				window, cw, posted, sw, clientWant, serverWant)
 		}
-	}
-	t.Logf("%d undisturbed rounds of %d calls in %d attempts: %d client and %d server writes each", rounds, window, attempt, clientWant, serverWant)
+	})
+	t.Logf("stream 0: %d undisturbed rounds of %d calls in %d attempts: %d client and %d server writes each", rounds, window, n, clientWant, serverWant)
+	laneServerMax := int64(len(lanes))
+	laneWrites := make([]int, laneServerMax+1)
+	n = script(lanes, func(posted, cw, sw int64) {
+		if posted != clientWant || cw != clientWant || sw < 1 || sw > laneServerMax {
+			t.Fatalf("lanes: %d calls cost %d client writes (%d before the server read any) and %d server writes, want exactly %d and 1 to %d",
+				window, cw, posted, sw, clientWant, laneServerMax)
+		}
+		laneWrites[sw]++
+	})
+	t.Logf("lanes: %d undisturbed rounds of %d calls in %d attempts: %d client writes each; rounds by server writes (0 to %d): %v",
+		rounds, window, n, clientWant, laneServerMax, laneWrites)
 }
 
 // parkingServant blocks "Park" until released and echoes everything else.
