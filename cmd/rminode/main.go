@@ -21,9 +21,9 @@
 // deregisters on graceful shutdown. Drivers started with sieve -pool discover
 // the membership there — no -net list, and nodes may join or leave mid-run.
 //
-// -codecs restricts the wire formats this node negotiates; mixed clusters
-// work because every client falls back per connection to a codec the node
-// accepts (gob is the universal fallback).
+// The node speaks every built-in wire codec: each connection's first byte
+// names the codec its client chose (sieve -codec), and the node answers that
+// connection in it, so gob and binary drivers share one node.
 package main
 
 import (
@@ -47,7 +47,6 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:0", "TCP address to serve on (port 0 picks a free one)")
-		codecs   = flag.String("codecs", "", "comma-separated wire codecs this node accepts (binary,gob; empty = all built-ins). -codecs gob emulates an old node: binary-preferring clients fall back per connection")
 		registry = flag.String("registry", "", "elastic-pool registry address to register with on startup and heartbeat against; drivers started with sieve -pool discover this node there instead of needing it on their -net list")
 		beat     = flag.Duration("heartbeat", 0, "with -registry: heartbeat interval (0 = the rmi default); the registry marks the node unhealthy after a few missed beats")
 		drill    = flag.Int("drill-crash", 0, "crash-and-restart drill: abort the node after every N served requests and restart a fresh incarnation (new session epoch, empty registry) on the same address — pair with a fault-tolerant driver (sieve -faults) to watch it ride through (0 = off)")
@@ -55,23 +54,6 @@ func main() {
 	flag.Parse()
 
 	var nodeOpts []rmi.Option
-	if *codecs != "" {
-		var cs []rmi.Codec
-		for _, name := range strings.Split(*codecs, ",") {
-			if name = strings.TrimSpace(name); name == "" {
-				continue
-			}
-			c, err := rmi.CodecByName(name)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rminode:", err)
-				os.Exit(2)
-			}
-			cs = append(cs, c)
-		}
-		if len(cs) > 0 {
-			nodeOpts = append(nodeOpts, rmi.WithCodecs(cs...))
-		}
-	}
 	if *registry != "" {
 		nodeOpts = append(nodeOpts, rmi.WithRegistry(*registry))
 		if *beat > 0 {

@@ -31,7 +31,7 @@ func main() {
 		faults  = flag.Bool("faults", false, "with -net: enable fault tolerance — journaled calls, reconnect/replay across node crashes, placement failover (kill an rminode mid-run and watch the farm finish)")
 		netList = flag.String("net", "", "comma-separated rminode addresses: run the variant's cell over the real TCP middleware instead of the simulated testbed")
 		pool    = flag.String("pool", "", "elastic-pool registry address (see cmd/poolctl): like -net, but the membership is discovered live — nodes started with rminode -registry join mid-run, dead ones are cordoned and drained")
-		codec   = flag.String("codec", "", "with -net: wire codec to offer in the handshake (gob or binary; empty = binary, with gob fallback per connection for old nodes; gob pins gob and skips negotiation)")
+		codec   = flag.String("codec", "", "with -net: wire codec of the driver's node connections (gob or binary; empty = binary); a node answers each connection in the codec it opened with")
 		streams = flag.Int("streams", 0, "with -net: multiplexed request streams per peer connection (<2 = single pipelined lane)")
 		verify  = flag.Bool("verify", false, "cross-check primes against a sequential sieve of Eratosthenes")
 	)

@@ -253,7 +253,7 @@
 // virtual clock's auto-advance pump instead of wall-clock sleeps.
 //
 // [DialNet] is the configuration seam for all of the above, and NetRMI's
-// only constructor: it fixes the clock, fault policy, codec preference and
+// only constructor: it fixes the clock, fault policy, codec and
 // stream count as functional options before dialing any node, so no call
 // can observe a half-configured middleware.
 //
@@ -299,17 +299,15 @@
 //
 // # Wire format & streams
 //
-// Package rmi frames every request and response through a negotiated
-// [rmi.Codec]. Every connection opens in gob; rmi.Dial offers the binary
-// codec in the Hello handshake unless told otherwise, the server confirms
-// an offer it accepts, and both ends switch encodings after the hello
-// exchange — per connection, so a mixed cluster of new and old nodes works
-// without configuration: connections to a gob-only node silently run gob
-// while the rest of the farm runs binary. That covers every connection of
-// the stack — [DialNet] peers, [DialPool]'s registry client, the daemons'
-// heartbeats and the node-to-node forward lane of a [Topology] — with no
-// option set. [WithCodec] (par) and rmi.WithCodec change the client offer
-// (rmi.GobCodec() pins gob); rmi.WithCodecs restricts what a node accepts.
+// Package rmi frames every request and response through one [rmi.Codec]
+// per connection, named by the connection's first byte: rmi.Dial picks the
+// binary codec unless told otherwise, and the server answers each
+// connection in the codec it opened with, so one node serves gob and binary
+// clients at once. That covers every connection of the stack — [DialNet]
+// peers, [DialPool]'s registry client, the daemons' heartbeats and the
+// node-to-node forward lane of a [Topology] — with no option set.
+// [WithCodec] (par) and rmi.WithCodec choose another codec (rmi.GobCodec()
+// pins gob).
 //
 // The compact binary codec frames a uvarint body length, a frame kind and
 // flag byte, then fixed-width little-endian fields — no per-frame type
@@ -320,8 +318,8 @@
 // travels as its registered name in front of the same array encoding and
 // arrives as the same concrete type. Values outside the fast-path kinds —
 // structs, maps — carry a tagged gob payload, keeping the codecs
-// value-equivalent (pinned by round-trip fuzz tests and a mixed-codec
-// conformance cell).
+// value-equivalent (pinned by round-trip fuzz tests and a conformance cell
+// whose gob driver runs beside the nodes' binary forward lanes).
 //
 // Frames are batched into writes by the traffic, in both directions of every
 // connection (driver to node, the replies, the nodes' forward lanes): a

@@ -37,10 +37,10 @@ func WithFaultPolicy(p FaultPolicy) NetOption {
 	return func(o *netOptions) { o.faults = p }
 }
 
-// WithCodec selects the frame codec offered to every node at handshake.
-// Without it every connection offers the compact binary format (rmi.Dial's
-// default); rmi.GobCodec() pins the middleware to gob. Nodes that do not
-// accept the offer fall back to gob per connection, so mixed clusters work.
+// WithCodec selects the frame codec of every node connection. Without it
+// every connection speaks the compact binary format (rmi.Dial's default);
+// rmi.GobCodec() pins the middleware to gob. A node answers each connection
+// in the codec it opened with, so one node serves both.
 func WithCodec(c rmi.Codec) NetOption {
 	return func(o *netOptions) { o.codec = c }
 }

@@ -16,7 +16,8 @@ import (
 // models a remote call's cost, NetRMI performs it — each placement node is an
 // rmi.Node worker daemon (its own process, or an in-process loopback
 // listener in tests) hosting its own woven domain, and calls cross the wire
-// in the codec negotiated with it.
+// in the codec the connection opened with (binary unless WithCodec says
+// otherwise).
 //
 // The seam is symmetric with the simulated middleware: the Distribution
 // module, the Placement policies and the windowed farm dispatchers run
@@ -68,8 +69,8 @@ type NetRMI struct {
 	// otherwise; fixed at DialNet, so dispatch paths read it without locking.
 	clk clock.Clock
 
-	// codec is the frame codec offered to every node at handshake (nil
-	// keeps rmi.Dial's default, binary); streams is the per-peer
+	// codec is the frame codec of every node connection (nil keeps
+	// rmi.Dial's default, binary); streams is the per-peer
 	// multiplexing width (≤1 keeps the single FIFO lane). Both are fixed at
 	// DialNet, before any connection.
 	codec   rmi.Codec
@@ -225,10 +226,11 @@ func (m *NetRMI) peer(node exec.NodeID) (*netPeer, error) {
 	}
 	// Every dial knob is carried in options, so the connection is fully
 	// configured before its first frame: the middleware clock (reconnect
-	// backoffs ride it), the negotiated codec, and under a policy that
-	// replays the session identity (the server's dedupe key, surviving
-	// reconnects) plus the policy's reconnect schedule. Fail-fast never
-	// replays, so it sends no tag and the node tracks nothing for it.
+	// backoffs ride it), the codec, and under a policy that replays the
+	// session identity (the server's dedupe key, surviving reconnects; Dial
+	// handshakes it, pinning the session to the node's epoch) plus the
+	// policy's reconnect schedule. Fail-fast never replays, so it sends no
+	// tag and the node tracks nothing for it.
 	dialOpts := []rmi.Option{rmi.WithClock(m.clk)}
 	if m.codec != nil {
 		dialOpts = append(dialOpts, rmi.WithCodec(m.codec))
@@ -242,15 +244,6 @@ func (m *NetRMI) peer(node exec.NodeID) (*netPeer, error) {
 	client, err := rmi.Dial(addr, dialOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("par: netrmi node %d: %w", node, err)
-	}
-	if tracked && client.Epoch() == 0 {
-		// The epoch handshake pins this session to the node incarnation.
-		// Dial's codec negotiation is that same Hello and has recorded the
-		// epoch already; only a client pinned to gob arrives here without one.
-		if _, err := client.Handshake(); err != nil {
-			client.Close()
-			return nil, fmt.Errorf("par: netrmi node %d handshake: %w", node, err)
-		}
 	}
 	ctl, err := client.Lookup(rmi.ControlName)
 	if err != nil {

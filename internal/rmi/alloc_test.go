@@ -45,14 +45,15 @@ func startServant(t *testing.T, dispatch DispatchFunc, opts ...Option) (*Client,
 // (testing.AllocsPerRun reads total mallocs), so it includes the server-side
 // decode and dispatch of each call; the bound is generous against gob's
 // internal churn but fails if per-call frames, pending entries or buffers
-// start being reallocated again. Pinned to gob: a default Dial negotiates
+// start being reallocated again. Pinned to gob: a default Dial speaks
 // binary, which has its own, tighter budget below.
 func TestSendAllocsPerWindowedCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	// A huge window: measure sends, not window stalls.
-	client, stub := startEchoServer(t, WithCodec(GobCodec()), WithSendWindow(1<<20))
+	client, stub := startEchoServer(t, WithCodec(GobCodec()))
+	withWindow(client, 1<<20)
 	payload := make([]int32, 512)
 	if err := stub.Send("M", payload); err != nil { // warm the path
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestSendAllocsPerWindowedCall(t *testing.T) {
 }
 
 // TestBinarySendAllocsPerWindowedCall pins the same one-way hot path on the
-// binary codec a default Dial negotiates. The encoder assembles each frame in a pooled
+// binary codec a default Dial speaks. The encoder assembles each frame in a pooled
 // scratch buffer and the value encoding is reflection-free, so the client
 // side settles at zero steady-state allocations; the budget below is global
 // (it includes the server's decode — the []int32 payload copy and the args
@@ -84,7 +85,8 @@ func TestBinarySendAllocsPerWindowedCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	client, stub := startEchoServer(t, WithSendWindow(1<<20))
+	client, stub := startEchoServer(t)
+	withWindow(client, 1<<20)
 	payload := make([]int32, 512)
 	if err := stub.Send("M", payload); err != nil { // warm the path
 		t.Fatal(err)
@@ -131,7 +133,7 @@ func TestInvokeCBAllocsPerCall(t *testing.T) {
 }
 
 // TestBinaryInvokeCBAllocsPerCall pins the same windowed call on the binary
-// codec a default Dial negotiates, whole process: the client's pending entry
+// codec a default Dial speaks, whole process: the client's pending entry
 // and request frame, the server's request frame and reply record are all
 // recycled and the header's names interned, so what is left is what the
 // caller and the servant get to keep — the argument list the server decodes

@@ -7,29 +7,24 @@ import (
 )
 
 // This file is the codec seam of the transport: how request/response frames
-// become bytes is a pluggable choice, negotiated per connection in the Hello
-// handshake (see handshake notes in session.go and the negotiation path in
-// rmi.go). Every connection starts in gob — the universally understood
-// fallback — and switches to the codec the client offers once the server
-// agrees. Dial offers the binary codec by default, so every connection of the
-// stack (drivers, pools, heartbeats, the nodes' own forward lanes) ends up on
-// it without the application asking, while mixed clusters (an old gob-only
-// node behind a binary-preferring client) interoperate without configuration.
-//
-// Both ends frame through a shared *bufio.Reader/*bufio.Writer rather than
-// the raw connection. That is load-bearing for the mid-stream switch: a
-// *bufio.Reader implements io.ByteReader, so encoding/gob consumes exactly
-// the bytes of each message instead of wrapping the stream in its own
-// read-ahead buffer — the bytes after the handshake reply are still in OUR
-// buffer, where the next codec's decoder can see them.
+// become bytes is a pluggable choice, fixed per connection by its first byte.
+// A client writes its codec's tag ahead of its first frame, the server reads
+// it before it builds the connection's writer and decoder, and both ends then
+// speak that codec for the connection's whole life. Dial picks the binary
+// codec unless told otherwise, so every connection of the stack (drivers,
+// pools, heartbeats, the nodes' own forward lanes) speaks it without the
+// application asking; a server answers each connection in the codec it was
+// opened with, so one node serves gob and binary clients at once.
 
 // Codec encodes and decodes the request/response frames of one connection.
-// The two built-ins are GobCodec (the fallback every peer speaks) and
+// The two built-ins are GobCodec (self-describing, any registered type) and
 // BinaryCodec (the compact length-prefixed format). Implementations are
 // internal: a codec is chosen by value, constructed per connection side.
 type Codec interface {
-	// Name identifies the codec on the wire during handshake negotiation.
+	// Name identifies the codec to flags and config knobs (see CodecByName).
 	Name() string
+	// tag is the connection's first byte, which names the codec to the server.
+	tag() byte
 	newEncoder(bw *bufio.Writer) frameEncoder
 	newDecoder(br *bufio.Reader) frameDecoder
 }
@@ -53,11 +48,12 @@ type frameDecoder interface {
 const (
 	gobName    = "gob"
 	binaryName = "binary"
+	gobTag     = 'g'
+	binaryTag  = 'b'
 )
 
 // GobCodec returns the encoding/gob frame codec: self-describing, handles
-// any registered type, and is what every peer speaks before (and without)
-// negotiation. Passing it to WithCodec pins a client to gob.
+// any registered type. Passing it to WithCodec pins a client to gob.
 func GobCodec() Codec { return gobCodec{} }
 
 // BinaryCodec returns the compact binary frame codec: length-prefixed
@@ -66,11 +62,8 @@ func GobCodec() Codec { return gobCodec{} }
 // registered slice types built on them (see RegisterType), falling back to an
 // embedded gob blob for other registered types. It avoids gob's
 // per-connection type re-negotiation and per-message reflection on the hot
-// path, and is what Dial offers by default.
+// path, and is what Dial picks by default.
 func BinaryCodec() Codec { return binCodec{} }
-
-// Codecs lists the built-in codecs, preference-ordered for negotiation.
-func Codecs() []Codec { return []Codec{BinaryCodec(), GobCodec()} }
 
 // CodecByName resolves a codec name ("gob", "binary") — the form
 // command-line flags and config knobs arrive in.
@@ -85,9 +78,20 @@ func CodecByName(name string) (Codec, error) {
 	}
 }
 
+// codecByTag resolves a connection's first byte; nil for a byte no codec has.
+func codecByTag(tag byte) Codec {
+	for _, c := range []Codec{BinaryCodec(), GobCodec()} {
+		if c.tag() == tag {
+			return c
+		}
+	}
+	return nil
+}
+
 type gobCodec struct{}
 
 func (gobCodec) Name() string { return gobName }
+func (gobCodec) tag() byte    { return gobTag }
 
 func (gobCodec) newEncoder(bw *bufio.Writer) frameEncoder {
 	return &gobFrames{enc: gob.NewEncoder(bw)}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"sync"
@@ -91,7 +92,7 @@ func TestBinaryCodecRoundTripsResponses(t *testing.T) {
 	cases := []*response{
 		{Results: wireValueCases(), Bound: true, Stream: 7},
 		{Err: "servant failure", Bound: true},
-		{Bound: true, Epoch: -42, Codec: "binary"},
+		{Bound: true, Epoch: -42},
 		{Stale: true},
 		{Results: []any{}, Bound: true}, // empty, not nil
 	}
@@ -159,9 +160,11 @@ func liveCodec(c *Client) string {
 	return gobName
 }
 
-// TestCodecNegotiation: a Dial with no codec option offers binary and comes
-// back switched; only WithCodec(GobCodec()) keeps a connection on gob.
-func TestCodecNegotiation(t *testing.T) {
+// TestCodecPerConnection: against one default server, each client speaks the
+// codec it was dialled with — binary unless WithCodec says otherwise — from
+// its first frame, and again after a Reconnect. A Dial makes no round trip
+// unless it has a session whose epoch it must learn; then it makes one.
+func TestCodecPerConnection(t *testing.T) {
 	srv := NewServer()
 	srv.Export("echo", func(method string, args []any) ([]any, error) { return args, nil })
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -171,114 +174,91 @@ func TestCodecNegotiation(t *testing.T) {
 	defer srv.Close()
 
 	for _, tc := range []struct {
-		opts []Option
-		want string
+		name    string
+		opts    []Option
+		want    string
+		session bool
 	}{
-		{[]Option{WithCodec(GobCodec())}, gobName},
-		{[]Option{WithCodec(BinaryCodec())}, binaryName},
-		{[]Option{WithCodec(nil)}, binaryName},
+		{"binary", []Option{WithCodec(BinaryCodec())}, binaryName, false},
+		{"gob", []Option{WithCodec(GobCodec())}, gobName, false},
+		{"nil", []Option{WithCodec(nil)}, binaryName, false},
+		{"default with session", []Option{WithSession("sess-bin")}, binaryName, true},
+		{"gob with session", []Option{WithCodec(GobCodec()), WithSession("sess-gob")}, gobName, true},
 	} {
-		pinned, err := Dial(addr, tc.opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := liveCodec(pinned); got != tc.want {
-			t.Errorf("a client dialled with an explicit codec speaks %s, want %s", got, tc.want)
-		}
-		pinned.Close()
-	}
-
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := liveCodec(c); got != binaryName {
-		t.Errorf("a default Dial speaks %s, want %s", got, binaryName)
-	}
-	if c.Epoch() == 0 {
-		t.Error("negotiation handshake did not record the server epoch")
-	}
-	stub, err := c.Lookup("echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := stub.Invoke("m", []int32{5, 6}, "tag")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res[0].([]int32); got[0] != 5 || got[1] != 6 {
-		t.Errorf("binary invoke returned %v", res)
-	}
-	if res[1].(string) != "tag" {
-		t.Errorf("binary invoke returned %v", res)
-	}
-}
-
-func TestCodecNegotiationFallsBackOnGobOnlyServer(t *testing.T) {
-	srv := NewServer(WithCodecs(GobCodec()))
-	srv.Export("echo", func(method string, args []any) ([]any, error) { return args, nil })
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback TCP unavailable: %v", err)
-	}
-	defer srv.Close()
-
-	// The client offers binary, as every Dial does; the gob-only server
-	// declines; traffic must flow anyway — on gob.
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := liveCodec(c); got != gobName {
-		t.Errorf("against a gob-only server the client speaks %s", got)
-	}
-	stub, err := c.Lookup("echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := stub.Invoke("m", []int32{9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res[0].([]int32); got[0] != 9 {
-		t.Errorf("fallback invoke returned %v", res)
+		t.Run(tc.name, func(t *testing.T) {
+			before := srv.Requests()
+			c, err := Dial(addr, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			wantRequests, wantEpoch := int64(0), int64(0)
+			if tc.session {
+				wantRequests, wantEpoch = 1, srv.Epoch()
+			}
+			if got := srv.Requests() - before; got != wantRequests {
+				t.Errorf("Dial made %d requests, want %d", got, wantRequests)
+			}
+			if got := c.Epoch(); got != wantEpoch {
+				t.Errorf("epoch after Dial %d, want %d", got, wantEpoch)
+			}
+			call := func(when string) {
+				t.Helper()
+				if got := liveCodec(c); got != tc.want {
+					t.Errorf("%s the client speaks %s, want %s", when, got, tc.want)
+				}
+				stub, err := c.Lookup("echo")
+				if err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				res, err := stub.Invoke("m", []int32{5, 6}, "tag")
+				if err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				if got, ok := res[0].([]int32); !ok || len(got) != 2 || got[0] != 5 || got[1] != 6 || res[1] != "tag" {
+					t.Errorf("%s the echo returned %v", when, res)
+				}
+			}
+			call("after Dial")
+			srv.DropConns()
+			same, err := c.Reconnect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if same != tc.session {
+				t.Errorf("Reconnect reported same epoch %v, want %v", same, tc.session)
+			}
+			if got := c.Epoch(); got != srv.Epoch() {
+				t.Errorf("epoch after Reconnect %d, want the server's %d", got, srv.Epoch())
+			}
+			call("after Reconnect")
+		})
 	}
 }
 
-func TestCodecNegotiationSurvivesReconnect(t *testing.T) {
+// TestUnknownCodecTagClosesConnection: a connection whose first byte names no
+// codec is closed by the server before it handles anything.
+func TestUnknownCodecTagClosesConnection(t *testing.T) {
 	srv := NewServer()
-	srv.Export("echo", func(method string, args []any) ([]any, error) { return args, nil })
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback TCP unavailable: %v", err)
 	}
 	defer srv.Close()
-
-	c, err := Dial(addr, WithSession("sess-1"))
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	before := c.Epoch()
-	srv.DropConns()
-	same, err := c.Reconnect()
-	if err != nil {
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0xff}); err != nil {
 		t.Fatal(err)
 	}
-	if got := liveCodec(c); got != binaryName {
-		t.Errorf("after Reconnect the client speaks %s: the offer was not renewed", got)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after an unknown codec tag = %d, %v; want EOF", n, err)
 	}
-	if !same {
-		t.Errorf("reconnect into the same incarnation reported a new epoch (before %d, after %d)", before, c.Epoch())
-	}
-	stub, err := c.Lookup("echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stub.Invoke("m", []int32{1}); err != nil {
-		t.Fatalf("invoke after renegotiated reconnect: %v", err)
+	if n := srv.Requests(); n != 0 {
+		t.Errorf("server handled %d requests", n)
 	}
 }
 
@@ -490,7 +470,7 @@ func ExampleDial() {
 		return
 	}
 	defer srv.Close()
-	c, err := Dial(addr, WithSendWindow(64))
+	c, err := Dial(addr)
 	if err != nil {
 		fmt.Println("ok")
 		return

@@ -9,7 +9,7 @@ import (
 // ExampleDial is the raw transport round trip beneath everything par
 // builds: a server exports a dispatch function by name, a client dials,
 // looks the export up and invokes it. Options (WithClock, WithCodec,
-// WithSendWindow...) fix every connection knob at Dial time.
+// WithSession...) fix every connection knob at Dial time.
 func ExampleDial() {
 	srv := rmi.NewServer()
 	srv.Export("greeter", func(method string, args []any) ([]any, error) {

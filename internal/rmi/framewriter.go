@@ -47,11 +47,10 @@ const connBufSize = 16 << 10
 // winding down) empties the buffer before the socket drops; stop alone
 // (Abort, a failed connection) does not.
 type frameWriter struct {
-	mu   sync.Mutex
-	conn io.Writer // under bw; a binary encoder writes bulk frames to it directly
-	bw   *bufio.Writer
-	enc  frameEncoder
-	err  error // sticky: a failed connection never accepts more frames
+	mu  sync.Mutex
+	bw  *bufio.Writer
+	enc frameEncoder
+	err error // sticky: a failed connection never accepts more frames
 
 	// expecting counts the frames this connection is still waiting to move:
 	// client side, requests whose reply has not arrived; server side,
@@ -65,19 +64,21 @@ type frameWriter struct {
 	onFail func(error) // the flusher reports a failed flush here, off-lock
 }
 
-// newFrameWriter starts the writer of one connection and its flusher. Every
-// connection opens in gob. onFail (may be nil) is told when a flush on the
-// flusher goroutine fails — the error an inline flush would have returned to
-// its caller.
-func newFrameWriter(conn io.Writer, onFail func(error)) *frameWriter {
+// newFrameWriter starts the writer of one connection, encoding in codec, and
+// its flusher. onFail (may be nil) is told when a flush on the flusher
+// goroutine fails — the error an inline flush would have returned to its
+// caller.
+func newFrameWriter(conn io.Writer, codec Codec, onFail func(error)) *frameWriter {
 	bw := bufio.NewWriterSize(conn, connBufSize)
 	w := &frameWriter{
-		conn:   conn,
 		bw:     bw,
-		enc:    GobCodec().newEncoder(bw),
+		enc:    codec.newEncoder(bw),
 		kick:   make(chan struct{}, 1),
 		quit:   make(chan struct{}),
 		onFail: onFail,
+	}
+	if e, ok := w.enc.(*binEncoder); ok {
+		e.conn = conn // bulk arrays leave by writev, past bw
 	}
 	go w.flusher()
 	return w
@@ -149,18 +150,3 @@ func (w *frameWriter) drain() error {
 
 // stop ends the flusher; frames still buffered are dropped with the socket.
 func (w *frameWriter) stop() { w.once.Do(func() { close(w.quit) }) }
-
-// setCodec swaps the encoder after a handshake accepted a codec: flush, then
-// swap, under the lock — frames buffered before the swap leave in the old
-// codec, frames after it in the new one, none straddles.
-func (w *frameWriter) setCodec(c Codec) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err == nil {
-		w.err = w.bw.Flush()
-	}
-	w.enc = c.newEncoder(w.bw)
-	if e, ok := w.enc.(*binEncoder); ok {
-		e.conn = w.conn // bulk arrays leave by writev, past bw
-	}
-}

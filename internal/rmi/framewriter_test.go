@@ -2,7 +2,6 @@ package rmi
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"net"
 	"runtime"
@@ -137,6 +136,14 @@ func startTapped(t *testing.T, dispatch DispatchFunc, opts ...Option) *tapped {
 	t.Cleanup(func() { tp.client.Close() })
 	tp.stub = &Stub{client: tp.client, name: "obj"}
 	return tp
+}
+
+// withWindow sets a client's one-way flow-control window (DefaultSendWindow
+// unless a test changes it) before its first send.
+func withWindow(c *Client, n int) {
+	c.mu.Lock()
+	c.windowSize = n
+	c.mu.Unlock()
 }
 
 func echo(method string, args []any) ([]any, error) { return args, nil }
@@ -335,7 +342,8 @@ func TestFrameWriterParkedCallHoldsNobody(t *testing.T) {
 func TestFrameWriterSendLoopCompletes(t *testing.T) {
 	loop := func(t *testing.T) {
 		var applied atomic.Int64
-		tp := startTapped(t, func(string, []any) ([]any, error) { applied.Add(1); return nil, nil }, WithSendWindow(4))
+		tp := startTapped(t, func(string, []any) ([]any, error) { applied.Add(1); return nil, nil })
+		withWindow(tp.client, 4)
 		const sends = 2000
 		finished := make(chan error, 1)
 		go func() {
@@ -381,7 +389,9 @@ func TestFrameWriterCloseDeliversBufferedSends(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := GobCodec().newDecoder(bufio.NewReader(conn))
+		br := bufio.NewReader(conn)
+		br.ReadByte() // the codec's tag
+		dec := BinaryCodec().newDecoder(br)
 		var got []int64
 		for {
 			var req request
@@ -393,11 +403,11 @@ func TestFrameWriterCloseDeliversBufferedSends(t *testing.T) {
 		}
 	}()
 	const sends = 500
-	// Pinned to gob: nobody answers a Hello here.
-	c, err := Dial(ln.Addr().String(), WithCodec(GobCodec()), WithSendWindow(sends))
+	c, err := Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	withWindow(c, sends)
 	stub := &Stub{client: c, name: "obj"}
 	for i := 0; i < sends; i++ {
 		if err := stub.Send("M", int64(i)); err != nil {
@@ -559,70 +569,6 @@ func TestFrameWriterFlusherFailurePoisons(t *testing.T) {
 	}
 }
 
-// TestFrameWriterCodecSwapStraddlesNoFrame: frames buffered before setCodec
-// leave in the old codec in a write of their own, frames after it in the new
-// one — the flush-then-swap rule, with the flusher in play.
-func TestFrameWriterCodecSwapStraddlesNoFrame(t *testing.T) {
-	var sink chunkSink
-	w := newFrameWriter(&sink, nil)
-	defer w.stop()
-	w.expecting.Store(10) // busy throughout: every frame is buffered and the flusher kicked
-	write := func(r *response) {
-		t.Helper()
-		if err := w.writeResponse(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(&response{Results: []any{int64(1)}, Bound: true})
-	write(&response{Results: []any{int64(2)}, Bound: true})
-	w.setCodec(BinaryCodec())
-	write(&response{Results: []any{int64(3)}, Bound: true})
-	if err := w.drain(); err != nil {
-		t.Fatal(err)
-	}
-	chunks := sink.take()
-	if len(chunks) < 2 {
-		t.Fatalf("%d writes for frames on both sides of a codec swap, want the swap to split them", len(chunks))
-	}
-	// Everything up to the swap decodes as gob with nothing left over; the
-	// rest is one binary frame.
-	last := len(chunks) - 1
-	br := bufio.NewReader(bytes.NewReader(bytes.Join(chunks[:last], nil)))
-	dec := GobCodec().newDecoder(br)
-	for want := int64(1); want <= 2; want++ {
-		var r response
-		if err := dec.DecodeResponse(&r); err != nil || r.Results[0] != want {
-			t.Fatalf("gob frame %d = %+v, %v", want, r, err)
-		}
-	}
-	if _, err := br.ReadByte(); err == nil {
-		t.Error("bytes of a post-swap frame left with the gob frames")
-	}
-	var r response
-	if err := BinaryCodec().newDecoder(bufio.NewReader(bytes.NewReader(chunks[last]))).DecodeResponse(&r); err != nil || r.Results[0] != int64(3) {
-		t.Fatalf("binary frame = %+v, %v", r, err)
-	}
-}
-
-// chunkSink records each Write as its own chunk.
-type chunkSink struct {
-	mu     sync.Mutex
-	chunks [][]byte
-}
-
-func (s *chunkSink) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.chunks = append(s.chunks, bytes.Clone(p))
-	return len(p), nil
-}
-
-func (s *chunkSink) take() [][]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.chunks
-}
-
 // TestReconnectRetriesFailedHandshake is the regression test for Reconnect
 // spending one dial and giving up: a listener on its way down (or back up)
 // accepts and closes, so the dial succeeds and the handshake fails. That is
@@ -631,7 +577,7 @@ func (s *chunkSink) take() [][]byte {
 func TestReconnectRetriesFailedHandshake(t *testing.T) {
 	v := clock.NewVirtual(time.Unix(0, 0))
 	defer v.Close()
-	tp := startTapped(t, echo, WithClock(v),
+	tp := startTapped(t, echo, WithClock(v), WithSession("retry"),
 		WithReconnect(ReconnectPolicy{MaxAttempts: 3, BaseBackoff: time.Hour, MaxBackoff: time.Hour}))
 	epoch := tp.client.Epoch()
 	tp.dropAccepts.Store(2)

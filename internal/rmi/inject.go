@@ -12,7 +12,8 @@ import "time"
 // SetPartitioned simulates a network partition around this server. While
 // set, newly accepted connections are closed before a session can form —
 // clients observe a dial that succeeds (the host is reachable at the TCP
-// level) followed by a failed handshake, which is how a half-dead peer looks
+// level) followed by a failed first exchange (a session's handshake, or the
+// first call), which is how a half-dead peer looks
 // in practice — and the existing connections are dropped. Clearing it heals
 // the partition; server state (registry, sessions, epoch) is untouched
 // throughout, as a partition severs links, not processes.

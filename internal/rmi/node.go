@@ -93,9 +93,8 @@ func init() {
 }
 
 // NewNode returns a node whose servants run on ctx (typically exec.Real()),
-// configured by opts — WithClock for the node's time source, WithCodecs to
-// restrict the frame codecs it negotiates (a gob-only daemon in a mixed
-// cluster).
+// configured by opts — WithClock for the node's time source, WithRegistry and
+// WithHeartbeat to join a pool.
 func NewNode(ctx exec.Context, opts ...Option) *Node {
 	n := &Node{
 		srv:     NewServer(opts...),

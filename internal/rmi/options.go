@@ -8,8 +8,8 @@ import (
 
 // Functional construction options for clients and servers: every knob (the
 // clock before Listen, the session tag before the first tracked request, the
-// send window) is fixed at construction, so there is no window in which a
-// half-configured client or server is observable.
+// codec before the first frame) is fixed at construction, so there is no
+// window in which a half-configured client or server is observable.
 
 // Option configures a Client (at Dial) or a Server (at NewServer/Serve).
 // Options that only make sense on one side are ignored by the other.
@@ -17,11 +17,9 @@ type Option func(*options)
 
 type options struct {
 	clk       clock.Clock
-	window    int
 	policy    *ReconnectPolicy
 	session   string
 	codec     Codec
-	codecs    []Codec
 	registry  string
 	heartbeat time.Duration
 }
@@ -40,14 +38,6 @@ func WithClock(clk clock.Clock) Option {
 	return func(o *options) { o.clk = clk }
 }
 
-// WithSendWindow sets a client's one-way flow-control window: the maximum
-// number of sends that may be in flight (sent but unacknowledged) before
-// Send blocks. Values below 1 clamp to 1 (fully synchronous ack-by-ack
-// flow); 0 keeps DefaultSendWindow.
-func WithSendWindow(n int) Option {
-	return func(o *options) { o.window = n }
-}
-
 // WithReconnect installs a client's Reconnect backoff schedule.
 func WithReconnect(p ReconnectPolicy) Option {
 	return func(o *options) { o.policy = &p }
@@ -61,23 +51,13 @@ func WithSession(id string) Option {
 	return func(o *options) { o.session = id }
 }
 
-// WithCodec sets the frame codec a client offers in its handshake; without it
-// (or with nil) Dial offers BinaryCodec. Dial negotiates synchronously: if the
-// server does not speak the offer, the connection simply stays on gob — mixed
-// clusters interoperate. WithCodec(GobCodec()) pins the client to gob and
-// skips the negotiation round trip: what a gob measurement, or a peer that
-// cannot answer a Hello, asks for.
+// WithCodec sets the frame codec of a client's connections; without it (or
+// with nil) Dial picks BinaryCodec. The codec's tag is the first byte of each
+// connection, and the server answers in the codec it names, so a client
+// pinned to gob (WithCodec(GobCodec()), what a gob measurement asks for)
+// needs nothing from the server it dials.
 func WithCodec(c Codec) Option {
 	return func(o *options) { o.codec = c }
-}
-
-// WithCodecs restricts the codecs a server accepts in handshake negotiation;
-// the default accepts every built-in. WithCodecs(GobCodec()) makes a
-// gob-only server — how the mixed-codec conformance cell models an old node.
-// Gob itself is always accepted: it is the pre-negotiation state of every
-// connection, not a negotiable option.
-func WithCodecs(cs ...Codec) Option {
-	return func(o *options) { o.codecs = cs }
 }
 
 // WithRegistry points a server (or rmi.Node) at a pool registry: on Listen

@@ -234,12 +234,12 @@ func TestReleasedRecordsAreZeroed(t *testing.T) {
 	all.Add(1)
 	sink := &tagSink{id: 1000, all: &all}
 	p := acquirePending()
-	p.sink, p.oneWay, p.swap = sink, true, BinaryCodec()
+	p.sink, p.oneWay = sink, true
 	p.complete(nil, errors.New("test: connection lost"))
 	if sink.fired.Load() != 1 || sink.err == nil {
 		t.Fatalf("completion did not reach the sink: fired %d, err %v", sink.fired.Load(), sink.err)
 	}
-	if p.sink != nil || p.swap != nil || p.oneWay || p.parked || p.err != nil || p.live.Load() {
+	if p.sink != nil || p.oneWay || p.parked || p.err != nil || p.live.Load() {
 		t.Errorf("released pending entry still holds state: %+v", p)
 	}
 	func() {

@@ -1,8 +1,8 @@
 // Package rmi is a working remote method invocation middleware: the Go
 // analogue of the Java RMI substrate the paper's distribution aspect targets.
 // It provides a name server (registry), exported objects served over TCP —
-// in the compact binary codec every connection negotiates by default, with
-// gob as the fallback both ends always speak — and client stubs that redirect
+// in the compact binary codec by default, or in gob where a client asks for
+// it, one codec per connection — and client stubs that redirect
 // method calls across the network. The simulated experiments use the
 // cost-model twin in package par; this package exists so the distribution
 // concern also runs for real (see examples/distribution and the tests).
@@ -17,7 +17,7 @@
 //     the result with wait-by-necessity;
 //   - [Stub.Send] — one-way windowed dispatch: the call returns as soon as
 //     the request is written, bounded by an explicit flow-control window of
-//     unacknowledged sends ([WithSendWindow]); server-side failures are
+//     unacknowledged sends ([DefaultSendWindow]); server-side failures are
 //     gathered by [Client.Flush].
 package rmi
 
@@ -112,11 +112,6 @@ type request struct {
 	// head-of-line-blocks the others. Sequence spaces (Seq) and the server's
 	// dedupe sessions are per (Client, Stream).
 	Stream uint32
-	// Codec, on a Hello, offers a frame codec: the server that accepts it
-	// answers with the same name in response.Codec and both sides switch
-	// after the handshake exchange. Absent (or unknown to the server) means
-	// the connection stays on gob — the mixed-cluster fallback.
-	Codec string
 }
 
 type response struct {
@@ -131,9 +126,6 @@ type response struct {
 	// Stream echoes the request's stream, so the client's reader can match
 	// the response to the right per-stream FIFO.
 	Stream uint32
-	// Codec, on a handshake reply, confirms the codec the server switched
-	// this connection to (see request.Codec).
-	Codec string
 }
 
 // Server hosts exported objects and the name server.
@@ -157,11 +149,6 @@ type Server struct {
 	// serving goroutines read it without locking.
 	clk clock.Clock
 
-	// codecs is the set of frame codecs this server accepts in handshake
-	// negotiation, immutable after construction (WithCodecs restricts it).
-	// Gob is implicit: every connection starts there.
-	codecs map[string]Codec
-
 	// Fault-injection state (see inject.go).
 	partitioned   atomic.Bool
 	dispatchDelay atomic.Int64 // ns slept on clk before each dispatch
@@ -177,7 +164,7 @@ type Server struct {
 }
 
 // NewServer returns a server with an empty registry and a fresh session
-// epoch (see Epoch), configured by opts (clock, accepted codecs).
+// epoch (see Epoch), configured by opts (clock, registry, heartbeat).
 func NewServer(opts ...Option) *Server {
 	var o options
 	o.apply(opts)
@@ -187,17 +174,7 @@ func NewServer(opts ...Option) *Server {
 		sessions: make(map[sessionKey]*clientSession),
 		done:     make(chan struct{}),
 		clk:      clock.Or(o.clk),
-		codecs:   make(map[string]Codec),
 		hb:       heartbeatConfig{registry: o.registry, interval: o.heartbeat},
-	}
-	accepted := o.codecs
-	if accepted == nil {
-		accepted = Codecs()
-	}
-	for _, c := range accepted {
-		if c != nil {
-			s.codecs[c.Name()] = c
-		}
 	}
 	s.epoch.Store(newEpoch(s.clk))
 	return s
@@ -263,7 +240,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if s.partitioned.Load() {
 			// Partitioned: the TCP level still answers (the host is up) but no
 			// session can form — accept and immediately close, so clients see
-			// a dial that succeeds and a handshake that fails.
+			// a dial that succeeds and a first exchange that fails.
 			conn.Close()
 			continue
 		}
@@ -337,14 +314,11 @@ func (l *streamLane) run(s *Server, w *frameWriter, stream uint32) {
 	}
 }
 
+// serveConn serves one connection in the codec its first byte names.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	// The reader is shared between codecs: gob consumes exactly message
-	// bytes from a ByteReader, so after a handshake codec switch the next
-	// frame is intact in this buffer for the new decoder.
 	br := bufio.NewReaderSize(conn, connBufSize)
-	w := newFrameWriter(conn, nil)
-	var dec frameDecoder = GobCodec().newDecoder(br)
+	var w *frameWriter
 	lanes := make(map[uint32]*streamLane)
 	var laneWG sync.WaitGroup
 	defer func() {
@@ -352,13 +326,22 @@ func (s *Server) serveConn(conn net.Conn) {
 			l.close()
 		}
 		laneWG.Wait() // lanes drain their queues before the socket drops,
-		w.drain()     // and so do the replies still in the buffer (an aborted socket fails this at once)
-		w.stop()
+		if w != nil { // and so do the replies still in the buffer (an aborted socket fails this at once)
+			w.drain()
+			w.stop()
+		}
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	tag, err := br.ReadByte()
+	codec := codecByTag(tag)
+	if err != nil || codec == nil {
+		return // closed before its first frame, or a codec this server does not know
+	}
+	w = newFrameWriter(conn, codec, nil)
+	dec := codec.newDecoder(br)
 	// ahead is this loop's own unit in w.expecting: held while the read
 	// buffer has bytes behind the request just decoded, because their
 	// replies are about to follow this one's.
@@ -403,15 +386,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if resp.Codec != "" {
-			// Handshake accepted a codec switch: the reply above leaves in
-			// gob (setCodec flushes before it swaps); everything after speaks
-			// the negotiated codec.
-			if c := s.codecs[resp.Codec]; c != nil {
-				w.setCodec(c)
-				dec = c.newDecoder(br)
-			}
-		}
 	}
 }
 
@@ -428,14 +402,6 @@ func (s *Server) handle(req *request, scratch *response) *response {
 	}
 	if req.Hello { // session handshake: report the epoch, dispatch nothing
 		resp.Bound, resp.Epoch = true, s.epoch.Load()
-		// Codec negotiation rides the handshake: accept the offer only if
-		// this server speaks it, and only on the inline lane (stream 0) of a
-		// fresh connection — serveConn performs the switch after the reply.
-		if req.Codec != "" && req.Codec != gobName && req.Stream == 0 {
-			if _, ok := s.codecs[req.Codec]; ok {
-				resp.Codec = req.Codec
-			}
-		}
 		return resp
 	}
 	s.mu.RLock()
@@ -643,9 +609,6 @@ func (f SinkFunc) Deliver(res []any, err error) { f(res, err) }
 // and result lists, completions — is ever part of a record.
 type pendingReply struct {
 	oneWay bool
-	// swap marks a codec-negotiation handshake: when its response confirms
-	// the offered codec, the reader swaps both directions before completing.
-	swap Codec
 	// sink takes the outcome of an asynchronous call; nil on a parked one.
 	sink Sink
 	// parked marks a synchronous call: its goroutine waits on done, then
@@ -723,10 +686,9 @@ type Client struct {
 	// connection generation.
 	w atomic.Pointer[frameWriter]
 
-	// codec is the frame codec this client offers at handshake — BinaryCodec
-	// unless WithCodec said otherwise; nil means the client was pinned to gob
-	// and does not negotiate. The live encoder/decoder switch once per
-	// connection generation when the server confirms.
+	// codec is the frame codec of every connection generation — BinaryCodec
+	// unless WithCodec said otherwise — named to the server by the
+	// generation's first byte.
 	codec Codec
 
 	mu            sync.Mutex
@@ -748,14 +710,13 @@ type Client struct {
 	closeCh chan struct{} // closed once by Close; aborts a backoff in flight
 }
 
-// Dial connects to an RMI server, configured by opts (clock, send window,
-// reconnect policy, session identity, codec). Every connection opens in gob
-// and Dial offers BinaryCodec in one synchronous Hello round trip before it
-// returns, so the Client handed back is fully switched — or, against a server
-// that does not accept the offer (WithCodecs(GobCodec()), an old node), still
-// on gob; either way it works, and nothing the caller does differs. Only
-// WithCodec(GobCodec()) skips the round trip and stays on gob. A server that
-// accepts the connection but never answers the Hello makes Dial fail when the
+// Dial connects to an RMI server, configured by opts (clock, reconnect
+// policy, session identity, codec). The connection speaks one codec for its
+// whole life — BinaryCodec unless WithCodec says otherwise — named to the
+// server by its first byte, which leaves with the first frame. Dial makes no
+// round trip, except that a client dialled WithSession makes one Hello to
+// learn the server's epoch (see Epoch) before it returns; a server that
+// accepts that connection but never answers makes Dial fail when the
 // connection closes, not return a client that cannot call.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	var o options
@@ -772,31 +733,24 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 func newClient(addr string, conn net.Conn, o options) (*Client, error) {
 	c := &Client{
 		addr:       addr,
+		codec:      o.codec,
 		windowSize: DefaultSendWindow,
 		clk:        clock.Or(o.clk),
 		closeCh:    make(chan struct{}),
 		session:    o.session,
 	}
-	if o.window > 0 {
-		c.windowSize = o.window
-	} else if o.window < 0 {
-		c.windowSize = 1
+	if c.codec == nil {
+		c.codec = BinaryCodec()
 	}
 	if o.policy != nil {
 		c.policy = *o.policy
 	}
-	if c.codec = o.codec; c.codec == nil {
-		c.codec = BinaryCodec()
-	}
-	if c.codec.Name() == gobName {
-		c.codec = nil // pinned to gob: nothing to negotiate
-	}
 	c.cond = sync.NewCond(&c.mu)
 	c.install(conn) // refuses only a Closed client, which a new one is not
-	if c.codec != nil {
-		if _, err := c.hello(c.codec); err != nil {
+	if c.session != "" {
+		if _, err := c.Handshake(); err != nil {
 			c.Close()
-			return nil, fmt.Errorf("rmi: dial %s: negotiate codec: %w", addr, err)
+			return nil, fmt.Errorf("rmi: dial %s: handshake: %w", addr, err)
 		}
 	}
 	return c, nil
@@ -804,9 +758,9 @@ func newClient(addr string, conn net.Conn, o options) (*Client, error) {
 
 // install makes conn the client's next connection generation: a fresh frame
 // writer (with its own flusher) and reader, clean transport state, the
-// previous generation's writer stopped and its socket closed. Every
-// connection starts in gob; the caller negotiates from there. It refuses on a
-// client that was explicitly Closed.
+// previous generation's writer stopped and its socket closed. The codec's tag
+// waits in the fresh writer's buffer, so it leaves with the first frame. It
+// refuses on a client that was explicitly Closed.
 func (c *Client) install(conn net.Conn) error {
 	c.mu.Lock()
 	if c.userClosed {
@@ -817,7 +771,8 @@ func (c *Client) install(conn net.Conn) error {
 	old, oldW := c.conn, c.w.Load()
 	c.gen++
 	gen := c.gen
-	w := newFrameWriter(conn, func(err error) { c.fail(gen, fmt.Errorf("rmi: send: %w", err)) })
+	w := newFrameWriter(conn, c.codec, func(err error) { c.fail(gen, fmt.Errorf("rmi: send: %w", err)) })
+	w.bw.WriteByte(c.codec.tag()) // an empty buffer takes a byte without writing
 	c.conn = conn
 	c.w.Store(w)
 	c.transport = nil
@@ -830,33 +785,8 @@ func (c *Client) install(conn net.Conn) error {
 		oldW.stop()
 		old.Close()
 	}
-	// One shared read buffer: the gob decoder consumes exactly message
-	// bytes from it, so a negotiated codec's decoder can take over
-	// mid-stream (see codec.go).
-	br := bufio.NewReaderSize(conn, connBufSize)
-	go c.readLoop(br, GobCodec().newDecoder(br), w, gen)
+	go c.readLoop(c.codec.newDecoder(bufio.NewReaderSize(conn, connBufSize)), w, gen)
 	return nil
-}
-
-// hello performs the session handshake, offering codec offer (nil: none) in
-// it, and records the server's epoch. The reader swaps encoder and decoder
-// before delivering a confirming reply, so every frame after it — in both
-// directions — speaks the new codec. A server that does not accept leaves the
-// connection on gob (no error: that is the mixed-cluster fallback). With an
-// offer, callers guarantee nothing else is in flight (Dial and Reconnect run
-// it before handing the connection out).
-func (c *Client) hello(offer Codec) (int64, error) {
-	req := requestPool.Get().(*request)
-	req.Hello = true
-	if offer != nil {
-		req.Codec = offer.Name()
-	}
-	resp, err := c.roundTrip(req, offer)
-	if err != nil {
-		return 0, err
-	}
-	c.epoch.Store(resp.Epoch)
-	return resp.Epoch, nil
 }
 
 // Close closes the connection. Requests already posted reach the server
@@ -931,7 +861,7 @@ func (c *Client) fail(gen int64, err error) {
 // pending entries nor fail the fresh connection. It decodes every response
 // into the one record it owns; completing a call copies out what the call
 // keeps.
-func (c *Client) readLoop(br *bufio.Reader, dec frameDecoder, w *frameWriter, gen int64) {
+func (c *Client) readLoop(dec frameDecoder, w *frameWriter, gen int64) {
 	resp := new(response)
 	for {
 		*resp = response{}
@@ -965,14 +895,6 @@ func (c *Client) readLoop(br *bufio.Reader, dec frameDecoder, w *frameWriter, ge
 			}
 		}
 		c.mu.Unlock()
-		if p.swap != nil && resp.Codec == p.swap.Name() {
-			// Codec negotiation reply: switch both directions BEFORE
-			// completing, so any frame the woken caller sends already speaks
-			// the new codec. w is this generation's own writer, so a stale
-			// reader cannot touch a fresh connection's encoder.
-			w.setCodec(p.swap)
-			dec = p.swap.newDecoder(br)
-		}
 		if p != oneWayAck {
 			p.complete(resp, nil)
 		}
@@ -1049,11 +971,10 @@ func (c *Client) submit(req *request, p *pendingReply) {
 
 // roundTrip performs one synchronous exchange: it posts req and parks the
 // calling goroutine on the pending entry until the reader hands it the reply
-// or the connection fails. swap, non-nil on a handshake, is the codec the
-// reader switches to before waking the caller.
-func (c *Client) roundTrip(req *request, swap Codec) (response, error) {
+// or the connection fails.
+func (c *Client) roundTrip(req *request) (response, error) {
 	p := acquirePending()
-	p.parked, p.swap = true, swap
+	p.parked = true
 	p.done.Add(1)
 	c.submit(req, p)
 	p.done.Wait()
@@ -1099,7 +1020,7 @@ func (c *Client) Flush() error {
 func (c *Client) Lookup(name string) (*Stub, error) {
 	req := requestPool.Get().(*request)
 	req.Object = name
-	resp, err := c.roundTrip(req, nil)
+	resp, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
@@ -1154,7 +1075,7 @@ func (s *Stub) Invoke(method string, args ...any) ([]any, error) {
 	if method == "" {
 		return nil, errEmptyMethod
 	}
-	resp, err := s.client.roundTrip(s.request(method, args, 0, false), nil)
+	resp, err := s.client.roundTrip(s.request(method, args, 0, false))
 	return outcome(&resp, err)
 }
 

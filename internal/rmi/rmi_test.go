@@ -246,11 +246,12 @@ func TestInvokeAsyncRemoteError(t *testing.T) {
 
 func TestSendWindowAndFlush(t *testing.T) {
 	addr, _ := startServer(t)
-	c, err := Dial(addr, WithSendWindow(4))
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	withWindow(c, 4)
 	stub, err := c.Lookup("counter")
 	if err != nil {
 		t.Fatal(err)
@@ -439,12 +440,11 @@ func TestCloseMidWindowResolvesPending(t *testing.T) {
 		defer conn.Close()
 		io.Copy(io.Discard, conn) // swallow requests, never reply
 	}()
-	// Pinned to gob: a default Dial negotiates, and this listener would never
-	// answer the Hello.
-	c, err := Dial(ln.Addr().String(), WithCodec(GobCodec()), WithSendWindow(2))
+	c, err := Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	withWindow(c, 2)
 	stub := &Stub{client: c, name: "void"}
 	f := stub.InvokeAsync("Work")
 	if _, _, ok := f.TryGet(); ok {

@@ -229,15 +229,23 @@ func (p ReconnectPolicy) WithDefaults() ReconnectPolicy {
 	return p
 }
 
-// Epoch returns the server session epoch of the last handshake — Dial's and
-// Reconnect's codec negotiation is one, Handshake another — and zero before
-// the first (a client pinned to gob that has not called Handshake).
+// Epoch returns the server session epoch of the last handshake — Dial's
+// WithSession, Reconnect's or Handshake's — and zero before the first.
 func (c *Client) Epoch() int64 { return c.epoch.Load() }
 
 // Handshake performs the session-epoch exchange and records the server's
 // epoch as the stamp of subsequent tracked requests. It pipelines like any
 // other call.
-func (c *Client) Handshake() (int64, error) { return c.hello(nil) }
+func (c *Client) Handshake() (int64, error) {
+	req := requestPool.Get().(*request)
+	req.Hello = true
+	resp, err := c.roundTrip(req)
+	if err != nil {
+		return 0, err
+	}
+	c.epoch.Store(resp.Epoch)
+	return resp.Epoch, nil
+}
 
 // Reconnect re-establishes a failed connection to the same address under
 // the client's ReconnectPolicy (bounded attempts, exponential backoff) and
@@ -248,7 +256,10 @@ func (c *Client) Handshake() (int64, error) { return c.hello(nil) }
 // means the same incarnation survived a transport blip (its objects and
 // dedupe state are intact, so replaying unacknowledged requests is safe);
 // false means a fresh incarnation (a restarted node: exports and sessions
-// are gone, and stale replays would be rejected anyway).
+// are gone, and stale replays would be rejected anyway). The comparison needs
+// an epoch from before: a client dialled without WithSession has none until
+// it calls Handshake, so its Reconnect reports false. The one caller that
+// replays, a fault-policy par.NetRMI, always dials with a session.
 //
 // Reconnect refuses on a client that was explicitly Closed.
 func (c *Client) Reconnect() (sameEpoch bool, err error) {
@@ -299,11 +310,8 @@ func (c *Client) Reconnect() (sameEpoch bool, err error) {
 		if err = c.install(conn); err != nil {
 			return false, err
 		}
-		// Re-offer the preferred codec, exactly like Dial's first handshake:
-		// the server of this incarnation may or may not accept (a failover
-		// target could be gob-only) — either way the reply carries its epoch.
 		var epoch int64
-		if epoch, err = c.hello(c.codec); err == nil {
+		if epoch, err = c.Handshake(); err == nil {
 			return prev != 0 && epoch == prev, nil
 		}
 		// Half-open, and already failed (a handshake errs only through

@@ -40,11 +40,11 @@ import (
 // loop that produces the same bytes.
 //
 // The format is self-describing at the value level but NOT versioned beyond
-// the codec name. Value tags are append-only: a new tag may be added under
-// the same name, because a decoder that does not know it rejects the frame
-// with an error instead of misreading it; changing the layout behind a tag,
-// or reusing one, means introducing a new codec name, negotiated in the
-// handshake like any other.
+// the codec's tag, a connection's first byte. Value tags are append-only: a
+// new tag may be added under the same codec, because a decoder that does not
+// know it rejects the frame with an error instead of misreading it; changing
+// the layout behind a tag, or reusing one, means introducing a new codec with
+// a connection tag of its own.
 
 const (
 	bkRequest  = 0x01
@@ -57,7 +57,6 @@ const (
 	frHello   = 1 << 1
 	frTracked = 1 << 2 // Client/Seq/Epoch present
 	frStream  = 1 << 3
-	frCodec   = 1 << 4 // handshake codec offer present
 	frArgs    = 1 << 5 // argument list present (distinguishes nil from empty)
 )
 
@@ -69,7 +68,6 @@ const (
 	rfEpoch   = 1 << 4
 	rfResults = 1 << 6
 	rfStream  = 1 << 7
-	rfCodec   = 1 << 8
 )
 
 // value tags.
@@ -119,6 +117,7 @@ type gobValue struct{ V any }
 type binCodec struct{}
 
 func (binCodec) Name() string { return binaryName }
+func (binCodec) tag() byte    { return binaryTag }
 
 func (binCodec) newEncoder(bw *bufio.Writer) frameEncoder { return &binEncoder{bw: bw} }
 
@@ -213,9 +212,6 @@ func (e *binEncoder) EncodeRequest(req *request) error {
 	if req.Stream != 0 {
 		flags |= frStream
 	}
-	if req.Codec != "" {
-		flags |= frCodec
-	}
 	if req.Args != nil {
 		flags |= frArgs
 	}
@@ -229,9 +225,6 @@ func (e *binEncoder) EncodeRequest(req *request) error {
 		b = appendWireString(b, req.Client)
 		b = binary.AppendUvarint(b, req.Seq)
 		b = appendZigzag(b, req.Epoch)
-	}
-	if flags&frCodec != 0 {
-		b = appendWireString(b, req.Codec)
 	}
 	if flags&frArgs != 0 {
 		b = binary.AppendUvarint(b, uint64(len(req.Args)))
@@ -266,9 +259,6 @@ func (e *binEncoder) EncodeResponse(resp *response) error {
 	if resp.Stream != 0 {
 		flags |= rfStream
 	}
-	if resp.Codec != "" {
-		flags |= rfCodec
-	}
 	b = binary.AppendUvarint(b, flags)
 	if flags&rfStream != 0 {
 		b = binary.AppendUvarint(b, uint64(resp.Stream))
@@ -278,9 +268,6 @@ func (e *binEncoder) EncodeResponse(resp *response) error {
 	}
 	if flags&rfErr != 0 {
 		b = appendWireString(b, resp.Err)
-	}
-	if flags&rfCodec != 0 {
-		b = appendWireString(b, resp.Codec)
 	}
 	if flags&rfResults != 0 {
 		b = binary.AppendUvarint(b, uint64(len(resp.Results)))
@@ -464,11 +451,6 @@ func (d *binDecoder) request(c *wireCursor, req *request) error {
 			return err
 		}
 	}
-	if flags&frCodec != 0 {
-		if req.Codec, err = c.str(); err != nil {
-			return err
-		}
-	}
 	if flags&frArgs != 0 {
 		if req.Args, err = c.values(); err != nil {
 			return err
@@ -509,11 +491,6 @@ func (d *binDecoder) response(c *wireCursor, resp *response) error {
 	}
 	if flags&rfErr != 0 {
 		if resp.Err, err = c.str(); err != nil {
-			return err
-		}
-	}
-	if flags&rfCodec != 0 {
-		if resp.Codec, err = c.str(); err != nil {
 			return err
 		}
 	}
@@ -760,6 +737,9 @@ func (c *wireCursor) value() (any, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := checkGobLengths(b); err != nil {
+			return nil, err
+		}
 		var gv gobValue
 		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&gv); err != nil {
 			return nil, fmt.Errorf("rmi: binary codec gob fallback: %w", err)
@@ -783,6 +763,34 @@ func (c *wireCursor) value() (any, error) {
 		return nil, fmt.Errorf("rmi: unknown value tag 0x%02x", tag)
 	}
 }
+
+// checkGobLengths walks the message lengths of a vGob blob as encoding/gob
+// reads them — a uint below 0x80 is its own byte, anything else a negated
+// byte count and that many big-endian bytes — and rejects one that runs past
+// the blob: gob allocates a message's declared length before it reads a byte
+// of it, so a few bytes of blob could otherwise cost the node megabytes.
+func checkGobLengths(b []byte) error {
+	for len(b) > 0 {
+		n, w := uint64(b[0]), 1
+		if n >= 0x80 {
+			w -= int(int8(b[0]))
+			if w > 9 || w > len(b) {
+				return errGobLength
+			}
+			n = 0
+			for _, x := range b[1:w] {
+				n = n<<8 | uint64(x)
+			}
+		}
+		if n > uint64(len(b)-w) {
+			return errGobLength
+		}
+		b = b[w+int(n):]
+	}
+	return nil
+}
+
+var errGobLength = errors.New("rmi: binary codec gob fallback: message length past the value")
 
 // fixedWidth is the element types of the block-copied array tags.
 type fixedWidth interface{ int32 | int64 | float64 }

@@ -178,8 +178,8 @@ func (g *fuzzGen) response() *response {
 // covering every Class.Wire payload type — the registered slice types
 // included — and asserts three properties: the
 // binary codec round-trips losslessly, gob round-trips losslessly, and both
-// decode to identical Go values — the invariant that lets a mixed cluster
-// fall back between codecs without changing observable behaviour.
+// decode to identical Go values — the invariant that lets a client pick
+// either codec without changing observable behaviour.
 func FuzzBinaryGobEquivalence(f *testing.F) {
 	registerWireTestTypes()
 	f.Add([]byte{})

@@ -98,8 +98,8 @@ func poolKind(kind string) bool {
 // while each run still carries enough in-flight traffic (16 packs, window 2)
 // for scripted watermarks to land mid-window. The sweep runs the wire-speed
 // transport configuration — binary codec, two dispatch streams per peer — so
-// every scenario also exercises codec renegotiation and per-stream replay
-// across its failures.
+// every scenario also exercises the codec tag of each reconnected connection
+// and per-stream replay across its failures.
 func virtParams() Params {
 	p := matrixParams()
 	p.Max = 8_000

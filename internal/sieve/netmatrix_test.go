@@ -4,8 +4,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"aspectpar/internal/rmi"
 )
 
 // These tests are the real-TCP half of the conformance harness: the same
@@ -112,7 +110,7 @@ func TestNetBinaryStreamsConformance(t *testing.T) {
 		t.Run(c.String(), func(t *testing.T) {
 			base := netParams()
 			base.Window = 2
-			base.NetCodec = "gob" // pinned: the default would negotiate binary
+			base.NetCodec = "gob" // pinned: the default speaks binary
 			gobRes, err := RunCombo(c, base)
 			if err != nil {
 				t.Fatal(err)
@@ -130,27 +128,29 @@ func TestNetBinaryStreamsConformance(t *testing.T) {
 	}
 }
 
-// TestNetMixedCodecCluster pins interop: the client offers the binary codec
-// to gob-only node daemons — an older build that never learned the format —
-// and each connection falls back to gob at handshake. The run must succeed
-// and stay oracle-equal, which is what lets a cluster upgrade node by node.
+// TestNetMixedCodecCluster pins that a node needs no codec setting: a driver
+// pinned to gob, then a binary one, run on the same default node daemons,
+// each answered in the codec its connections' first byte named. Both runs
+// must stay oracle-equal.
 func TestNetMixedCodecCluster(t *testing.T) {
 	requireLoopback(t)
 	p := netParams()
-	p.NetAddrs = startSieveNodes(t, 2, rmi.WithCodecs(rmi.GobCodec()))
-	p.NetCodec = "binary"
+	p.NetAddrs = startSieveNodes(t, 2)
 	p.NetStreams = 2
 	want, err := HandSequential(p.Max)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCombo(Combo{PartStealingFarm, ConcMerged, DistNet}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertPrimesEqual(t, res.Primes, want)
-	if res.Comm.Messages == 0 {
-		t.Error("no middleware traffic counted — calls did not cross the wire")
+	for _, codec := range []string{"gob", "binary"} {
+		p.NetCodec = codec
+		res, err := RunCombo(Combo{PartStealingFarm, ConcMerged, DistNet}, p)
+		if err != nil {
+			t.Fatalf("%s driver: %v", codec, err)
+		}
+		assertPrimesEqual(t, res.Primes, want)
+		if res.Comm.Messages == 0 {
+			t.Errorf("%s driver: no middleware traffic counted — calls did not cross the wire", codec)
+		}
 	}
 }
 

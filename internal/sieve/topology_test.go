@@ -141,13 +141,14 @@ func TestPipelineRunsTwiceOnTheSameNodes(t *testing.T) {
 	}
 }
 
-// TestPipelineOverGobOnlyNodes: Dial offers the binary codec by default, on
-// the driver's connections and on the nodes' own forward-lane connections
-// alike; nodes that accept only gob — an older build — answer in gob, and a
-// three-stage peer-to-peer pipeline completes on them all the same.
+// TestPipelineOverGobOnlyNodes: a driver pinned to gob installs a
+// peer-to-peer pipeline on default nodes, whose forward lanes dial each other
+// in binary; every node then serves the driver in gob and its peer in binary
+// at once, and the three-stage pipeline completes all the same.
 func TestPipelineOverGobOnlyNodes(t *testing.T) {
 	p := netParams()
-	p.NetAddrs = startSieveNodes(t, 2, rmi.WithCodecs(rmi.GobCodec()))
+	p.NetAddrs = startSieveNodes(t, 2)
+	p.NetCodec = "gob"
 	want, err := HandSequential(p.Max)
 	if err != nil {
 		t.Fatal(err)
@@ -158,6 +159,6 @@ func TestPipelineOverGobOnlyNodes(t *testing.T) {
 	}
 	assertPrimesEqual(t, res.Primes, want)
 	if res.Topo.PeerForwards == 0 || res.Topo.Stranded != 0 {
-		t.Errorf("gob-only nodes: hops did not run node-to-node: %+v", res.Topo)
+		t.Errorf("gob driver: hops did not run node-to-node: %+v", res.Topo)
 	}
 }

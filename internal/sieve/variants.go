@@ -287,10 +287,9 @@ type Params struct {
 	// NetNodes is the number of in-process loopback daemons a DistNet run
 	// launches when NetAddrs is empty; 0 selects 2.
 	NetNodes int
-	// NetCodec selects the frame codec a DistNet run offers its nodes at
-	// handshake ("binary" for the compact format, "" or "gob" for the
-	// self-describing default). Nodes that do not accept the offer fall
-	// back to gob per connection, so a mixed cluster still interoperates.
+	// NetCodec selects the frame codec of a DistNet run's node connections
+	// ("" or "binary" for the compact format, "gob" for the self-describing
+	// one). Every node answers each connection in the codec it opened with.
 	NetCodec string
 	// NetStreams multiplexes each node connection into that many dispatch
 	// streams (objects assigned round-robin, per-object FIFO preserved);
