@@ -160,31 +160,61 @@ func liveCodec(c *Client) string {
 	return gobName
 }
 
-// TestCodecPerConnection: against one default server, each client speaks the
-// codec it was dialled with — binary unless WithCodec says otherwise — from
-// its first frame, and again after a Reconnect. A Dial makes no round trip
-// unless it has a session whose epoch it must learn; then it makes one.
-func TestCodecPerConnection(t *testing.T) {
+// codecCases: against one default server, each client speaks the codec it
+// was dialled with — binary unless WithCodec says otherwise. A Dial makes no
+// round trip unless it has a session whose epoch it must learn; then it
+// makes one.
+var codecCases = []struct {
+	name    string
+	opts    []Option
+	want    string
+	session bool
+}{
+	{"binary", []Option{WithCodec(BinaryCodec())}, binaryName, false},
+	{"gob", []Option{WithCodec(GobCodec())}, gobName, false},
+	{"nil", []Option{WithCodec(nil)}, binaryName, false},
+	{"default with session", []Option{WithSession("sess-bin")}, binaryName, true},
+	{"gob with session", []Option{WithCodec(GobCodec()), WithSession("sess-gob")}, gobName, true},
+}
+
+// echoServer serves an "echo" object on loopback, or skips the test.
+func echoServer(t *testing.T) (*Server, string) {
+	t.Helper()
 	srv := NewServer()
 	srv.Export("echo", func(method string, args []any) ([]any, error) { return args, nil })
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback TCP unavailable: %v", err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
+	return srv, addr
+}
 
-	for _, tc := range []struct {
-		name    string
-		opts    []Option
-		want    string
-		session bool
-	}{
-		{"binary", []Option{WithCodec(BinaryCodec())}, binaryName, false},
-		{"gob", []Option{WithCodec(GobCodec())}, gobName, false},
-		{"nil", []Option{WithCodec(nil)}, binaryName, false},
-		{"default with session", []Option{WithSession("sess-bin")}, binaryName, true},
-		{"gob with session", []Option{WithCodec(GobCodec()), WithSession("sess-gob")}, gobName, true},
-	} {
+// checkCodecEcho checks that c speaks want and that an echo round-trips.
+func checkCodecEcho(t *testing.T, c *Client, want, when string) {
+	t.Helper()
+	if got := liveCodec(c); got != want {
+		t.Errorf("%s the client speaks %s, want %s", when, got, want)
+	}
+	stub, err := c.Lookup("echo")
+	if err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+	res, err := stub.Invoke("m", []int32{5, 6}, "tag")
+	if err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+	if got, ok := res[0].([]int32); !ok || len(got) != 2 || got[0] != 5 || got[1] != 6 || res[1] != "tag" {
+		t.Errorf("%s the echo returned %v", when, res)
+	}
+}
+
+// TestCodecNegotiation: a connection's codec is named by its first byte, so
+// each client speaks its own codec from the first frame, and a Dial makes a
+// round trip only to learn a session's epoch.
+func TestCodecNegotiation(t *testing.T) {
+	srv, addr := echoServer(t)
+	for _, tc := range codecCases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := srv.Requests()
 			c, err := Dial(addr, tc.opts...)
@@ -202,24 +232,24 @@ func TestCodecPerConnection(t *testing.T) {
 			if got := c.Epoch(); got != wantEpoch {
 				t.Errorf("epoch after Dial %d, want %d", got, wantEpoch)
 			}
-			call := func(when string) {
-				t.Helper()
-				if got := liveCodec(c); got != tc.want {
-					t.Errorf("%s the client speaks %s, want %s", when, got, tc.want)
-				}
-				stub, err := c.Lookup("echo")
-				if err != nil {
-					t.Fatalf("%s: %v", when, err)
-				}
-				res, err := stub.Invoke("m", []int32{5, 6}, "tag")
-				if err != nil {
-					t.Fatalf("%s: %v", when, err)
-				}
-				if got, ok := res[0].([]int32); !ok || len(got) != 2 || got[0] != 5 || got[1] != 6 || res[1] != "tag" {
-					t.Errorf("%s the echo returned %v", when, res)
-				}
+			checkCodecEcho(t, c, tc.want, "after Dial")
+		})
+	}
+}
+
+// TestCodecNegotiationSurvivesReconnect: a Reconnect names the client's codec
+// again on the new connection, learns the server's epoch, and reports the
+// same epoch only for a client with a session.
+func TestCodecNegotiationSurvivesReconnect(t *testing.T) {
+	srv, addr := echoServer(t)
+	for _, tc := range codecCases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Dial(addr, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
 			}
-			call("after Dial")
+			defer c.Close()
+			checkCodecEcho(t, c, tc.want, "after Dial")
 			srv.DropConns()
 			same, err := c.Reconnect()
 			if err != nil {
@@ -231,7 +261,7 @@ func TestCodecPerConnection(t *testing.T) {
 			if got := c.Epoch(); got != srv.Epoch() {
 				t.Errorf("epoch after Reconnect %d, want the server's %d", got, srv.Epoch())
 			}
-			call("after Reconnect")
+			checkCodecEcho(t, c, tc.want, "after Reconnect")
 		})
 	}
 }
