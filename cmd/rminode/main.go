@@ -3,7 +3,7 @@
 // MandelWorker, the imagepipe Stage) on its own domain, serving the
 // creation protocol and method dispatch for objects a driving process
 // places here through par.NetRMI — including the peer-to-peer stage
-// topologies a pipeline driver installs (par.Topology).
+// topologies a pipeline driver installs (Pipeline.UseTopology).
 //
 // A minimal two-process sieve run:
 //

@@ -17,7 +17,7 @@ import (
 // filter chain stays exported on a set of rmi.Node daemons with the stage
 // topology installed, and clients feed it an open-ended stream of frames.
 // Each Submit is a windowed one-way ingest into stage 0; the hops between
-// stages run peer-to-peer on the nodes (par.Topology), and the driver's
+// stages run peer-to-peer on the nodes (Pipeline.UseTopology), and the driver's
 // only steady-state traffic is the ingest feed plus one parked read of the
 // terminal stage's completion ledger (Stage.AwaitDone), which returns the
 // moment a frame finishes the chain. Submit and Flush sleep until that reply
@@ -228,7 +228,7 @@ func (s *Service) dial() error {
 }
 
 // deploy wires the woven stack and creates the stage chain, which compiles
-// and installs the par.Topology on the worker daemons.
+// and installs the pipeline topology on the worker daemons.
 func (s *Service) deploy() error {
 	dom := par.NewDomain()
 	s.class = DefineClass(dom)

@@ -53,7 +53,7 @@ func TestClassCallAllocs(t *testing.T) {
 		for name, call := range map[string]func(){
 			"Call":     func() { _, _ = class.Call(ctx, obj, "m", args...) },
 			"CallWith": func() { _, _ = class.CallWith(ctx, Internal|NoAsync, obj, "m", args...) },
-			"Dispatch": func() { _, _ = class.Dispatch(ctx, obj, "m", args) },
+			"Dispatch": func() { _, _ = class.dispatch(ctx, obj, "m", args) },
 		} {
 			if avg := testing.AllocsPerRun(1000, call); avg > float64(c.maxAllocs) {
 				t.Errorf("%s through %d aspects allocates %.1f objects, budget %d", name, c.aspects, avg, c.maxAllocs)
@@ -64,7 +64,7 @@ func TestClassCallAllocs(t *testing.T) {
 
 // TestMarksReadBackByName is the contract between the two spellings of a
 // mark: whatever a call site attaches through the typed entries (CallWith's
-// bits, callWindowed's slot, NewAt's node) reads back under its Mark* name
+// bits, callWindowed's slot, newAt's node) reads back under its Mark* name
 // through JoinPoint.Bool and JoinPoint.Value, and what CallMarked attaches by
 // name lands on the same bits.
 func TestMarksReadBackByName(t *testing.T) {
@@ -80,7 +80,7 @@ func TestMarksReadBackByName(t *testing.T) {
 	flags := []struct {
 		name string
 		bit  aspect.Marks
-	}{{MarkInternal, Internal}, {MarkRemote, Remote}, {MarkNoAsync, NoAsync}, {MarkVoid, Void}, {markPacked, packed}}
+	}{{MarkInternal, Internal}, {markRemote, Remote}, {MarkNoAsync, NoAsync}, {markVoid, Void}, {markPacked, packed}}
 	check := func(site string, want aspect.Marks) {
 		t.Helper()
 		for _, f := range flags {
@@ -101,7 +101,7 @@ func TestMarksReadBackByName(t *testing.T) {
 		}
 		check("CallMarked("+f.name+")", f.bit)
 	}
-	if _, err := class.Dispatch(ctx, nil, "m", nil); err != nil {
+	if _, err := class.dispatch(ctx, nil, "m", nil); err != nil {
 		t.Fatal(err)
 	}
 	check("Dispatch", Remote)
@@ -115,22 +115,22 @@ func TestMarksReadBackByName(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("callWindowed", Internal|NoAsync)
-	if v, ok := seen.Value(MarkWindowed); !ok || v != any(slot) {
-		t.Errorf("callWindowed: %s reads %v,%v, want the slot", MarkWindowed, v, ok)
+	if v, ok := seen.Value(markWindowed); !ok || v != any(slot) {
+		t.Errorf("callWindowed: %s reads %v,%v, want the slot", markWindowed, v, ok)
 	}
-	if _, err := class.NewAt(ctx, exec.NodeID(3)); err != nil {
+	if _, err := class.newAt(ctx, exec.NodeID(3)); err != nil {
 		t.Fatal(err)
 	}
-	check("NewAt", Internal|NoAsync)
-	if v, ok := seen.Value(MarkPlaceAt); !ok || v != any(exec.NodeID(3)) {
-		t.Errorf("NewAt: %s reads %v,%v, want node 3", MarkPlaceAt, v, ok)
+	check("newAt", Internal|NoAsync)
+	if v, ok := seen.Value(markPlaceAt); !ok || v != any(exec.NodeID(3)) {
+		t.Errorf("newAt: %s reads %v,%v, want node 3", markPlaceAt, v, ok)
 	}
-	if _, ok := seen.Value(MarkWindowed); ok {
-		t.Errorf("NewAt: %s is set on a joinpoint nobody put it on", MarkWindowed)
+	if _, ok := seen.Value(markWindowed); ok {
+		t.Errorf("newAt: %s is set on a joinpoint nobody put it on", markWindowed)
 	}
 
 	// A name nobody registered still travels, as a value.
-	if _, err := class.CallMarked(ctx, map[string]any{"app.tag": 7, MarkVoid: true}, nil, "m"); err != nil {
+	if _, err := class.CallMarked(ctx, map[string]any{"app.tag": 7, markVoid: true}, nil, "m"); err != nil {
 		t.Fatal(err)
 	}
 	check("CallMarked(app.tag, void)", Void)
@@ -138,7 +138,7 @@ func TestMarksReadBackByName(t *testing.T) {
 		t.Errorf("CallMarked: app.tag reads %v,%v, want 7", v, ok)
 	}
 	// Advice clears a mark the way it sets one.
-	seen.Set(MarkVoid, false)
+	seen.Set(markVoid, false)
 	check("Set(void, false)", 0)
 }
 

@@ -12,31 +12,31 @@ import (
 // They reproduce pointcut restrictions the paper writes as "only intercepts
 // ... in the core functionality": calls generated by aspect code carry
 // MarkInternal so the split advice does not re-split them, and server-side
-// re-entries carry MarkRemote so distribution and async advice stand aside.
+// re-entries carry markRemote so distribution and async advice stand aside.
 const (
 	// MarkInternal flags calls generated by partition aspect code.
 	MarkInternal = "par.internal"
-	// MarkRemote flags server-side re-entries delivered by a middleware.
-	MarkRemote = "par.remote"
+	// markRemote flags server-side re-entries delivered by a middleware.
+	markRemote = "par.remote"
 	// MarkNoAsync asks the concurrency module to run this call inline
 	// (used by modules that manage their own activities, e.g. DynamicFarm).
 	MarkNoAsync = "par.noasync"
-	// MarkVoid flags calls whose results the original caller discards
+	// markVoid flags calls whose results the original caller discards
 	// (asynchronous fire-and-forget calls). Middlewares reply with a bare
 	// acknowledgement instead of shipping the result payload — the paper's
 	// methods are void, so this keeps the modelled traffic faithful.
-	MarkVoid = "par.void"
-	// MarkWindowed carries a *windowSlot placed by the windowed
-	// self-scheduling dispatchers: distribution advice over an AsyncInvoker
+	markVoid = "par.void"
+	// markWindowed carries a *windowSlot placed by the windowed
+	// self-scheduling dispatchers: distribution advice over an asyncInvoker
 	// middleware issues the call asynchronously, flags the slot issued, and
 	// the completion arrives on the slot's channel instead of inline.
-	MarkWindowed = "par.windowed"
-	// MarkPlaceAt carries an exec.NodeID pinning a construction joinpoint to
+	markWindowed = "par.windowed"
+	// markPlaceAt carries an exec.NodeID pinning a construction joinpoint to
 	// one node, overriding the distribution module's placement policy. The
 	// elastic pool uses it to build a replica on a node that joined mid-run
 	// (Farm.Grow) — the policy resolved at round start knows nothing of the
 	// newcomer.
-	MarkPlaceAt = "par.placeat"
+	markPlaceAt = "par.placeat"
 )
 
 // The boolean marks as bits. Call sites pass them to CallWith and advice
@@ -44,9 +44,9 @@ const (
 // above are how the same bits read through JoinPoint.Set, Value and Bool.
 var (
 	Internal = aspect.RegisterMark(MarkInternal)
-	Remote   = aspect.RegisterMark(MarkRemote)
+	Remote   = aspect.RegisterMark(markRemote)
 	NoAsync  = aspect.RegisterMark(MarkNoAsync)
-	Void     = aspect.RegisterMark(MarkVoid)
+	Void     = aspect.RegisterMark(markVoid)
 )
 
 // MethodBody is the original, sequential body of a method: plain code with
@@ -91,8 +91,8 @@ func (d *Domain) Define(name string, ctor Constructor, methods map[string]Method
 	return c
 }
 
-// Class looks up a class by name; ok reports whether it exists.
-func (d *Domain) Class(name string) (*Class, bool) {
+// classOf looks up a class by name; ok reports whether it exists.
+func (d *Domain) classOf(name string) (*Class, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	c, ok := d.classes[name]
@@ -152,17 +152,14 @@ func (c *Class) DefineForward(name string, fn ForwardFunc) *Class {
 	return c
 }
 
-// ForwardRule looks up a registered forward rule; ok reports whether it
+// forwardRule looks up a registered forward rule; ok reports whether it
 // exists.
-func (c *Class) ForwardRule(name string) (ForwardFunc, bool) {
+func (c *Class) forwardRule(name string) (ForwardFunc, bool) {
 	c.wireMu.Lock()
 	defer c.wireMu.Unlock()
 	fn, ok := c.forwards[name]
 	return fn, ok
 }
-
-// Name returns the class's logical name.
-func (c *Class) Name() string { return c.name }
 
 // Wire declares sample values of the concrete types this class's
 // constructor and methods carry inside argument and result lists — the
@@ -181,15 +178,12 @@ func (c *Class) Wire(samples ...any) *Class {
 	return c
 }
 
-// WireSamples returns the declared wire-type samples.
-func (c *Class) WireSamples() []any {
+// wireTypes returns the declared wire-type samples.
+func (c *Class) wireTypes() []any {
 	c.wireMu.Lock()
 	defer c.wireMu.Unlock()
 	return append([]any(nil), c.wireSamples...)
 }
-
-// Domain returns the owning domain.
-func (c *Class) Domain() *Domain { return c.dom }
 
 // New is the woven construction site: it dispatches a construction joinpoint
 // through the weaver; partition advice may duplicate the object, and
@@ -198,16 +192,16 @@ func (c *Class) New(ctx exec.Context, args ...any) (any, error) {
 	return c.construct(ctx, args, nil)
 }
 
-// NewAt is the construction site used by aspect code to add one managed
+// newAt is the construction site used by aspect code to add one managed
 // object on a given node: the joinpoint is marked Internal and NoAsync, so the
 // partition modules' duplication advice stands aside, and carries the node
-// under MarkPlaceAt, which overrides the distribution module's placement
+// under markPlaceAt, which overrides the distribution module's placement
 // policy. Distribution advice still runs — this is how Farm.Grow builds a
 // replica on a node that joined mid-run.
-func (c *Class) NewAt(ctx exec.Context, node exec.NodeID, args ...any) (any, error) {
+func (c *Class) newAt(ctx exec.Context, node exec.NodeID, args ...any) (any, error) {
 	return c.construct(ctx, args, func(jp *aspect.JoinPoint) {
 		jp.Mark(Internal | NoAsync)
-		jp.Set(MarkPlaceAt, node)
+		jp.Set(markPlaceAt, node)
 	})
 }
 
@@ -262,11 +256,11 @@ func (c *Class) CallMarked(ctx exec.Context, marks map[string]any, target any, m
 
 // callWindowed is the call site of the windowed self-scheduling dispatchers:
 // an inline, aspect-generated call carrying the slot its completion may be
-// delivered on (see MarkWindowed). Its Lazy payload is built as in CallWith.
+// delivered on (see markWindowed). Its Lazy payload is built as in CallWith.
 func (c *Class) callWindowed(ctx exec.Context, slot *windowSlot, target any, method string, args []any) ([]any, error) {
 	return c.call(ctx, target, method, built(Internal, args), func(jp *aspect.JoinPoint) {
 		jp.Mark(Internal | NoAsync)
-		jp.Set(MarkWindowed, slot)
+		jp.Set(markWindowed, slot)
 	})
 }
 
@@ -294,10 +288,10 @@ func (c *Class) call(ctx exec.Context, target any, method string, args []any, ma
 	})
 }
 
-// Dispatch is the server-side entry used by middlewares: it re-enters the
+// dispatch is the server-side entry used by middlewares: it re-enters the
 // weaver marked Remote, so distribution advice executes the body locally and
 // async advice does not detach the already-delivered call.
-func (c *Class) Dispatch(ctx exec.Context, target any, method string, args []any) ([]any, error) {
+func (c *Class) dispatch(ctx exec.Context, target any, method string, args []any) ([]any, error) {
 	return c.CallWith(ctx, Remote, target, method, args...)
 }
 
@@ -322,10 +316,10 @@ type Module interface {
 	Unplug(w *aspect.Weaver)
 }
 
-// Joiner is implemented by modules that own asynchronous work (concurrency,
+// joiner is implemented by modules that own asynchronous work (concurrency,
 // one-way middlewares, self-scheduling partitions). Stack.Join drives them
 // to quiescence.
-type Joiner interface {
+type joiner interface {
 	// Join blocks until currently known work finished.
 	Join(ctx exec.Context) error
 	// Quiet reports whether no work is pending right now.
@@ -359,14 +353,14 @@ func NewStack(dom *Domain, mods ...Module) *Stack {
 	return s
 }
 
-// Join drives every Joiner module to quiescence. Asynchronous work can
+// Join drives every joiner module to quiescence. Asynchronous work can
 // create more asynchronous work (a pipeline stage forwards to the next, a
 // one-way message spawns a server-side activity), so Join loops until a full
 // pass observes every module quiet.
 func (s *Stack) Join(ctx exec.Context) error {
 	for {
 		for _, m := range s.mods {
-			if j, ok := m.(Joiner); ok {
+			if j, ok := m.(joiner); ok {
 				if err := j.Join(ctx); err != nil {
 					return err
 				}
@@ -374,7 +368,7 @@ func (s *Stack) Join(ctx exec.Context) error {
 		}
 		quiet := true
 		for _, m := range s.mods {
-			if j, ok := m.(Joiner); ok && !j.Quiet() {
+			if j, ok := m.(joiner); ok && !j.Quiet() {
 				quiet = false
 				break
 			}

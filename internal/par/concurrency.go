@@ -173,7 +173,7 @@ func (c *Concurrency) Unplug(w *aspect.Weaver) {
 // Spawned reports how many asynchronous calls were launched (diagnostics).
 func (c *Concurrency) Spawned() int64 { return c.spawned.Load() }
 
-// Join implements Joiner: it waits for all launched asynchronous calls and
+// Join implements joiner: it waits for all launched asynchronous calls and
 // returns their accumulated errors.
 func (c *Concurrency) Join(ctx exec.Context) error {
 	c.mu.Lock()
@@ -187,5 +187,5 @@ func (c *Concurrency) Join(ctx exec.Context) error {
 	return errors.Join(c.errs...)
 }
 
-// Quiet implements Joiner.
+// Quiet implements joiner.
 func (c *Concurrency) Quiet() bool { return c.pending.Load() == 0 }

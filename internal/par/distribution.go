@@ -68,7 +68,7 @@ func NewDistribution(dom *Domain, newPC, callPC aspect.Pointcut, mw Middleware, 
 	// "PS<instance number>").
 	d.asp.Around(newPC, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
 		ctx := ctxOf(jp)
-		class, ok := dom.Class(jp.Type)
+		class, ok := dom.classOf(jp.Type)
 		if !ok {
 			return proceed(nil)
 		}
@@ -77,7 +77,7 @@ func NewDistribution(dom *Domain, newPC, callPC aspect.Pointcut, mw Middleware, 
 		n := d.created
 		d.mu.Unlock()
 		node := d.policy.NodeFor(n - 1)
-		if v, ok := jp.Value(MarkPlaceAt); ok {
+		if v, ok := jp.Value(markPlaceAt); ok {
 			// A pinned construction (Farm.Grow on a node that joined mid-run)
 			// bypasses the placement policy, which was resolved before the
 			// node existed.
@@ -109,7 +109,7 @@ func NewDistribution(dom *Domain, newPC, callPC aspect.Pointcut, mw Middleware, 
 	})
 
 	// Client-side redirection: calls on placed objects go through the
-	// middleware; the server side re-enters the weaver with MarkRemote, so
+	// middleware; the server side re-enters the weaver with markRemote, so
 	// this advice stands aside there. A call marked windowed by a
 	// self-scheduling dispatcher is shipped asynchronously when the
 	// middleware supports it: the advice returns immediately after the send
@@ -122,9 +122,9 @@ func NewDistribution(dom *Domain, newPC, callPC aspect.Pointcut, mw Middleware, 
 			return proceed(nil) // not a distributed object: stay local
 		}
 		ctx := ctxOf(jp)
-		if v, ok := jp.Value(MarkWindowed); ok {
+		if v, ok := jp.Value(markWindowed); ok {
 			if slot, ok := v.(*windowSlot); ok && slot != nil {
-				if async, ok := d.mw.(AsyncInvoker); ok {
+				if async, ok := d.mw.(asyncInvoker); ok {
 					slot.issued = true
 					async.InvokeAsync(ctx, jp.Target, jp.Method, jp.Args, jp.Marked(Void), slot.done)
 					return nil, nil
@@ -148,18 +148,18 @@ func (d *Distribution) Unplug(w *aspect.Weaver) { w.Unplug(d.asp) }
 // Middleware returns the middleware the module redirects through.
 func (d *Distribution) Middleware() Middleware { return d.mw }
 
-// Join implements Joiner by delegating to the middleware when it tracks
+// Join implements joiner by delegating to the middleware when it tracks
 // in-flight work (one-way sends).
 func (d *Distribution) Join(ctx exec.Context) error {
-	if j, ok := d.mw.(Joiner); ok {
+	if j, ok := d.mw.(joiner); ok {
 		return j.Join(ctx)
 	}
 	return nil
 }
 
-// Quiet implements Joiner.
+// Quiet implements joiner.
 func (d *Distribution) Quiet() bool {
-	if j, ok := d.mw.(Joiner); ok {
+	if j, ok := d.mw.(joiner); ok {
 		return j.Quiet()
 	}
 	return true

@@ -110,8 +110,8 @@
 // self-scheduling:
 //
 //   - each worker keeps up to Window packs in flight: a pack call carries a
-//     windowSlot under MarkWindowed, and distribution advice over a
-//     middleware implementing [AsyncInvoker] ships it asynchronously — the
+//     windowSlot under markWindowed, and distribution advice over a
+//     middleware implementing asyncInvoker ships it asynchronously — the
 //     worker pays only the request marshalling cost and moves on;
 //   - the middleware executes one client's calls to one object in send order
 //     (a per-object dispatch loop draining a pipelined connection, exactly
@@ -143,7 +143,7 @@
 //
 // The simulated middleware models what a remote call costs; [NetRMI]
 // performs it.
-// It implements the same [Middleware] + [AsyncInvoker] seam over package
+// It implements the same [Middleware] + asyncInvoker seam over package
 // rmi's pipelined TCP transport, so the Distribution module, the Placement
 // policies and the windowed farm dispatchers run unchanged — the module
 // matrix that conformance-tests against the simulated cluster also runs
@@ -154,7 +154,7 @@
 // in tests — hosting its own woven domain. [HostClass] adapts a woven
 // [Class] to the node's servant interface: construction runs the node
 // domain's woven construction site and dispatch re-enters its weaver with
-// MarkRemote, exactly like the simulated server side. [DialNet] takes the
+// markRemote, exactly like the simulated server side. [DialNet] takes the
 // exec.NodeID → TCP address table ([NetAddressTable] builds one from an
 // ordered list), so Placement policies select among real machines the same
 // way they select simulated nodes.
@@ -163,7 +163,7 @@
 // closure: Middleware.ExportNew receives the construction joinpoint's
 // arguments, NetRMI sends them through the node's creation protocol
 // (rmi.CtlExportNew), the node's own domain runs the constructor, and the
-// caller gets a [NetRef] remote reference whose calls distribution advice
+// caller gets a netRef remote reference whose calls distribution advice
 // redirects — core code never observes the substitution. Wire types are
 // registered with gob from [Class.Wire] metadata on both ends, since both
 // processes define the class identically. Second, the remote domain cannot
@@ -222,7 +222,7 @@
 //     creation time: the object is built on a surviving node instead and
 //     the returned reference records where it actually landed. If no
 //     surviving node hosts the class, the pending calls fail and Join
-//     surfaces a typed [NoFailoverError]: fail fast, never silent loss.
+//     surfaces the no-failover error: fail fast, never silent loss.
 //
 // A lost session's in-flight packs are replayed by the journal like any
 // other call; the stealing farm has no recovery path of its own, and the
@@ -249,7 +249,7 @@
 // behaviour; installing a clock.Virtual puts every backoff and grace window
 // under test control, which is what makes the chaos scenario matrix
 // deterministic: failure scripts are pure functions of a seed, armed by
-// request-count watermarks (rmi.Server.WatchRequests) and paced by the
+// request-count watermarks (rmi.Node.WatchRequests) and paced by the
 // virtual clock's auto-advance pump instead of wall-clock sleeps.
 //
 // [DialNet] is the configuration seam for all of the above, and NetRMI's
@@ -264,7 +264,7 @@
 // with live membership: rmi.NewRegistry is a servant any rmi.Server can
 // host (cmd/poolctl serves a standalone one), worker daemons constructed
 // with rmi.WithRegistry register there at startup and heartbeat on
-// rmi.WithHeartbeat's interval (rmi.DefaultHeartbeatInterval when unset),
+// rmi.WithHeartbeat's interval (200ms when unset),
 // and a graceful daemon shutdown deregisters before closing. The registry
 // reads a member unhealthy once it has missed a few intervals' worth of
 // beats (the registry's miss factor).
@@ -272,20 +272,19 @@
 // [DialPool] dials the registry, seeds a NetRMI from the current healthy
 // membership, and starts a reconciler that polls it ([WithPoolPoll]):
 //
-//   - Join: a newly registered daemon is added to the address table
-//     ([NetRMI.AddNode]) and the farm's placement universe widens onto it
-//     mid-run.
-//   - Cordon: a member observed unhealthy [WithCordonAfter] consecutive
-//     polls is cordoned ([NetRMI.SetCordon]) — no new placements, no
-//     failover landings — while its established objects keep serving. A
-//     node that heals inside the grace is uncordoned with its placements
-//     intact, so a heartbeat flap costs nothing.
+//   - Join: a newly registered daemon is added to the address table and
+//     the farm's placement universe widens onto it mid-run ([Pool.OnJoin]).
+//   - Cordon: a member observed unhealthy on two consecutive polls is
+//     cordoned — no new placements, no failover landings — while its
+//     established objects keep serving ([Pool.OnCordon]). A node that
+//     heals inside the grace is uncordoned with its placements intact, so
+//     a heartbeat flap costs nothing.
 //   - Drain: once [WithDrainGrace] expires (immediately for a member that
 //     deregistered or vanished from the registry), the pool drains the
-//     node ([NetRMI.Drain]): its exports are re-created on survivors via
-//     the failover machinery — constructor + history replay, journal
-//     redirected — while the source may still be alive, so a planned
-//     departure loses nothing. FaultStats.Drains counts these.
+//     node: its exports are re-created on survivors via the failover
+//     machinery — constructor + history replay, journal redirected — while
+//     the source may still be alive, so a planned departure loses nothing.
+//     FaultStats.Drains counts these.
 //
 // The pool requires a fault policy (WithPoolNet(WithFaultPolicy(...)) —
 // drains and failovers are the same machinery), and each pooled driver

@@ -110,7 +110,7 @@ func ExampleDialPool() {
 }
 
 // ExamplePipeline_UseTopology ships a pipeline's stage chain to the nodes:
-// the driver compiles a par.Topology (stage → address → successor), installs
+// the driver compiles a topology (stage → address → successor), installs
 // it at export time, and every inner hop then runs peer-to-peer between the
 // daemons — the driver only feeds stage 0 and polls for quiescence.
 func ExamplePipeline_UseTopology() {

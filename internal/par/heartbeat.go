@@ -54,8 +54,8 @@ func NewHeartbeat(cfg HeartbeatConfig) *Heartbeat {
 		panic(fmt.Sprintf("par: invalid heartbeat config %+v", cfg))
 	}
 	h := &Heartbeat{cfg: cfg}
-	newPC := aspect.New(cfg.Class.Name())
-	stepPC := aspect.Call(cfg.Class.Name(), cfg.StepMethod)
+	newPC := aspect.New(cfg.Class.name)
+	stepPC := aspect.Call(cfg.Class.name, cfg.StepMethod)
 
 	h.asp = aspect.NewAspect("heartbeat", precPartition)
 
@@ -162,15 +162,12 @@ func (h *Heartbeat) Plug(w *aspect.Weaver) { w.Plug(h.asp) }
 // Unplug implements Module.
 func (h *Heartbeat) Unplug(w *aspect.Weaver) { w.Unplug(h.asp) }
 
-// Managed returns the domain partitions in creation order.
-func (h *Heartbeat) Managed() []any { return h.set.all() }
-
 // Collect gathers method() from every partition (see collect).
 func (h *Heartbeat) Collect(ctx exec.Context, method string) ([]any, error) {
 	return collect(ctx, h.cfg.Class, h.set.all(), method)
 }
 
-// Join implements Joiner.
+// Join implements joiner.
 func (h *Heartbeat) Join(ctx exec.Context) error {
 	h.mu.Lock()
 	wg := h.wg
@@ -181,7 +178,7 @@ func (h *Heartbeat) Join(ctx exec.Context) error {
 	return nil
 }
 
-// Quiet implements Joiner.
+// Quiet implements joiner.
 func (h *Heartbeat) Quiet() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -56,9 +56,6 @@ func NewMetering(pc aspect.Pointcut, nsPerOp float64, dispatchOverhead time.Dura
 	return m
 }
 
-// NsPerOp returns the configured per-operation cost.
-func (m *Metering) NsPerOp() float64 { return m.nsPerOp }
-
 // ModuleName implements Module.
 func (m *Metering) ModuleName() string { return "metering" }
 

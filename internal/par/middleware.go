@@ -42,15 +42,15 @@ type Middleware interface {
 }
 
 // Completion is the reclamation record of one windowed asynchronous
-// invocation: AsyncInvoker.InvokeAsync delivers exactly one on the done
+// invocation: asyncInvoker.InvokeAsync delivers exactly one on the done
 // channel it was given, once the server executed the call and put the
 // acknowledgement on the wire. The caller settles the reply's client-side
 // costs with Reclaim.
 type Completion struct {
-	// Res and Err are the invocation's outcome (Res is nil for void calls,
-	// whose acknowledgement carries no payload).
-	Res []any
-	Err error
+	// res and err are the invocation's outcome (res is nil for void calls,
+	// whose acknowledgement carries no payload); Reclaim returns them.
+	res []any
+	err error
 
 	// Reply-tail accounting: when the completion is delivered the
 	// acknowledgement is still on the wire; these drive Reclaim. They are
@@ -70,10 +70,10 @@ func (c *Completion) Reclaim(ctx exec.Context) ([]any, error) {
 		waitArrival(ctx, c.link, c.sentAt, c.size)
 		c.size = 0
 	}
-	return c.Res, c.Err
+	return c.res, c.err
 }
 
-// AsyncInvoker is an optional Middleware capability: pipelined (windowed)
+// asyncInvoker is an optional Middleware capability: pipelined (windowed)
 // remote invocation. InvokeAsync returns to the caller as soon as the
 // request's sender-side costs are paid — the wire transfer, the server-side
 // dispatch and the reply all overlap with whatever the caller does next —
@@ -81,7 +81,7 @@ func (c *Completion) Reclaim(ctx exec.Context) ([]any, error) {
 // Calls from one client to one object are executed in send order (the
 // pipelined-connection semantics of the windowed RMI protocol), so windowed
 // dispatch stays deterministic under virtual time.
-type AsyncInvoker interface {
+type asyncInvoker interface {
 	InvokeAsync(ctx exec.Context, obj any, method string, args []any, void bool, done exec.Chan)
 }
 
@@ -347,7 +347,7 @@ func (m *simMW) Invoke(ctx exec.Context, obj any, method string, args []any, voi
 		link := m.links.link(ctx.Node(), e.node)
 		rctx := ctx.OnNode(e.node)
 		m.transfer(ctx, rctx, link, m.sizer.Size(args))
-		res, err := e.class.Dispatch(rctx, obj, method, args)
+		res, err := e.class.dispatch(rctx, obj, method, args)
 		m.transfer(rctx, ctx, link, m.replySize(void, res))
 		return res, err
 	}
@@ -361,7 +361,7 @@ func (m *simMW) Invoke(ctx exec.Context, obj any, method string, args []any, voi
 	return v.(*Completion).Reclaim(ctx)
 }
 
-// InvokeAsync implements AsyncInvoker: the caller pays only the request's
+// InvokeAsync implements asyncInvoker: the caller pays only the request's
 // sender-side costs, then the call travels to the object's serve loop, which
 // executes calls in arrival order and puts each reply on done. A one-way
 // method has no reply: its window slot frees at once (the send cost is the
@@ -369,7 +369,7 @@ func (m *simMW) Invoke(ctx exec.Context, obj any, method string, args []any, voi
 func (m *simMW) InvokeAsync(ctx exec.Context, obj any, method string, args []any, void bool, done exec.Chan) {
 	e, err := m.entryOf(m.MiddlewareName(), method, obj)
 	if err != nil {
-		done.Send(ctx, &Completion{Err: err})
+		done.Send(ctx, &Completion{err: err})
 		return
 	}
 	if m.oneway[method] {
@@ -431,7 +431,7 @@ func (m *simMW) serve(sctx exec.Context, e *exportEntry, obj any, inbox exec.Cha
 		c := v.(*simCall)
 		link := m.links.link(c.from, e.node)
 		waitArrival(sctx, link, c.sentAt, c.size)
-		res, err := e.class.Dispatch(sctx, obj, c.method, c.args)
+		res, err := e.class.dispatch(sctx, obj, c.method, c.args)
 		if c.done == nil {
 			m.mu.Lock()
 			m.pending--
@@ -443,13 +443,13 @@ func (m *simMW) serve(sctx exec.Context, e *exportEntry, obj any, inbox exec.Cha
 		sctx.Compute(link.SendCPU(size))
 		m.stats.count(1, int64(size))
 		c.done.Send(sctx, &Completion{
-			Res: res, Err: err,
+			res: res, err: err,
 			sentAt: sctx.Now(), size: size, link: m.links.link(e.node, c.from),
 		})
 	}
 }
 
-// Join implements Joiner: one-way messages in flight count as pending work.
+// Join implements joiner: one-way messages in flight count as pending work.
 func (m *simMW) Join(ctx exec.Context) error {
 	m.mu.Lock()
 	wg := m.wg
@@ -460,7 +460,7 @@ func (m *simMW) Join(ctx exec.Context) error {
 	return nil
 }
 
-// Quiet implements Joiner.
+// Quiet implements joiner.
 func (m *simMW) Quiet() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -42,7 +42,7 @@ import (
 //     registry placement is remapped — the middleware's NodeOf now reports
 //     the surviving node — and the orphaned calls follow. When no surviving
 //     node hosts the class, the journal is failed with a typed
-//     NoFailoverError that Join surfaces: fail fast, not silent loss.
+//     noFailoverError that Join surfaces: fail fast, not silent loss.
 //
 // Fail-fast is the degenerate policy of the same path (FaultPolicy's zero
 // value): no recovery rounds and no failover, so the first transport error
@@ -118,9 +118,9 @@ type FaultStats struct {
 	Checkpoints int64
 }
 
-// FaultError wraps a call the journal could not transparently recover. It is
+// faultError wraps a call the journal could not transparently recover. It is
 // terminal: no recovery will run the call.
-type FaultError struct {
+type faultError struct {
 	Object string
 	Method string
 	Node   exec.NodeID
@@ -128,18 +128,18 @@ type FaultError struct {
 }
 
 // Error implements error.
-func (e *FaultError) Error() string {
+func (e *faultError) Error() string {
 	return fmt.Sprintf("par: netrmi lost call %s.%s (node %d): %v", e.Object, e.Method, e.Node, e.Err)
 }
 
 // Unwrap implements errors.Is/As chaining.
-func (e *FaultError) Unwrap() error { return e.Err }
+func (e *faultError) Unwrap() error { return e.Err }
 
-// NoFailoverError reports that an exported object lost its node and no
+// noFailoverError reports that an exported object lost its node and no
 // surviving node could host its class: recovery has nowhere to re-create it,
 // so the run must fail fast. It surfaces through NetRMI's Join (and wrapped
 // inside the FaultErrors delivered to the object's pending calls).
-type NoFailoverError struct {
+type noFailoverError struct {
 	Object string
 	Class  string
 	Node   exec.NodeID
@@ -147,12 +147,12 @@ type NoFailoverError struct {
 }
 
 // Error implements error.
-func (e *NoFailoverError) Error() string {
+func (e *noFailoverError) Error() string {
 	return fmt.Sprintf("par: netrmi cannot fail over %s (class %s) off node %d: %v", e.Object, e.Class, e.Node, e.Err)
 }
 
 // Unwrap implements errors.Is/As chaining.
-func (e *NoFailoverError) Unwrap() error { return e.Err }
+func (e *noFailoverError) Unwrap() error { return e.Err }
 
 // errPeerLost is the base cause of calls dropped with an unreachable peer
 // (the fail-fast policy's budget is spent before it starts).
@@ -182,7 +182,7 @@ type netCall struct {
 	fa     *netFaults
 	seq    uint64
 	stream uint32 // dispatch stream the call rides: its seq space and dedupe key
-	ref    *NetRef
+	ref    *netRef
 	method string
 	args   []any
 	void   bool
@@ -225,7 +225,7 @@ func (c *netCall) conclude(res []any, err error) {
 	switch {
 	case c.void:
 	case c.done != nil:
-		c.done.Send(c.ctx, &Completion{Res: res, Err: err})
+		c.done.Send(c.ctx, &Completion{res: res, err: err})
 	case c.ckpt != nil:
 		c.fa.checkpointed(c.ckpt, res, err)
 	default:
@@ -301,7 +301,7 @@ type streamJournal struct {
 // needed to re-create it: constructor arguments and the history of applied
 // calls.
 type netExport struct {
-	ref      *NetRef
+	ref      *netRef
 	class    *Class
 	node     exec.NodeID
 	stub     *rmi.Stub // bound to stream; replaced when the object is re-homed
@@ -341,7 +341,7 @@ type netFaults struct {
 	gen     int64
 	closed  bool
 	peers   map[exec.NodeID]*peerFault
-	exports map[*NetRef]*netExport
+	exports map[*netRef]*netExport
 	errs    []error // terminal fault errors, drained by Join
 
 	reconnects   atomic.Int64
@@ -366,7 +366,7 @@ func newNetFaults(m *NetRMI, policy FaultPolicy) *netFaults {
 		// another's session — MixIdentity's random bits break the tie.
 		nonce:   rmi.MixIdentity(m.clk.Now().UnixNano() + faultNonce.Add(1)),
 		peers:   make(map[exec.NodeID]*peerFault),
-		exports: make(map[*NetRef]*netExport),
+		exports: make(map[*netRef]*netExport),
 	}
 	fa.cond = sync.NewCond(&fa.mu)
 	return fa
@@ -435,7 +435,7 @@ func (fa *netFaults) stale(gen int64) bool {
 // dispatch stream its calls ride — preserved across reincarnation/failover,
 // so a replayed call carries the same (stream, seq) dedupe key shape) and
 // its re-creation recipe.
-func (fa *netFaults) trackExport(ref *NetRef, class *Class, ctorArgs []any, stub *rmi.Stub, stream uint32) {
+func (fa *netFaults) trackExport(ref *netRef, class *Class, ctorArgs []any, stub *rmi.Stub, stream uint32) {
 	fa.mu.Lock()
 	fa.exports[ref] = &netExport{
 		ref: ref, class: class, node: ref.Node, stub: stub, stream: stream,
@@ -446,7 +446,7 @@ func (fa *netFaults) trackExport(ref *NetRef, class *Class, ctorArgs []any, stub
 
 // stubOf resolves the remote stub currently behind an exported reference.
 func (fa *netFaults) stubOf(method string, obj any) (*rmi.Stub, error) {
-	ref, _ := obj.(*NetRef)
+	ref, _ := obj.(*netRef)
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
 	if exp := fa.exports[ref]; exp != nil {
@@ -605,13 +605,13 @@ func isFinal(err error) bool {
 	return isExecuted(err) || errors.Is(err, rmi.ErrStaleSession)
 }
 
-// staleAsFault turns a stale-session rejection into the terminal FaultError
+// staleAsFault turns a stale-session rejection into the terminal faultError
 // its caller sees: the node's session epoch rotated under the call (a reset
 // raced it), so the journal entry is for a session that no longer exists and
 // must never be replayed into the fresh one. Other errors pass through.
 func staleAsFault(call *netCall, node exec.NodeID, err error) error {
 	if errors.Is(err, rmi.ErrStaleSession) {
-		return &FaultError{Object: call.ref.Name, Method: call.method, Node: node, Err: err}
+		return &faultError{Object: call.ref.Name, Method: call.method, Node: node, Err: err}
 	}
 	return err
 }
@@ -721,7 +721,7 @@ func (fa *netFaults) recordErr(err error) {
 
 // deliverOrphan fails one call against a lost peer.
 func (fa *netFaults) deliverOrphan(call *netCall, node exec.NodeID, cause error) {
-	fa.finish(call, nil, &FaultError{Object: call.ref.Name, Method: call.method, Node: node, Err: cause})
+	fa.finish(call, nil, &faultError{Object: call.ref.Name, Method: call.method, Node: node, Err: cause})
 }
 
 // callSync performs one session-tracked call synchronously on wire's stream,
@@ -763,7 +763,7 @@ func (fa *netFaults) invalidate(cause error) {
 	}
 	peers := fa.peers
 	fa.peers = make(map[exec.NodeID]*peerFault)
-	fa.exports = make(map[*NetRef]*netExport)
+	fa.exports = make(map[*netRef]*netExport)
 	var calls []*netCall
 	for _, pf := range peers {
 		calls = append(calls, fa.drainLocked(pf)...)

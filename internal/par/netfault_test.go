@@ -155,6 +155,19 @@ func (r *faultRig) restart(i int) {
 	r.mu.Unlock()
 }
 
+// bound reports whether node i binds name, probed the way a client sees
+// it: a Lookup on a fresh connection succeeds.
+func (r *faultRig) bound(i int, name string) bool {
+	r.t.Helper()
+	c, err := rmi.Dial(r.addrs[i])
+	if err != nil {
+		r.t.Fatalf("dial node %d: %v", i, err)
+	}
+	defer c.Close()
+	_, err = c.Lookup(name)
+	return err == nil
+}
+
 func (r *faultRig) export(t *testing.T, name string, node exec.NodeID) any {
 	t.Helper()
 	obj, err := r.mw.ExportNew(r.ctx, name, node, r.class, nil, nil)
@@ -326,7 +339,7 @@ func TestFaultFailoverToSurvivor(t *testing.T) {
 
 // TestFaultNoSurvivorFailsFastTyped is the satellite edge case: the only
 // node hosting the class dies and nothing can take its objects. The pending
-// call fails and Join surfaces a typed NoFailoverError — fail fast, not a
+// call fails and Join surfaces a typed noFailoverError — fail fast, not a
 // hang, not silence.
 func TestFaultNoSurvivorFailsFastTyped(t *testing.T) {
 	r := startFaultRig(t, 1, FaultPolicy{Reconnect: rmi.ReconnectPolicy{MaxAttempts: 2, BaseBackoff: 2 * time.Millisecond}})
@@ -339,9 +352,9 @@ func TestFaultNoSurvivorFailsFastTyped(t *testing.T) {
 		t.Error("orphaned call reported success with no survivor")
 	}
 	err := r.mw.Join(r.ctx)
-	var nfe *NoFailoverError
+	var nfe *noFailoverError
 	if !errors.As(err, &nfe) {
-		t.Fatalf("Join = %v, want a NoFailoverError", err)
+		t.Fatalf("Join = %v, want a noFailoverError", err)
 	}
 	if nfe.Object != "PS1" || nfe.Class != "Acc" {
 		t.Errorf("typed error mislabelled: %+v", nfe)
@@ -390,10 +403,8 @@ func TestFaultResetDoesNotResurrect(t *testing.T) {
 				waitUntil(t, "recovery abandoned the stale generation", func() bool {
 					return r.mw.FaultStats().Abandoned > 0
 				})
-				for _, n := range r.node(0).Names() {
-					if n == "PS1" {
-						t.Error("reset raced recovery and PS1 was resurrected on the fresh node")
-					}
+				if r.bound(0, "PS1") {
+					t.Error("reset raced recovery and PS1 was resurrected on the fresh node")
 				}
 			} else {
 				if err != nil {
@@ -401,13 +412,7 @@ func TestFaultResetDoesNotResurrect(t *testing.T) {
 				}
 				// The completion arrived, so the replay ran — and the replay
 				// re-exports before it re-executes: PS1 must be visible now.
-				resurrected := false
-				for _, n := range r.node(0).Names() {
-					if n == "PS1" {
-						resurrected = true
-					}
-				}
-				if !resurrected {
+				if !r.bound(0, "PS1") {
 					t.Error("control run: recovery never re-exported PS1 — the race harness is inert")
 				}
 			}

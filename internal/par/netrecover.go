@@ -173,13 +173,13 @@ func (fa *netFaults) reexport(exp *netExport, tp *netPeer, target exec.NodeID, g
 		fa.mu.Unlock()
 	}()
 	name := exp.ref.Name
-	ctlArgs := append([]any{exp.class.Name(), name}, exp.ctorArgs...)
+	ctlArgs := append([]any{exp.class.name, name}, exp.ctorArgs...)
 	// Creation rides the control lane (stream 0).
 	if _, o := fa.callSync(tp.ctl, fa.journalOf(target, 0), 0, rmi.CtlExportNew, ctlArgs); o.err != nil {
 		if isExecuted(o.err) {
 			// The node answered but refused — it does not host the class, or
 			// the name is taken: nowhere to rebuild this object.
-			fa.recordErr(&NoFailoverError{Object: name, Class: exp.class.Name(), Node: exp.node, Err: o.err})
+			fa.recordErr(&noFailoverError{Object: name, Class: exp.class.name, Node: exp.node, Err: o.err})
 			fa.mu.Lock()
 			exp.dead = true // submissions against it fail immediately
 			fa.mu.Unlock()
@@ -344,8 +344,8 @@ func (fa *netFaults) failPeer(pf *peerFault, gen int64) {
 	// No survivor could take the lost objects: typed, Join-visible.
 	var terminal error
 	if exps := fa.exportsOn(pf.node); fa.policy.Enabled && len(exps) > 0 {
-		terminal = &NoFailoverError{
-			Object: exps[0].ref.Name, Class: exps[0].class.Name(), Node: pf.node,
+		terminal = &noFailoverError{
+			Object: exps[0].ref.Name, Class: exps[0].class.name, Node: pf.node,
 			Err: errPeerLost,
 		}
 	}
@@ -391,7 +391,7 @@ func (fa *netFaults) pickTarget(avoid map[exec.NodeID]bool, lastResort bool) (ex
 			break
 		}
 		for _, n := range ids {
-			if avoid[n] || fa.m.Cordoned(n) != cordoned {
+			if avoid[n] || fa.m.isCordoned(n) != cordoned {
 				continue
 			}
 			fa.mu.Lock()
@@ -531,7 +531,7 @@ func (fa *netFaults) dropPeer(pf *peerFault, gen int64, terminal error) {
 			waited = append(waited, call)
 			continue
 		}
-		fa.errs = append(fa.errs, &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: cause})
+		fa.errs = append(fa.errs, &faultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: cause})
 	}
 	fa.cond.Broadcast()
 	fa.mu.Unlock()
@@ -570,6 +570,6 @@ func (fa *netFaults) abandon(pf *peerFault) {
 	fa.cond.Broadcast()
 	fa.mu.Unlock()
 	for _, call := range calls {
-		call.conclude(nil, &FaultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: errMWReset})
+		call.conclude(nil, &faultError{Object: call.ref.Name, Method: call.method, Node: pf.node, Err: errMWReset})
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"aspectpar/internal/rmi"
 )
 
-// NetRMI is the real-TCP distribution backend: a Middleware + AsyncInvoker
+// NetRMI is the real-TCP distribution backend: a Middleware + asyncInvoker
 // over package rmi's pipelined transport. Where the simulated middleware
 // models a remote call's cost, NetRMI performs it — each placement node is an
 // rmi.Node worker daemon (its own process, or an in-process loopback
@@ -26,7 +26,7 @@ import (
 //   - ExportNew cannot run the local build closure remotely, so it ships the
 //     construction joinpoint's arguments to the node's creation protocol
 //     (rmi.CtlExportNew); the node's own domain runs the woven constructor
-//     and NetRMI hands the caller a *NetRef remote reference in place of the
+//     and NetRMI hands the caller a *netRef remote reference in place of the
 //     object. Distribution advice redirects every call on the reference, so
 //     core code never observes the substitution.
 //   - Completions carry no reply-tail cost model (the wire time is real), so
@@ -91,17 +91,17 @@ type netPeer struct {
 	nextStream uint32
 }
 
-// NetRef is the client-side remote reference NetRMI returns from ExportNew:
+// netRef is the client-side remote reference NetRMI returns from ExportNew:
 // the placed object lives in the node's process, and this token stands in
 // for it in the caller's woven world. Method calls on it are redirected by
 // distribution advice; it must never reach a method body.
-type NetRef struct {
+type netRef struct {
 	Name string
 	Node exec.NodeID
 }
 
 // String renders the reference for diagnostics.
-func (r *NetRef) String() string { return fmt.Sprintf("netref(%s@node%d)", r.Name, r.Node) }
+func (r *netRef) String() string { return fmt.Sprintf("netref(%s@node%d)", r.Name, r.Node) }
 
 // NetAddressTable builds a node address table from an ordered address list:
 // entry i serves exec.NodeID(i).
@@ -122,11 +122,11 @@ func (m *NetRMI) Nodes() int {
 	return len(m.addrs)
 }
 
-// AddNode extends the address table with a freshly joined daemon and
+// addNode extends the address table with a freshly joined daemon and
 // returns its node ID (the lowest unused one). The connection is dialled
 // lazily, on the first placement or call. Adding an address that is already
 // in the table returns its existing ID.
-func (m *NetRMI) AddNode(addr string) exec.NodeID {
+func (m *NetRMI) addNode(addr string) exec.NodeID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	next := exec.NodeID(0)
@@ -142,11 +142,11 @@ func (m *NetRMI) AddNode(addr string) exec.NodeID {
 	return next
 }
 
-// SetCordon marks (or clears) a node as cordoned: cordoned nodes receive no
+// setCordon marks (or clears) a node as cordoned: cordoned nodes receive no
 // new placements — live placement policies and the fault layer's failover
 // target scan both skip them — while their established objects keep
 // serving until a drain moves them.
-func (m *NetRMI) SetCordon(node exec.NodeID, cordoned bool) {
+func (m *NetRMI) setCordon(node exec.NodeID, cordoned bool) {
 	m.mu.Lock()
 	if cordoned {
 		m.cordoned[node] = true
@@ -156,8 +156,8 @@ func (m *NetRMI) SetCordon(node exec.NodeID, cordoned bool) {
 	m.mu.Unlock()
 }
 
-// Cordoned reports whether node is cordoned.
-func (m *NetRMI) Cordoned(node exec.NodeID) bool {
+// isCordoned reports whether node is cordoned.
+func (m *NetRMI) isCordoned(node exec.NodeID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.cordoned[node]
@@ -177,13 +177,6 @@ func (m *NetRMI) eligibleIDs() []exec.NodeID {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
-
-// Drain proactively migrates node's exports and queued calls onto a
-// surviving, non-cordoned node using the reincarnation/failover machinery,
-// while the source node is still alive — the second half of cordon →
-// drain → evict. It requires an enabled fault policy: the objects are rebuilt
-// from the history only such a policy keeps.
-func (m *NetRMI) Drain(node exec.NodeID) error { return m.faults.drainNode(node) }
 
 // nodeIDs returns the configured node IDs in ascending order — the failover
 // target scan order.
@@ -301,7 +294,7 @@ func (m *NetRMI) clientOf(node exec.NodeID) *rmi.Client {
 // ExportNew implements Middleware: it runs the creation protocol against the
 // node's daemon — ship class name, object name and constructor arguments;
 // the node's own domain executes the woven constructor — and returns a
-// *NetRef remote reference. The build closure is not used: the constructor
+// *netRef remote reference. The build closure is not used: the constructor
 // body must run in the remote process, which is exactly what separates this
 // backend from the in-process simulated middleware. Under an enabled fault
 // policy the protocol is retried through recovery — surviving a node crash
@@ -309,19 +302,19 @@ func (m *NetRMI) clientOf(node exec.NodeID) *rmi.Client {
 // gone for good.
 func (m *NetRMI) ExportNew(ctx exec.Context, name string, node exec.NodeID, class *Class,
 	args []any, build func(rctx exec.Context) (any, error)) (any, error) {
-	for _, sample := range class.WireSamples() {
+	for _, sample := range class.wireTypes() {
 		rmi.RegisterType(sample)
 	}
 	m.mu.Lock()
 	name = m.prefix + name
 	m.mu.Unlock()
-	ctlArgs := append([]any{class.Name(), name}, args...)
+	ctlArgs := append([]any{class.name, name}, args...)
 	stub, node, err := m.faults.exportNew(node, name, ctlArgs)
 	if err != nil {
 		return nil, fmt.Errorf("par: netrmi export %s at node %d: %w", name, node, err)
 	}
 	m.stats.count(2, int64(m.sizer.Size(ctlArgs)+replyFloor))
-	ref := &NetRef{Name: name, Node: node}
+	ref := &netRef{Name: name, Node: node}
 	if err := m.reg.add(ref, &exportEntry{name: name, node: node, class: class}); err != nil {
 		return nil, err
 	}
@@ -345,7 +338,7 @@ func (m *NetRMI) ExportNew(ctx exec.Context, name string, node exec.NodeID, clas
 // surface collectively in Join — the semantics the MPP twin gives its one-way
 // methods.
 func (m *NetRMI) Invoke(ctx exec.Context, obj any, method string, args []any, void bool) ([]any, error) {
-	ref, ok := obj.(*NetRef)
+	ref, ok := obj.(*netRef)
 	if !ok {
 		return nil, errUnexported(method)
 	}
@@ -360,7 +353,7 @@ func (m *NetRMI) Invoke(ctx exec.Context, obj any, method string, args []any, vo
 	return o.res, o.err
 }
 
-// InvokeAsync implements AsyncInvoker: the call is journaled and pipelined
+// InvokeAsync implements asyncInvoker: the call is journaled and pipelined
 // onto the node's connection, and the completion is delivered when it finally
 // executed — when the in-order response arrives or, under a recovering
 // policy, possibly after a replay on another incarnation. Void calls use the
@@ -371,9 +364,9 @@ func (m *NetRMI) Invoke(ctx exec.Context, obj any, method string, args []any, vo
 // worker's buffered done channel — no future and no per-call goroutine, which
 // used to dominate the windowed hot path's allocations.
 func (m *NetRMI) InvokeAsync(ctx exec.Context, obj any, method string, args []any, void bool, done exec.Chan) {
-	ref, ok := obj.(*NetRef)
+	ref, ok := obj.(*netRef)
 	if !ok {
-		done.Send(ctx, &Completion{Err: errUnexported(method)})
+		done.Send(ctx, &Completion{err: errUnexported(method)})
 		return
 	}
 	call := &netCall{fa: m.faults, ref: ref, method: method, args: args, void: void}
@@ -432,7 +425,7 @@ func approxReplySize(res []any) int {
 // half of the same guard).
 func (m *NetRMI) Reset() error {
 	pol := m.faults.policy
-	m.faults.invalidate(&FaultError{Err: errMWReset})
+	m.faults.invalidate(&faultError{Err: errMWReset})
 	m.mu.Lock()
 	prefix := m.prefix
 	// The nodes drop this namespace's hop tables with its bindings, so the
@@ -474,11 +467,11 @@ func (m *NetRMI) Reset() error {
 	return errors.Join(errs...)
 }
 
-// Join implements Joiner: it waits for the journal to settle — every call
+// Join implements joiner: it waits for the journal to settle — every call
 // acknowledged, replayed, failed over or failed; recoveries
 // finished — which drains every connection's one-way window, and returns the
 // gathered failures of the void traffic: remote errors, the calls lost with a
-// dropped peer, a NoFailoverError when an object could not be re-homed
+// dropped peer, a noFailoverError when an object could not be re-homed
 // anywhere. Stack.Join thereby observes the void traffic this middleware
 // still has in flight.
 func (m *NetRMI) Join(ctx exec.Context) error {
@@ -488,7 +481,7 @@ func (m *NetRMI) Join(ctx exec.Context) error {
 	return errors.Join(m.faults.join(), m.topoJoin(ctx))
 }
 
-// Quiet implements Joiner.
+// Quiet implements joiner.
 func (m *NetRMI) Quiet() bool { return m.topoQuiet() && m.faults.quiet() }
 
 // Close closes every node connection. Calls in flight resolve with
@@ -518,10 +511,10 @@ func (m *NetRMI) Close() error {
 // HostClass adapts a woven class to a node's Servant interface: the server
 // side of the real middleware. Construction runs the class's woven
 // construction site (so node-local modules — metering, say — apply) and
-// dispatch re-enters the node domain's weaver with MarkRemote set, exactly
+// dispatch re-enters the node domain's weaver with markRemote set, exactly
 // like the simulated middleware's serve loop.
 func HostClass(n *rmi.Node, class *Class) {
-	n.Host(class.Name(), classServant{class})
+	n.Host(class.name, classServant{class})
 }
 
 type classServant struct{ c *Class }
@@ -531,13 +524,13 @@ func (s classServant) New(ctx exec.Context, args []any) (any, error) {
 }
 
 func (s classServant) Invoke(ctx exec.Context, obj any, method string, args []any) ([]any, error) {
-	return s.c.Dispatch(ctx, obj, method, args)
+	return s.c.dispatch(ctx, obj, method, args)
 }
 
-func (s classServant) WireTypes() []any { return s.c.WireSamples() }
+func (s classServant) WireTypes() []any { return s.c.wireTypes() }
 
 // ForwardRule implements rmi.RuleForwarder: the node's forward lane derives
 // peer-to-peer pipeline hops through the class's named rules.
 func (s classServant) ForwardRule(rule string) (func(stage int, results, args []any) []any, bool) {
-	return s.c.ForwardRule(rule)
+	return s.c.forwardRule(rule)
 }

@@ -96,8 +96,8 @@ func (g *netGate) export(t *testing.T, name string) any {
 func TestNetRMIExportAndInvoke(t *testing.T) {
 	g := startGate(t)
 	obj := g.export(t, "PS1")
-	if _, ok := obj.(*NetRef); !ok {
-		t.Fatalf("ExportNew returned %T, want *NetRef remote reference", obj)
+	if _, ok := obj.(*netRef); !ok {
+		t.Fatalf("ExportNew returned %T, want *netRef remote reference", obj)
 	}
 	if node, ok := g.mw.NodeOf(obj); !ok || node != 0 {
 		t.Errorf("NodeOf = %v,%v, want 0,true", node, ok)
@@ -279,7 +279,7 @@ func TestNetRMIInvokeParkedLeavesTheObjectLaneFree(t *testing.T) {
 	if o := <-parked; o.err != nil || o.res[0] != "unblocked" {
 		t.Errorf("parked call = %v, %v", o.res, o.err)
 	}
-	if _, err := g.mw.InvokeParked(&NetRef{Name: "nobody"}, "Block"); err == nil {
+	if _, err := g.mw.InvokeParked(&netRef{Name: "nobody"}, "Block"); err == nil {
 		t.Error("InvokeParked on an unexported reference should fail")
 	}
 }
@@ -305,8 +305,8 @@ func TestOnePathConformance(t *testing.T) {
 	}{
 		{"export", func(t *testing.T, g *netGate) {
 			obj := g.export(t, "PS1")
-			if _, ok := obj.(*NetRef); !ok {
-				t.Fatalf("ExportNew returned %T, want *NetRef", obj)
+			if _, ok := obj.(*netRef); !ok {
+				t.Fatalf("ExportNew returned %T, want *netRef", obj)
 			}
 			if node, ok := g.mw.NodeOf(obj); !ok || node != 0 {
 				t.Errorf("NodeOf = %v,%v, want 0,true", node, ok)
@@ -315,7 +315,7 @@ func TestOnePathConformance(t *testing.T) {
 				!strings.Contains(err.Error(), "already exported") {
 				t.Errorf("second export of PS1 = %v, want the duplicate binding named", err)
 			}
-			if _, err := g.mw.Invoke(g.ctx, &NetRef{Name: "nobody"}, "Echo", nil, false); err == nil {
+			if _, err := g.mw.Invoke(g.ctx, &netRef{Name: "nobody"}, "Echo", nil, false); err == nil {
 				t.Error("invoke on an unexported reference should fail")
 			}
 		}},
@@ -358,8 +358,8 @@ func TestOnePathConformance(t *testing.T) {
 				}
 			}
 			g.mw.InvokeAsync(g.ctx, obj, "Bump", nil, true, done)
-			if v, _ := done.Recv(g.ctx); v.(*Completion).Err != nil {
-				t.Errorf("void windowed call completed with %v, want completion at send", v.(*Completion).Err)
+			if v, _ := done.Recv(g.ctx); v.(*Completion).err != nil {
+				t.Errorf("void windowed call completed with %v, want completion at send", v.(*Completion).err)
 			}
 			if err := g.mw.Join(g.ctx); err != nil {
 				t.Fatalf("Join: %v", err)

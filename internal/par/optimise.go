@@ -56,7 +56,7 @@ func NewPacking(class *Class, method string, degree int) *Packing {
 		buf:    make(map[any][]int32),
 		count:  make(map[any]int),
 	}
-	pc := aspect.Call(class.Name(), method)
+	pc := aspect.Call(class.name, method)
 	p.asp = aspect.NewAspect("packing", precOptimisation).
 		Around(pc, func(jp *aspect.JoinPoint, proceed aspect.ProceedFunc) ([]any, error) {
 			if !jp.Marked(Internal) || jp.Marked(Remote|packed) {

@@ -147,10 +147,10 @@ func TestClassErrors(t *testing.T) {
 		}()
 		dom.Define("Box", nil, nil)
 	}()
-	if _, ok := dom.Class("Box"); !ok {
+	if _, ok := dom.classOf("Box"); !ok {
 		t.Error("Class lookup failed")
 	}
-	if _, ok := dom.Class("Missing"); ok {
+	if _, ok := dom.classOf("Missing"); ok {
 		t.Error("missing class reported present")
 	}
 }
@@ -636,7 +636,7 @@ func TestHeartbeatBroadcastBarrierExchange(t *testing.T) {
 	if exchanges != 2 {
 		t.Errorf("exchanges = %d, want 2 (one per step)", exchanges)
 	}
-	for i, w := range hb.Managed() {
+	for i, w := range hb.set.all() {
 		b := w.(*box)
 		// Per iteration: one broadcast element + one exchange element.
 		if len(b.items) != 4 {
@@ -666,8 +666,8 @@ func TestMeteringChargesOpsAndOverhead(t *testing.T) {
 	if got, want := cl.Elapsed(), 3500*time.Microsecond; got != want {
 		t.Errorf("elapsed = %v, want %v", got, want)
 	}
-	if meter.NsPerOp() != 1e6 {
-		t.Errorf("NsPerOp = %v", meter.NsPerOp())
+	if meter.nsPerOp != 1e6 {
+		t.Errorf("nsPerOp = %v", meter.nsPerOp)
 	}
 }
 

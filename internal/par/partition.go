@@ -120,8 +120,7 @@ type Pipeline struct {
 	next  map[any]any
 	index map[any]int
 
-	topo     TopologyInstaller // non-nil after UseTopology
-	topology *Topology         // the installed plan, set at duplication
+	topo topologyInstaller // non-nil after UseTopology
 }
 
 // NewPipeline builds the module.
@@ -131,8 +130,8 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	}
 	p := &Pipeline{cfg: cfg, next: make(map[any]any), index: make(map[any]int)}
 
-	newPC := aspect.New(cfg.Class.Name())
-	callPC := aspect.Call(cfg.Class.Name(), cfg.Method)
+	newPC := aspect.New(cfg.Class.name)
+	callPC := aspect.Call(cfg.Class.name, cfg.Method)
 
 	p.head = aspect.NewAspect("pipeline", precPartition)
 	// Object duplication (paper Figure 8, block 1): create the pipeline
@@ -169,15 +168,11 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 		}
 		if ti := p.installer(); ti != nil {
 			// Peer-to-peer mode: compile the freshly placed chain into a
-			// Topology and install it on the worker nodes, so hops forward
+			// topology and install it on the worker nodes, so hops forward
 			// node-side from the first call on.
-			t, err := ti.InstallPipeline(cfg.Class, cfg.Method, cfg.ForwardRule, stages)
-			if err != nil {
+			if err := ti.installPipeline(cfg.Class, cfg.Method, cfg.ForwardRule, stages); err != nil {
 				return nil, err
 			}
-			p.mu.Lock()
-			p.topology = t
-			p.mu.Unlock()
 		}
 		return []any{stages[0]}, nil
 	})
@@ -266,7 +261,7 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 // → successor) and installs it through mw on the worker nodes, whose forward
 // lanes then ship every stage-to-stage hop directly to the successor's peer
 // — the driver is no longer on the hop path, and stage 0's feed rides the
-// one-way send window. Requires a TopologyInstaller middleware (par.NetRMI)
+// one-way send window. Requires a topologyInstaller middleware (par.NetRMI)
 // and a ForwardRule registered on the class (the class "opts in" by naming
 // its forward derivation; see Class.DefineForward) — callers fall back to
 // ClientForward when either is missing, which is what the returned error
@@ -276,15 +271,15 @@ func (p *Pipeline) UseTopology(mw Middleware) error {
 	if p.cfg.ClientForward {
 		return errors.New("par: UseTopology on a ClientForward pipeline")
 	}
-	ti, ok := mw.(TopologyInstaller)
+	ti, ok := mw.(topologyInstaller)
 	if !ok {
 		return fmt.Errorf("par: middleware %s cannot install topologies", mw.MiddlewareName())
 	}
 	if p.cfg.ForwardRule == "" {
-		return fmt.Errorf("par: pipeline over %s names no ForwardRule (the class opts out of peer-to-peer forwarding)", p.cfg.Class.Name())
+		return fmt.Errorf("par: pipeline over %s names no ForwardRule (the class opts out of peer-to-peer forwarding)", p.cfg.Class.name)
 	}
-	if _, ok := p.cfg.Class.ForwardRule(p.cfg.ForwardRule); !ok {
-		return fmt.Errorf("par: class %s registered no forward rule %q", p.cfg.Class.Name(), p.cfg.ForwardRule)
+	if _, ok := p.cfg.Class.forwardRule(p.cfg.ForwardRule); !ok {
+		return fmt.Errorf("par: class %s registered no forward rule %q", p.cfg.Class.name, p.cfg.ForwardRule)
 	}
 	p.mu.Lock()
 	p.topo = ti
@@ -292,20 +287,12 @@ func (p *Pipeline) UseTopology(mw Middleware) error {
 	return nil
 }
 
-// installer returns the armed TopologyInstaller (nil in the caller-side
+// installer returns the armed topologyInstaller (nil in the caller-side
 // forwarding modes).
-func (p *Pipeline) installer() TopologyInstaller {
+func (p *Pipeline) installer() topologyInstaller {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.topo
-}
-
-// Topology returns the installed placement plan — nil before the pipeline
-// object was created, or when UseTopology was not armed.
-func (p *Pipeline) Topology() *Topology {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.topology
 }
 
 // ModuleName implements Module.
@@ -371,7 +358,7 @@ type FarmConfig struct {
 	// selects DefaultWindow; 1 is a one-slot window of the same worker loop
 	// whose every pack call is the plain synchronous round trip, never
 	// journaled as windowed. Without a distribution middleware that supports
-	// AsyncInvoker the window is inert: calls execute inline as before.
+	// asyncInvoker the window is inert: calls execute inline as before.
 	Window int
 }
 
@@ -425,8 +412,8 @@ func NewFarm(cfg FarmConfig) *Farm {
 	}
 	f := &Farm{cfg: cfg}
 
-	newPC := aspect.New(cfg.Class.Name())
-	callPC := aspect.Call(cfg.Class.Name(), cfg.Method)
+	newPC := aspect.New(cfg.Class.name)
+	callPC := aspect.Call(cfg.Class.name, cfg.Method)
 
 	name := "farm"
 	if cfg.Dynamic {
@@ -542,7 +529,7 @@ func (f *Farm) window() int {
 }
 
 // windowSlot is the per-call envelope of the windowed dispatch protocol: the
-// dispatcher attaches it under MarkWindowed; distribution advice that ships
+// dispatcher attaches it under markWindowed; distribution advice that ships
 // the call asynchronously sets issued and the middleware delivers one
 // *Completion on done when the call has been executed.
 type windowSlot struct {
@@ -697,7 +684,7 @@ func (f *Farm) Grow(ctx exec.Context, node exec.NodeID) (any, error) {
 	if f.cfg.WorkerArgs != nil {
 		args = f.cfg.WorkerArgs(orig, idx)
 	}
-	obj, err := f.cfg.Class.NewAt(ctx, node, args...)
+	obj, err := f.cfg.Class.newAt(ctx, node, args...)
 	if err != nil {
 		return nil, err
 	}
@@ -857,7 +844,7 @@ func (f *Farm) Collect(ctx exec.Context, method string) ([]any, error) {
 	return collect(ctx, f.cfg.Class, f.set.all(), method)
 }
 
-// Join implements Joiner (meaningful for the dynamic farm's dispatchers and
+// Join implements joiner (meaningful for the dynamic farm's dispatchers and
 // the stealing farm's worker activities).
 func (f *Farm) Join(ctx exec.Context) error {
 	f.mu.Lock()
@@ -871,7 +858,7 @@ func (f *Farm) Join(ctx exec.Context) error {
 	return errors.Join(f.errs...)
 }
 
-// Quiet implements Joiner.
+// Quiet implements joiner.
 func (f *Farm) Quiet() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -18,13 +18,13 @@ import (
 // (rmi.WithRegistry on the daemon); the pool polls the membership on its
 // clock seam and reconciles:
 //
-//   - a new address joins the middleware's table (NetRMI.AddNode) and the
+//   - a new address joins the middleware's table (NetRMI.addNode) and the
 //     OnJoin hook fires — the farm widens (Farm.Grow) and the stealing
 //     scheduler deals the newcomer a deque;
 //   - a member that misses heartbeats is CORDONED (no new placements; the
 //     failover target scan skips it) and, after the drain grace, DRAINED:
 //     its exports migrate to survivors over the reincarnation machinery
-//     (NetRMI.Drain), and the calls journaled on it replay there;
+//     (netFaults.drainNode), and the calls journaled on it replay there;
 //   - a member that heals inside the grace (a flapping link) is uncordoned
 //     and keeps its placements — the grace exists so flaps do not churn;
 //   - a member that deregistered (graceful shutdown) or vanished from the
@@ -37,20 +37,19 @@ import (
 type PoolOption func(*poolOptions)
 
 type poolOptions struct {
-	net         []NetOption
-	poll        time.Duration
-	pollSet     bool
-	cordonAfter int
-	drainGrace  time.Duration
+	net        []NetOption
+	poll       time.Duration
+	pollSet    bool
+	drainGrace time.Duration
 }
 
-// DefaultPoolPoll is the membership poll interval when WithPoolPoll is not
+// defaultPoolPoll is the membership poll interval when WithPoolPoll is not
 // given.
-const DefaultPoolPoll = 100 * time.Millisecond
+const defaultPoolPoll = 100 * time.Millisecond
 
-// DefaultCordonAfter is the number of consecutive unhealthy observations
-// before a member is cordoned.
-const DefaultCordonAfter = 2
+// cordonAfter is the number of consecutive unhealthy observations before a
+// member is cordoned: one missed poll is a flap, two condemn it.
+const cordonAfter = 2
 
 // WithPoolNet forwards middleware options (clock, codec, streams, fault
 // policy) to the NetRMI the pool builds over the discovered members.
@@ -63,14 +62,6 @@ func WithPoolNet(opts ...NetOption) PoolOption {
 // the mode the virtual-time tests use. Negative selects the default.
 func WithPoolPoll(d time.Duration) PoolOption {
 	return func(o *poolOptions) { o.poll, o.pollSet = d, true }
-}
-
-// WithCordonAfter sets how many consecutive unhealthy membership
-// observations cordon a member; values below 1 select the default. Higher
-// values ride out registry-side flaps at the cost of placing onto a dying
-// node for longer.
-func WithCordonAfter(n int) PoolOption {
-	return func(o *poolOptions) { o.cordonAfter = n }
 }
 
 // WithDrainGrace sets how long a cordoned member may heal before its exports
@@ -105,7 +96,8 @@ type Pool struct {
 	members  map[string]*poolMember
 	onJoin   func(node exec.NodeID, addr string)
 	onCordon func(node exec.NodeID, addr string, on bool)
-	errs     []error
+	firstErr error // the watcher's first failed pass since the last Err
+	moreErrs int   // and how many failed after it
 	closed   bool
 	stop     chan struct{}
 	done     chan struct{}
@@ -125,10 +117,7 @@ func DialPool(registry string, opts ...PoolOption) (*Pool, error) {
 		}
 	}
 	if !o.pollSet || o.poll < 0 {
-		o.poll = DefaultPoolPoll
-	}
-	if o.cordonAfter < 1 {
-		o.cordonAfter = DefaultCordonAfter
+		o.poll = defaultPoolPoll
 	}
 	p := &Pool{opts: o, regAddr: registry, members: make(map[string]*poolMember)}
 
@@ -204,11 +193,11 @@ func (p *Pool) OnJoin(fn func(node exec.NodeID, addr string)) {
 }
 
 // OnCordon installs the hook invoked (outside the pool lock) whenever a
-// member's cordon flips — on when health observations condemn it or an
-// operator cordons it, off when it heals inside the grace. A resident
-// pipeline service uses this to pump its topology promptly, so hops aimed
-// at the condemned member strand, redeliver and heal without waiting for
-// the next scheduled poll.
+// member's cordon flips — on when health observations condemn it or it
+// leaves the registry, off when it heals inside the grace or returns. A
+// resident pipeline service uses this to pump its topology promptly, so
+// hops aimed at the condemned member strand, redeliver and heal without
+// waiting for the next scheduled poll.
 func (p *Pool) OnCordon(fn func(node exec.NodeID, addr string, on bool)) {
 	p.mu.Lock()
 	p.onCordon = fn
@@ -265,44 +254,6 @@ func (p *Pool) Members() []PoolMember {
 	return out
 }
 
-// Cordon manually cordons (or uncordons) a member by node id — the operator
-// override poolctl exposes. Cordoning stops new placements immediately; the
-// drain still waits for the grace.
-func (p *Pool) Cordon(node exec.NodeID, on bool) {
-	p.mu.Lock()
-	addr := ""
-	for _, mm := range p.members {
-		if mm.node == node {
-			addr = mm.addr
-			mm.cordoned = on
-			if on {
-				mm.graceAt = p.clk.Now().Add(p.opts.drainGrace)
-			} else {
-				mm.bad, mm.graceAt, mm.drained = 0, time.Time{}, false
-			}
-		}
-	}
-	onCordon := p.onCordon
-	p.mu.Unlock()
-	p.m.SetCordon(node, on)
-	if onCordon != nil {
-		onCordon(node, addr, on)
-	}
-}
-
-// Drain migrates a member's exports to survivors now, regardless of grace.
-func (p *Pool) Drain(node exec.NodeID) error {
-	err := p.m.Drain(node)
-	p.mu.Lock()
-	for _, mm := range p.members {
-		if mm.node == node && err == nil {
-			mm.drained = true
-		}
-	}
-	p.mu.Unlock()
-	return err
-}
-
 // Refresh runs one reconciliation pass against the registry: join new
 // members, track health, cordon/drain/uncordon per the thresholds. It is the
 // manual-mode pump (WithPoolPoll(0)) and the body of the watcher. Drain
@@ -342,7 +293,7 @@ func (p *Pool) Refresh() error {
 			// A newcomer: joins cordon-free.
 			rec = &poolMember{addr: mm.Addr}
 			p.members[mm.Addr] = rec
-			rec.node = -1 // resolved by AddNode below
+			rec.node = -1 // resolved by addNode below
 			acts = append(acts, action{addr: mm.Addr, join: true})
 			continue
 		}
@@ -365,7 +316,7 @@ func (p *Pool) Refresh() error {
 			continue
 		}
 		rec.bad++
-		if !rec.cordoned && rec.bad >= p.opts.cordonAfter {
+		if !rec.cordoned && rec.bad >= cordonAfter {
 			rec.cordoned = true
 			rec.graceAt = now.Add(p.opts.drainGrace)
 			on := true
@@ -385,20 +336,20 @@ func (p *Pool) Refresh() error {
 			rec.graceAt = now
 		}
 		if rec.cordoned && !rec.drained && !rec.graceAt.IsZero() && !rec.graceAt.After(now) {
-			rec.drained = true // one drain per cordon; Cordon(off) re-arms
+			rec.drained = true // one drain per cordon; a heal or a return re-arms
 			acts = append(acts, action{node: rec.node, addr: rec.addr, drain: true})
 		}
 	}
 	onJoin, onCordon := p.onJoin, p.onCordon
 	p.mu.Unlock()
 
-	// Apply outside the pool lock: AddNode/SetCordon take the middleware
-	// lock, Drain blocks on quiescence, and OnJoin may run Farm.Grow.
+	// Apply outside the pool lock: addNode/setCordon take the middleware
+	// lock, a drain blocks on quiescence, and OnJoin may run Farm.Grow.
 	var errs []error
 	for _, a := range acts {
 		switch {
 		case a.join:
-			node := p.m.AddNode(a.addr)
+			node := p.m.addNode(a.addr)
 			p.mu.Lock()
 			if rec := p.members[a.addr]; rec != nil {
 				rec.node = node
@@ -408,12 +359,12 @@ func (p *Pool) Refresh() error {
 				onJoin(node, a.addr)
 			}
 		case a.cordon != nil:
-			p.m.SetCordon(a.node, *a.cordon)
+			p.m.setCordon(a.node, *a.cordon)
 			if onCordon != nil {
 				onCordon(a.node, a.addr, *a.cordon)
 			}
 		case a.drain:
-			if err := p.m.Drain(a.node); err != nil {
+			if err := p.m.faults.drainNode(a.node); err != nil {
 				errs = append(errs, fmt.Errorf("par: pool drain of %s (node %d): %w", a.addr, a.node, err))
 			}
 		}
@@ -422,7 +373,8 @@ func (p *Pool) Refresh() error {
 }
 
 // watch is the background reconciliation loop (poll interval > 0). Errors
-// accumulate for Err; the loop itself never stops on them.
+// are kept for Err, the first in full and the rest counted, so a registry
+// that stays down costs a counter, not a list; the loop never stops on them.
 func (p *Pool) watch(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	for {
@@ -432,20 +384,28 @@ func (p *Pool) watch(stop <-chan struct{}, done chan<- struct{}) {
 		case <-p.clk.After(p.opts.poll):
 			if err := p.Refresh(); err != nil && !errors.Is(err, rmi.ErrClosed) {
 				p.mu.Lock()
-				p.errs = append(p.errs, err)
+				if p.firstErr == nil {
+					p.firstErr = err
+				} else {
+					p.moreErrs++
+				}
 				p.mu.Unlock()
 			}
 		}
 	}
 }
 
-// Err drains the watcher's accumulated reconciliation errors.
+// Err returns the watcher's first reconciliation error since the last Err,
+// with a count of the failed passes after it, and clears both.
 func (p *Pool) Err() error {
 	p.mu.Lock()
-	errs := p.errs
-	p.errs = nil
-	p.mu.Unlock()
-	return errors.Join(errs...)
+	defer p.mu.Unlock()
+	err, more := p.firstErr, p.moreErrs
+	p.firstErr, p.moreErrs = nil, 0
+	if more > 0 {
+		err = fmt.Errorf("%w (and %d more failed reconciliation passes)", err, more)
+	}
+	return err
 }
 
 // Close stops the watcher and closes the registry connection and the

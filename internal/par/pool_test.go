@@ -1,6 +1,8 @@
 package par
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,15 +15,17 @@ import (
 
 // poolRig is the elastic-pool fixture: a registry servant on its own server
 // plus worker node daemons hosting the Acc class, all on one virtual clock.
-// Tests drive membership through the registry servant directly (Register /
-// Deregister / interval manipulation) and pump the pool with manual Refresh
-// (WithPoolPoll(0)), so every reconciliation step is deterministic.
+// Tests drive membership through the registry's wire verbs, as a daemon
+// would (Register / Heartbeat with a chosen interval / Deregister), and pump
+// the pool with manual Refresh (WithPoolPoll(0)), so every reconciliation
+// step is deterministic.
 type poolRig struct {
 	t       *testing.T
 	v       *clock.Virtual
-	reg     *rmi.Registry
 	regSrv  *rmi.Server
 	regAddr string
+	regCli  *rmi.Client
+	reg     *rmi.Stub
 
 	mu    sync.Mutex
 	nodes map[string]*rmi.Node
@@ -30,15 +34,21 @@ type poolRig struct {
 func startPoolRig(t *testing.T) *poolRig {
 	t.Helper()
 	r := &poolRig{t: t, v: clock.NewVirtual(time.Unix(0, 0)), nodes: make(map[string]*rmi.Node)}
-	r.reg = rmi.NewRegistry(r.v, 2)
 	r.regSrv = rmi.NewServer(rmi.WithClock(r.v))
-	r.reg.Bind(r.regSrv)
+	rmi.NewRegistry(r.v, 2).Bind(r.regSrv)
 	addr, err := r.regSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback TCP unavailable: %v", err)
 	}
 	r.regAddr = addr
+	if r.regCli, err = rmi.Dial(addr); err != nil {
+		t.Fatal(err)
+	}
+	if r.reg, err = r.regCli.Lookup(rmi.RegistryName); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
+		r.regCli.Close()
 		r.regSrv.Close()
 		r.mu.Lock()
 		nodes := r.nodes
@@ -65,21 +75,29 @@ func (r *poolRig) addNode() string {
 	r.mu.Lock()
 	r.nodes[addr] = node
 	r.mu.Unlock()
-	r.reg.Register(addr, node.Epoch(), 0)
+	r.verb("Register", addr, node.Epoch(), int64(0))
 	return addr
+}
+
+// verb sends one registry verb over the wire.
+func (r *poolRig) verb(name string, args ...any) {
+	r.t.Helper()
+	if _, err := r.reg.Invoke(name, args...); err != nil {
+		r.t.Fatalf("registry %s: %v", name, err)
+	}
 }
 
 // markUnhealthy rewrites a member's record with a tiny heartbeat interval
 // and pushes virtual time past the miss window, so the next Members read
 // reports it unhealthy — the deterministic stand-in for missed beats.
 func (r *poolRig) markUnhealthy(addr string) {
-	r.reg.Heartbeat(addr, 0, time.Nanosecond)
+	r.verb("Heartbeat", addr, int64(0), int64(time.Nanosecond))
 	r.v.Advance(time.Millisecond)
 }
 
 // markHealthy restores a member to trusted (interval 0) health.
 func (r *poolRig) markHealthy(addr string) {
-	r.reg.Heartbeat(addr, 0, 0)
+	r.verb("Heartbeat", addr, int64(0), int64(0))
 }
 
 func memberByAddr(ms []PoolMember, addr string) (PoolMember, bool) {
@@ -101,7 +119,7 @@ func TestPoolReconcile(t *testing.T) {
 	addrA, addrB := r.addNode(), r.addNode()
 
 	pool, err := DialPool(r.regAddr,
-		WithPoolPoll(0), WithCordonAfter(2), WithDrainGrace(time.Hour),
+		WithPoolPoll(0), WithDrainGrace(time.Hour),
 		WithPoolNet(WithNetClock(r.v), WithFaultPolicy(FaultPolicy{Enabled: true})))
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +188,7 @@ func TestPoolReconcile(t *testing.T) {
 	}
 
 	// C deregisters (graceful departure): cordon and drain with no grace.
-	r.reg.Deregister(addrC)
+	r.verb("Deregister", addrC)
 	if err := pool.Refresh(); err != nil {
 		t.Fatalf("refresh after departure: %v", err)
 	}
@@ -197,8 +215,8 @@ func TestPoolDrainMigratesLiveNode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r.mw.SetCordon(1, true)
-	if err := r.mw.Drain(1); err != nil {
+	r.mw.setCordon(1, true)
+	if err := r.mw.faults.drainNode(1); err != nil {
 		t.Fatalf("drain of a live node: %v", err)
 	}
 	if n, ok := r.mw.NodeOf(a); !ok || n == 1 {
@@ -225,14 +243,44 @@ func TestPoolDrainMigratesLiveNode(t *testing.T) {
 	}
 	// Draining an empty node (nothing placed there) is a no-op success —
 	// the path a pool takes when an idle member departs.
-	r.mw.SetCordon(2, true)
-	if err := r.mw.Drain(2); err != nil {
+	r.mw.setCordon(2, true)
+	if err := r.mw.faults.drainNode(2); err != nil {
 		t.Fatalf("drain of an empty node: %v", err)
 	}
 }
 
+// TestPoolWatcherErrorsStayBounded takes the registry down for 1,000 polls
+// of the watcher under clock.Virtual. Every pass fails, and the pool keeps
+// the first error and a count of the rest, not a list that grows by one
+// error per poll for as long as the registry stays down.
+func TestPoolWatcherErrorsStayBounded(t *testing.T) {
+	r := startPoolRig(t)
+	r.addNode()
+	const poll, polls = 100 * time.Millisecond, 1000
+	pool, err := DialPool(r.regAddr, WithPoolPoll(poll), WithPoolNet(WithNetClock(r.v)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	r.v.AwaitWaits(1) // the watcher parked on its first poll
+	r.regCli.Close()
+	r.regSrv.Close()
+	base := r.v.TotalWaits()
+	for i := uint64(1); i <= polls; i++ {
+		r.v.Advance(poll)
+		r.v.AwaitWaits(base + i) // the pass failed, was kept, and the watcher parked again
+	}
+	err = pool.Err()
+	if want := fmt.Sprintf("(and %d more failed reconciliation passes)", polls-1); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("Err after %d failed polls = %v, want the first error %s", polls, err, want)
+	}
+	if err := pool.Err(); err != nil {
+		t.Errorf("a second Err = %v, want nil: Err clears what it reports", err)
+	}
+}
+
 // TestPoolTableChurnRace hammers the middleware's membership surface —
-// AddNode, SetCordon, Cordoned, eligibleIDs, Nodes, NodeOf — from many
+// addNode, setCordon, isCordoned, eligibleIDs, Nodes, NodeOf — from many
 // goroutines while live fault-journaled traffic runs, pinning the
 // concurrent-mutation guard under -race.
 func TestPoolTableChurnRace(t *testing.T) {
@@ -270,12 +318,12 @@ func TestPoolTableChurnRace(t *testing.T) {
 		defer wg.Done()
 		for round := 0; round < 50; round++ {
 			for _, addr := range extra {
-				id := r.mw.AddNode(addr)
-				r.mw.SetCordon(id, round%2 == 0)
+				id := r.mw.addNode(addr)
+				r.mw.setCordon(id, round%2 == 0)
 			}
 		}
 		for _, addr := range extra {
-			r.mw.SetCordon(r.mw.AddNode(addr), false)
+			r.mw.setCordon(r.mw.addNode(addr), false)
 		}
 	}()
 	go func() { // readers: snapshot the views the placements consume
@@ -283,7 +331,7 @@ func TestPoolTableChurnRace(t *testing.T) {
 		for !stop.Load() {
 			_ = r.mw.eligibleIDs()
 			_ = r.mw.Nodes()
-			_ = r.mw.Cordoned(0)
+			_ = r.mw.isCordoned(0)
 			_, _ = r.mw.NodeOf(obj)
 		}
 	}()

@@ -11,7 +11,7 @@ import (
 
 // This file is the driver side of peer-to-peer pipeline forwarding over the
 // real middleware. The Pipeline module (partition.go) hands the ordered
-// stage references to InstallPipeline, which compiles them into a Topology —
+// stage references to installPipeline, which compiles them into a topology —
 // the stage → placement → successor table — and installs it on every worker
 // node hosting a stage (rmi.CtlTopology). From then on a stage's completions
 // are forwarded node-side, directly to the successor's hosting peer; the
@@ -30,11 +30,10 @@ import (
 // reincarnated or failed-over stage) the topology is re-pushed under a
 // bumped version, healing the broken hop for subsequent traffic.
 
-// Topology is the compiled placement plan of one distributed pipeline: for
+// topology is the compiled placement plan of one distributed pipeline: for
 // each stage, its export name, its hosting node and that node's dialable
-// address. It is what InstallPipeline ships to the worker nodes, and what
-// tests and diagnostics inspect to see where a pipeline physically runs.
-type Topology struct {
+// address. It is what installPipeline ships to the worker nodes.
+type topology struct {
 	// Class is the stage class's logical name.
 	Class string
 	// Method is the processing method whose completions forward.
@@ -46,11 +45,11 @@ type Topology struct {
 	// original install.
 	Version int64
 	// Stages are the pipeline elements in stage order.
-	Stages []TopologyStage
+	Stages []topoStage
 }
 
-// TopologyStage is one pipeline element's placement.
-type TopologyStage struct {
+// topoStage is one pipeline element's placement.
+type topoStage struct {
 	// Name is the stage's bound object name at its node.
 	Name string
 	// Node is the hosting node's ID in the middleware's address table.
@@ -60,16 +59,16 @@ type TopologyStage struct {
 	Addr string
 }
 
-// TopologyInstaller is the optional Middleware capability behind
-// Pipeline.UseTopology: compiling a created stage chain into a Topology and
+// topologyInstaller is the optional Middleware capability behind
+// Pipeline.UseTopology: compiling a created stage chain into a topology and
 // installing it on the worker nodes. Of the built-in middlewares only NetRMI
 // implements it — the in-process simulated middleware re-enters the driver's
 // own weaver on the server side, so its hops already run "at the stage"
 // without a plan.
-type TopologyInstaller interface {
-	// InstallPipeline compiles and installs the topology for the given
-	// stage references (in stage order) and returns the installed plan.
-	InstallPipeline(class *Class, method, rule string, stages []any) (*Topology, error)
+type topologyInstaller interface {
+	// installPipeline compiles and installs the topology for the given
+	// stage references (in stage order).
+	installPipeline(class *Class, method, rule string, stages []any) error
 }
 
 // TopologyStats counts what the peer-to-peer forward lane did, aggregated
@@ -91,8 +90,8 @@ type TopologyStats struct {
 
 // netTopo is NetRMI's installed-topology state.
 type netTopo struct {
-	topo  *Topology
-	refs  []*NetRef // stage references, in stage order
+	topo  *topology
+	refs  []*netRef // stage references, in stage order
 	dirty bool      // a placement changed since the last push
 	stats TopologyStats
 	// last full-poll snapshot, for the two-pass stability rule
@@ -101,34 +100,30 @@ type netTopo struct {
 	stable        bool // the previous completed pump pass was quiet
 }
 
-// InstallPipeline implements TopologyInstaller. The stage references must be
+// installPipeline implements topologyInstaller. The stage references must be
 // NetRefs this middleware exported; their placements are read from the
 // registry and resolved to addresses through the node table.
-func (m *NetRMI) InstallPipeline(class *Class, method, rule string, stages []any) (*Topology, error) {
+func (m *NetRMI) installPipeline(class *Class, method, rule string, stages []any) error {
 	if method == "" || rule == "" || len(stages) == 0 {
-		return nil, fmt.Errorf("par: InstallPipeline wants a method, a rule and stages (got %q, %q, %d stages)", method, rule, len(stages))
+		return fmt.Errorf("par: installPipeline wants a method, a rule and stages (got %q, %q, %d stages)", method, rule, len(stages))
 	}
-	if _, ok := class.ForwardRule(rule); !ok {
-		return nil, fmt.Errorf("par: class %s registered no forward rule %q", class.Name(), rule)
+	if _, ok := class.forwardRule(rule); !ok {
+		return fmt.Errorf("par: class %s registered no forward rule %q", class.name, rule)
 	}
-	t := &Topology{Class: class.Name(), Method: method, Rule: rule, Stages: make([]TopologyStage, len(stages))}
-	refs := make([]*NetRef, len(stages))
+	refs := make([]*netRef, len(stages))
 	for i, obj := range stages {
-		ref, ok := obj.(*NetRef)
+		ref, ok := obj.(*netRef)
 		if !ok {
-			return nil, fmt.Errorf("par: InstallPipeline stage %d is %T, want *NetRef (is Distribution plugged over this middleware?)", i, obj)
+			return fmt.Errorf("par: installPipeline stage %d is %T, want *netRef (is Distribution plugged over this middleware?)", i, obj)
 		}
 		refs[i] = ref
 	}
-	m.mu.Lock()
-	m.topoVersion++
-	t.Version = m.topoVersion
-	m.mu.Unlock()
-	if err := m.resolveStages(t, refs); err != nil {
-		return nil, err
+	t, installs, err := m.compileAndPush(class.name, method, rule, refs)
+	if t == nil {
+		return err
 	}
-	installs, err := m.pushTopology(t)
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.topo = &netTopo{topo: t, refs: refs}
 	m.topo.stats.Installs = installs
 	if err != nil {
@@ -137,17 +132,32 @@ func (m *NetRMI) InstallPipeline(class *Class, method, rule string, stages []any
 		// a dead node is fatal, as everywhere else under fail-fast.
 		if !m.faults.policy.Enabled {
 			m.topo = nil
-			m.mu.Unlock()
-			return nil, err
+			return err
 		}
 		m.topo.dirty = true
 	}
+	return nil
+}
+
+// compileAndPush compiles the stage references' current placements into a
+// plan under the next version and pushes it to every node hosting a stage.
+// It returns the plan and how many nodes took it; a nil plan means the
+// placements did not resolve and nothing was pushed.
+func (m *NetRMI) compileAndPush(class, method, rule string, refs []*netRef) (*topology, int64, error) {
+	t := &topology{Class: class, Method: method, Rule: rule, Stages: make([]topoStage, len(refs))}
+	m.mu.Lock()
+	m.topoVersion++
+	t.Version = m.topoVersion
 	m.mu.Unlock()
-	return t, nil
+	if err := m.resolveStages(t, refs); err != nil {
+		return nil, 0, err
+	}
+	installs, err := m.pushTopology(t)
+	return t, installs, err
 }
 
 // resolveStages fills t.Stages from the current registry placements.
-func (m *NetRMI) resolveStages(t *Topology, refs []*NetRef) error {
+func (m *NetRMI) resolveStages(t *topology, refs []*netRef) error {
 	for i, ref := range refs {
 		node, ok := m.reg.nodeOf(ref)
 		if !ok {
@@ -159,7 +169,7 @@ func (m *NetRMI) resolveStages(t *Topology, refs []*NetRef) error {
 		if !ok {
 			return fmt.Errorf("par: pipeline stage %d (%s) placed at node %d, which has no address", i, ref.Name, node)
 		}
-		t.Stages[i] = TopologyStage{Name: ref.Name, Node: node, Addr: addr}
+		t.Stages[i] = topoStage{Name: ref.Name, Node: node, Addr: addr}
 	}
 	return nil
 }
@@ -167,7 +177,7 @@ func (m *NetRMI) resolveStages(t *Topology, refs []*NetRef) error {
 // pushTopology installs t on every node hosting a stage, returning how many
 // nodes took it. Pushes are version-ordered at the nodes, so concurrent or
 // repeated pushes are safe.
-func (m *NetRMI) pushTopology(t *Topology) (int64, error) {
+func (m *NetRMI) pushTopology(t *topology) (int64, error) {
 	names := make([]string, len(t.Stages))
 	addrs := make([]string, len(t.Stages))
 	nodes := make(map[exec.NodeID]bool)
@@ -218,17 +228,6 @@ func (m *NetRMI) TopologyStats() TopologyStats {
 	return m.topo.stats
 }
 
-// Topology returns the currently installed plan (nil without one) — what
-// the conformance tests assert placements against.
-func (m *NetRMI) Topology() *Topology {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.topo == nil {
-		return nil
-	}
-	return m.topo.topo
-}
-
 // PumpTopology runs one pass of the topology quiescence protocol: re-push
 // the plan if a placement changed, poll every stage-hosting node's forward
 // lane (draining strands and hop errors), and redeliver stranded hops
@@ -252,27 +251,15 @@ func (m *NetRMI) PumpTopology() (quiet bool, err error) {
 	dirty := nt.dirty
 	m.mu.Unlock()
 	if dirty {
-		t := &Topology{Class: nt.topo.Class, Method: nt.topo.Method, Rule: nt.topo.Rule,
-			Stages: make([]TopologyStage, len(nt.refs))}
+		t, installs, perr := m.compileAndPush(nt.topo.Class, nt.topo.Method, nt.topo.Rule, nt.refs)
 		m.mu.Lock()
-		m.topoVersion++
-		t.Version = m.topoVersion
+		nt.stats.Installs += installs
+		if t != nil && perr == nil {
+			nt.topo, nt.dirty = t, false
+		}
 		m.mu.Unlock()
-		if rerr := m.resolveStages(t, nt.refs); rerr != nil {
-			errs = append(errs, rerr)
-		} else {
-			installs, perr := m.pushTopology(t)
-			m.mu.Lock()
-			nt.stats.Installs += installs
-			m.mu.Unlock()
-			if perr != nil {
-				errs = append(errs, perr)
-			} else {
-				m.mu.Lock()
-				nt.topo = t
-				nt.dirty = false
-				m.mu.Unlock()
-			}
+		if perr != nil {
+			errs = append(errs, perr)
 		}
 	}
 
@@ -398,7 +385,7 @@ func (m *NetRMI) topoJoin(ctx exec.Context) error {
 // between, this is generous — a healthy recovery settles in a few passes).
 const topoJoinStallLimit = 1000
 
-// topoQuiet is the cheap quiescence read for Joiner.Quiet: the cached
+// topoQuiet is the cheap quiescence read for joiner.Quiet: the cached
 // verdict of the last pump pass. Stack.Join always runs Join (which pumps to
 // completion) before trusting Quiet, so staleness only costs an extra loop.
 func (m *NetRMI) topoQuiet() bool {

@@ -58,7 +58,7 @@ func TestSendAllocsPerWindowedCall(t *testing.T) {
 	if err := stub.Send("M", payload); err != nil { // warm the path
 		t.Fatal(err)
 	}
-	if err := client.Flush(); err != nil {
+	if err := client.flush(); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(400, func() {
@@ -66,7 +66,7 @@ func TestSendAllocsPerWindowedCall(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if err := client.Flush(); err != nil {
+	if err := client.flush(); err != nil {
 		t.Fatal(err)
 	}
 	const maxAllocs = 16
@@ -91,7 +91,7 @@ func TestBinarySendAllocsPerWindowedCall(t *testing.T) {
 	if err := stub.Send("M", payload); err != nil { // warm the path
 		t.Fatal(err)
 	}
-	if err := client.Flush(); err != nil {
+	if err := client.flush(); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(400, func() {
@@ -99,7 +99,7 @@ func TestBinarySendAllocsPerWindowedCall(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if err := client.Flush(); err != nil {
+	if err := client.flush(); err != nil {
 		t.Fatal(err)
 	}
 	// Measured 2.00 on the development machine — the server-side args list
@@ -121,7 +121,7 @@ func TestInvokeCBAllocsPerCall(t *testing.T) {
 	payload := make([]int32, 512)
 	ready := make(chan struct{}, 1)
 	call := func() {
-		stub.InvokeCB("M", func([]any, error) { ready <- struct{}{} }, payload)
+		stub.invokeCB("M", func([]any, error) { ready <- struct{}{} }, payload)
 		<-ready
 	}
 	call() // warm the path
@@ -149,7 +149,7 @@ func TestBinaryInvokeCBAllocsPerCall(t *testing.T) {
 	deliver := func([]any, error) { ready <- struct{}{} }
 	stub = stub.OnStream(1)
 	call := func() {
-		stub.InvokeCB("M", deliver, args...)
+		stub.invokeCB("M", deliver, args...)
 		<-ready
 	}
 	call() // warm the path
@@ -173,7 +173,7 @@ func TestBinaryInvokeSeqAllocsPerCall(t *testing.T) {
 	stub = stub.OnStream(1)
 	args := []any{make([]int32, 16)}
 	ready := make(chan struct{}, 1)
-	sink := SinkFunc(func([]any, error) { ready <- struct{}{} })
+	sink := sinkFunc(func([]any, error) { ready <- struct{}{} })
 	var seq uint64
 	call := func() {
 		seq++
@@ -216,10 +216,10 @@ func TestInvokeCBDeliversExactlyOnce(t *testing.T) {
 	payload := make([]int32, 64)
 	for i := 0; i < 200; i++ {
 		if i == 50 {
-			srv.Abort() // crash the peer mid-stream
+			srv.abort() // crash the peer mid-stream
 		}
 		calls.Add(1)
-		stub.InvokeCB("M", func([]any, error) { deliveries.Add(1) }, payload)
+		stub.invokeCB("M", func([]any, error) { deliveries.Add(1) }, payload)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for deliveries.Load() < calls.Load() && time.Now().Before(deadline) {
@@ -404,7 +404,7 @@ func TestBinaryCallCheaperThanGob(t *testing.T) {
 		ready := make(chan struct{}, 1)
 		deliver := func([]any, error) { ready <- struct{}{} }
 		call := func() {
-			stub.InvokeCB("M", deliver, payload)
+			stub.invokeCB("M", deliver, payload)
 			<-ready
 		}
 		call() // warm the path

@@ -20,7 +20,7 @@ func TestReconnectBackoffCancelledByClose(t *testing.T) {
 	defer v.Close()
 	c := dialSession(t, addr, "cli-cancel", WithClock(v),
 		WithReconnect(ReconnectPolicy{MaxAttempts: 5, BaseBackoff: time.Hour, MaxBackoff: time.Hour}))
-	srv.Abort() // every re-dial is refused: Reconnect enters its backoff
+	srv.abort() // every re-dial is refused: Reconnect enters its backoff
 
 	done := make(chan error, 1)
 	go func() {
@@ -75,8 +75,8 @@ func TestWatchRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := srv.Requests()
-	hit := srv.WatchRequests(base + 2)
+	base := srv.requests.Load()
+	hit := srv.watchRequests(base + 2)
 	if _, err := stub.Invoke("Get"); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestWatchRequests(t *testing.T) {
 		t.Fatal("watch never fired at its watermark")
 	}
 	select {
-	case <-srv.WatchRequests(base): // already passed: must close immediately
+	case <-srv.watchRequests(base): // already passed: must close immediately
 	default:
 		t.Fatal("watch for an already-passed watermark did not close immediately")
 	}
@@ -108,7 +108,7 @@ func TestPartitionedServer(t *testing.T) {
 	srv, addr, _ := startCounter(t)
 	c := dialSession(t, addr, "cli-part")
 	epoch := c.Epoch()
-	srv.SetPartitioned(true)
+	srv.setPartitioned(true)
 
 	if c2, err := Dial(addr); err == nil {
 		// The dial got through (host reachable); the session must not form.
@@ -124,7 +124,7 @@ func TestPartitionedServer(t *testing.T) {
 		}
 	}
 
-	srv.SetPartitioned(false)
+	srv.setPartitioned(false)
 	same, err := c.Reconnect()
 	if err != nil {
 		t.Fatalf("reconnect after healing: %v", err)
@@ -154,7 +154,7 @@ func TestDispatchDelayVirtual(t *testing.T) {
 		t.Skipf("loopback TCP unavailable: %v", err)
 	}
 	t.Cleanup(s.Close)
-	s.SetDispatchDelay(3 * time.Hour) // virtual hours: free under the pump
+	s.setDispatchDelay(3 * time.Hour) // virtual hours: free under the pump
 
 	c, err := Dial(addr)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestDispatchDelayVirtual(t *testing.T) {
 	if wall := time.Since(start); wall > 30*time.Second {
 		t.Fatalf("virtual 3h delay cost %v of wall time", wall)
 	}
-	s.SetDispatchDelay(0)
+	s.setDispatchDelay(0)
 	if _, err := stub.Invoke("M", int64(8)); err != nil {
 		t.Fatal(err)
 	}

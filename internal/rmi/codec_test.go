@@ -216,7 +216,7 @@ func TestCodecNegotiation(t *testing.T) {
 	srv, addr := echoServer(t)
 	for _, tc := range codecCases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := srv.Requests()
+			before := srv.requests.Load()
 			c, err := Dial(addr, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -224,9 +224,9 @@ func TestCodecNegotiation(t *testing.T) {
 			defer c.Close()
 			wantRequests, wantEpoch := int64(0), int64(0)
 			if tc.session {
-				wantRequests, wantEpoch = 1, srv.Epoch()
+				wantRequests, wantEpoch = 1, srv.epoch.Load()
 			}
-			if got := srv.Requests() - before; got != wantRequests {
+			if got := srv.requests.Load() - before; got != wantRequests {
 				t.Errorf("Dial made %d requests, want %d", got, wantRequests)
 			}
 			if got := c.Epoch(); got != wantEpoch {
@@ -250,7 +250,7 @@ func TestCodecNegotiationSurvivesReconnect(t *testing.T) {
 			}
 			defer c.Close()
 			checkCodecEcho(t, c, tc.want, "after Dial")
-			srv.DropConns()
+			srv.dropConns()
 			same, err := c.Reconnect()
 			if err != nil {
 				t.Fatal(err)
@@ -258,8 +258,8 @@ func TestCodecNegotiationSurvivesReconnect(t *testing.T) {
 			if same != tc.session {
 				t.Errorf("Reconnect reported same epoch %v, want %v", same, tc.session)
 			}
-			if got := c.Epoch(); got != srv.Epoch() {
-				t.Errorf("epoch after Reconnect %d, want the server's %d", got, srv.Epoch())
+			if got := c.Epoch(); got != srv.epoch.Load() {
+				t.Errorf("epoch after Reconnect %d, want the server's %d", got, srv.epoch.Load())
 			}
 			checkCodecEcho(t, c, tc.want, "after Reconnect")
 		})
@@ -287,7 +287,7 @@ func TestUnknownCodecTagClosesConnection(t *testing.T) {
 	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("read after an unknown codec tag = %d, %v; want EOF", n, err)
 	}
-	if n := srv.Requests(); n != 0 {
+	if n := srv.requests.Load(); n != 0 {
 		t.Errorf("server handled %d requests", n)
 	}
 }
@@ -377,7 +377,7 @@ func TestStreamsPreserveFIFOWithinStream(t *testing.T) {
 			}
 		}
 	}
-	if err := c.Flush(); err != nil {
+	if err := c.flush(); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -428,7 +428,7 @@ func TestStreamDedupeIsPerStream(t *testing.T) {
 	}
 	invoke := func(stream uint32, seq uint64) int {
 		done := make(chan int, 1)
-		stub.OnStream(stream).InvokeSeq("M", seq, SinkFunc(func(res []any, err error) {
+		stub.OnStream(stream).InvokeSeq("M", seq, sinkFunc(func(res []any, err error) {
 			if err != nil {
 				t.Errorf("stream %d seq %d: %v", stream, seq, err)
 				done <- -1

@@ -138,7 +138,7 @@ func startTapped(t *testing.T, dispatch DispatchFunc, opts ...Option) *tapped {
 	return tp
 }
 
-// withWindow sets a client's one-way flow-control window (DefaultSendWindow
+// withWindow sets a client's one-way flow-control window (defaultSendWindow
 // unless a test changes it) before its first send.
 func withWindow(c *Client, n int) {
 	c.mu.Lock()
@@ -246,7 +246,7 @@ func TestWritesPerWindowedCall(t *testing.T) {
 			start := time.Now()
 			tp.holdClient.hold()
 			for i := 0; i < window; i++ {
-				stubs[i%len(stubs)].InvokeCB("M", deliver, payload)
+				stubs[i%len(stubs)].invokeCB("M", deliver, payload)
 			}
 			for tp.clientBuffered() > 0 { // let the flusher run
 				if time.Since(start) > 10*time.Second {
@@ -353,7 +353,7 @@ func TestFrameWriterSendLoopCompletes(t *testing.T) {
 					return
 				}
 			}
-			finished <- tp.client.Flush()
+			finished <- tp.client.flush()
 		}()
 		if err := await(t, finished, "the send loop"); err != nil {
 			t.Fatal(err)
@@ -456,14 +456,14 @@ func TestFrameWriterServerCloseDeliversBufferedReplies(t *testing.T) {
 	const calls = 90
 	results := make(chan error, calls+1)
 	deliver := func(_ []any, err error) { results <- err }
-	tp.stub.InvokeCB("Park", deliver) // stream 0: dispatched by the read loop itself
+	tp.stub.invokeCB("Park", deliver) // stream 0: dispatched by the read loop itself
 	await(t, parked, "the read loop to park in its servant")
 	for i := 0; i < calls; i++ {
 		method := "M"
 		if i >= calls-3 {
 			method = "Hold" // the last frame of each lane
 		}
-		tp.stub.OnStream(uint32(1+i%3)).InvokeCB(method, deliver, int64(i))
+		tp.stub.OnStream(uint32(1+i%3)).invokeCB(method, deliver, int64(i))
 	}
 	if err := tp.client.w.Load().drain(); err != nil {
 		t.Fatal(err)
@@ -499,7 +499,7 @@ func TestFrameWriterAbortDoesNotDrain(t *testing.T) {
 	await(t, parked, "the call to park")
 	failed := make(chan error, 1)
 	go func() { _, err := f.Get(); failed <- err }()
-	go tp.srv.Abort() // returns once the servant is released, below
+	go tp.srv.abort() // returns once the servant is released, below
 	if err := await(t, failed, "the aborted call to fail"); err == nil {
 		t.Fatal("a call across Abort completed")
 	}
@@ -525,11 +525,11 @@ func TestFrameWriterFlusherFailurePoisons(t *testing.T) {
 	}
 	// A parked call keeps the connection busy: every post below is left to
 	// the flusher, whose write then fails.
-	tp.stub.OnStream(1).InvokeCB("Park", deliver(calls))
+	tp.stub.OnStream(1).invokeCB("Park", deliver(calls))
 	await(t, parked, "the call to park")
 	tp.failWrites.Store(true)
 	for i := 0; i < calls; i++ {
-		tp.stub.OnStream(2).InvokeCB("M", deliver(i), int64(i))
+		tp.stub.OnStream(2).invokeCB("M", deliver(i), int64(i))
 	}
 	for i := 0; i <= calls; i++ {
 		if err := await(t, errs, "every pending callback to fire"); !errors.Is(err, errWriteFailed) {
@@ -581,7 +581,7 @@ func TestReconnectRetriesFailedHandshake(t *testing.T) {
 		WithReconnect(ReconnectPolicy{MaxAttempts: 3, BaseBackoff: time.Hour, MaxBackoff: time.Hour}))
 	epoch := tp.client.Epoch()
 	tp.dropAccepts.Store(2)
-	tp.srv.DropConns()
+	tp.srv.dropConns()
 
 	type outcome struct {
 		same bool

@@ -16,9 +16,9 @@ import (
 // scheduled event — heartbeat liveness becomes a deterministic function of
 // advanced virtual time.
 
-// DefaultHeartbeatInterval is the beat interval used when WithRegistry is
+// defaultHeartbeatInterval is the beat interval used when WithRegistry is
 // set but WithHeartbeat is not.
-const DefaultHeartbeatInterval = 200 * time.Millisecond
+const defaultHeartbeatInterval = 200 * time.Millisecond
 
 // heartbeatConfig is the membership configuration fixed at construction.
 type heartbeatConfig struct {
@@ -46,7 +46,7 @@ func (s *Server) startHeartbeat(bound string) {
 	}
 	interval := s.hb.interval
 	if interval <= 0 {
-		interval = DefaultHeartbeatInterval
+		interval = defaultHeartbeatInterval
 	}
 	s.mu.Lock()
 	if s.closed || s.hbStop != nil {
@@ -95,7 +95,7 @@ func (s *Server) stopHeartbeat(graceful bool) {
 
 // heartbeatLoop registers, beats every interval, and deregisters on a
 // graceful stop. Registry trouble is absorbed: the connection is re-dialled
-// on the next beat, and RegHeartbeat upserts, so a restarted registry
+// on the next beat, and regHeartbeat upserts, so a restarted registry
 // relearns the membership from the surviving nodes' beats.
 func (s *Server) heartbeatLoop(addr string, interval time.Duration, registered chan<- struct{}, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
@@ -132,22 +132,22 @@ func (s *Server) heartbeatLoop(addr string, interval time.Duration, registered c
 		if !ensure() {
 			return
 		}
-		if _, err := reg.Invoke(verb, addr, s.Epoch(), int64(interval)); err != nil {
+		if _, err := reg.Invoke(verb, addr, s.epoch.Load(), int64(interval)); err != nil {
 			cli.Close()
 			cli, reg = nil, nil
 		}
 	}
-	beat(RegRegister)
+	beat(regRegister)
 	close(registered)
 	for {
 		select {
 		case <-stop:
 			if s.hbDeregister.Load() && !s.partitioned.Load() && ensure() {
-				reg.Invoke(RegDeregister, addr)
+				reg.Invoke(regDeregister, addr)
 			}
 			return
 		case <-s.clk.After(interval):
-			beat(RegHeartbeat)
+			beat(regHeartbeat)
 		}
 	}
 }

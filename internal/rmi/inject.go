@@ -9,7 +9,7 @@ import "time"
 // request". They are cheap to the point of invisibility when unused: one
 // atomic load on the paths they gate.
 
-// SetPartitioned simulates a network partition around this server. While
+// setPartitioned simulates a network partition around this server. While
 // set, newly accepted connections are closed before a session can form —
 // clients observe a dial that succeeds (the host is reachable at the TCP
 // level) followed by a failed first exchange (a session's handshake, or the
@@ -17,18 +17,18 @@ import "time"
 // in practice — and the existing connections are dropped. Clearing it heals
 // the partition; server state (registry, sessions, epoch) is untouched
 // throughout, as a partition severs links, not processes.
-func (s *Server) SetPartitioned(partitioned bool) {
+func (s *Server) setPartitioned(partitioned bool) {
 	s.partitioned.Store(partitioned)
 	if partitioned {
-		s.DropConns()
+		s.dropConns()
 	}
 }
 
-// SetDispatchDelay injects d of latency (on the server's clock) before every
+// setDispatchDelay injects d of latency (on the server's clock) before every
 // request dispatch — a slow link or overloaded peer. Asymmetric topologies
 // fall out of setting different delays on different nodes. Zero removes the
 // delay.
-func (s *Server) SetDispatchDelay(d time.Duration) {
+func (s *Server) setDispatchDelay(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -41,12 +41,12 @@ type requestWatch struct {
 	ch chan struct{}
 }
 
-// WatchRequests returns a channel that is closed once the server has handled
+// watchRequests returns a channel that is closed once the server has handled
 // at least n requests since start — the chaos harness's "kill the node after
 // its N-th request" trigger, replacing the poll-every-200µs loop that made
 // crash points load-dependent. If the count has already passed n, the
 // returned channel is closed immediately.
-func (s *Server) WatchRequests(n int64) <-chan struct{} {
+func (s *Server) watchRequests(n int64) <-chan struct{} {
 	ch := make(chan struct{})
 	s.mu.Lock()
 	// Registering under mu and re-checking the counter inside closes the

@@ -32,9 +32,6 @@ const (
 	// args[0] is the class name, args[1] the object name, args[2:] the
 	// constructor arguments.
 	CtlExportNew = "ExportNew"
-	// CtlPing answers with the node's hosted class names (liveness probe and
-	// deployment diagnostics).
-	CtlPing = "Ping"
 	// CtlReset unbinds every placed object, returning the node to its
 	// freshly started state so a daemon can serve successive runs. With a
 	// non-empty string argument it unbinds only the objects whose names
@@ -144,52 +141,42 @@ func (n *Node) Close() {
 }
 
 // Abort force-closes the node without draining — the crash the failure-mode
-// tests simulate (see Server.Abort).
+// tests simulate (see Server.abort).
 func (n *Node) Abort() {
-	n.srv.Abort()
+	n.srv.abort()
 	n.pipes.close()
 }
 
 // DropConns severs every live connection while the node keeps running — a
-// transport blip rather than a crash (see Server.DropConns). Clients that
+// transport blip rather than a crash (see Server.dropConns). Clients that
 // Reconnect find the same session epoch and their placed objects intact.
-func (n *Node) DropConns() { n.srv.DropConns() }
+func (n *Node) DropConns() { n.srv.dropConns() }
 
 // Epoch returns the node's session epoch: the identity of this incarnation.
 // A restarted node (even on the same address) has a different epoch, which
 // is how a reconnecting client learns its placed objects are gone.
-func (n *Node) Epoch() int64 { return n.srv.Epoch() }
+func (n *Node) Epoch() int64 { return n.srv.epoch.Load() }
 
 // Requests returns the number of requests this node has served — the
 // fault-injection harness's kill trigger.
-func (n *Node) Requests() int64 { return n.srv.Requests() }
+func (n *Node) Requests() int64 { return n.srv.requests.Load() }
 
 // WatchRequests returns a channel closed once the node has served at least
 // req requests — the event-driven form of the kill trigger (see
-// Server.WatchRequests).
-func (n *Node) WatchRequests(req int64) <-chan struct{} { return n.srv.WatchRequests(req) }
+// Server.watchRequests).
+func (n *Node) WatchRequests(req int64) <-chan struct{} { return n.srv.watchRequests(req) }
 
 // SetPartitioned severs or heals the node's network (see
-// Server.SetPartitioned).
-func (n *Node) SetPartitioned(partitioned bool) { n.srv.SetPartitioned(partitioned) }
+// Server.setPartitioned).
+func (n *Node) SetPartitioned(partitioned bool) { n.srv.setPartitioned(partitioned) }
 
 // SetDispatchDelay injects per-request latency at this node (see
-// Server.SetDispatchDelay).
-func (n *Node) SetDispatchDelay(d time.Duration) { n.srv.SetDispatchDelay(d) }
-
-// Names lists the node's bound names, including the control servant —
-// deployment diagnostics and the reset-race regression tests.
-func (n *Node) Names() []string { return n.srv.Names() }
+// Server.setDispatchDelay).
+func (n *Node) SetDispatchDelay(d time.Duration) { n.srv.setDispatchDelay(d) }
 
 // control serves the node's creation protocol.
 func (n *Node) control(method string, args []any) ([]any, error) {
 	switch method {
-	case CtlPing:
-		out := []any{}
-		for _, c := range n.Classes() {
-			out = append(out, c)
-		}
-		return out, nil
 	case CtlExportNew:
 		if len(args) < 2 {
 			return nil, fmt.Errorf("rmi: %s wants (class, name, ctorArgs...), got %d args", CtlExportNew, len(args))
@@ -282,7 +269,7 @@ func (n *Node) exportNew(class, name string, ctorArgs []any) error {
 		return err
 	}
 	if p, ok := obj.(Parker); ok {
-		p.ParkUntil(n.srv.Done())
+		p.ParkUntil(n.srv.done)
 	}
 	// Bind only if the reservation survived: a reset that ran during the
 	// construction has already disowned this name, and binding anyway would
@@ -339,7 +326,7 @@ func (n *Node) resetPrefix(prefix string) {
 	}
 	n.mu.Unlock()
 	for _, name := range names {
-		n.srv.Unexport(name)
+		n.srv.unexport(name)
 	}
 }
 
@@ -349,7 +336,7 @@ func (n *Node) resetPrefix(prefix string) {
 // rejected as stale instead of resurrecting bindings the reset just removed.
 func (n *Node) reset() {
 	n.pipes.reset("")
-	n.srv.RotateEpoch()
+	n.srv.rotateEpoch()
 	n.mu.Lock()
 	names := make([]string, 0, len(n.objects))
 	for name := range n.objects {
@@ -358,6 +345,6 @@ func (n *Node) reset() {
 	n.objects = make(map[string]string)
 	n.mu.Unlock()
 	for _, name := range names {
-		n.srv.Unexport(name)
+		n.srv.unexport(name)
 	}
 }

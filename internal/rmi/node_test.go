@@ -150,8 +150,8 @@ func TestNodeReset(t *testing.T) {
 	if _, err := ctl.Invoke(CtlReset); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Lookup("PS1"); !errors.Is(err, ErrNotBound) {
-		t.Errorf("PS1 after reset: %v, want ErrNotBound", err)
+	if _, err := c.Lookup("PS1"); !errors.Is(err, errNotBound) {
+		t.Errorf("PS1 after reset: %v, want errNotBound", err)
 	}
 	// The name is free again.
 	if _, err := ctl.Invoke(CtlExportNew, "Adder", "PS1"); err != nil {

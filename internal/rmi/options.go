@@ -69,7 +69,7 @@ func WithRegistry(addr string) Option {
 }
 
 // WithHeartbeat sets the interval at which a registered server beats
-// against its registry (values ≤ 0 keep DefaultHeartbeatInterval). The
+// against its registry (values ≤ 0 keep defaultHeartbeatInterval). The
 // beats ride the server's clock seam, so under clock.Virtual the whole
 // liveness loop runs on virtual time without wall-clock sleeps. Inert
 // without WithRegistry.

@@ -25,20 +25,20 @@ const RegistryName = "!registry"
 
 // Registry verbs served under RegistryName.
 const (
-	// RegRegister announces a node: args are the node's dialable address
+	// regRegister announces a node: args are the node's dialable address
 	// (string), its session epoch (int64) and its heartbeat interval in
 	// nanoseconds (int64; 0 means the node sends no heartbeats and is
 	// trusted until it deregisters). Registering an already known address
 	// replaces the record — a restarted daemon re-registers with its fresh
 	// epoch.
-	RegRegister = "Register"
-	// RegHeartbeat refreshes a node's liveness: same arguments as
-	// RegRegister. An unknown address is upserted, so a node that outlives
+	regRegister = "Register"
+	// regHeartbeat refreshes a node's liveness: same arguments as
+	// regRegister. An unknown address is upserted, so a node that outlives
 	// a registry restart re-appears on its next beat.
-	RegHeartbeat = "Heartbeat"
-	// RegDeregister removes a node's record: args[0] is the address. The
+	regHeartbeat = "Heartbeat"
+	// regDeregister removes a node's record: args[0] is the address. The
 	// graceful half of departure; silent death is caught by missed beats.
-	RegDeregister = "Deregister"
+	regDeregister = "Deregister"
 	// RegMembers returns the membership snapshot as a flat list, three
 	// entries per member: address (string), epoch (int64), healthy (bool).
 	RegMembers = "Members"
@@ -48,9 +48,9 @@ const (
 	RegNamespace = "Namespace"
 )
 
-// DefaultMissFactor is how many heartbeat intervals may elapse since a
+// defaultMissFactor is how many heartbeat intervals may elapse since a
 // node's last beat before Members reports it unhealthy.
-const DefaultMissFactor = 3
+const defaultMissFactor = 3
 
 // Member is one row of the registry's membership snapshot.
 type Member struct {
@@ -90,10 +90,10 @@ type Registry struct {
 // NewRegistry builds a registry on clk (nil selects the wall clock).
 // missFactor is how many declared heartbeat intervals may pass without a
 // beat before a member reads as unhealthy; values below 1 select
-// DefaultMissFactor.
+// defaultMissFactor.
 func NewRegistry(clk clock.Clock, missFactor int) *Registry {
 	if missFactor < 1 {
-		missFactor = DefaultMissFactor
+		missFactor = defaultMissFactor
 	}
 	return &Registry{
 		clk:     clock.Or(clk),
@@ -103,19 +103,19 @@ func NewRegistry(clk clock.Clock, missFactor int) *Registry {
 }
 
 // Bind exports the registry's dispatch under RegistryName on s.
-func (r *Registry) Bind(s *Server) { s.Export(RegistryName, r.Dispatch) }
+func (r *Registry) Bind(s *Server) { s.Export(RegistryName, r.dispatch) }
 
-// Register records (or replaces) a member, stamping its beat now.
-func (r *Registry) Register(addr string, epoch int64, interval time.Duration) {
+// register records (or replaces) a member, stamping its beat now.
+func (r *Registry) register(addr string, epoch int64, interval time.Duration) {
 	now := r.clk.Now()
 	r.mu.Lock()
 	r.members[addr] = &regMember{addr: addr, epoch: epoch, interval: interval, lastBeat: now}
 	r.mu.Unlock()
 }
 
-// Heartbeat refreshes a member's beat stamp, upserting unknown addresses
+// heartbeat refreshes a member's beat stamp, upserting unknown addresses
 // (a registry restart must not orphan live nodes).
-func (r *Registry) Heartbeat(addr string, epoch int64, interval time.Duration) {
+func (r *Registry) heartbeat(addr string, epoch int64, interval time.Duration) {
 	now := r.clk.Now()
 	r.mu.Lock()
 	m := r.members[addr]
@@ -129,13 +129,11 @@ func (r *Registry) Heartbeat(addr string, epoch int64, interval time.Duration) {
 	r.mu.Unlock()
 }
 
-// Deregister removes a member; it reports whether the address was known.
-func (r *Registry) Deregister(addr string) bool {
+// deregister removes a member.
+func (r *Registry) deregister(addr string) {
 	r.mu.Lock()
-	_, ok := r.members[addr]
 	delete(r.members, addr)
 	r.mu.Unlock()
-	return ok
 }
 
 // Members snapshots the membership, health evaluated lazily against the
@@ -165,10 +163,10 @@ func sortMembers(ms []Member) {
 	}
 }
 
-// Namespace allocates a fresh per-driver binding prefix. Prefixed names
+// namespace allocates a fresh per-driver binding prefix. Prefixed names
 // cannot collide across drivers because no driver ever sees another's
 // sequence number.
-func (r *Registry) Namespace() string {
+func (r *Registry) namespace() string {
 	r.mu.Lock()
 	r.nsSeq++
 	n := r.nsSeq
@@ -176,30 +174,30 @@ func (r *Registry) Namespace() string {
 	return fmt.Sprintf("d%d/", n)
 }
 
-// Dispatch is the registry's wire-facing DispatchFunc (bound under
+// dispatch is the registry's wire-facing DispatchFunc (bound under
 // RegistryName by Bind).
-func (r *Registry) Dispatch(method string, args []any) ([]any, error) {
+func (r *Registry) dispatch(method string, args []any) ([]any, error) {
 	switch method {
-	case RegRegister, RegHeartbeat:
+	case regRegister, regHeartbeat:
 		addr, epoch, interval, err := beatArgs(method, args)
 		if err != nil {
 			return nil, err
 		}
-		if method == RegRegister {
-			r.Register(addr, epoch, interval)
+		if method == regRegister {
+			r.register(addr, epoch, interval)
 		} else {
-			r.Heartbeat(addr, epoch, interval)
+			r.heartbeat(addr, epoch, interval)
 		}
 		return nil, nil
-	case RegDeregister:
+	case regDeregister:
 		if len(args) < 1 {
-			return nil, fmt.Errorf("rmi: %s wants (addr), got %d args", RegDeregister, len(args))
+			return nil, fmt.Errorf("rmi: %s wants (addr), got %d args", regDeregister, len(args))
 		}
 		addr, ok := args[0].(string)
 		if !ok {
-			return nil, fmt.Errorf("rmi: %s addr argument is %T, want string", RegDeregister, args[0])
+			return nil, fmt.Errorf("rmi: %s addr argument is %T, want string", regDeregister, args[0])
 		}
-		r.Deregister(addr)
+		r.deregister(addr)
 		return nil, nil
 	case RegMembers:
 		ms := r.Members()
@@ -209,7 +207,7 @@ func (r *Registry) Dispatch(method string, args []any) ([]any, error) {
 		}
 		return out, nil
 	case RegNamespace:
-		return []any{r.Namespace()}, nil
+		return []any{r.namespace()}, nil
 	default:
 		return nil, fmt.Errorf("rmi: unknown registry verb %q", method)
 	}

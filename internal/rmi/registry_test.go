@@ -64,13 +64,13 @@ func TestRegistryHeartbeatLifecycle(t *testing.T) {
 
 	waitFor("registration with the first beat", func() bool {
 		m, ok := memberOf(reg.Members(), addr)
-		return ok && m.Healthy && m.Epoch == node.Epoch() && m.Interval == beat
+		return ok && m.Healthy && m.Epoch == node.epoch.Load() && m.Interval == beat
 	})
 
 	// A partition silences the beats; virtual time keeps flowing under the
 	// pump, so the registry crosses the miss window and flips the member
 	// unhealthy — silent death detected with zero registry-side activity.
-	node.SetPartitioned(true)
+	node.setPartitioned(true)
 	waitFor("missed-beat detection", func() bool {
 		m, ok := memberOf(reg.Members(), addr)
 		return ok && !m.Healthy
@@ -78,7 +78,7 @@ func TestRegistryHeartbeatLifecycle(t *testing.T) {
 
 	// Healing resumes the beats (the loop re-dials after beat failures) and
 	// the very next one restores health.
-	node.SetPartitioned(false)
+	node.setPartitioned(false)
 	waitFor("health restored after healing", func() bool {
 		m, ok := memberOf(reg.Members(), addr)
 		return ok && m.Healthy
@@ -129,7 +129,7 @@ func TestRegistryAbortLeavesTombstone(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	node.Abort() // crash: no deregistration happens
+	node.abort() // crash: no deregistration happens
 	for {
 		m, ok := memberOf(reg.Members(), addr)
 		if !ok {
@@ -158,8 +158,8 @@ func TestRegistryServantSemantics(t *testing.T) {
 	reg := NewRegistry(v, 2)
 
 	const ival = 10 * time.Millisecond
-	reg.Register("10.0.0.1:9", 7, ival)
-	reg.Register("10.0.0.2:9", 8, 0) // no heartbeats: trusted until deregister
+	reg.register("10.0.0.1:9", 7, ival)
+	reg.register("10.0.0.2:9", 8, 0) // no heartbeats: trusted until deregister
 
 	if m, _ := memberOf(reg.Members(), "10.0.0.1:9"); !m.Healthy {
 		t.Fatal("fresh registration must read healthy")
@@ -171,7 +171,7 @@ func TestRegistryServantSemantics(t *testing.T) {
 	if m, _ := memberOf(reg.Members(), "10.0.0.2:9"); !m.Healthy {
 		t.Fatal("a zero-interval member never expires")
 	}
-	reg.Heartbeat("10.0.0.1:9", 7, ival)
+	reg.heartbeat("10.0.0.1:9", 7, ival)
 	if m, _ := memberOf(reg.Members(), "10.0.0.1:9"); !m.Healthy {
 		t.Fatal("a beat must restore health")
 	}
@@ -182,16 +182,17 @@ func TestRegistryServantSemantics(t *testing.T) {
 	if n := len(fresh.Members()); n != 0 {
 		t.Fatalf("fresh registry has %d members, want 0", n)
 	}
-	fresh.Heartbeat("10.0.0.1:9", 9, ival)
+	fresh.heartbeat("10.0.0.1:9", 9, ival)
 	m, ok := memberOf(fresh.Members(), "10.0.0.1:9")
 	if !ok || !m.Healthy || m.Epoch != 9 {
 		t.Fatalf("heartbeat upsert after restart got %+v, ok=%v", m, ok)
 	}
-	if !fresh.Deregister("10.0.0.1:9") || len(fresh.Members()) != 0 {
+	fresh.deregister("10.0.0.1:9")
+	if len(fresh.Members()) != 0 {
 		t.Fatal("deregistration must remove the record")
 	}
 
-	if a, b := reg.Namespace(), reg.Namespace(); a == b || a == "" {
+	if a, b := reg.namespace(), reg.namespace(); a == b || a == "" {
 		t.Fatalf("namespaces must be unique and non-empty: %q, %q", a, b)
 	}
 }

@@ -17,8 +17,8 @@
 //     the result with wait-by-necessity;
 //   - [Stub.Send] — one-way windowed dispatch: the call returns as soon as
 //     the request is written, bounded by an explicit flow-control window of
-//     unacknowledged sends ([DefaultSendWindow]); server-side failures are
-//     gathered by [Client.Flush].
+//     unacknowledged sends (defaultSendWindow); server-side failures are
+//     gathered by [Stub.Flush].
 package rmi
 
 import (
@@ -49,16 +49,16 @@ type RemoteError struct{ Msg string }
 // Error implements error.
 func (e *RemoteError) Error() string { return "rmi: remote error: " + e.Msg }
 
-// ErrNotBound is wrapped in lookup failures for unknown names.
-var ErrNotBound = errors.New("rmi: name not bound")
+// errNotBound is wrapped in lookup failures for unknown names.
+var errNotBound = errors.New("rmi: name not bound")
 
 // ErrClosed is returned for operations on a closed client; pending futures
 // resolve with it when Close interrupts calls mid-window.
 var ErrClosed = errors.New("rmi: client closed")
 
-// DefaultSendWindow is the initial flow-control window of a client: the
+// defaultSendWindow is the initial flow-control window of a client: the
 // number of one-way sends that may be unacknowledged before Send blocks.
-const DefaultSendWindow = 32
+const defaultSendWindow = 32
 
 func init() {
 	// Wire types that cross the connection inside []any.
@@ -138,7 +138,7 @@ type Server struct {
 	objects  map[string]DispatchFunc
 	conns    map[net.Conn]struct{}
 	closed   bool
-	done     chan struct{} // closed when shutdown begins (see Done)
+	done     chan struct{} // closed when shutdown begins; parked servant methods select on it
 	wg       sync.WaitGroup
 	epoch    atomic.Int64
 	requests atomic.Int64
@@ -164,7 +164,7 @@ type Server struct {
 }
 
 // NewServer returns a server with an empty registry and a fresh session
-// epoch (see Epoch), configured by opts (clock, registry, heartbeat).
+// epoch (see Node.Epoch), configured by opts (clock, registry, heartbeat).
 func NewServer(opts ...Option) *Server {
 	var o options
 	o.apply(opts)
@@ -188,24 +188,13 @@ func (s *Server) Export(name string, dispatch DispatchFunc) {
 	s.mu.Unlock()
 }
 
-// Unexport removes a binding; it reports whether the name was bound.
-func (s *Server) Unexport(name string) bool {
+// unexport removes a binding; it reports whether the name was bound.
+func (s *Server) unexport(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.objects[name]
 	delete(s.objects, name)
 	return ok
-}
-
-// Names lists the bound names (diagnostics).
-func (s *Server) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.objects))
-	for n := range s.objects {
-		out = append(out, n)
-	}
-	return out
 }
 
 // Listen starts serving on addr ("127.0.0.1:0" picks a free port) and
@@ -447,14 +436,6 @@ func (s *Server) handle(req *request, scratch *response) *response {
 	return resp
 }
 
-// Done returns a channel closed when the server begins shutting down (Close
-// or Abort). A servant method that parks — blocks waiting for an event at its
-// object, like a long-poll read — selects on it, so the shutdown drain is not
-// held up by a wait that nothing will end. Such a call belongs on a stream of
-// its own (Stub.OnStream): stream 0 dispatches inline in the connection's read
-// loop, where a parked call would stall every request behind it.
-func (s *Server) Done() <-chan struct{} { return s.done }
-
 // safeDispatch runs the servant method, converting a panic into an error so
 // one faulty servant call cannot crash the serving goroutine (and with it the
 // whole connection, taking every pipelined in-flight call down).
@@ -491,7 +472,7 @@ func (s *Server) Close() {
 // transport failure — the behaviour of a crashed peer, which the distributed
 // failure-mode tests need to provoke on demand. Abort still waits for the
 // serving goroutines to exit.
-func (s *Server) Abort() {
+func (s *Server) abort() {
 	s.shutdown(true)
 }
 
@@ -583,16 +564,16 @@ func closeRead(conn net.Conn) {
 // the client's reader goroutine (or inline, when the call could not be sent)
 // and must not block; handing off to a buffered channel fits. A caller that
 // keeps a record per call of its own implements Sink on that record and pays
-// no closure per call; SinkFunc adapts a plain function.
+// no closure per call; sinkFunc adapts a plain function.
 type Sink interface {
 	Deliver(res []any, err error)
 }
 
-// SinkFunc adapts a function to Sink.
-type SinkFunc func(res []any, err error)
+// sinkFunc adapts a function to Sink.
+type sinkFunc func(res []any, err error)
 
 // Deliver implements Sink.
-func (f SinkFunc) Deliver(res []any, err error) { f(res, err) }
+func (f sinkFunc) Deliver(res []any, err error) { f(res, err) }
 
 // pendingReply is the one record a call has while its request is on the wire.
 // The server answers each stream in request order, so the client keeps a FIFO
@@ -734,7 +715,7 @@ func newClient(addr string, conn net.Conn, o options) (*Client, error) {
 	c := &Client{
 		addr:       addr,
 		codec:      o.codec,
-		windowSize: DefaultSendWindow,
+		windowSize: defaultSendWindow,
 		clk:        clock.Or(o.clk),
 		closeCh:    make(chan struct{}),
 		session:    o.session,
@@ -998,10 +979,13 @@ func (c *Client) acquireSendCredit() error {
 	return nil
 }
 
-// Flush blocks until every outstanding one-way send has been acknowledged
-// and returns the accumulated remote failures (drained: a second Flush
-// reports only newer ones). A transport failure surfaces here too.
-func (c *Client) Flush() error {
+// Flush blocks until every outstanding one-way send on the stub's
+// connection has been acknowledged and returns the accumulated remote
+// failures (drained: a second Flush reports only newer ones). A transport
+// failure surfaces here too.
+func (s *Stub) Flush() error { return s.client.flush() }
+
+func (c *Client) flush() error {
 	c.mu.Lock()
 	for c.transport == nil && c.inFlightSends > 0 {
 		c.cond.Wait()
@@ -1015,7 +999,7 @@ func (c *Client) Flush() error {
 	return errors.Join(errs...)
 }
 
-// Lookup resolves a name to a stub; it fails with ErrNotBound for unknown
+// Lookup resolves a name to a stub; it fails with errNotBound for unknown
 // names (the client contacting the name server, the paper's modification 3).
 func (c *Client) Lookup(name string) (*Stub, error) {
 	req := requestPool.Get().(*request)
@@ -1025,7 +1009,7 @@ func (c *Client) Lookup(name string) (*Stub, error) {
 		return nil, err
 	}
 	if !resp.Bound {
-		return nil, fmt.Errorf("%w: %s", ErrNotBound, name)
+		return nil, fmt.Errorf("%w: %s", errNotBound, name)
 	}
 	return &Stub{client: c, name: name}, nil
 }
@@ -1038,16 +1022,6 @@ type Stub struct {
 	name   string
 	stream uint32
 }
-
-// Name returns the bound name this stub refers to.
-func (s *Stub) Name() string { return s.name }
-
-// Client returns the connection this stub invokes over.
-func (s *Stub) Client() *Client { return s.client }
-
-// Stream returns the multiplexed stream this stub's calls ride (0 is the
-// inline legacy lane).
-func (s *Stub) Stream() uint32 { return s.stream }
 
 // OnStream returns a copy of the stub bound to the given stream. Calls on
 // different streams of one connection are dispatched concurrently by the
@@ -1086,7 +1060,7 @@ func (s *Stub) Invoke(method string, args ...any) ([]any, error) {
 // chain of synchronous Invokes would pay serially.
 func (s *Stub) InvokeAsync(method string, args ...any) *future.Future[[]any] {
 	f, resolve := future.New[[]any]()
-	s.InvokeCB(method, resolve, args...)
+	s.invokeCB(method, resolve, args...)
 	return f
 }
 
@@ -1107,12 +1081,12 @@ func outcome(resp *response, err error) ([]any, error) {
 	}
 }
 
-// InvokeCB ships the invocation like InvokeAsync but delivers the outcome
+// invokeCB ships the invocation like InvokeAsync but delivers the outcome
 // through deliver instead of a future: no future, no per-call goroutine —
 // InvokeSeq without a sequence number, for a caller with a plain function
 // (see Sink for when and where deliver runs).
-func (s *Stub) InvokeCB(method string, deliver func([]any, error), args ...any) {
-	s.InvokeSeq(method, 0, SinkFunc(deliver), args...)
+func (s *Stub) invokeCB(method string, deliver func([]any, error), args ...any) {
+	s.InvokeSeq(method, 0, sinkFunc(deliver), args...)
 }
 
 // Send ships a one-way invocation: it returns once the request is encoded
@@ -1132,7 +1106,3 @@ func (s *Stub) Send(method string, args ...any) error {
 	_, err := s.client.post(s.request(method, args, 0, true), oneWayAck)
 	return err
 }
-
-// Flush waits for this stub's connection to drain its one-way window; see
-// Client.Flush.
-func (s *Stub) Flush() error { return s.client.Flush() }

@@ -53,8 +53,8 @@ func TestLookupAndInvoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stub.Name() != "counter" {
-		t.Errorf("Name = %q", stub.Name())
+	if stub.name != "counter" {
+		t.Errorf("Name = %q", stub.name)
 	}
 	if _, err := stub.Invoke("Add", int64(5)); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestLookupUnbound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Lookup("missing"); !errors.Is(err, ErrNotBound) {
+	if _, err := c.Lookup("missing"); !errors.Is(err, errNotBound) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -160,18 +160,38 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestUnexportAndNames probes the bound names the way a client sees them:
+// Lookup finds an exported name and fails with errNotBound once it is gone.
 func TestUnexportAndNames(t *testing.T) {
 	s := NewServer()
 	s.Export("a", func(string, []any) ([]any, error) { return nil, nil })
 	s.Export("b", func(string, []any) ([]any, error) { return nil, nil })
-	if got := len(s.Names()); got != 2 {
-		t.Errorf("Names = %d", got)
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !s.Unexport("a") {
-		t.Error("Unexport(a) should report true")
+	defer s.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Unexport("a") {
-		t.Error("second Unexport(a) should report false")
+	defer c.Close()
+	for _, name := range []string{"a", "b"} {
+		if _, err := c.Lookup(name); err != nil {
+			t.Errorf("Lookup(%s) = %v, want bound", name, err)
+		}
+	}
+	if !s.unexport("a") {
+		t.Error("unexport(a) should report true")
+	}
+	if s.unexport("a") {
+		t.Error("second unexport(a) should report false")
+	}
+	if _, err := c.Lookup("a"); !errors.Is(err, errNotBound) {
+		t.Errorf("Lookup(a) after unexport = %v, want errNotBound", err)
+	}
+	if _, err := c.Lookup("b"); err != nil {
+		t.Errorf("Lookup(b) after unexport(a) = %v, want bound", err)
 	}
 }
 
@@ -412,7 +432,7 @@ func TestAbortAbandonsInFlightCall(t *testing.T) {
 	<-started
 	aborted := make(chan struct{})
 	go func() {
-		s.Abort()
+		s.abort()
 		close(aborted)
 	}()
 	// The client sees the connection die without waiting for the servant.
@@ -471,7 +491,7 @@ func TestCloseMidWindowResolvesPending(t *testing.T) {
 	if err := <-blocked; !errors.Is(err, ErrClosed) {
 		t.Errorf("blocked send returned %v, want ErrClosed", err)
 	}
-	if err := c.Flush(); !errors.Is(err, ErrClosed) {
+	if err := c.flush(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Flush = %v, want ErrClosed", err)
 	}
 }

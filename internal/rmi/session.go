@@ -160,30 +160,22 @@ func (s *Server) endTracked(t trackedCall, resp *response) {
 	s.mu.Unlock()
 }
 
-// Epoch returns the server's session epoch.
-func (s *Server) Epoch() int64 { return s.epoch.Load() }
-
-// RotateEpoch moves the server to a fresh session epoch and forgets every
+// rotateEpoch moves the server to a fresh session epoch and forgets every
 // client session: tracked requests stamped with the previous epoch are
 // rejected as stale from here on. A node's reset rotates, so a replay racing
 // the reset cannot resurrect pre-reset state.
-func (s *Server) RotateEpoch() {
+func (s *Server) rotateEpoch() {
 	s.epoch.Store(newEpoch(s.clk))
 	s.mu.Lock()
 	s.sessions = make(map[sessionKey]*clientSession)
 	s.mu.Unlock()
 }
 
-// Requests returns the number of requests handled since start — the
-// fault-injection harness's trigger signal ("kill the node after its N-th
-// request").
-func (s *Server) Requests() int64 { return s.requests.Load() }
-
-// DropConns force-closes every live connection while leaving the listener
+// dropConns force-closes every live connection while leaving the listener
 // (and all server state: registry, sessions, epoch) intact — a transport
 // blip, as opposed to Abort's process crash. Clients observe a connection
 // failure and can Reconnect into the same session epoch.
-func (s *Server) DropConns() {
+func (s *Server) dropConns() {
 	s.mu.Lock()
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {

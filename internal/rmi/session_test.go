@@ -56,7 +56,7 @@ func invokeSeq(t *testing.T, stub *Stub, method string, seq uint64, args ...any)
 		err error
 	}
 	ch := make(chan out, 1)
-	stub.InvokeSeq(method, seq, SinkFunc(func(res []any, err error) { ch <- out{res, err} }), args...)
+	stub.InvokeSeq(method, seq, sinkFunc(func(res []any, err error) { ch <- out{res, err} }), args...)
 	o := <-ch
 	return o.res, o.err
 }
@@ -64,8 +64,8 @@ func invokeSeq(t *testing.T, stub *Stub, method string, seq uint64, args ...any)
 func TestHandshakeReportsServerEpoch(t *testing.T) {
 	srv, addr, _ := startCounter(t)
 	c := dialSession(t, addr, "cli-1")
-	if c.Epoch() == 0 || c.Epoch() != srv.Epoch() {
-		t.Errorf("client epoch %d, server epoch %d", c.Epoch(), srv.Epoch())
+	if c.Epoch() == 0 || c.Epoch() != srv.epoch.Load() {
+		t.Errorf("client epoch %d, server epoch %d", c.Epoch(), srv.epoch.Load())
 	}
 }
 
@@ -110,7 +110,7 @@ func TestStaleSessionRejectedAfterEpochRotation(t *testing.T) {
 	if _, err := invokeSeq(t, stub, "Add", 1, int64(1)); err != nil {
 		t.Fatal(err)
 	}
-	srv.RotateEpoch() // a reset: pre-rotation sessions are invalid
+	srv.rotateEpoch() // a reset: pre-rotation sessions are invalid
 	if _, err := invokeSeq(t, stub, "Add", 2, int64(1)); !errors.Is(err, ErrStaleSession) {
 		t.Fatalf("tracked call after rotation = %v, want ErrStaleSession", err)
 	}
@@ -140,7 +140,7 @@ func TestReconnectSameEpochAfterDroppedConns(t *testing.T) {
 	if _, err := invokeSeq(t, stub, "Add", 1, int64(2)); err != nil {
 		t.Fatal(err)
 	}
-	srv.DropConns() // transport blip: server state survives
+	srv.dropConns() // transport blip: server state survives
 	// Wait until the client observed the loss (the reader fails the client).
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -193,8 +193,8 @@ func TestReconnectDetectsRestartedServer(t *testing.T) {
 	if same {
 		t.Error("Reconnect reported the same epoch across a server restart")
 	}
-	if c.Epoch() != s2.Epoch() {
-		t.Errorf("client epoch %d, restarted server epoch %d", c.Epoch(), s2.Epoch())
+	if c.Epoch() != s2.epoch.Load() {
+		t.Errorf("client epoch %d, restarted server epoch %d", c.Epoch(), s2.epoch.Load())
 	}
 }
 
@@ -218,7 +218,7 @@ func TestSendSeqAcksPerCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	acks := make(chan error, 2)
-	ack := SinkFunc(func(_ []any, err error) { acks <- err })
+	ack := sinkFunc(func(_ []any, err error) { acks <- err })
 	stub.SendSeq("Add", 1, ack, int64(7))
 	stub.SendSeq("Fail", 2, ack)
 	if err := <-acks; err != nil {
@@ -229,7 +229,7 @@ func TestSendSeqAcksPerCall(t *testing.T) {
 		t.Errorf("Fail ack = %v, want RemoteError", err)
 	}
 	// Per-call delivery owns the failures: Flush has nothing left to report.
-	if err := c.Flush(); err != nil {
+	if err := c.flush(); err != nil {
 		t.Errorf("Flush = %v, want nil (SendSeq errors are per-call)", err)
 	}
 	if got := total.Load(); got != 7 {

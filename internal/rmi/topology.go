@@ -361,7 +361,7 @@ func (r *pipeRouter) afterDispatch(name string, servant Servant, method string, 
 		r.strand(name, next, hop.stage+1, method, fw)
 		return
 	}
-	stub.SendSeq(method, 0, SinkFunc(func(_ []any, err error) {
+	stub.SendSeq(method, 0, sinkFunc(func(_ []any, err error) {
 		switch {
 		case err == nil:
 			r.settle(name, nil)

@@ -97,6 +97,13 @@ const frameHeadroom = binary.MaxVarintLen64
 // prefix must not translate into an arbitrary allocation.
 const maxFrame = 1 << 28
 
+// trustedRun is the longest array or byte run the decoder allocates in one
+// block on a frame's word alone, above the largest the stack sends (a sieve
+// pack of 400 KB, a 256 KiB bulk echo). A longer run grows as its bytes
+// arrive, so a frame head cannot make the decoder allocate more than this
+// before the bytes behind it are there.
+const trustedRun = 1 << 20
+
 var errFrameTruncated = errors.New("rmi: binary frame truncated")
 
 func appendWireString(b []byte, s string) []byte {
@@ -630,8 +637,7 @@ func (c *wireCursor) take(n uint64) ([]byte, error) {
 	}
 	if n > uint64(len(c.b)-c.off) {
 		if n > uint64(c.br.Size()) {
-			out := make([]byte, n)
-			return out, c.copyOut(out)
+			return readRun(n, 1, c.copyOut)
 		}
 		if err := c.refill(); err != nil {
 			return nil, err
@@ -840,25 +846,46 @@ func appendFixedPortable[T fixedWidth](b []byte, x []T) []byte {
 // readFixed parses a counted array of width-byte elements into a fresh slice
 // (never an alias of a buffer the decoder reuses): a block copy out of the
 // frame, or, past a streamed frame's window, a read from the connection
-// straight into the slice's memory.
+// straight into the slice's memory. An array longer than trustedRun grows as
+// its bytes arrive (readRun).
 func readFixed[T fixedWidth](c *wireCursor, width uint64) ([]T, error) {
 	n, err := c.count(width)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]T, n)
-	if hostLittleEndian {
-		err = c.copyOut(rawBytes(out))
-	} else {
-		var raw []byte
-		if raw, err = c.take(n * width); err == nil {
-			fillFixedPortable(out, raw)
+	if !hostLittleEndian {
+		raw, err := c.take(n * width)
+		if err != nil {
+			return nil, err
 		}
+		out := make([]T, n)
+		fillFixedPortable(out, raw)
+		return out, nil
 	}
-	if err != nil {
+	if n > trustedRun/width {
+		return readRun(n, width, func(out []T) error { return c.copyOut(rawBytes(out)) })
+	}
+	out := make([]T, n)
+	if err := c.copyOut(rawBytes(out)); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// readRun allocates a run of n elements of width bytes and fills it through
+// fill: in one block up to trustedRun bytes, past that in blocks that double
+// as the run's bytes arrive.
+func readRun[T any](n, width uint64, fill func([]T) error) ([]T, error) {
+	out := make([]T, min(n, trustedRun/width))
+	for at := 0; ; {
+		if err := fill(out[at:]); err != nil {
+			return nil, err
+		}
+		if at = len(out); uint64(at) == n {
+			return out, nil
+		}
+		out = append(out, make([]T, min(n-uint64(at), uint64(at)))...)
+	}
 }
 
 func fillFixedPortable[T fixedWidth](out []T, raw []byte) {

@@ -282,10 +282,39 @@ func bulkSeeds() []bulkSeed {
 	}
 }
 
+// TestHostileFrameHeadAllocatesOnlyWhatArrives sends the head of a frame —
+// a length of 2^28-1 bytes and one []int32 argument counting 2^26-4
+// elements, as many as that length can back — and one read buffer of the
+// array's bytes, then ends the stream. The decode must fail having allocated
+// at most trustedRun plus the bytes sent; a decoder that trusts the count
+// makes the whole 256 MiB slice first.
+func TestHostileFrameHeadAllocatesOnlyWhatArrives(t *testing.T) {
+	head := binary.AppendUvarint(nil, maxFrame-1)
+	head = append(head, bkRequest, frArgs, 0, 0, 1, vInt32s) // kind, flags, object "", method "", one arg
+	head = binary.AppendUvarint(head, 1<<26-4)
+	head = append(head, make([]byte, connBufSize)...)
+	for _, size := range []int{connBufSize, 16} {
+		dec := BinaryCodec().newDecoder(bufio.NewReaderSize(bytes.NewReader(head), size))
+		var req request
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := dec.DecodeRequest(&req)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("read buffer %d: a frame head with no body decoded", size)
+		}
+		alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(trustedRun+len(head)+4<<10)
+		t.Logf("read buffer %d: %v after %d bytes, %d bytes allocated", size, err, len(head), alloc)
+		if alloc > limit {
+			t.Errorf("read buffer %d: decoding a %d-byte frame head allocated %d bytes, limit %d", size, len(head), alloc, limit)
+		}
+	}
+}
+
 // FuzzBinaryDecodeRobustness throws raw bytes at the binary decoder: any
 // input must produce a value or an error, never a panic, and never an
-// allocation out of proportion to the frames' declared lengths (the frame cap
-// and per-value bounds checks). The bytes are decoded three ways: read whole,
+// allocation out of proportion to the bytes it holds (the frame cap, the
+// per-value bounds checks and trustedRun). The bytes are decoded three ways: read whole,
 // streamed through connection-sized windows and streamed through 16-byte
 // ones; frame by frame, all three must fail or all decode to the same value.
 func FuzzBinaryDecodeRobustness(f *testing.F) {
@@ -311,16 +340,6 @@ func FuzzBinaryDecodeRobustness(f *testing.F) {
 		f.Add(seed.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// What the frames declare, up to the cap a decoder enforces.
-		declared := 0
-		for rest := data; len(rest) > 0; {
-			size, n := binary.Uvarint(rest)
-			if n <= 0 || size > maxFrame {
-				break
-			}
-			declared += int(size)
-			rest = rest[min(uint64(len(rest)), uint64(n)+size):]
-		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, resp := range []bool{false, true} {
@@ -355,10 +374,10 @@ func FuzzBinaryDecodeRobustness(f *testing.F) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		// Each of the six decodes may allocate what the frames declare, once;
-		// anything more must be backed by bytes the input holds.
-		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(6*declared+64*len(data)+1<<20); alloc > limit {
-			t.Fatalf("decoding %d bytes declaring %d allocated %d bytes, limit %d", len(data), declared, alloc, limit)
+		// Each of the six decodes may allocate one trusted run on a frame's
+		// word alone; anything more must be backed by bytes the input holds.
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(6*trustedRun+64*len(data)+1<<20); alloc > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes, limit %d", len(data), alloc, limit)
 		}
 	})
 }

@@ -124,7 +124,6 @@ func (c *poolChaos) awaitHealthy(n int) {
 func poolChurnOpts() []par.PoolOption {
 	return []par.PoolOption{
 		par.WithPoolPoll(5 * time.Millisecond),
-		par.WithCordonAfter(2),
 		par.WithDrainGrace(50 * time.Millisecond),
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // These tests are the conformance harness of peer-to-peer pipeline
-// forwarding (par.Topology): the same pipeline cells over the real
+// forwarding (Pipeline.UseTopology): the same pipeline cells over the real
 // middleware, once with the stage topology installed on the nodes (the
 // default — hops run node-to-node) and once forced onto the ClientForward
 // fallback (every hop doubles back through the driver). The two modes must

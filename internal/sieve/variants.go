@@ -298,7 +298,7 @@ type Params struct {
 	// PipeClientForward forces a DistNet pipeline run onto the caller-side
 	// forwarding fallback (PipelineConfig.ClientForward): every hop's
 	// results double back through the driver. The default routes hops
-	// peer-to-peer under an installed par.Topology; the conformance cells
+	// peer-to-peer under an installed pipeline topology; the conformance cells
 	// pin both modes byte-equal.
 	PipeClientForward bool
 	// Faults enables NetRMI's fault-tolerance subsystem for DistNet runs:
@@ -777,7 +777,7 @@ func build(c Combo, p Params) (*wiring, error) {
 		mods = append(mods, w.dist)
 		if w.pipe != nil && !p.PipeClientForward {
 			// Arm peer-to-peer forwarding: stage creation will compile and
-			// install the par.Topology on the worker daemons.
+			// install the pipeline topology on the worker daemons.
 			if err := w.pipe.UseTopology(env.mw); err != nil {
 				env.close()
 				return nil, err
