@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -156,7 +157,10 @@ func (r *faultRig) restart(i int) {
 }
 
 // bound reports whether node i binds name, probed the way a client sees
-// it: a Lookup on a fresh connection succeeds.
+// it: a Lookup on a fresh connection succeeds, or fails as not bound. Any
+// other failure fails the test, so a negative probe cannot pass on a
+// transport error. rmi wraps the not-bound error unexported; its text is
+// what a client outside the package can tell it by.
 func (r *faultRig) bound(i int, name string) bool {
 	r.t.Helper()
 	c, err := rmi.Dial(r.addrs[i])
@@ -165,6 +169,9 @@ func (r *faultRig) bound(i int, name string) bool {
 	}
 	defer c.Close()
 	_, err = c.Lookup(name)
+	if err != nil && !strings.Contains(err.Error(), "rmi: name not bound") {
+		r.t.Fatalf("lookup %s on node %d: %v", name, i, err)
+	}
 	return err == nil
 }
 

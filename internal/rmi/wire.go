@@ -846,8 +846,7 @@ func appendFixedPortable[T fixedWidth](b []byte, x []T) []byte {
 // readFixed parses a counted array of width-byte elements into a fresh slice
 // (never an alias of a buffer the decoder reuses): a block copy out of the
 // frame, or, past a streamed frame's window, a read from the connection
-// straight into the slice's memory. An array longer than trustedRun grows as
-// its bytes arrive (readRun).
+// straight into the slice's memory, in blocks as readRun sizes them.
 func readFixed[T fixedWidth](c *wireCursor, width uint64) ([]T, error) {
 	n, err := c.count(width)
 	if err != nil {
@@ -862,14 +861,7 @@ func readFixed[T fixedWidth](c *wireCursor, width uint64) ([]T, error) {
 		fillFixedPortable(out, raw)
 		return out, nil
 	}
-	if n > trustedRun/width {
-		return readRun(n, width, func(out []T) error { return c.copyOut(rawBytes(out)) })
-	}
-	out := make([]T, n)
-	if err := c.copyOut(rawBytes(out)); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return readRun(n, width, func(out []T) error { return c.copyOut(rawBytes(out)) })
 }
 
 // readRun allocates a run of n elements of width bytes and fills it through
